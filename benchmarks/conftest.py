@@ -12,13 +12,18 @@ runs: ``REPRO_BENCH_SCALE=0.05 pytest benchmarks/ --benchmark-only``.
 
 import os
 import pathlib
+import sys
 
 import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# The benches import ``repro`` from the checkout without PYTHONPATH.
+sys.path.insert(0, str(ROOT / "src"))
 
 #: Fraction of the paper's input/automaton sizes used by the benches.
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.02"))
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+RESULTS_DIR = ROOT / "results"
 
 
 @pytest.fixture(scope="session")

@@ -9,56 +9,28 @@ Measured on the squaring kernels this overhead is around half the total
 runtime, and it grows with whatever else the process has on the heap,
 which also made kernel timings irreproducible between processes.
 
-:func:`bulk_alloc` pauses the collector for the duration of a kernel and
-restores it afterwards.  It is re-entrant (an inner kernel sees the
-collector already off and leaves state alone) and exception-safe, and it
-respects callers that run with the collector disabled globally.
+:func:`gc_paused` wraps a kernel function so the collector is off for
+its duration and restored afterwards.  It is re-entrant (an inner kernel
+sees the collector already off and leaves state alone) and
+exception-safe, and it respects callers that run with the collector
+disabled globally.
 """
 
-import contextlib
 import functools
 import gc
 
-__all__ = ["bulk_alloc", "gc_paused", "pausing_suspended"]
-
-#: When true, :func:`bulk_alloc` is a no-op (see :func:`pausing_suspended`).
-_suspended = False
-
-
-@contextlib.contextmanager
-def bulk_alloc():
-    """Context manager: cyclic GC off inside, restored on exit."""
-    if _suspended or not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
-@contextlib.contextmanager
-def pausing_suspended():
-    """Make :func:`bulk_alloc`/:func:`gc_paused` no-ops within the block.
-
-    Benchmarks use this to time the legacy oracle the way the pre-indexed
-    pipeline actually ran it — collector enabled throughout, including in
-    nested ``gc_paused`` regions.  Production code never needs this.
-    """
-    global _suspended
-    previous = _suspended
-    _suspended = True
-    try:
-        yield
-    finally:
-        _suspended = previous
+__all__ = ["gc_paused"]
 
 
 def gc_paused(fn):
-    """Decorator form of :func:`bulk_alloc` for whole-kernel functions."""
+    """Decorator: cyclic GC off while ``fn`` runs, restored on exit."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        with bulk_alloc():
+        if not gc.isenabled():
             return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
     return wrapper

@@ -369,8 +369,9 @@ def minimize_legacy(automaton, max_rounds=32):
 
     Each round rescans and mutates the whole graph, and a chain of ``L``
     equivalent states needs ``L`` rounds to collapse.  Kept as the
-    baseline for ``scripts/bench_transform.py``; new code should call
-    :func:`minimize`.
+    reference ``tests/test_ops.py::TestPartitionRefinement`` checks
+    :func:`minimize` against (it must merge at least as much); new code
+    should call :func:`minimize`.
     """
     total = 0
     for _ in range(max_rounds):

@@ -13,9 +13,6 @@ Commands
 ``profile``      run any other command with telemetry collection on
 ``cache``        inspect or clear the content-addressed transform cache
 ``runtime``      inspect or clear the stage-graph artifact store
-``bench``        run the benchmark suites into one envelope, compare
-                 envelopes, or gate fresh runs against the committed
-                 ``BENCH_*.json`` baselines (``run``/``compare``/``check``)
 
 ``match``, ``experiment``, and ``workload`` additionally accept
 ``--metrics-out metrics.json`` / ``--trace-out trace.json`` to export the
@@ -340,54 +337,6 @@ def cmd_runtime(args):
     return 0
 
 
-def cmd_bench(args):
-    """Run/compare benchmark envelopes; gate against committed baselines."""
-    import json as _json
-
-    from . import bench
-
-    if args.action == "run":
-        envelope = bench.run_suites(args.suites, quick=args.quick,
-                                    progress=lambda line: print(
-                                        line, file=sys.stderr))
-        with open(args.out, "w", encoding="utf-8") as handle:
-            _json.dump(envelope, handle, indent=2)
-            handle.write("\n")
-        for name, payload in sorted(envelope["suites"].items()):
-            metrics = bench.load_suite(name).extract_metrics(payload)
-            for metric, value in sorted(metrics.items()):
-                print("%-10s %-28s %8.2f" % (name, metric, value))
-        print("wrote %s" % args.out)
-        return 0
-
-    if args.action == "compare":
-        current = bench.load_envelope(args.current)
-        baseline = bench.load_baseline(args.baseline)
-        report = bench.compare_envelopes(current, baseline,
-                                         tolerance=args.tolerance,
-                                         metric_floor=args.metric_floor)
-        print(bench.render_report(report))
-        return 0 if report["passed"] else 1
-
-    # check: fresh runs vs the committed BENCH_*.json baselines.  Only
-    # suites with a committed baseline are run — a fresh measurement
-    # with nothing to compare against cannot gate anything.
-    baseline = bench.load_baseline(args.baseline, names=args.suites)
-    names = sorted(baseline["suites"])
-    current = bench.run_suites(names, quick=args.quick,
-                               progress=lambda line: print(
-                                   line, file=sys.stderr))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            _json.dump(current, handle, indent=2)
-            handle.write("\n")
-    report = bench.compare_envelopes(current, baseline,
-                                     tolerance=args.tolerance,
-                                     metric_floor=args.metric_floor)
-    print(bench.render_report(report))
-    return 0 if report["passed"] else 1
-
-
 def cmd_trace(args):
     machine = _build_ruleset(args.patterns)
     tracer = Tracer(machine)
@@ -631,61 +580,6 @@ def build_parser():
         "runtime", help="inspect or clear the stage-graph artifact store")
     runtime_parser.add_argument("action", choices=["info", "clear"])
     runtime_parser.set_defaults(func=cmd_runtime)
-
-    bench_parser = commands.add_parser(
-        "bench", help="benchmark envelopes and the perf-regression gate")
-    bench_actions = bench_parser.add_subparsers(dest="action", required=True)
-    from .bench import (DEFAULT_METRIC_FLOOR, DEFAULT_TOLERANCE,
-                        SUITE_NAMES)
-
-    def _bench_common(sub, with_thresholds):
-        sub.add_argument("--suites", nargs="+", choices=SUITE_NAMES,
-                         default=None,
-                         help="suites to include (default: all)")
-        if with_thresholds:
-            sub.add_argument(
-                "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                help="fail a suite when the geomean current/baseline "
-                     "speedup ratio drops below this (default %.2f)"
-                     % DEFAULT_TOLERANCE)
-            sub.add_argument(
-                "--metric-floor", type=float, default=DEFAULT_METRIC_FLOOR,
-                help="flag an individual figure of merit only below this "
-                     "ratio (default %.2f)" % DEFAULT_METRIC_FLOOR)
-
-    bench_run = bench_actions.add_parser(
-        "run", help="execute suites into one repro-bench/v2 envelope")
-    _bench_common(bench_run, with_thresholds=False)
-    bench_run.add_argument("--quick", action="store_true",
-                           help="each suite's QUICK_PARAMS: baseline "
-                                "scale, fewer repeats/workloads")
-    bench_run.add_argument("--out", default="BENCH_envelope.json")
-    bench_run.set_defaults(func=cmd_bench)
-
-    bench_compare = bench_actions.add_parser(
-        "compare", help="diff an envelope against a baseline")
-    bench_compare.add_argument("current",
-                               help="repro-bench/v2 envelope (or a single "
-                                    "BENCH_*.json payload) to evaluate")
-    bench_compare.add_argument("--baseline", default=None,
-                               help="baseline envelope file or directory "
-                                    "of BENCH_*.json files (default: the "
-                                    "checkout root)")
-    _bench_common(bench_compare, with_thresholds=True)
-    bench_compare.set_defaults(func=cmd_bench)
-
-    bench_check = bench_actions.add_parser(
-        "check", help="run fresh suites and gate against committed "
-                      "BENCH_*.json baselines (nonzero exit on regression)")
-    _bench_common(bench_check, with_thresholds=True)
-    bench_check.add_argument("--quick", action="store_true",
-                             help="quick measurement parameters (see run)")
-    bench_check.add_argument("--baseline", default=None,
-                             help="baseline directory or envelope file "
-                                  "(default: the checkout root)")
-    bench_check.add_argument("--out", default=None,
-                             help="also write the fresh envelope here")
-    bench_check.set_defaults(func=cmd_bench)
 
     profile_parser = commands.add_parser(
         "profile",

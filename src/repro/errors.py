@@ -65,9 +65,5 @@ class StageGraphError(ReproError):
     """A stage graph was constructed or executed inconsistently."""
 
 
-class BenchError(ReproError):
-    """A benchmark envelope or baseline could not be run or compared."""
-
-
 class PrefilterError(ReproError):
     """The literal prefilter was built or driven inconsistently."""

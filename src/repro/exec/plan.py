@@ -10,15 +10,12 @@ into a single validated, serializable value:
   :class:`~repro.sim.engine.BitsetEngine` (``"engine"``) or the
   hardware-faithful :class:`~repro.core.device.SunderDevice`
   (``"device"``).
-- **kernel / fidelity** — the engine's successor kernel and the
-  device's execution fidelity (each target ignores the other's knob).
-- **batch_layout / batch / shards** — the aggregate-throughput axes:
-  multi-stream lane layout, interleaved-lane count, and shard count
-  for one long stream.
+- **fidelity** — the device's execution fidelity (the engine target
+  ignores it).
+- **batch / shards** — the single-stream throughput axes:
+  interleaved-lane count and shard count for one long stream.
 - **prefilter / hotcold_coverage** — two-stage literal gating and the
   optional hot/cold split recording.
-- **step_cache** — LRU step-cache capacity (``None`` keeps each
-  kernel's default).
 
 Construction validates the whole combination up front — bad *values*
 raise :class:`ValueError`, contradictory *combinations* raise
@@ -38,7 +35,6 @@ import json
 
 from ..core.packed import FIDELITIES, resolve_fidelity
 from ..errors import ArchitectureError
-from ..sim.engine import BATCH_LAYOUTS, _KERNELS
 
 #: Serialization format tag and version; bump the version whenever plan
 #: semantics change so salted artifact keys never alias across releases.
@@ -52,42 +48,30 @@ TARGETS = ("engine", "device")
 #: emits exactly the fields that differ from these.
 _DEFAULTS = (
     ("target", "engine"),
-    ("kernel", "auto"),
     ("fidelity", "auto"),
-    ("batch_layout", "auto"),
     ("batch", 1),
     ("shards", 1),
     ("prefilter", False),
     ("hotcold_coverage", None),
-    ("step_cache", None),
 )
 
 
 class ExecutionPlan:
     """One validated execution strategy (see the module docstring)."""
 
-    __slots__ = ("target", "kernel", "fidelity", "batch_layout", "batch",
-                 "shards", "prefilter", "hotcold_coverage", "step_cache",
-                 "reasons")
+    __slots__ = ("target", "fidelity", "batch", "shards", "prefilter",
+                 "hotcold_coverage", "reasons")
 
-    def __init__(self, target="engine", kernel="auto", fidelity="auto",
-                 batch_layout="auto", batch=1, shards=1, prefilter=False,
-                 hotcold_coverage=None, step_cache=None, reasons=None):
+    def __init__(self, target="engine", fidelity="auto", batch=1, shards=1,
+                 prefilter=False, hotcold_coverage=None, reasons=None):
         # --- value validation (ValueError: the field itself is bad) ----
         if target not in TARGETS:
             raise ValueError(
                 "plan target must be one of %r, got %r" % (TARGETS, target))
-        if kernel not in _KERNELS:
-            raise ValueError(
-                "plan kernel must be one of %r, got %r" % (_KERNELS, kernel))
         if fidelity not in FIDELITIES:
             raise ValueError(
                 "plan fidelity must be one of %r, got %r"
                 % (FIDELITIES, fidelity))
-        if batch_layout not in BATCH_LAYOUTS:
-            raise ValueError(
-                "plan batch_layout must be one of %r, got %r"
-                % (BATCH_LAYOUTS, batch_layout))
         if not isinstance(batch, int) or isinstance(batch, bool) or batch < 1:
             raise ValueError(
                 "plan batch must be an int >= 1, got %r" % (batch,))
@@ -109,12 +93,6 @@ class ExecutionPlan:
                 raise ValueError(
                     "plan hotcold_coverage requires prefilter=True (the "
                     "split is recorded by the gated path)")
-        if step_cache is not None:
-            if (not isinstance(step_cache, int) or isinstance(step_cache, bool)
-                    or step_cache < 0):
-                raise ValueError(
-                    "plan step_cache must be an int >= 0 or None, got %r"
-                    % (step_cache,))
 
         # --- combination validation (ArchitectureError: fields clash) --
         sharded = shards == "auto" or shards > 1
@@ -137,14 +115,11 @@ class ExecutionPlan:
                 "stream path; shards/batch apply to the engine target")
 
         self.target = target
-        self.kernel = kernel
         self.fidelity = fidelity
-        self.batch_layout = batch_layout
         self.batch = batch
         self.shards = shards
         self.prefilter = prefilter
         self.hotcold_coverage = hotcold_coverage
-        self.step_cache = step_cache
         #: Machine-readable ``{"choice", "value", "reason"}`` records set
         #: by the planner; advisory only — never serialized.
         self.reasons = list(reasons) if reasons else []
@@ -251,7 +226,7 @@ class ExecutionPlan:
     # ------------------------------------------------------------------
     @classmethod
     def from_flags(cls, batch=1, shards=1, prefilter=False, hotcold=None,
-                   fidelity="auto", target="engine", kernel="auto"):
+                   fidelity="auto", target="engine"):
         """Build a plan from the legacy CLI/experiment knobs.
 
         The one mapping point between the pre-plan flag surface
@@ -260,7 +235,7 @@ class ExecutionPlan:
         applies, so contradictory flags fail here with the plan-level
         messages.
         """
-        return cls(target=target, kernel=kernel, fidelity=fidelity,
+        return cls(target=target, fidelity=fidelity,
                    batch=int(batch) if batch != "auto" else 1,
                    shards=shards, prefilter=bool(prefilter),
                    hotcold_coverage=hotcold)
@@ -272,7 +247,7 @@ class ExecutionPlan:
             return "gated"
         if self.shards == "auto" or self.shards > 1:
             return "sharded"
-        if self.batch > 1 or self.batch_layout != "auto":
+        if self.batch > 1:
             return "batch"
         return "serial"
 
@@ -293,7 +268,7 @@ class ExecutionPlan:
         return "ExecutionPlan(%s)" % (fields or "default")
 
 
-#: The all-defaults plan (serial engine run, benchmarked kernel).
+#: The all-defaults plan (serial engine run).
 DEFAULT_PLAN = ExecutionPlan()
 
 

@@ -81,8 +81,6 @@ class Planner:
         fields = {}
         if stream_count > 1:
             choose("strategy", "batch", "multi-stream")
-            choose("batch_layout", "auto",
-                   "lane layout is the benchmarked default")
         elif traits.filterable and not traits.cyclic:
             choose("strategy", "gated", "filterable-acyclic")
             fields["prefilter"] = True
@@ -96,13 +94,7 @@ class Planner:
             choose("strategy", "serial", "unfilterable-short-stream")
         else:
             choose("strategy", "serial", "short-stream")
-        if self.target == "engine":
-            choose("kernel", "auto",
-                   "sliced successor tables are the benchmarked default")
-        else:
+        if self.target == "device":
             choose("fidelity", "auto",
                    "the packed kernel is the benchmarked default")
-        choose("step_cache", None,
-               "default LRU capacity; entries are pure automaton "
-               "functions and survive resets")
         return fields, choices

@@ -18,10 +18,9 @@ object: one session per (ruleset, plan), many ``execute`` calls.
 
 from ..core.config import SunderConfig
 from ..core.device import SunderDevice
-from ..core.packed import DEFAULT_DEVICE_STEP_CACHE
 from ..prefilter.gate import (build_prefilter, gated_device_run,
                               gated_simulation)
-from ..sim.engine import DEFAULT_STEP_CACHE, BitsetEngine
+from ..sim.engine import BitsetEngine
 from ..sim.inputs import stream_for, stream_shape
 from ..sim.reports import ReportRecorder
 from .plan import ExecutionPlan
@@ -106,15 +105,10 @@ class Session:
     # ------------------------------------------------------------------
     # Engine target
     # ------------------------------------------------------------------
-    def _bind_engine(self, plan):
-        engine = self._engine
-        if engine is None:
-            step_cache = (DEFAULT_STEP_CACHE if plan.step_cache is None
-                          else plan.step_cache)
-            engine = BitsetEngine(self.automaton, kernel=plan.kernel,
-                                  step_cache=step_cache)
-            self._engine = engine
-        return engine
+    def _bind_engine(self):
+        if self._engine is None:
+            self._engine = BitsetEngine(self.automaton)
+        return self._engine
 
     def _bind_prefilter(self):
         prefilter = self._prefilter
@@ -123,7 +117,7 @@ class Session:
         return prefilter
 
     def _execute_engine(self, plan, datas):
-        engine = self._bind_engine(plan)
+        engine = self._bind_engine()
         if plan.prefilter:
             prefilter = self._bind_prefilter()
             recorders = []
@@ -141,8 +135,7 @@ class Session:
         recorders = [ReportRecorder(keep_events=True, position_limit=limit)
                      for _, limit in lanes]
         if len(datas) > 1:
-            engine.run_batch([vectors for vectors, _ in lanes], recorders,
-                             batch_layout=plan.batch_layout)
+            engine.run_batch([vectors for vectors, _ in lanes], recorders)
         elif datas:
             vectors = lanes[0][0]
             if plan.shards == "auto" or plan.shards > 1:
@@ -169,10 +162,7 @@ class Session:
         config = self.config
         if config is None:
             config = SunderConfig(rate_nibbles=self.automaton.arity)
-        step_cache = (DEFAULT_DEVICE_STEP_CACHE if plan.step_cache is None
-                      else plan.step_cache)
-        device = SunderDevice(config, fidelity=plan.fidelity,
-                              step_cache=step_cache)
+        device = SunderDevice(config, fidelity=plan.fidelity)
         device.configure(self.automaton)
         return device
 

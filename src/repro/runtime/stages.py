@@ -34,7 +34,7 @@ from ..exec.plan import ExecutionPlan
 from ..hwmodel import area
 from ..obs import stage_progress, trace_span
 from ..prefilter import gated_simulation
-from ..sim.engine import DEFAULT_STEP_CACHE, BitsetEngine
+from ..sim.engine import BitsetEngine
 from ..sim.inputs import stream_for, stream_shape
 from ..sim.reports import ReportRecorder
 from ..sim.stats import static_statistics
@@ -174,13 +174,6 @@ def _stage_plan(params):
         fidelity=params.get("fidelity", "auto"))
 
 
-def _stage_engine(automaton, plan):
-    """An engine honoring the plan's kernel/step-cache knobs."""
-    step_cache = (DEFAULT_STEP_CACHE if plan.step_cache is None
-                  else plan.step_cache)
-    return BitsetEngine(automaton, kernel=plan.kernel, step_cache=step_cache)
-
-
 def _run_simulation(engine, vectors, recorder, plan):
     """Dispatch a stage simulation through the plan's engine strategy.
 
@@ -225,7 +218,7 @@ def _simulate8(params, instance):
         if engine is not None and not gated:
             return SimRun.from_engine(engine, recorder, cycles)
         return SimRun(recorder, cycles)
-    engine = _stage_engine(instance.automaton, plan)
+    engine = BitsetEngine(instance.automaton)
     recorder = ReportRecorder(keep_events=True)
     stream = list(instance.input_bytes)
     _run_simulation(engine, stream, recorder, plan)
@@ -261,7 +254,7 @@ def _simulate_strided(params, instance, strided):
         return SimRun(recorder, cycles)
     vectors, limit = stream_for(strided, instance.input_bytes)
     recorder = ReportRecorder(keep_events=True, position_limit=limit)
-    _run_simulation(_stage_engine(strided, plan), vectors, recorder, plan)
+    _run_simulation(BitsetEngine(strided), vectors, recorder, plan)
     return SimRun(recorder, len(vectors))
 
 

@@ -4,17 +4,13 @@ Two engines with identical semantics:
 
 - :class:`BitsetEngine` — production engine.  The active-state set is a
   Python int used as a bitmask and per-(position, symbol) match masks
-  are precomputed.  Successor propagation runs one of two kernels:
+  are precomputed.  Successor propagation is block-sliced: the state
+  space is sliced into 8-bit *blocks*, and for each (block, byte-value)
+  pair the OR of that block's successor masks is table-driven, so one
+  lookup covers up to eight active states at once (the CAMA-style
+  compaction argument: iterate table entries, not states).
 
-  - ``"sliced"`` (default) — the state space is sliced into 8-bit
-    *blocks*; for each (block, byte-value) pair the OR of that block's
-    successor masks is table-driven, so one lookup covers up to eight
-    active states at once (the CAMA-style compaction argument: iterate
-    table entries, not states).
-  - ``"scan"`` — the original per-active-bit loop, kept as a fallback
-    and as a second differential-testing axis.
-
-  On top of either kernel sits an LRU *step cache* mapping
+  On top of the kernel sits an LRU *step cache* mapping
   ``(active_mask, vector, start-phase)`` to ``(next_active,
   reporting_mask)`` — the calibrated benchmark streams revisit the same
   subset-construction states constantly (DFA-style subset caching), so
@@ -64,18 +60,6 @@ DEFAULT_STEP_CACHE = 1 << 16
 #: actually exercises.
 EAGER_SLICE_STATES = 512
 
-_KERNELS = ("auto", "sliced", "scan")
-
-#: Accepted ``batch_layout`` values for :meth:`BitsetEngine.run_batch`.
-#: ``"lanes"`` keeps one active int per lane; ``"wide"`` packs every
-#: lane into a single wide int at a padded-state-count stride.  Both
-#: share the step cache per lane (each lane consumes its own input
-#: vector, so there is no cross-lane work to share); benchmarking shows
-#: the lane list wins — the wide int pays extract/insert shifts on an
-#: ever-growing integer for no algorithmic gain — so ``"auto"`` selects
-#: ``"lanes"`` (see docs/performance.md).
-BATCH_LAYOUTS = ("auto", "lanes", "wide")
-
 #: ``run_sharded(shards="auto")`` falls back to the serial path below
 #: this stream length (in vector cycles): the documented pathological
 #: pool case (0.05-0.15x at scale 0.01, docs/performance.md) is exactly
@@ -88,14 +72,6 @@ AUTO_SHARD_MIN_CYCLES = 1 << 16
 AUTO_SHARD_DEFAULT = 4
 
 
-def _resolve_layout(batch_layout):
-    if batch_layout not in BATCH_LAYOUTS:
-        raise SimulationError(
-            "unknown batch_layout %r (choose from %s)"
-            % (batch_layout, BATCH_LAYOUTS))
-    return "lanes" if batch_layout == "auto" else batch_layout
-
-
 class BitsetEngine:
     """Bitmask-based cycle-accurate simulator for one automaton.
 
@@ -104,9 +80,6 @@ class BitsetEngine:
 
     Parameters
     ----------
-    kernel:
-        ``"sliced"`` (block-sliced successor tables), ``"scan"`` (the
-        per-active-bit loop), or ``"auto"`` (currently ``"sliced"``).
     step_cache:
         Capacity of the LRU step cache; ``0`` disables memoization.
         The cache survives :meth:`reset` — entries are pure functions
@@ -119,18 +92,14 @@ class BitsetEngine:
         bookkeeping entirely (recommended for unbounded streaming use).
     """
 
-    def __init__(self, automaton, kernel="auto", step_cache=DEFAULT_STEP_CACHE,
+    def __init__(self, automaton, step_cache=DEFAULT_STEP_CACHE,
                  history_limit=None):
         automaton.validate()
-        if kernel not in _KERNELS:
-            raise SimulationError(
-                "unknown kernel %r (choose from %s)" % (kernel, _KERNELS))
         if step_cache < 0:
             raise SimulationError("step_cache capacity must be >= 0")
         if history_limit is not None and history_limit < 0:
             raise SimulationError("history_limit must be None or >= 0")
         self.automaton = automaton
-        self.kernel = "sliced" if kernel == "auto" else kernel
         self._ids = automaton.state_ids()
         self._index = {state_id: i for i, state_id in enumerate(self._ids)}
         size = len(self._ids)
@@ -166,8 +135,7 @@ class BitsetEngine:
                 for value in sset:
                     column[value] |= bit
 
-        if self.kernel == "sliced":
-            self._build_block_tables()
+        self._build_block_tables()
 
         self._step_cache_limit = step_cache
         self._step_cache = {} if step_cache else None
@@ -261,24 +229,17 @@ class BitsetEngine:
     def _propagate(self, active):
         """Successor-union of an active mask (start states excluded)."""
         enabled = 0
-        if self.kernel == "sliced":
-            tables = self._block_tables
-            clear = self._block_clear
-            while active:
-                low = active & -active
-                block = (low.bit_length() - 1) >> 3
-                value = (active >> (block << 3)) & 0xFF
-                entry = tables[block][value]
-                if entry is None:
-                    entry = self._fill_block_entry(block, value)
-                enabled |= entry
-                active &= clear[block]
-        else:
-            succ = self._succ_mask
-            while active:
-                low = active & -active
-                enabled |= succ[low.bit_length() - 1]
-                active ^= low
+        tables = self._block_tables
+        clear = self._block_clear
+        while active:
+            low = active & -active
+            block = (low.bit_length() - 1) >> 3
+            value = (active >> (block << 3)) & 0xFF
+            entry = tables[block][value]
+            if entry is None:
+                entry = self._fill_block_entry(block, value)
+            enabled |= entry
+            active &= clear[block]
         return enabled
 
     def _enabled_from(self, active, phase):
@@ -495,8 +456,7 @@ class BitsetEngine:
     # ------------------------------------------------------------------
     # Batched multi-stream execution
     # ------------------------------------------------------------------
-    def run_batch(self, streams, recorders=None, position_limit=None,
-                  batch_layout="auto"):
+    def run_batch(self, streams, recorders=None, position_limit=None):
         """Drive N independent streams through the automaton in one pass.
 
         Each lane behaves exactly as a fresh :meth:`run` over its stream
@@ -507,11 +467,7 @@ class BitsetEngine:
         of once per stream.  Returns the list of per-lane recorders;
         per-lane active-count histories land in ``self.lane_histories``
         and the engine's own streaming state is reset afterwards.
-
-        ``batch_layout`` selects the active-mask representation (see
-        :data:`BATCH_LAYOUTS`); ``"auto"`` picks the benchmarked winner.
         """
-        layout = _resolve_layout(batch_layout)
         lane_vectors = [_normalize_stream(self.automaton, stream)
                         for stream in streams]
         if recorders is None:
@@ -524,28 +480,24 @@ class BitsetEngine:
         histories = (None if self._history_limit == 0
                      else [self._new_history() for _ in lane_vectors])
         if OBS.active:
-            self._run_batch_observed(lane_vectors, recorders, layout,
-                                     histories)
+            self._run_batch_observed(lane_vectors, recorders, histories)
         else:
-            self._execute_lanes(lane_vectors, recorders, layout,
-                                histories=histories)
+            self._execute_lanes(lane_vectors, recorders, histories=histories)
         self.lane_histories = histories if histories is not None else []
         self.reset()
         return recorders
 
-    def _run_batch_observed(self, lane_vectors, recorders, layout,
-                            histories):
+    def _run_batch_observed(self, lane_vectors, recorders, histories):
         """`run_batch` with the telemetry hooks live."""
         handles = OBS.instruments.engine_handles("bitset")
         reports_before = sum(r.total_reports for r in recorders)
         total_cycles = sum(len(vectors) for vectors in lane_vectors)
         with trace_span("engine.run_batch", engine="bitset",
                         automaton=self.automaton.name,
-                        lanes=len(lane_vectors), cycles=total_cycles,
-                        layout=layout):
+                        lanes=len(lane_vectors), cycles=total_cycles):
             start = perf_counter()
             lane_hits, lane_misses = self._execute_lanes(
-                lane_vectors, recorders, layout, histories=histories)
+                lane_vectors, recorders, histories=histories)
             elapsed = perf_counter() - start
         # Lane-for-lane parity with N serial runs: counters move by the
         # same amounts a loop of run() calls would move them.
@@ -565,9 +517,12 @@ class BitsetEngine:
                 for count in history:
                     observe_active(count)
 
-    def _execute_lanes(self, lane_vectors, recorders, layout,
-                       start_cycles=None, record_from=None, histories=None):
+    def _execute_lanes(self, lane_vectors, recorders, start_cycles=None,
+                       record_from=None, histories=None):
         """The batched hot loop: N lanes, one shared step cache.
+
+        Each lane keeps its own active int; lanes share the step cache
+        but no other work (each consumes its own input vector).
 
         ``start_cycles`` gives each lane's absolute first cycle (shard
         replays start mid-stream; phases derive from absolute cycles so
@@ -592,12 +547,6 @@ class BitsetEngine:
         enabled_from = self._enabled_from
         match_mask = self.match_mask
         report_plan = self._report_plan
-        wide = 0
-        stride = lane_mask = 0
-        if layout == "wide":
-            # Lane stride: state count padded to whole 8-bit blocks.
-            stride = ((self._size + 7) & ~7) or 8
-            lane_mask = (1 << self._size) - 1
         actives = [0] * count
         lane_hits = [0] * count
         lane_misses = [0] * count
@@ -610,11 +559,7 @@ class BitsetEngine:
                 cycle = start_cycles[lane] + index
                 phase = (2 if cycle == 0 else
                          1 if cycle % period == 0 else 0)
-                if layout == "wide":
-                    shift = lane * stride
-                    active = (wide >> shift) & lane_mask
-                else:
-                    active = actives[lane]
+                active = actives[lane]
                 if cache is not None:
                     key = (active, vector, phase)
                     cached = cache_get(key)
@@ -636,10 +581,7 @@ class BitsetEngine:
                     active = enabled_from(active, phase) & match_mask(vector)
                     plan = (report_plan(active & report_mask)
                             if active & report_mask else ())
-                if layout == "wide":
-                    wide = (wide & ~(lane_mask << shift)) | (active << shift)
-                else:
-                    actives[lane] = active
+                actives[lane] = active
                 if cycle >= record_from[lane]:
                     if plan:
                         recorder = recorders[lane]
@@ -730,7 +672,7 @@ class BitsetEngine:
         """Execute shard blocks; returns (part recorders, histories)."""
         keep_history = self._history_limit != 0
         if runner is not None and runner.workers > 1:
-            jobs = [(self.automaton, self.kernel, self._step_cache_limit,
+            jobs = [(self.automaton, self._step_cache_limit,
                      block_vectors, start_cycle, record_from,
                      recorder.keep_events, recorder.position_limit,
                      keep_history)
@@ -749,14 +691,14 @@ class BitsetEngine:
         start_cycles = [start_cycle for _, start_cycle, _ in blocks]
         record_from = [record for _, _, record in blocks]
         if interleave:
-            self._execute_lanes(lane_vectors, parts, "lanes",
+            self._execute_lanes(lane_vectors, parts,
                                 start_cycles=start_cycles,
                                 record_from=record_from,
                                 histories=histories)
         else:
             for index in range(len(blocks)):
                 self._execute_lanes(
-                    [lane_vectors[index]], [parts[index]], "lanes",
+                    [lane_vectors[index]], [parts[index]],
                     start_cycles=[start_cycles[index]],
                     record_from=[record_from[index]],
                     histories=[histories[index]] if histories else None)
@@ -818,7 +760,7 @@ class BitsetEngine:
             self._run_windows_observed(lane_vectors, parts, start_cycles,
                                        record_from, total_cycles)
         else:
-            self._execute_lanes(lane_vectors, parts, "lanes",
+            self._execute_lanes(lane_vectors, parts,
                                 start_cycles=start_cycles,
                                 record_from=record_from)
         for part in parts:
@@ -839,7 +781,7 @@ class BitsetEngine:
                         total_cycles=total_cycles):
             start = perf_counter()
             lane_hits, lane_misses = self._execute_lanes(
-                lane_vectors, parts, "lanes", start_cycles=starts,
+                lane_vectors, parts, start_cycles=starts,
                 record_from=record_from)
             elapsed = perf_counter() - start
         handles.runs.inc()
@@ -920,15 +862,14 @@ def _shard_job(job):
     automaton (step-cache state does not cross processes).  Returns
     ``(recorder_payload, history_list)``.
     """
-    (automaton, kernel, step_cache, vectors, start_cycle, record_from,
+    (automaton, step_cache, vectors, start_cycle, record_from,
      keep_events, position_limit, keep_history) = job
-    engine = BitsetEngine(automaton, kernel=kernel, step_cache=step_cache,
-                          history_limit=0)
+    engine = BitsetEngine(automaton, step_cache=step_cache, history_limit=0)
     part = ReportRecorder(keep_events=keep_events,
                           position_limit=position_limit)
     history = [] if keep_history else None
     engine._execute_lanes(
-        [vectors], [part], "lanes",
+        [vectors], [part],
         start_cycles=[start_cycle], record_from=[record_from],
         histories=[history] if keep_history else None)
     return part.to_payload(), history

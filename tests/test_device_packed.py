@@ -4,7 +4,8 @@ The packed kernel (:mod:`repro.core.packed`) must be *bit-exact* against
 the literal bit-level device — same reports, cycles, stalls, and access
 statistics — and both must match the functional engines.  The sweeps
 here randomize the input stream and cover every rate and both drain
-strategies.
+strategies; the registry's Snort and SPM machines add placements that
+span many PUs.
 """
 
 import random
@@ -24,6 +25,7 @@ from repro.hwmodel.energy import device_energy
 from repro.regex import compile_ruleset
 from repro.sim import BitsetEngine, NaiveEngine, stream_for
 from repro.transform import to_rate
+from repro.workloads.registry import generate
 
 RULES = ["abc", "b.d", "xy+z", "hello", "[0-9]{3}", "q(rs|tu)v"]
 DATA_ALPHABET = b"abcdxyz hello0123qrstuv"
@@ -60,42 +62,58 @@ def _access_counters(device):
     return counters
 
 
-@pytest.mark.parametrize("fifo", [False, True])
-@pytest.mark.parametrize("rate", [1, 2, 4])
+def _assert_fidelities_agree(strided, data, config, engines):
+    """Packed and literal runs agree on everything; returns the literal
+    device."""
+    _, literal_result, vectors, limit = _run(strided, data, config, "literal")
+    literal_device = literal_result.device
+    packed_device, packed_result, _, _ = _run(strided, data, config, "packed")
+
+    # RunResult figures are identical.
+    assert packed_result.cycles == literal_result.cycles
+    assert packed_result.stall_cycles == literal_result.stall_cycles
+    # Report streams are identical, and non-trivial.
+    literal_keys = literal_result.reports().event_keys()
+    assert packed_result.reports().event_keys() == literal_keys
+    assert literal_keys
+    # Aggregate statistics are identical.
+    assert packed_device.statistics() == literal_device.statistics()
+    # Subarray access counters (and hence energy) are identical: the
+    # packed path derives them analytically.
+    assert _access_counters(packed_device) == _access_counters(literal_device)
+    assert repr(device_energy(packed_device)) == \
+        repr(device_energy(literal_device))
+    # Both fidelities match the functional engines.
+    for engine_cls in engines:
+        reference = engine_cls(strided).run(
+            vectors, position_limit=limit).event_keys()
+        assert literal_keys == reference
+    return literal_device
+
+
 class TestPackedVsLiteral:
+    @pytest.mark.parametrize("fifo", [False, True])
+    @pytest.mark.parametrize("rate", [1, 2, 4])
     def test_randomized_differential(self, rate, fifo):
-        machine = compile_ruleset(RULES)
-        strided = to_rate(machine, rate)
-        config = _config(rate, fifo)
-        data = _random_data(rate * 31 + fifo)
+        strided = to_rate(compile_ruleset(RULES), rate)
+        _assert_fidelities_agree(strided, _random_data(rate * 31 + fifo),
+                                 _config(rate, fifo),
+                                 (BitsetEngine, NaiveEngine))
 
-        _, literal_result, vectors, limit = _run(
-            strided, data, config, "literal")
-        literal_device = literal_result.device
-        packed_device, packed_result, _, _ = _run(
-            strided, data, config, "packed")
+    @pytest.mark.parametrize("name", ["Snort", "SPM"])
+    def test_multi_pu_registry_machines(self, name):
+        """Every RULES machine fits on one PU; these need 9 and 14.  Only
+        BitsetEngine is compared: NaiveEngine is slow at this size, and
+        tests/test_engine_kernels.py pins BitsetEngine to it."""
+        instance = generate(name, scale=0.01, seed=0)
+        strided = to_rate(instance.automaton, 4)
+        device = _assert_fidelities_agree(
+            strided, instance.input_bytes[:1000], SunderConfig(rate_nibbles=4),
+            (BitsetEngine,))
+        assert len(device.placement.pus_used()) > 1
 
-        # RunResult figures are identical.
-        assert packed_result.cycles == literal_result.cycles
-        assert packed_result.stall_cycles == literal_result.stall_cycles
-        # Report streams are identical, and non-trivial.
-        literal_keys = literal_result.reports().event_keys()
-        assert packed_result.reports().event_keys() == literal_keys
-        assert literal_keys
-        # Aggregate statistics are identical.
-        assert packed_device.statistics() == literal_device.statistics()
-        # Subarray access counters (and hence energy) are identical: the
-        # packed path derives them analytically.
-        assert _access_counters(packed_device) == \
-            _access_counters(literal_device)
-        assert repr(device_energy(packed_device)) == \
-            repr(device_energy(literal_device))
-        # Both fidelities match both functional engines.
-        for engine_cls in (BitsetEngine, NaiveEngine):
-            reference = engine_cls(strided).run(
-                vectors, position_limit=limit).event_keys()
-            assert literal_keys == reference
-
+    @pytest.mark.parametrize("fifo", [False, True])
+    @pytest.mark.parametrize("rate", [1, 2, 4])
     def test_dynamic_state_identical_after_run(self, rate, fifo):
         machine = compile_ruleset(RULES[:4])
         strided = to_rate(machine, rate)

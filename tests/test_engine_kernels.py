@@ -1,7 +1,7 @@
-"""Kernel/cache differential suite: every BitsetEngine configuration
-must be bit-exact with NaiveEngine, including start-period and
-report-offset edge cases, plus the step-cache and history-limit
-behaviours themselves."""
+"""Kernel/cache differential suite: the block-sliced BitsetEngine at
+every step-cache size must be bit-exact with NaiveEngine, including
+start-period and report-offset edge cases, plus the step-cache and
+history-limit behaviours themselves."""
 
 import random
 
@@ -14,14 +14,14 @@ from repro.sim import BitsetEngine, NaiveEngine, ReportRecorder
 from repro.sim.engine import DEFAULT_STEP_CACHE, EAGER_SLICE_STATES, _popcount
 from conftest import random_automaton
 
-#: Every kernel/cache configuration under differential test.
-CONFIGS = [
-    {"kernel": "scan", "step_cache": 0},
-    {"kernel": "scan", "step_cache": DEFAULT_STEP_CACHE},
-    {"kernel": "sliced", "step_cache": 0},
-    {"kernel": "sliced", "step_cache": DEFAULT_STEP_CACHE},
-    {"kernel": "sliced", "step_cache": 4},  # tiny: constant eviction
-]
+#: Every step-cache capacity under differential test (4 is tiny:
+#: constant eviction).
+CACHES = [0, DEFAULT_STEP_CACHE, 4]
+
+
+def _cache_id(capacity):
+    """Case id naming the engine's block-sliced kernel and the capacity."""
+    return "sliced-cache%d" % capacity
 
 
 def _edge_case_automaton(rng, start_period=1, arity=2):
@@ -58,8 +58,8 @@ def _edge_case_automaton(rng, start_period=1, arity=2):
     return automaton
 
 
-def _assert_equivalent(automaton, streams, config):
-    bitset = BitsetEngine(automaton, **config)
+def _assert_equivalent(automaton, streams, step_cache):
+    bitset = BitsetEngine(automaton, step_cache=step_cache)
     naive = NaiveEngine(automaton)
     for data in streams:
         r1, r2 = ReportRecorder(), ReportRecorder()
@@ -72,11 +72,9 @@ def _assert_equivalent(automaton, streams, config):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("config", CONFIGS,
-                             ids=lambda c: "%s-cache%d" % (c["kernel"],
-                                                           c["step_cache"]))
+    @pytest.mark.parametrize("step_cache", CACHES, ids=_cache_id)
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_automata_match_naive(self, seed, config):
+    def test_random_automata_match_naive(self, seed, step_cache):
         rng = random.Random(seed)
         automaton = random_automaton(rng, n_states=9, bits=4,
                                      edge_density=0.3)
@@ -86,13 +84,12 @@ class TestDifferential:
             [rng.randrange(16) for _ in range(rng.randint(0, 30))]
             for _ in range(4)
         ]
-        _assert_equivalent(automaton, streams, config)
+        _assert_equivalent(automaton, streams, step_cache)
 
-    @pytest.mark.parametrize("config", CONFIGS,
-                             ids=lambda c: "%s-cache%d" % (c["kernel"],
-                                                           c["step_cache"]))
+    @pytest.mark.parametrize("step_cache", CACHES, ids=_cache_id)
     @pytest.mark.parametrize("start_period", (1, 2, 3, 5))
-    def test_start_period_and_offsets_match_naive(self, start_period, config):
+    def test_start_period_and_offsets_match_naive(self, start_period,
+                                                  step_cache):
         rng = random.Random(1000 + start_period)
         automaton = _edge_case_automaton(rng, start_period=start_period)
         if len(automaton) == 0:
@@ -102,32 +99,32 @@ class TestDifferential:
              for _ in range(rng.randint(1, 40))]
             for _ in range(4)
         ]
-        _assert_equivalent(automaton, streams, config)
+        _assert_equivalent(automaton, streams, step_cache)
 
     def test_kernels_agree_on_large_lazy_sliced_automaton(self):
         """Above the eager threshold the lazy table fill must stay exact."""
         rng = random.Random(7)
         automaton = random_automaton(rng, n_states=EAGER_SLICE_STATES + 40,
                                      bits=4, edge_density=0.01)
-        engine = BitsetEngine(automaton, kernel="sliced", step_cache=0)
+        engine = BitsetEngine(automaton, step_cache=0)
         assert any(entry is None
                    for table in engine._block_tables for entry in table)
         data = [rng.randrange(16) for _ in range(120)]
         r_sliced = engine.run(data)
-        r_scan = BitsetEngine(automaton, kernel="scan", step_cache=0).run(data)
-        assert r_sliced.event_keys() == r_scan.event_keys()
+        r_naive = NaiveEngine(automaton).run(data)
+        assert r_sliced.event_keys() == r_naive.event_keys()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.binary(max_size=32),
-           st.sampled_from(["scan", "sliced"]), st.sampled_from([0, 8, 1024]))
-    def test_hypothesis_configs_match_naive(self, seed, raw, kernel, cache):
+           st.sampled_from([0, 8, 1024]))
+    def test_hypothesis_configs_match_naive(self, seed, raw, cache):
         rng = random.Random(seed)
         automaton = random_automaton(rng, n_states=7, bits=4,
                                      edge_density=0.35)
         if len(automaton) == 0:
             return
         data = [byte % 16 for byte in raw]
-        r1 = BitsetEngine(automaton, kernel=kernel, step_cache=cache).run(data)
+        r1 = BitsetEngine(automaton, step_cache=cache).run(data)
         r2 = NaiveEngine(automaton).run(data)
         assert r1.event_keys() == r2.event_keys()
 
@@ -193,8 +190,6 @@ class TestStepCache:
         assert recorder.event_keys() == reference.event_keys()
 
     def test_invalid_configuration_raises(self):
-        with pytest.raises(SimulationError):
-            BitsetEngine(self._abc(), kernel="quantum")
         with pytest.raises(SimulationError):
             BitsetEngine(self._abc(), step_cache=-1)
         with pytest.raises(SimulationError):

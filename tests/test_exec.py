@@ -4,18 +4,20 @@ The layer's contract is that nothing new executes: a planned
 ``Session.execute`` call dispatches to exactly the run variants PRs 5-8
 already proved bit-exact, so its results must equal every direct
 variant call — engine serial/sharded/interleaved/batched/gated and
-device packed/literal/gated — across the PR 8 regex families, rates
-1/2/4, and both fast kernels.  On top of that sit the plan's error
+device packed/literal/gated — across the prefilter suite's regex
+families and rates 1/2/4.  On top of that sit the plan's error
 matrix (bad values, contradictory combinations, trait-dependent
 rejections), canonical serialization, trait memoization, and the
 planner property that its output is always executable.
 """
 
+import json
 import random
 
 import pytest
 
 from conftest import random_automaton
+from repro import cli
 from repro.core import SunderConfig, SunderDevice
 from repro.errors import ArchitectureError
 from repro.exec import (DEFAULT_PLAN, PLAN_FORMAT, PLAN_VERSION,
@@ -32,8 +34,6 @@ from test_prefilter import (ALPHABET, FILTERABLE_FAMILIES, RATES,
 
 ALL_FAMILIES = dict(FILTERABLE_FAMILIES)
 ALL_FAMILIES.update(UNFILTERABLE_FAMILIES)
-
-KERNELS = ("sliced", "scan")
 
 
 def _events(recorder):
@@ -64,65 +64,55 @@ class TestSessionEngineDifferential:
             source = compile_ruleset(rules)
             machine = source if rate == 1 else to_rate(source, rate)
             traits = automaton_traits(machine)
-            for kernel in KERNELS:
-                for data in streams:
-                    vectors, limit = stream_for(machine, data)
-                    engine = BitsetEngine(machine, kernel=kernel)
+            for data in streams:
+                vectors, limit = stream_for(machine, data)
+                engine = BitsetEngine(machine)
 
-                    # serial
-                    baseline = _recorder_for(machine, data)
-                    engine.run(vectors, baseline)
-                    session = Session(machine, ExecutionPlan(kernel=kernel),
-                                      source=source)
-                    got = session.execute([data])
-                    assert len(got) == 1
-                    assert _events(got[0]) == _events(baseline), (
-                        family, rate, kernel, "serial")
+                # serial
+                baseline = _recorder_for(machine, data)
+                engine.run(vectors, baseline)
+                session = Session(machine, ExecutionPlan(), source=source)
+                got = session.execute([data])
+                assert len(got) == 1
+                assert _events(got[0]) == _events(baseline), (
+                    family, rate, "serial")
 
-                    # multi-stream batch
-                    recorders = [_recorder_for(machine, d) for d in streams]
-                    engine.run_batch([stream_for(machine, d)[0]
-                                      for d in streams], recorders)
-                    got = Session(machine, ExecutionPlan(kernel=kernel),
-                                  source=source).execute(streams)
-                    assert [_events(r) for r in got] \
-                        == [_events(r) for r in recorders], (
-                            family, rate, kernel, "batch")
+                # multi-stream batch
+                recorders = [_recorder_for(machine, d) for d in streams]
+                engine.run_batch([stream_for(machine, d)[0]
+                                  for d in streams], recorders)
+                got = Session(machine, ExecutionPlan(),
+                              source=source).execute(streams)
+                assert [_events(r) for r in got] \
+                    == [_events(r) for r in recorders], (
+                        family, rate, "batch")
 
-                    # sharded + interleaved lanes (acyclic machines only:
-                    # validate_for rejects explicit counts on cyclic ones)
-                    if traits.depth_bound is not None:
-                        direct = _recorder_for(machine, data)
-                        engine.run_sharded(vectors, 3, direct,
-                                           interleave=False)
-                        got = Session(
-                            machine,
-                            ExecutionPlan(kernel=kernel, shards=3),
-                            source=source).execute([data])
-                        assert _events(got[0]) == _events(direct), (
-                            family, rate, kernel, "sharded")
-
-                        direct = _recorder_for(machine, data)
-                        engine.run_sharded(vectors, 3, direct,
-                                           interleave=True)
-                        got = Session(
-                            machine,
-                            ExecutionPlan(kernel=kernel, batch=3),
-                            source=source).execute([data])
-                        assert _events(got[0]) == _events(direct), (
-                            family, rate, kernel, "interleaved")
-
-                    # prefilter-gated (bit-exact whether the gate engages
-                    # or bypasses; unfilterable families take the bypass)
+                # sharded + interleaved lanes (acyclic machines only:
+                # validate_for rejects explicit counts on cyclic ones)
+                if traits.depth_bound is not None:
                     direct = _recorder_for(machine, data)
-                    gated_simulation(machine, data, direct, source=source,
-                                     prefilter=build_prefilter(source))
-                    got = Session(
-                        machine,
-                        ExecutionPlan(kernel=kernel, prefilter=True),
-                        source=source).execute([data])
-                    assert _sorted_events(got[0]) == _sorted_events(direct), (
-                        family, rate, kernel, "gated")
+                    engine.run_sharded(vectors, 3, direct, interleave=False)
+                    got = Session(machine, ExecutionPlan(shards=3),
+                                  source=source).execute([data])
+                    assert _events(got[0]) == _events(direct), (
+                        family, rate, "sharded")
+
+                    direct = _recorder_for(machine, data)
+                    engine.run_sharded(vectors, 3, direct, interleave=True)
+                    got = Session(machine, ExecutionPlan(batch=3),
+                                  source=source).execute([data])
+                    assert _events(got[0]) == _events(direct), (
+                        family, rate, "interleaved")
+
+                # prefilter-gated (bit-exact whether the gate engages
+                # or bypasses; unfilterable families take the bypass)
+                direct = _recorder_for(machine, data)
+                gated_simulation(machine, data, direct, source=source,
+                                 prefilter=build_prefilter(source))
+                got = Session(machine, ExecutionPlan(prefilter=True),
+                              source=source).execute([data])
+                assert _sorted_events(got[0]) == _sorted_events(direct), (
+                    family, rate, "gated")
 
     def test_session_reuses_one_engine_across_calls(self):
         machine = compile_ruleset(["abc", "needle"])
@@ -214,9 +204,9 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize("fields", [
         {"target": "gpu"},
-        {"kernel": "vectorized"},
+        {"target": None},
         {"fidelity": "exact"},
-        {"batch_layout": "diagonal"},
+        {"fidelity": None},
         {"batch": 0},
         {"batch": True},
         {"batch": 2.0},
@@ -227,8 +217,8 @@ class TestPlanValidation:
         {"prefilter": True, "hotcold_coverage": 0.0},
         {"prefilter": True, "hotcold_coverage": 1.5},
         {"hotcold_coverage": 0.9},          # requires prefilter
-        {"step_cache": -1},
-        {"step_cache": True},
+        {"shards": -1},
+        {"prefilter": True, "hotcold_coverage": -0.5},
     ])
     def test_bad_values_raise_value_error(self, fields):
         with pytest.raises(ValueError):
@@ -296,14 +286,17 @@ class TestPlanSerialization:
         assert DEFAULT_PLAN.is_default
 
     def test_param_payload_carries_only_non_defaults_plus_version(self):
-        plan = ExecutionPlan(shards="auto", kernel="scan")
+        plan = ExecutionPlan(shards="auto", fidelity="packed")
         assert plan.param_payload() == {
-            "kernel": "scan", "shards": "auto", "v": PLAN_VERSION}
+            "fidelity": "packed", "shards": "auto", "v": PLAN_VERSION}
+        # Unchanged since the plan lost its kernel/batch_layout/step_cache
+        # fields, so salted artifact keys of existing plans stay valid.
+        assert ExecutionPlan(prefilter=True).param_payload() == {
+            "prefilter": True, "v": 1}
 
     def test_full_round_trip(self):
         plan = ExecutionPlan(target="device", fidelity="packed",
-                             prefilter=True, hotcold_coverage=0.9,
-                             step_cache=512)
+                             prefilter=True, hotcold_coverage=0.9)
         assert ExecutionPlan.from_payload(plan.to_payload()) == plan
         assert ExecutionPlan.loads(plan.dumps()) == plan
         assert ExecutionPlan.from_payload(plan.param_payload()) == plan
@@ -320,6 +313,10 @@ class TestPlanSerialization:
         {"sharrds": 2, "v": 1},
         "not json {",
         17,
+        # Fields a plan no longer has are rejected, not ignored.
+        {"kernel": "scan", "v": 1},
+        {"batch_layout": "wide", "v": 1},
+        {"format": "repro-exec-plan", "version": 1, "step_cache": 512},
     ])
     def test_malformed_payloads_raise_value_error(self, payload):
         with pytest.raises(ValueError):
@@ -327,6 +324,11 @@ class TestPlanSerialization:
                 ExecutionPlan.loads(payload)
             else:
                 ExecutionPlan.from_payload(payload)
+
+    def test_cli_rejects_removed_plan_fields(self):
+        document = json.dumps({"kernel": "scan", "v": PLAN_VERSION})
+        with pytest.raises(SystemExit, match="--plan: unknown plan field"):
+            cli.main(["--plan", document, "experiment", "table1"])
 
     def test_resolve_plan_coercions(self):
         assert resolve_plan(None) is None

@@ -26,6 +26,7 @@ from repro.regex import compile_pattern
 from repro.transform import cache as transform_cache
 from repro.transform import to_nibbles
 from repro.transform.striding import _square, square, square_unindexed, stride
+from repro.workloads.registry import generate
 
 #: Structural fingerprint of ``square(to_nibbles(he(llo)+))`` as produced
 #: by the pre-indexed pipeline.  If this changes, every artifact store in
@@ -94,21 +95,29 @@ def rich_random_automaton(seed, n_states=14, bits=4, arity=1,
     return automaton
 
 
-#: 48 machines: 16 seeds x (arity, start_period) in a shape grid.  The
-#: issue floor is 40; keep at least that many cases when editing.
+#: 48 random machines: 16 seeds x (arity, start_period) in a shape grid
+#: (keep at least 40 when editing), plus the registry's Snort and SPM
+#: nibble machines at scale 0.005 (692 and 1034 states), far larger than
+#: any random case.
 CASES = [(seed, arity, period)
          for seed in range(16)
-         for arity, period in ((1, 1), (2, 2), (2, 4))]
+         for arity, period in ((1, 1), (2, 2), (2, 4))] + ["Snort", "SPM"]
 
 
 def _ids(case):
-    return "seed%d-arity%d-period%d" % case
+    return case if isinstance(case, str) else "seed%d-arity%d-period%d" % case
+
+
+def _machine(case):
+    if isinstance(case, str):
+        return to_nibbles(generate(case, scale=0.005, seed=0).automaton)
+    seed, arity, period = case
+    return rich_random_automaton(seed, arity=arity, start_period=period)
 
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_square_bit_exact(case):
-    seed, arity, period = case
-    machine = rich_random_automaton(seed, arity=arity, start_period=period)
+    machine = _machine(case)
     for minimized in (False, True):
         indexed = _square(machine, minimized=minimized, name=None)
         legacy = square_unindexed(machine, minimized=minimized)
@@ -118,8 +127,7 @@ def test_square_bit_exact(case):
 
 @pytest.mark.parametrize("case", CASES, ids=_ids)
 def test_minimize_bit_exact(case):
-    seed, arity, period = case
-    machine = rich_random_automaton(seed, arity=arity, start_period=period)
+    machine = _machine(case)
     # Squared-but-unminimized machines are the richest minimize inputs
     # (duplicate behaviours by construction).
     source = square_unindexed(machine, minimized=False)
