@@ -1,13 +1,16 @@
-"""Cyclic-GC pause for allocation-heavy graph construction.
+"""Cyclic-GC pause for allocation-heavy kernels.
 
 The transform kernels allocate hundreds of thousands of long-lived
-containers (adjacency rows, STEs, id strings) in one burst.  None of
-them form reference cycles — automata are plain trees of dicts, lists,
-and immutable values — so every generational collection CPython triggers
-during the burst walks a multi-million-object heap and reclaims nothing.
-Measured on the squaring kernels this overhead is around half the total
-runtime, and it grows with whatever else the process has on the heap,
-which also made kernel timings irreproducible between processes.
+containers (adjacency rows, STEs, id strings) in one burst, and the
+engine's run loops (``BitsetEngine._execute`` and ``_execute_lanes``)
+allocate one report event per report.  None of them form reference
+cycles — automata are plain trees of dicts, lists, and immutable
+values, and events hold only ints and strings — so every generational
+collection CPython triggers during the burst walks a multi-million-object
+heap and reclaims nothing.  Measured on the squaring kernels this
+overhead is around half the total runtime, and it grows with whatever
+else the process has on the heap, which also made kernel timings
+irreproducible between processes.
 
 :func:`gc_paused` wraps a kernel function so the collector is off for
 its duration and restored afterwards.  It is re-entrant (an inner kernel

@@ -10,20 +10,24 @@ Two engines with identical semantics:
   lookup covers up to eight active states at once (the CAMA-style
   compaction argument: iterate table entries, not states).
 
-  On top of the kernel sits an LRU *step cache* mapping
-  ``(active_mask, vector, start-phase)`` to ``(next_active,
-  reporting_mask)`` — the calibrated benchmark streams revisit the same
-  subset-construction states constantly (DFA-style subset caching), so
-  most cycles collapse into one dictionary hit.
+  On top of the kernel sits a lazily built *transition table* over
+  interned active sets: each distinct active mask gets a dense id the
+  first time it appears, with its popcount and report plan computed
+  once, and ``rows[id][start-phase]`` maps an input vector to the next
+  id (DFA-style subset caching, stepped by table entries as in CAMA).
+  The calibrated benchmark streams revisit the same subset-construction
+  states constantly, so most cycles collapse into one dictionary hit,
+  and each reporting cycle is recorded as one row.
 - :class:`NaiveEngine` — direct set-of-states implementation kept as a
   differential-testing oracle.
 
 On top of the single-stream path sit two aggregate-throughput modes:
 
 - :meth:`BitsetEngine.run_batch` drives N independent streams through
-  the compiled automaton in one pass (per-lane active masks, per-lane
-  recorders, one shared step cache — identical ``(active, vector,
-  phase)`` work is paid once per batch instead of once per stream);
+  the compiled automaton in one pass (per-lane active sets, per-lane
+  recorders, one shared transition table — identical ``(active,
+  vector, phase)`` work is paid once per batch instead of once per
+  stream);
 - :meth:`BitsetEngine.run_sharded` splits one long stream into blocks
   whose warm-up overlap is bounded by
   :meth:`~repro.automata.automaton.Automaton.depth_bound` and stitches
@@ -42,6 +46,7 @@ from collections import deque
 from time import perf_counter
 
 from ..errors import SimulationError
+from ..automata.gcutil import gc_paused
 from ..automata.ste import StartKind
 from ..obs import OBS, ProgressReporter, trace_span
 from .reports import ReportRecorder
@@ -51,7 +56,7 @@ from .reports import ReportRecorder
 #: small enough that paper-scale streams report every few seconds.
 _PROGRESS_CHUNK = 65536
 
-#: Default LRU step-cache capacity (entries); 0 disables the cache.
+#: Default transition budget of the step table; 0 disables the table.
 DEFAULT_STEP_CACHE = 1 << 16
 
 #: Automata at or below this many states get their (block, byte) tables
@@ -81,10 +86,13 @@ class BitsetEngine:
     Parameters
     ----------
     step_cache:
-        Capacity of the LRU step cache; ``0`` disables memoization.
-        The cache survives :meth:`reset` — entries are pure functions
-        of the automaton, so reuse across runs is sound and is where
-        repeated-stream workloads win the most.
+        Transition budget of the step table; ``0`` disables the table
+        and computes every step.  When a new transition would exceed
+        the budget the whole table is cleared and rebuilt from the
+        lanes' current active sets.  The table survives :meth:`reset`
+        — entries are pure functions of the automaton, so reuse across
+        runs is sound and is where repeated-stream workloads win the
+        most.
     history_limit:
         ``None`` (default) keeps the full per-cycle
         ``active_count_history`` list as before; ``N > 0`` keeps a ring
@@ -138,9 +146,17 @@ class BitsetEngine:
         self._build_block_tables()
 
         self._step_cache_limit = step_cache
-        self._step_cache = {} if step_cache else None
         self._cache_hits = 0
         self._cache_misses = 0
+        # The transition table: interned active sets (mask <-> dense
+        # id, with each set's popcount and report plan) and, per id,
+        # one {vector: next id} row per start phase.
+        self._set_index = {}
+        self._set_masks = []
+        self._set_counts = []
+        self._set_plans = []
+        self._rows = []
+        self._transitions = 0
         self._history_limit = history_limit
         #: Per-lane active-count histories of the last :meth:`run_batch`
         #: (or in-process :meth:`run_sharded`) call; empty otherwise.
@@ -194,8 +210,8 @@ class BitsetEngine:
     def reset(self):
         """Return to the pre-input state (cycle 0 next).
 
-        The step cache is deliberately *not* cleared: its entries
-        depend only on the automaton, never on stream position.
+        The transition table is deliberately *not* cleared: its
+        entries depend only on the automaton, never on stream position.
         """
         self._active = 0
         self._cycle = 0
@@ -216,13 +232,17 @@ class BitsetEngine:
         return [self._ids[i] for i in _iter_bits(self._active)]
 
     def step_cache_info(self):
-        """Cache statistics: hits/misses since construction, size, limit."""
+        """Table statistics: hits/misses since construction, size, limit.
+
+        A hit is a transition found in the table; ``size`` is the
+        number of stored transitions and ``limit`` the budget.
+        """
         lookups = self._cache_hits + self._cache_misses
         return {
             "hits": self._cache_hits,
             "misses": self._cache_misses,
             "hit_rate": self._cache_hits / lookups if lookups else 0.0,
-            "size": len(self._step_cache) if self._step_cache is not None else 0,
+            "size": self._transitions,
             "limit": self._step_cache_limit,
         }
 
@@ -258,20 +278,20 @@ class BitsetEngine:
                 enabled |= self._start_of_data_mask
         return enabled
 
-    def _enabled_mask(self):
-        cycle = self._cycle
-        phase = 2 if cycle == 0 else (1 if cycle % self._start_period == 0
-                                      else 0)
-        return self._enabled_from(self._active, phase)
-
     def match_mask(self, vector):
-        """Bitmask of states whose symbols match ``vector``."""
+        """Bitmask of states whose symbols match ``vector``.
+
+        Raises :class:`~repro.errors.SimulationError` for a value outside
+        ``[0, 2**bits)`` or a vector longer than the arity.
+        """
         masks = self._match_masks
         try:
+            if min(vector) < 0:  # a negative index would wrap silently
+                raise IndexError
             result = masks[0][vector[0]]
             for position in range(1, len(vector)):
                 result &= masks[position][vector[position]]
-        except IndexError:
+        except (IndexError, ValueError):
             raise SimulationError(
                 "input vector %r out of range for %d-bit arity-%d automaton"
                 % (vector, self.automaton.bits, self.automaton.arity)
@@ -279,11 +299,7 @@ class BitsetEngine:
         return result
 
     def _report_plan(self, reporting):
-        """Decode a reporting mask into ((offset, state_id, code), ...).
-
-        Cached alongside the next-active mask so hot (cached) cycles
-        record reports with a direct loop instead of re-walking bits.
-        """
+        """Decode a reporting mask into ((offset, state_id, code), ...)."""
         plan = []
         for index in _iter_bits(reporting):
             state_id, code, offsets = self._report_info[index]
@@ -291,107 +307,115 @@ class BitsetEngine:
                 plan.append((offset, state_id, code))
         return tuple(plan)
 
-    def _step_key(self, vector):
-        """Memoization key for the next step on ``vector``.
+    # ------------------------------------------------------------------
+    # Transition table over interned active sets
+    # ------------------------------------------------------------------
+    def _intern(self, mask):
+        """Dense id of the active set ``mask``, interned on first sight.
 
-        The phase component folds in everything :meth:`_enabled_mask`
-        reads besides the active mask: 2 = start-of-data cycle, 1 =
-        start-period boundary, 0 = mid-period cycle.
+        Interning computes the set's popcount and report plan once, so
+        the run loops read both by id on every later visit.
         """
-        cycle = self._cycle
-        phase = 2 if cycle == 0 else (1 if cycle % self._start_period == 0
-                                      else 0)
-        return (self._active,
-                vector if type(vector) is tuple else tuple(vector),
-                phase)
+        set_id = self._set_index.get(mask)
+        if set_id is None:
+            set_id = len(self._set_masks)
+            self._set_index[mask] = set_id
+            self._set_masks.append(mask)
+            self._set_counts.append(_popcount(mask))
+            self._set_plans.append(self._report_plan(mask & self._report_mask))
+            self._rows.append(({}, {}, {}))
+        return set_id
+
+    def _miss(self, lanes, lane, vector, phase):
+        """Compute and store the transition of ``lanes[lane]`` on ``vector``.
+
+        ``lanes`` holds the set id of every lane the caller still
+        steps.  When the table already holds ``step_cache``
+        transitions, it is cleared and each lane's active set is
+        re-interned in place (the RE2-style cache reset), so the
+        caller's ids stay valid.  The table's lists are cleared in
+        place too, so loops holding them keep working.  Returns the
+        next set id.
+        """
+        masks = self._set_masks
+        nxt = (self._enabled_from(masks[lanes[lane]], phase)
+               & self.match_mask(vector))
+        if self._transitions >= self._step_cache_limit:
+            held = [masks[set_id] for set_id in lanes]
+            self._set_index.clear()
+            masks.clear()
+            self._set_counts.clear()
+            self._set_plans.clear()
+            self._rows.clear()
+            self._transitions = 0
+            lanes[:] = [self._intern(mask) for mask in held]
+        target = self._intern(nxt)
+        self._rows[lanes[lane]][phase][vector] = target
+        self._transitions += 1
+        return target
 
     def step(self, vector, recorder=None):
         """Advance one cycle on ``vector``; returns the active bitmask."""
-        cache = self._step_cache
-        plan = None
-        if cache is not None:
-            key = self._step_key(vector)
-            cached = cache.get(key)
-            if cached is not None:
-                self._cache_hits += 1
-                del cache[key]  # LRU touch: re-insert at the newest end
-                cache[key] = cached
-                active, plan = cached
-            else:
-                self._cache_misses += 1
-                active = self._enabled_mask() & self.match_mask(vector)
-                plan = self._report_plan(active & self._report_mask)
-                if len(cache) >= self._step_cache_limit:
-                    cache.pop(next(iter(cache)))  # evict least recent
-                cache[key] = (active, plan)
-        else:
-            active = self._enabled_mask() & self.match_mask(vector)
-            if active & self._report_mask:
-                plan = self._report_plan(active & self._report_mask)
-        self._active = active
-        if plan and recorder is not None:
-            base = self._cycle * self.automaton.arity
-            for offset, state_id, code in plan:
-                recorder.record(base + offset, self._cycle, state_id, code)
-        if self._history_limit != 0:
-            self.active_count_history.append(_popcount(active))
-        self._cycle += 1
-        return active
+        self._execute(
+            (vector if type(vector) is tuple else tuple(vector),), recorder)
+        return self._active
 
+    @gc_paused
     def _execute(self, vectors, recorder):
-        """The hot run loop: :meth:`step` semantics with hoisted locals.
+        """The serial run loop behind :meth:`run` and :meth:`step`.
 
-        Bit-exact with calling :meth:`step` per vector (the differential
-        suite pins this); the win is skipping per-cycle attribute and
-        method lookups, and touching the LRU order only once the cache
-        is past half capacity (eviction precision only matters when an
-        eviction is actually near).
+        Continues from ``self._active`` at ``self._cycle``, so slicing
+        a stream across calls is bit-exact with one call.  With the
+        table on, the loop holds the active set as an interned id: a
+        hit is one row lookup, and only a miss touches masks.  The
+        collector is paused — the loop allocates report events but no
+        reference cycles.
         """
-        cache = self._step_cache
-        if cache is None:
-            for vector in vectors:
-                self.step(vector, recorder)
-            return
-        limit = self._step_cache_limit
-        touch_floor = limit >> 1
         period = self._start_period
-        report_mask = self._report_mask
         arity = self.automaton.arity
         history = (self.active_count_history
                    if self._history_limit != 0 else None)
-        popcount = _popcount
-        cache_get = cache.get
-        record = recorder.record if recorder is not None else None
-        active = self._active
+        record = recorder.record_cycle if recorder is not None else None
         cycle = self._cycle
-        hits = misses = 0
+        if not self._step_cache_limit:
+            report_mask = self._report_mask
+            active = self._active
+            for vector in vectors:
+                phase = 2 if cycle == 0 else 1 if cycle % period == 0 else 0
+                active = (self._enabled_from(active, phase)
+                          & self.match_mask(vector))
+                if active & report_mask and record is not None:
+                    record(cycle, self._report_plan(active & report_mask),
+                           arity)
+                if history is not None:
+                    history.append(_popcount(active))
+                cycle += 1
+            self._active = active
+            self._cycle = cycle
+            return
+        rows = self._rows
+        plans = self._set_plans
+        counts = self._set_counts
         single_period = period == 1
+        set_id = self._intern(self._active)
+        hits = misses = 0
         for vector in vectors:
             phase = (2 if cycle == 0 else
                      1 if single_period or cycle % period == 0 else 0)
-            key = (active, vector, phase)
-            cached = cache_get(key)
-            if cached is None:
+            nxt = rows[set_id][phase].get(vector)
+            if nxt is None:
                 misses += 1
-                nxt = self._enabled_from(active, phase) & self.match_mask(vector)
-                cached = (nxt, self._report_plan(nxt & report_mask))
-                if len(cache) >= limit:
-                    cache.pop(next(iter(cache)))
-                cache[key] = cached
+                nxt = self._miss([set_id], 0, vector, phase)
             else:
                 hits += 1
-                if len(cache) > touch_floor:
-                    del cache[key]
-                    cache[key] = cached
-            active, plan = cached
+            set_id = nxt
+            plan = plans[set_id]
             if plan and record is not None:
-                base = cycle * arity
-                for offset, state_id, code in plan:
-                    record(base + offset, cycle, state_id, code)
+                record(cycle, plan, arity)
             if history is not None:
-                history.append(popcount(active))
+                history.append(counts[set_id])
             cycle += 1
-        self._active = active
+        self._active = self._set_masks[set_id]
         self._cycle = cycle
         self._cache_hits += hits
         self._cache_misses += misses
@@ -462,11 +486,12 @@ class BitsetEngine:
         Each lane behaves exactly as a fresh :meth:`run` over its stream
         (the differential suite pins bit-exactness); lanes may have
         different lengths — exhausted lanes freeze while the rest
-        continue.  The step cache is shared across lanes, so identical
-        ``(active, vector, phase)`` work is paid once per batch instead
-        of once per stream.  Returns the list of per-lane recorders;
-        per-lane active-count histories land in ``self.lane_histories``
-        and the engine's own streaming state is reset afterwards.
+        continue.  The transition table is shared across lanes, so
+        identical ``(active, vector, phase)`` work is paid once per
+        batch instead of once per stream.  Returns the list of per-lane
+        recorders; per-lane active-count histories land in
+        ``self.lane_histories`` and the engine's own streaming state is
+        reset afterwards.
         """
         lane_vectors = [_normalize_stream(self.automaton, stream)
                         for stream in streams]
@@ -517,12 +542,14 @@ class BitsetEngine:
                 for count in history:
                     observe_active(count)
 
+    @gc_paused
     def _execute_lanes(self, lane_vectors, recorders, start_cycles=None,
                        record_from=None, histories=None):
-        """The batched hot loop: N lanes, one shared step cache.
+        """The batched hot loop: N lanes, one shared transition table.
 
-        Each lane keeps its own active int; lanes share the step cache
-        but no other work (each consumes its own input vector).
+        Each lane keeps its own active set (an interned id while the
+        table is on, else a mask); lanes share the table but no other
+        work (each consumes its own input vector).
 
         ``start_cycles`` gives each lane's absolute first cycle (shard
         replays start mid-stream; phases derive from absolute cycles so
@@ -536,18 +563,15 @@ class BitsetEngine:
             start_cycles = (0,) * count
         if record_from is None:
             record_from = start_cycles
-        cache = self._step_cache
-        limit = self._step_cache_limit
-        touch_floor = limit >> 1
+        table = self._step_cache_limit != 0
         period = self._start_period
         report_mask = self._report_mask
         arity = self.automaton.arity
-        popcount = _popcount
-        cache_get = cache.get if cache is not None else None
-        enabled_from = self._enabled_from
-        match_mask = self.match_mask
-        report_plan = self._report_plan
-        actives = [0] * count
+        rows = self._rows
+        plans = self._set_plans
+        counts = self._set_counts
+        miss = self._miss
+        actives = [self._intern(0) if table else 0] * count
         lane_hits = [0] * count
         lane_misses = [0] * count
         lane_lengths = [len(vectors) for vectors in lane_vectors]
@@ -559,39 +583,29 @@ class BitsetEngine:
                 cycle = start_cycles[lane] + index
                 phase = (2 if cycle == 0 else
                          1 if cycle % period == 0 else 0)
-                active = actives[lane]
-                if cache is not None:
-                    key = (active, vector, phase)
-                    cached = cache_get(key)
-                    if cached is None:
+                if table:
+                    nxt = rows[actives[lane]][phase].get(vector)
+                    if nxt is None:
                         lane_misses[lane] += 1
-                        nxt = enabled_from(active, phase) & match_mask(vector)
-                        cached = (nxt, report_plan(nxt & report_mask))
-                        if len(cache) >= limit:
-                            cache.pop(next(iter(cache)))
-                        cache[key] = cached
+                        nxt = miss(actives, lane, vector, phase)
                     else:
                         lane_hits[lane] += 1
-                        if len(cache) > touch_floor:
-                            del cache[key]
-                            cache[key] = cached
-                    active, plan = cached
+                    plan = plans[nxt]
+                    size = counts[nxt]
                 else:
                     lane_misses[lane] += 1
-                    active = enabled_from(active, phase) & match_mask(vector)
-                    plan = (report_plan(active & report_mask)
-                            if active & report_mask else ())
-                actives[lane] = active
+                    nxt = (self._enabled_from(actives[lane], phase)
+                           & self.match_mask(vector))
+                    plan = self._report_plan(nxt & report_mask)
+                    size = _popcount(nxt)
+                actives[lane] = nxt
                 if cycle >= record_from[lane]:
                     if plan:
                         recorder = recorders[lane]
                         if recorder is not None:
-                            base = cycle * arity
-                            for offset, state_id, code in plan:
-                                recorder.record(base + offset, cycle,
-                                                state_id, code)
+                            recorder.record_cycle(cycle, plan, arity)
                     if histories is not None:
-                        histories[lane].append(popcount(active))
+                        histories[lane].append(size)
         self._cache_hits += sum(lane_hits)
         self._cache_misses += sum(lane_misses)
         return lane_hits, lane_misses
@@ -617,7 +631,7 @@ class BitsetEngine:
         :class:`~repro.sim.parallel.ParallelRunner` pool (workers
         rebuild the engine from the pickled automaton); without one the
         blocks run in-process — ``interleave=True`` drives them as lanes
-        of one batched pass sharing this engine's step cache,
+        of one batched pass sharing this engine's transition table,
         ``interleave=False`` replays them sequentially.
 
         ``shards="auto"`` sizes the split itself: the pool's worker
@@ -859,7 +873,7 @@ def _shard_job(job):
 
     Module-level so :class:`~repro.sim.parallel.ParallelRunner` can
     pickle it; the worker rebuilds a private engine from the shipped
-    automaton (step-cache state does not cross processes).  Returns
+    automaton (transition-table state does not cross processes).  Returns
     ``(recorder_payload, history_list)``.
     """
     (automaton, step_cache, vectors, start_cycle, record_from,

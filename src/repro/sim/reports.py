@@ -100,6 +100,31 @@ class ReportRecorder:
         if self.keep_events:
             self.events.append(ReportEvent(position, cycle, state_id, report_code))
 
+    def record_cycle(self, cycle, plan, arity):
+        """Log all of one cycle's reports in one call.
+
+        ``plan`` holds ``(offset, state_id, report_code)`` triples with
+        ``0 <= offset < arity``; each fires at position ``cycle * arity
+        + offset``.  The result is exactly that of calling :meth:`record`
+        for each triple in order — the whole cycle is one row, as in
+        Sunder's in-place reporting — but the position limit is only
+        checked on a cycle that reaches it.
+        """
+        base = cycle * arity
+        limit = self.position_limit
+        if limit is not None and base + arity > limit:
+            plan = [entry for entry in plan if base + entry[0] < limit]
+            if not plan:
+                return
+        count = len(plan)
+        self.total_reports += count
+        per_cycle = self.reports_per_cycle
+        per_cycle[cycle] = per_cycle.get(cycle, 0) + count
+        if self.keep_events:
+            append = self.events.append
+            for offset, state_id, code in plan:
+                append(ReportEvent(base + offset, cycle, state_id, code))
+
     def absorb(self, other):
         """Fold another recorder's events and aggregates into this one.
 

@@ -21,6 +21,7 @@ from repro.core.reconfigure import run_multi_round
 from repro.errors import ArchitectureError, SimulationError
 from repro.regex import compile_ruleset
 from repro.sim import BitsetEngine, stream_for
+from repro.sim.engine import DEFAULT_STEP_CACHE
 from repro.sim.parallel import ParallelRunner
 from repro.sim.reports import ReportRecorder
 from repro.transform import to_rate
@@ -34,6 +35,21 @@ DATA_ALPHABET = b"abcdxyz hello0123qrstuv"
 def _noisy_data(rng, length=400):
     noise = bytes(rng.choice(DATA_ALPHABET) for _ in range(length))
     return noise + b"abc hello 123 " + noise + b"xyyz qrsv"
+
+
+#: Step-table budgets under lane tests: the default (64k transitions),
+#: and 2, where nearly every miss clears the table and re-interns every
+#: lane.
+over_table_budgets = pytest.mark.parametrize(
+    "step_cache", [DEFAULT_STEP_CACHE, 2], ids=["64k", "2"])
+
+
+def _assert_table_reset(engine, step_cache):
+    """A tiny-budget run must really have cleared its table."""
+    if step_cache == 2:
+        info = engine.step_cache_info()
+        assert info["misses"] > 2
+        assert info["size"] <= 2
 
 
 def _serial_payloads(automaton, lane_streams, limit=None):
@@ -101,7 +117,8 @@ class TestEngineBatchEdges:
         recorders = engine.run_batch(streams)
         assert [r.to_payload() for r in recorders] == expected
 
-    def test_random_automata_match_serial_runs(self):
+    @over_table_budgets
+    def test_random_automata_match_serial_runs(self, step_cache):
         rng = random.Random(777)
         for trial in range(6):
             machine = random_automaton(rng, n_states=rng.randint(4, 12))
@@ -109,8 +126,10 @@ class TestEngineBatchEdges:
                 [rng.randrange(256) for _ in range(rng.randint(0, 60))]
                 for _ in range(rng.randint(1, 5))]
             expected, _ = _serial_payloads(machine, streams)
-            recorders = BitsetEngine(machine).run_batch(streams)
+            engine = BitsetEngine(machine, step_cache=step_cache)
+            recorders = engine.run_batch(streams)
             assert [r.to_payload() for r in recorders] == expected, trial
+            _assert_table_reset(engine, step_cache)
 
 
 @pytest.mark.parametrize("interleave", [True, False])
@@ -146,7 +165,8 @@ class TestEngineShardDifferential:
                 interleave=interleave)
             assert recorder.to_payload() == serial.to_payload()
 
-    def test_random_shard_boundaries_property(self, interleave):
+    @over_table_budgets
+    def test_random_shard_boundaries_property(self, interleave, step_cache):
         rng = random.Random(99 if interleave else 98)
         for trial in range(8):
             machine = random_automaton(rng, n_states=rng.randint(4, 10))
@@ -155,10 +175,12 @@ class TestEngineShardDifferential:
             stream = [rng.randrange(256) for _ in range(rng.randint(5, 120))]
             serial = BitsetEngine(machine).run(stream)
             shards = rng.randint(1, len(stream))
-            recorder = BitsetEngine(machine).run_sharded(
+            engine = BitsetEngine(machine, step_cache=step_cache)
+            recorder = engine.run_sharded(
                 stream, shards, interleave=interleave)
             assert recorder.to_payload() == serial.to_payload(), \
                 (trial, shards)
+            _assert_table_reset(engine, step_cache)
 
     def test_strided_machine_sharded(self, interleave):
         rng = random.Random(7)

@@ -155,3 +155,27 @@ class TestRecorder:
         for _ in range(3):
             recorder.record(7, 7, "a", "x")
         assert recorder.max_reports_in_a_cycle() == 3
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 4), st.booleans(),
+           st.one_of(st.none(), st.integers(0, 40)),
+           st.lists(st.tuples(st.integers(0, 9),
+                              st.lists(st.tuples(st.integers(0, 3),
+                                                 st.sampled_from("abc")),
+                                       min_size=1, max_size=4)),
+                    max_size=8))
+    def test_record_cycle_equals_per_event_record(self, arity, keep_events,
+                                                  limit, rows):
+        """One call per cycle leaves the recorder exactly as one record()
+        per report would, position limit and repeated cycles included."""
+        batched = ReportRecorder(keep_events=keep_events,
+                                 position_limit=limit)
+        single = ReportRecorder(keep_events=keep_events,
+                                position_limit=limit)
+        for cycle, entries in rows:
+            plan = tuple((offset % arity, "s" + code, code)
+                         for offset, code in entries)
+            batched.record_cycle(cycle, plan, arity)
+            for offset, state_id, code in plan:
+                single.record(cycle * arity + offset, cycle, state_id, code)
+        assert batched.to_payload() == single.to_payload()

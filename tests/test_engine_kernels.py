@@ -1,6 +1,6 @@
-"""Kernel/cache differential suite: the block-sliced BitsetEngine at
-every step-cache size must be bit-exact with NaiveEngine, including
-start-period and report-offset edge cases, plus the step-cache and
+"""Kernel/table differential suite: the block-sliced BitsetEngine at
+every step-table budget must be bit-exact with NaiveEngine, including
+start-period and report-offset edge cases, plus the step-table and
 history-limit behaviours themselves."""
 
 import random
@@ -14,8 +14,8 @@ from repro.sim import BitsetEngine, NaiveEngine, ReportRecorder
 from repro.sim.engine import DEFAULT_STEP_CACHE, EAGER_SLICE_STATES, _popcount
 from conftest import random_automaton
 
-#: Every step-cache capacity under differential test (4 is tiny:
-#: constant eviction).
+#: Every step-table budget under differential test (4 is tiny:
+#: constant table resets).
 CACHES = [0, DEFAULT_STEP_CACHE, 4]
 
 
@@ -194,6 +194,85 @@ class TestStepCache:
             BitsetEngine(self._abc(), step_cache=-1)
         with pytest.raises(SimulationError):
             BitsetEngine(self._abc(), history_limit=-1)
+
+    @pytest.mark.parametrize("step_cache", [DEFAULT_STEP_CACHE, 0])
+    def test_out_of_range_values_raise(self, step_cache):
+        """A value outside [0, 2**bits) fails at the boundary: a negative
+        one must not wrap around to the top of the alphabet."""
+        automaton = Automaton(bits=8)
+        automaton.new_state("s", SymbolSet.of(8, [255]), start="all-input",
+                            report=True, report_code="s")
+        assert NaiveEngine(automaton).run([-1, 255, -256]).positions() == [1]
+        engine = BitsetEngine(automaton, step_cache=step_cache)
+        for stream in ([-1, 255, -256], [255, -256], [256]):
+            with pytest.raises(SimulationError):
+                engine.run(stream)
+        with pytest.raises(SimulationError):
+            engine.run_batch([[255], [-1]])
+        engine.reset()
+        with pytest.raises(SimulationError):
+            engine.step((-1,))
+        assert engine.run([255, 0, 255]).positions() == [0, 2]
+
+
+def _distinct_step_triples(automaton, streams):
+    """Distinct (active set before the cycle, vector, phase) triples.
+
+    Computed from :meth:`NaiveEngine.step` return values: the phase is
+    2 on cycle 0, 1 on a start-period boundary and 0 otherwise.
+    """
+    period = automaton.start_period
+    triples = set()
+    for stream in streams:
+        naive = NaiveEngine(automaton)
+        active = frozenset()
+        for cycle, vector in enumerate(stream):
+            phase = 2 if cycle == 0 else 1 if cycle % period == 0 else 0
+            triples.add((active, vector, phase))
+            active = frozenset(naive.step(vector))
+    return triples
+
+
+class TestStepTableCounters:
+    """Under the budget a miss is exactly a first-seen step triple.
+
+    ``sim.step_cache_hit_ratio`` in the benchmark is read from these
+    counters, so they must not depend on how the table is stored.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]),
+           st.lists(st.lists(st.integers(0, 3), max_size=25),
+                    min_size=1, max_size=4))
+    def test_misses_are_distinct_step_triples(self, seed, start_period,
+                                              symbols):
+        rng = random.Random(seed)
+        automaton = _edge_case_automaton(rng, start_period=start_period,
+                                         arity=1)
+        if len(automaton) == 0:
+            return
+        streams = [[(symbol,) for symbol in stream] for stream in symbols]
+        expected = len(_distinct_step_triples(automaton, streams))
+        cycles = sum(len(stream) for stream in streams)
+
+        engine = BitsetEngine(automaton)
+        for stream in streams:
+            engine.run(stream)
+        assert engine.step_cache_info()["misses"] == expected
+
+        engine = BitsetEngine(automaton)
+        for stream in streams:
+            engine.reset()
+            for vector in stream:
+                engine.step(vector)
+        assert engine.step_cache_info()["misses"] == expected
+
+        engine = BitsetEngine(automaton)
+        engine.run_batch(streams)
+        info = engine.step_cache_info()
+        assert info["misses"] == expected
+        assert info["hits"] + info["misses"] == cycles
+        assert info["size"] == expected
 
 
 class TestHistoryLimit:
