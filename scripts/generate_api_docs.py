@@ -50,12 +50,16 @@ def signature_of(obj):
 
 #: The default ``object.__repr__`` form, which embeds a memory address.
 _DEFAULT_REPR = re.compile(r"<(?:[\w.]+\.)?(\w+) object at 0x[0-9a-fA-F]+>")
+#: A module repr, which embeds the checkout's file path.
+_MODULE_REPR = re.compile(r"<module '([\w.]+)' from '[^']*'>")
 
 
 def render_value(value):
     """``repr(value)`` with every default object repr in it (anywhere,
-    including inside containers) replaced by the object's type name."""
-    return _DEFAULT_REPR.sub(r"\1", repr(value))
+    including inside containers) replaced by the object's type name, and
+    every module repr stripped of its file path."""
+    text = _MODULE_REPR.sub(r"<module '\1'>", repr(value))
+    return _DEFAULT_REPR.sub(r"\1", text)
 
 
 def document_module(module_name, lines):

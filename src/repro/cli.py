@@ -33,20 +33,16 @@ table without re-executing the expensive stages.  Unless
 ``--transform-cache`` names its own directory, the transform cache
 piggybacks on ``DIR/transforms``.
 
-The global ``--device-fidelity {auto,literal,packed}`` flag selects the
-:class:`~repro.core.device.SunderDevice` execution path for ``match``
-and the device-bearing experiments (table4, figure10): ``packed`` runs
-the bitmask-compiled kernel, ``literal`` the bit-level oracle (see
-docs/performance.md).
-
-The global ``--plan {auto,<json>}`` flag names the whole execution
-strategy for the stage-graph experiments (table1, table4) as one
-:class:`~repro.exec.ExecutionPlan` value: ``auto`` (the default) maps
-the legacy ``--batch``/``--shards``/``--prefilter``/
-``--hotcold-coverage``/``--device-fidelity`` flags onto a plan, an
-inline JSON document pins one exactly (and then conflicts with the
-legacy flags).  ``repro plan explain <patterns>`` shows the plan the
-auto-planner would pick and why (see docs/architecture.md).
+The global ``--plan {auto,<json>}`` flag is the only way to choose how
+a run executes: an inline :class:`~repro.exec.ExecutionPlan` JSON
+document names the whole strategy (target, device fidelity, batch,
+shards, prefilter gating, hot/cold coverage), and ``auto`` (the
+default) keeps the default plan.  ``match`` runs on the device, so its
+plan must target ``"device"`` (default ``{"target": "device"}``).  The
+``table1``/``table4`` experiments simulate on the engine, so theirs must
+target ``"engine"`` with fidelity ``auto``; other experiments take no
+plan.  ``repro plan explain <patterns>`` shows the plan the auto-planner
+would pick and why (see docs/architecture.md).
 """
 
 import argparse
@@ -58,6 +54,7 @@ from .automata import anml, mnrl
 from .automata.viz import outline, to_dot
 from .core import SunderConfig, SunderDevice
 from .errors import ReproError
+from .exec import ExecutionPlan, Planner, resolve_plan
 from .regex import compile_ruleset
 from .runtime import store as runtime_store
 from .sim import stream_for
@@ -84,12 +81,26 @@ def cmd_compile(args):
     return 0
 
 
+def _plan_flag(args, default=None):
+    """The ``--plan`` value as an :class:`ExecutionPlan` (``auto`` gives
+    ``default``); a malformed document exits with a ``--plan:`` message."""
+    try:
+        plan = resolve_plan(args.plan)
+    except ValueError as error:
+        raise SystemExit("--plan: %s" % error)
+    return default if plan is None else plan
+
+
 def cmd_match(args):
+    plan = _plan_flag(args, ExecutionPlan(target="device"))
+    if plan.target != "device":
+        raise SystemExit("--plan: match runs on the device; the plan must "
+                         "set target 'device', got %r" % plan.target)
     source = _build_ruleset(args.patterns)
     machine = to_rate(source, args.rate)
     device = SunderDevice(SunderConfig(rate_nibbles=args.rate,
                                        report_bits=args.report_bits),
-                          fidelity=args.device_fidelity)
+                          fidelity=plan.fidelity)
     device.configure(machine)
     if args.text is not None:
         data = args.text.encode()
@@ -100,12 +111,12 @@ def cmd_match(args):
     # the 4-bit machines every rate produces); derive the per-byte
     # divisor from the configured geometry instead of hardcoding it.
     positions_per_byte = 8 // machine.bits
-    if args.prefilter:
+    if plan.prefilter:
         from .prefilter import build_prefilter, gated_device_run
         prefilter = build_prefilter(source)
         recorder = gated_device_run(device, machine, data, source=source,
                                     prefilter=prefilter,
-                                    hotcold_coverage=args.hotcold_coverage)
+                                    hotcold_coverage=plan.hotcold_coverage)
         events = sorted(recorder.events, key=lambda e: e.position)
         for event in events:
             print("%d\t%s" % (event.position // positions_per_byte,
@@ -146,42 +157,8 @@ _SCALED_EXPERIMENTS = ("table1", "table3", "table4", "figure8", "scorecard")
 #: Experiments whose entry points fan out through ParallelRunner.
 _PARALLEL_EXPERIMENTS = ("table1", "table3", "table4",
                          "figure8", "figure9", "figure10", "scorecard")
-#: Experiments whose stage graphs carry the device-fidelity knob.
-_FIDELITY_EXPERIMENTS = ("table4", "figure10")
-#: Experiments whose simulate stages accept --batch/--shards.
-_BATCH_EXPERIMENTS = ("table1", "table4")
-#: Experiments whose simulate stages accept --prefilter/--hotcold-coverage.
-_PREFILTER_EXPERIMENTS = ("table1", "table4")
 #: Experiments whose entry points take one ExecutionPlan value.
 _PLAN_EXPERIMENTS = ("table1", "table4")
-
-
-def _experiment_plan(args):
-    """One :class:`~repro.exec.ExecutionPlan` from the strategy flags.
-
-    ``--plan auto`` (the default) maps the legacy knobs onto a plan via
-    :meth:`ExecutionPlan.from_flags`, so contradictory flags fail with
-    the plan-level messages; an explicit ``--plan <json>`` pins the plan
-    exactly and conflicts with any non-default legacy knob.
-    """
-    from .exec import ExecutionPlan, resolve_plan
-    try:
-        explicit = resolve_plan(args.plan)
-    except ValueError as error:
-        raise SystemExit("--plan: %s" % error)
-    legacy = (args.batch != 1 or args.shards != 1 or args.prefilter
-              or args.hotcold_coverage is not None
-              or args.device_fidelity != "auto")
-    if explicit is not None:
-        if legacy:
-            raise SystemExit(
-                "--plan conflicts with --batch/--shards/--prefilter/"
-                "--hotcold-coverage/--device-fidelity; encode the "
-                "strategy in the plan document instead")
-        return explicit
-    return ExecutionPlan.from_flags(
-        batch=args.batch, shards=args.shards, prefilter=args.prefilter,
-        hotcold=args.hotcold_coverage, fidelity=args.device_fidelity)
 
 
 def cmd_experiment(args):
@@ -193,24 +170,10 @@ def cmd_experiment(args):
     if args.name in _PARALLEL_EXPERIMENTS:
         kwargs["workers"] = args.workers
     if args.name in _PLAN_EXPERIMENTS:
-        # The whole strategy surface (batch/shards/prefilter/hotcold/
-        # fidelity) rides on one plan value for these experiments.
-        kwargs["plan"] = _experiment_plan(args)
-        module.main(**kwargs)
-        return 0
-    if args.plan != "auto":
+        kwargs["plan"] = _plan_flag(args)
+    elif args.plan != "auto":
         raise SystemExit(
             "--plan applies only to: %s" % ", ".join(_PLAN_EXPERIMENTS))
-    if args.name in _FIDELITY_EXPERIMENTS:
-        kwargs["fidelity"] = args.device_fidelity
-    if args.batch != 1 or args.shards != 1:
-        raise SystemExit(
-            "--batch/--shards apply only to: %s"
-            % ", ".join(_BATCH_EXPERIMENTS))
-    if args.prefilter or args.hotcold_coverage is not None:
-        raise SystemExit(
-            "--prefilter/--hotcold-coverage apply only to: %s"
-            % ", ".join(_PREFILTER_EXPERIMENTS))
     module.main(**kwargs)
     return 0
 
@@ -250,11 +213,9 @@ def _plan_explain(args):
         print("error: plan explain requires at least one pattern",
               file=sys.stderr)
         return 2
-    from .exec import Planner
     machine = _build_ruleset(patterns)
     planner = Planner(target=args.target)
-    plan, choices = planner.explain(machine, stream_count=args.streams,
-                                    stream_cycles=args.stream_bytes)
+    plan, choices = planner.explain(machine, stream_count=args.streams)
     print("plan: %s" % plan.dumps())
     for choice in choices:
         print("  %-12s %-10s %s" % (choice["choice"],
@@ -381,9 +342,6 @@ def _run_observed(func, args, metrics_out, trace_out, summarize):
 _ROOT_FLAG_DEFAULTS = {
     "transform_cache": None,
     "artifact_dir": None,
-    "device_fidelity": "auto",
-    "prefilter": False,
-    "hotcold_coverage": None,
     "plan": "auto",
 }
 
@@ -438,13 +396,6 @@ def _add_observability_flags(parser):
                         help="collect spans and write a Chrome trace file")
 
 
-def _shard_count(text):
-    """argparse type for ``--shards``: a positive int or ``auto``."""
-    if text == "auto":
-        return text
-    return int(text)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -460,26 +411,11 @@ def build_parser():
              "runs, result rows) in DIR (also: REPRO_ARTIFACT_DIR); "
              "the transform cache defaults to DIR/transforms")
     parser.add_argument(
-        "--device-fidelity", default="auto",
-        choices=["auto", "literal", "packed"],
-        help="SunderDevice execution path: 'packed' compiles the "
-             "programmed subarrays into integer bitmasks (fast), "
-             "'literal' keeps the bit-level oracle; 'auto' picks packed")
-    parser.add_argument(
-        "--prefilter", action="store_true",
-        help="gate execution behind the two-stage literal prefilter "
-             "(DFC-style direct filter; bit-exact reports, unfilterable "
-             "rulesets bypass — see docs/performance.md)")
-    parser.add_argument(
-        "--hotcold-coverage", type=float, default=None, metavar="FRAC",
-        help="with --prefilter, also record the hot/cold state split at "
-             "the given activity coverage (e.g. 0.9)")
-    parser.add_argument(
         "--plan", default="auto", metavar="PLAN",
-        help="execution plan for the stage-graph experiments: 'auto' "
-             "maps the legacy strategy flags onto one, or an inline "
-             "repro-exec-plan JSON document (table1/table4 only; see "
-             "'repro plan explain')")
+        help="execution plan as an inline repro-exec-plan JSON document, "
+             "or 'auto' for the default plan; applies to match (target "
+             "'device') and experiment table1/table4 (target 'engine'); "
+             "see 'repro plan explain'")
     commands = parser.add_subparsers(dest="command", required=True)
 
     compile_parser = commands.add_parser(
@@ -517,15 +453,6 @@ def build_parser():
         "--workers", type=int, default=1, metavar="N",
         help="fan benchmark evaluations across N processes "
              "(0 = all cores; default: serial)")
-    experiment_parser.add_argument(
-        "--batch", type=int, default=1, metavar="N",
-        help="run the simulate stages as N interleaved lanes of one "
-             "engine pass (bit-exact; table1/table4 only)")
-    experiment_parser.add_argument(
-        "--shards", type=_shard_count, default=1, metavar="K",
-        help="split each simulate stage's stream into K overlap-replayed "
-             "blocks, or 'auto' to size by stream length with a serial "
-             "fallback below the threshold (bit-exact; table1/table4 only)")
     _add_observability_flags(experiment_parser)
     experiment_parser.set_defaults(func=cmd_experiment)
 
@@ -546,10 +473,6 @@ def build_parser():
     plan_parser.add_argument(
         "--streams", type=int, default=1, metavar="N",
         help="(explain) plan for N independent input streams")
-    plan_parser.add_argument(
-        "--stream-bytes", type=int, default=0, metavar="N",
-        help="(explain) plan for streams of N bytes (drives the "
-             "auto-shard threshold)")
     plan_parser.add_argument(
         "--target", default="engine", choices=["engine", "device"],
         help="(explain) plan for the functional engine or the device")

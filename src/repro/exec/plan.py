@@ -224,22 +224,6 @@ class ExecutionPlan:
         return cls.from_payload(payload)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_flags(cls, batch=1, shards=1, prefilter=False, hotcold=None,
-                   fidelity="auto", target="engine"):
-        """Build a plan from the legacy CLI/experiment knobs.
-
-        The one mapping point between the pre-plan flag surface
-        (``--batch``/``--shards``/``--prefilter``/``--hotcold-coverage``/
-        ``--device-fidelity``) and the plan value; the same validation
-        applies, so contradictory flags fail here with the plan-level
-        messages.
-        """
-        return cls(target=target, fidelity=fidelity,
-                   batch=int(batch) if batch != "auto" else 1,
-                   shards=shards, prefilter=bool(prefilter),
-                   hotcold_coverage=hotcold)
-
     @property
     def strategy(self):
         """Headline strategy name ("gated"/"sharded"/"batch"/"serial")."""
@@ -275,7 +259,8 @@ DEFAULT_PLAN = ExecutionPlan()
 def resolve_plan(value):
     """Coerce a user-facing plan value to an :class:`ExecutionPlan`.
 
-    Accepts ``None``/``"auto"`` (returns None — the planner decides), an
+    Accepts ``None``/``"auto"`` (returns None: the caller's default plan,
+    or the planner's choice for a plan-free ``Session``), an
     :class:`ExecutionPlan`, a payload dict, or a JSON string.  Raises
     :class:`ValueError` on anything else.
     """

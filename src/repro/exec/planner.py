@@ -1,15 +1,16 @@
-"""The planner: automaton traits + stream shape -> execution plan.
+"""The planner: automaton traits + stream count -> execution plan.
 
 Given one machine's memoized traits (:mod:`~repro.exec.traits`) and the
-shape of the work (how many streams, how long), :class:`Planner` picks
-the execution strategy the performance docs say wins that regime:
+number of streams to run, :class:`Planner` picks the execution strategy
+the performance docs say wins that regime:
 
-- several independent streams -> batched lanes sharing one step cache;
+- several independent streams -> batched lanes sharing one step table;
 - a literal-extractable acyclic machine -> prefilter-gated windows
   (the kernel only wakes where the literal scan fires);
-- one long acyclic stream -> ``shards="auto"`` overlap-replayed blocks
-  (the engine itself falls back to serial below its threshold);
-- everything else -> the serial benchmarked-default path.
+- everything else (cyclic or unfilterable) -> the serial path.  The
+  planner never shards one stream: without a process pool the blocks
+  run one after another, each with an extra warm-up replay, and were
+  measured slower than serial (docs/performance.md).
 
 Every choice carries a machine-readable reason; the selected plan is
 counted on ``repro_plan_selected_total{strategy,reason}`` and traced on
@@ -20,7 +21,6 @@ over random machines.
 """
 
 from ..obs import OBS, trace_span
-from ..sim.engine import AUTO_SHARD_MIN_CYCLES
 from .plan import TARGETS, ExecutionPlan
 from .traits import automaton_traits
 
@@ -39,13 +39,13 @@ class Planner:
                 % (TARGETS, target))
         self.target = target
 
-    def plan(self, automaton, stream_count=1, stream_cycles=0):
-        """The selected plan for ``automaton`` over the given shape."""
-        plan, _ = self.explain(automaton, stream_count=stream_count,
-                               stream_cycles=stream_cycles)
+    def plan(self, automaton, stream_count=1):
+        """The selected plan for ``automaton`` over ``stream_count``
+        streams."""
+        plan, _ = self.explain(automaton, stream_count=stream_count)
         return plan
 
-    def explain(self, automaton, stream_count=1, stream_cycles=0):
+    def explain(self, automaton, stream_count=1):
         """``(plan, choices)`` with one reason record per decision.
 
         ``choices`` is a list of ``{"choice", "value", "reason"}`` dicts
@@ -56,22 +56,21 @@ class Planner:
             raise ValueError(
                 "stream_count must be >= 1, got %r" % (stream_count,))
         traits = automaton_traits(automaton)
-        fields, choices = self._choose(traits, stream_count, stream_cycles)
+        fields, choices = self._choose(traits, stream_count)
         plan = ExecutionPlan(target=self.target, reasons=choices, **fields)
         strategy = choices[0]["value"]
         reason = choices[0]["reason"]
         with trace_span("exec.plan", automaton=automaton.name,
                         target=self.target, strategy=strategy,
-                        reason=reason, streams=stream_count,
-                        cycles=stream_cycles):
+                        reason=reason, streams=stream_count):
             pass
         if OBS.active:
             OBS.instruments.plan_selected.labels(
                 strategy=strategy, reason=reason).inc()
         return plan, choices
 
-    def _choose(self, traits, stream_count, stream_cycles):
-        """Strategy decision tree over (traits, shape); pure."""
+    def _choose(self, traits, stream_count):
+        """Strategy decision tree over (traits, stream count); pure."""
         choices = []
 
         def choose(choice, value, reason):
@@ -84,16 +83,10 @@ class Planner:
         elif traits.filterable and not traits.cyclic:
             choose("strategy", "gated", "filterable-acyclic")
             fields["prefilter"] = True
-        elif (self.target == "engine" and not traits.cyclic
-                and stream_cycles >= AUTO_SHARD_MIN_CYCLES):
-            choose("strategy", "sharded", "long-acyclic-stream")
-            fields["shards"] = "auto"
         elif traits.cyclic:
             choose("strategy", "serial", "cyclic")
-        elif not traits.filterable:
-            choose("strategy", "serial", "unfilterable-short-stream")
         else:
-            choose("strategy", "serial", "short-stream")
+            choose("strategy", "serial", "unfilterable")
         if self.target == "device":
             choose("fidelity", "auto",
                    "the packed kernel is the benchmarked default")

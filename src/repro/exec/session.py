@@ -4,7 +4,7 @@
 explosion collapses into: construct it with an automaton (and
 optionally a plan — otherwise the :class:`~repro.exec.planner.Planner`
 picks one from the machine's traits and the first ``execute`` call's
-stream shape), then call ``execute(streams) -> [ReportRecorder]`` with
+stream count), then call ``execute(streams) -> [ReportRecorder]`` with
 raw byte streams.  The session owns stream conversion, position
 limits, compiled-artifact reuse (one engine / packed device kernel
 across calls), and the dispatch to the right run variant — every one
@@ -40,7 +40,7 @@ class Session:
     plan:
         An :class:`ExecutionPlan`, or None to let ``planner`` choose
         one from the machine's traits and the first ``execute`` call's
-        stream shape (the chosen plan is then bound for the session's
+        stream count (the chosen plan is then bound for the session's
         lifetime and readable as ``session.plan``).
     source:
         The 8-bit machine ``automaton`` was rate-transformed from;
@@ -96,10 +96,7 @@ class Session:
         planner = self._planner
         if planner is None:
             planner = self._planner = Planner()
-        cycles = max((stream_shape(self.automaton, data)[0]
-                      for data in datas), default=0)
-        plan = planner.plan(self.automaton, stream_count=max(1, len(datas)),
-                            stream_cycles=cycles)
+        plan = planner.plan(self.automaton, stream_count=max(1, len(datas)))
         return plan.validate_for(self.traits)
 
     # ------------------------------------------------------------------

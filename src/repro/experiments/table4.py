@@ -23,12 +23,14 @@ Declared as a stage graph per benchmark::
 ``generate``/``simulate8`` are shared with Table 1 and ``to_rate`` with
 Table 3 through the content-addressed artifact store, so a scorecard
 run (or a warm ``--artifact-dir``) executes each only once; the cheap
-``place``/``report_drain`` replays re-run every time.
+``place``/``report_drain`` replays re-run every time.  One
+:class:`~repro.exec.ExecutionPlan` (``plan=``, or ``--plan`` on the
+CLI) chooses how the two simulate stages execute; no device runs here,
+because the overheads come from the reporting models.
 """
 
 from ..core.config import SunderConfig
 from ..core.mapping import place
-from ..core.packed import resolve_fidelity
 from ..runtime import Runtime, StageGraph
 from ..runtime.stages import drain_row
 from ..runtime.artifacts import SimRun
@@ -63,19 +65,15 @@ PAPER_AVERAGES = {
 }
 
 
-def evaluate_benchmark(instance, rate=4, config=None, scale=1.0,
-                       fidelity="auto"):
+def evaluate_benchmark(instance, rate=4, config=None, scale=1.0):
     """Full Table 4 row for one workload instance.
 
     This is the direct, graph-free path for *custom* instances (the
     registry-driven suite goes through :func:`define`); both call the
     same :func:`~repro.runtime.stages.drain_row` replay.  ``scale`` is
     the workload generation scale; the AP model shrinks its fixed buffer
-    geometry by the same factor (see ApReportingModel).  ``fidelity`` is
-    the device-fidelity knob (validated here; the replay itself runs on
-    report profiles, not a bit-level device).
+    geometry by the same factor (see ApReportingModel).
     """
-    resolve_fidelity(fidelity)
     automaton = instance.automaton
     data = instance.input_bytes
 
@@ -104,71 +102,51 @@ def evaluate_benchmark(instance, rate=4, config=None, scale=1.0,
                          rate=rate, scale=scale, config=config)
 
 
-def define(graph, scale, seed, names, rate, fidelity="auto",
-           batch=1, shards=1, prefilter=False, hotcold=None, plan=None):
+def define(graph, scale, seed, names, rate, plan=None):
     """Declare Table 4's stages; returns the per-benchmark row tasks.
 
-    ``fidelity`` salts the device-bearing ``place``/``report_drain``
-    stage params so packed/literal runs never alias (the knob is
-    otherwise inert here — the replays run on cached report profiles).
-    ``batch``/``shards`` select the simulate stages' engine strategy and
-    salt their keys the same way (only when > 1); ``prefilter``/
-    ``hotcold`` gate them behind the literal prefilter (only when
-    enabled).  An explicit ``plan`` supersedes every one of those knobs:
-    the simulate stages carry its payload and the device-bearing stages
-    take their fidelity from it.
+    ``plan`` reaches the two simulate stages through
+    :func:`~repro.experiments.table1.simulation_params`, which salts
+    their keys only for a non-default plan.
     """
-    if plan is not None:
-        if fidelity != "auto":
-            raise ValueError(
-                "table4.define: pass either plan= or fidelity=, not both")
-        fidelity = plan.fidelity
     rows = []
     for name in names:
         gen = graph.task("generate",
                          {"name": name, "scale": scale, "seed": seed})
         sim8 = graph.task("simulate8",
-                          simulation_params({"name": name}, batch, shards,
-                                            prefilter, hotcold, plan=plan),
+                          simulation_params({"name": name}, plan),
                           deps=[gen])
         strided = graph.task("to_rate", {"name": name, "rate": rate},
                              deps=[gen])
         sim_strided = graph.task(
             "simulate_strided",
-            simulation_params({"name": name, "rate": rate}, batch, shards,
-                              prefilter, hotcold, plan=plan),
+            simulation_params({"name": name, "rate": rate}, plan),
             deps=[gen, strided])
-        placed = graph.task("place",
-                            {"name": name, "rate": rate,
-                             "fidelity": fidelity},
+        placed = graph.task("place", {"name": name, "rate": rate},
                             deps=[strided])
         rows.append(graph.task(
             "report_drain",
-            {"name": name, "rate": rate, "scale": scale,
-             "fidelity": fidelity},
+            {"name": name, "rate": rate, "scale": scale},
             deps=[gen, sim8, sim_strided, placed]))
     return rows
 
 
 def run(scale=0.01, seed=0, names=None, rate=4, workers=1, runtime=None,
-        fidelity="auto", batch=1, shards=1, prefilter=False, hotcold=None,
         plan=None):
     """Evaluate the suite; returns (rows, averages).
 
     ``workers`` fans the stage executions out across a process pool
     (0 = all cores); row order is the suite order regardless.  Pass a
     shared ``runtime`` to deduplicate stages with other experiments.
-    ``batch``/``shards`` pick the engine execution strategy for the
-    simulate stages (bit-exact either way; see docs/performance.md);
-    ``prefilter``/``hotcold`` gate them behind the literal prefilter.
+    ``plan`` (:class:`~repro.exec.ExecutionPlan`) picks the simulate
+    stages' engine strategy (bit-exact reports either way; see
+    docs/performance.md).
     """
     chosen = select_names(names, "table4.run")
     if runtime is None:
         runtime = Runtime(workers=workers)
     graph = StageGraph()
-    tasks = define(graph, scale, seed, chosen, rate, fidelity=fidelity,
-                   batch=batch, shards=shards, prefilter=prefilter,
-                   hotcold=hotcold, plan=plan)
+    tasks = define(graph, scale, seed, chosen, rate, plan=plan)
     results = runtime.execute(graph, targets=tasks)
     rows = [results[task] for task in tasks]
     averages = average_row(
@@ -187,11 +165,9 @@ def render(rows, averages):
 
 
 @instrumented_experiment("table4")
-def main(scale=0.01, seed=0, names=None, workers=1, fidelity="auto",
-         batch=1, shards=1, prefilter=False, hotcold=None, plan=None):
+def main(scale=0.01, seed=0, names=None, workers=1, plan=None):
     """Run and print."""
     rows, averages = run(scale=scale, seed=seed, names=names, workers=workers,
-                         fidelity=fidelity, batch=batch, shards=shards,
-                         prefilter=prefilter, hotcold=hotcold, plan=plan)
+                         plan=plan)
     print(render(rows, averages))
     return rows, averages

@@ -26,7 +26,6 @@ from time import perf_counter
 from ..baselines.ap import ApReportingModel
 from ..core.config import SunderConfig
 from ..core.mapping import place
-from ..core.packed import resolve_fidelity
 from ..core.perfmodel import (ReportingPerfModel, pu_fill_cycles_from_events,
                               sensitivity_slowdown)
 from ..errors import StageGraphError
@@ -151,27 +150,15 @@ def _generate(params):
 
 
 def _stage_plan(params):
-    """The :class:`ExecutionPlan` a stage's params select.
+    """The :class:`ExecutionPlan` a stage's ``plan`` param selects.
 
-    A ``plan`` key (the minimal ``param_payload`` form) wins; otherwise
-    the legacy per-knob keys (``batch``/``shards``/``prefilter``/
-    ``hotcold``/``fidelity``) map through
-    :meth:`ExecutionPlan.from_flags`, so both param surfaces funnel into
-    one validated value.  Either way the params are the sole key-salt
-    source: the experiment layer adds keys only when non-default, so
-    pre-existing artifact keys (and warm stores) are untouched for
-    default runs while planned/batched/sharded/gated runs are
-    content-addressed separately through :func:`canonical`.
+    The param holds the minimal ``param_payload`` form and is the sole
+    key-salt source: the experiment layer adds it only for a non-default
+    plan, so default runs keep their artifact keys (and warm stores)
+    while planned runs are content-addressed separately through
+    :func:`canonical`.
     """
-    payload = params.get("plan")
-    if payload is not None:
-        return ExecutionPlan.from_payload(payload)
-    return ExecutionPlan.from_flags(
-        batch=params.get("batch", 1),
-        shards=params.get("shards", 1),
-        prefilter=bool(params.get("prefilter")),
-        hotcold=params.get("hotcold"),
-        fidelity=params.get("fidelity", "auto"))
+    return ExecutionPlan.from_payload(params.get("plan", {}))
 
 
 def _run_simulation(engine, vectors, recorder, plan):
@@ -198,15 +185,11 @@ def _simulate8(params, instance):
     Records the full event stream (Table 4's AP replay needs it) and the
     active-state statistics (Table 1's dynamic columns need them).
 
-    The execution strategy comes from the params' single ``plan`` value
-    (or the legacy per-knob keys; see :func:`_stage_plan`).  A gating
-    plan routes the run through the two-stage literal prefilter
-    (:func:`repro.prefilter.gated_simulation`): reports stay bit-exact,
-    but active-state statistics are only kept when the gate bypasses (a
-    gated run skips most cycles).  Non-default strategies are salted
-    into the key through :func:`canonical` because the experiment layer
-    adds the params only when enabled, so planned and default artifacts
-    never alias.
+    The execution strategy comes from the params' ``plan`` value (see
+    :func:`_stage_plan`).  A gating plan routes the run through the
+    two-stage literal prefilter (:func:`repro.prefilter.gated_simulation`):
+    reports stay bit-exact, but active-state statistics are only kept
+    when the gate bypasses (a gated run skips most cycles).
     """
     plan = _stage_plan(params)
     if plan.prefilter:
@@ -239,10 +222,9 @@ def _to_rate(params, instance):
 def _simulate_strided(params, instance, strided):
     """Functional simulation of the strided machine over the same input.
 
-    A gating plan (or legacy ``prefilter=True``) gates the run on
-    literals extracted from the 8-bit *source* machine; windows are
-    mapped onto the strided machine's cycles (see
-    :func:`repro.prefilter.gated_simulation`).
+    A gating plan gates the run on literals extracted from the 8-bit
+    *source* machine; windows are mapped onto the strided machine's
+    cycles (see :func:`repro.prefilter.gated_simulation`).
     """
     plan = _stage_plan(params)
     if plan.prefilter:
@@ -294,15 +276,7 @@ def _table3_row(params, instance, *machines):
 
 @stage("place")
 def _place(params, strided):
-    """Map the strided machine onto Sunder PUs.
-
-    Device-bearing stages carry the device-fidelity knob in their params
-    as key-salt material: should these stages ever become cacheable,
-    packed and literal results must not alias in a shared artifact store
-    (see docs/architecture.md).  Resolving it here also fails fast on a
-    bad knob value.
-    """
-    resolve_fidelity(_stage_plan(params).fidelity)
+    """Map the strided machine onto Sunder PUs."""
     return place(strided, SunderConfig(rate_nibbles=params["rate"]))
 
 
@@ -363,12 +337,7 @@ def _with_fifo(config, fifo):
 
 @stage("report_drain")
 def _report_drain(params, instance, run8, strided_run, placement):
-    """Table 4 row for one benchmark (AP, AP+RAD, Sunder, Sunder+FIFO).
-
-    Carries the device-fidelity knob in its params for the same
-    key-salting reason as ``place``.
-    """
-    resolve_fidelity(_stage_plan(params).fidelity)
+    """Table 4 row for one benchmark (AP, AP+RAD, Sunder, Sunder+FIFO)."""
     return drain_row(instance, run8, strided_run, placement,
                      rate=params["rate"], scale=params["scale"])
 
@@ -383,7 +352,6 @@ def _figure9_arch(params):
 @stage("figure10_point")
 def _figure10_point(params):
     """One sensitivity-sweep point (slowdown with/without summarization)."""
-    resolve_fidelity(_stage_plan(params).fidelity)
     fraction = params["pct"] / 100.0
     config = params["config"]
     return {

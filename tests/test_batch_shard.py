@@ -262,12 +262,14 @@ class TestShardFallbacksAndPool:
 
     def test_auto_shards_stage_param_bit_exact(self):
         """``shards="auto"`` flows through the experiment stage params."""
+        from repro.exec import ExecutionPlan
         from repro.experiments.table1 import simulation_params
         from repro.runtime.stages import canonical, get_stage
         from repro.workloads import generate
 
-        params = simulation_params({"name": "ExactMatch"}, shards="auto")
-        assert params["shards"] == "auto"
+        params = simulation_params({"name": "ExactMatch"},
+                                   ExecutionPlan(shards="auto"))
+        assert params["plan"]["shards"] == "auto"
         assert canonical(params) != canonical({"name": "ExactMatch"})
         instance = generate("ExactMatch", 0.002, 0)
         sim8 = get_stage("simulate8").func
@@ -391,17 +393,22 @@ class TestDepthBound:
 
 class TestStageKeysAndCache:
     def test_batch_and_shards_salt_simulate_keys(self):
+        from repro.exec import ExecutionPlan
         from repro.experiments import table1
         from repro.runtime import StageGraph
 
-        def sim_key(**kwargs):
+        def sim_key(**fields):
             graph = StageGraph()
-            table1.define(graph, 0.002, 0, ["Snort"], **kwargs)
+            table1.define(graph, 0.002, 0, ["Snort"],
+                          plan=ExecutionPlan(**fields))
             [sim] = [task for task in graph.order
                      if task.stage.name == "simulate8"]
             return sim.key
 
-        plain = sim_key()
+        graph = StageGraph()
+        table1.define(graph, 0.002, 0, ["Snort"])
+        [plain] = [task.key for task in graph.order
+                   if task.stage.name == "simulate8"]
         assert sim_key(batch=1, shards=1) == plain  # pre-change key shape
         keys = {plain, sim_key(batch=4), sim_key(batch=8), sim_key(shards=3),
                 sim_key(shards=4)}
@@ -409,13 +416,15 @@ class TestStageKeysAndCache:
 
     def test_warm_store_hits_for_same_batch_params(self, tmp_path):
         from repro import obs
+        from repro.exec import ExecutionPlan
         from repro.experiments import table1
         from repro.runtime import Runtime, StageGraph
         from repro.runtime import store as runtime_store
 
         def run_simulate(batch):
             graph = StageGraph()
-            table1.define(graph, 0.002, 0, ["Snort"], batch=batch)
+            table1.define(graph, 0.002, 0, ["Snort"],
+                          plan=ExecutionPlan(batch=batch))
             [sim] = [task for task in graph.order
                      if task.stage.name == "simulate8"]
             results = Runtime().execute(graph, targets=[sim])
@@ -444,10 +453,11 @@ class TestStageKeysAndCache:
         assert misses.labels(stage="simulate8").value == 1
 
     def test_experiment_rows_identical_across_strategies(self):
+        from repro.exec import ExecutionPlan
         from repro.experiments import table1
         plain = table1.run(scale=0.002, seed=0, names=["Snort", "SPM"])
         batched = table1.run(scale=0.002, seed=0, names=["Snort", "SPM"],
-                             batch=4)
+                             plan=ExecutionPlan(batch=4))
         sharded = table1.run(scale=0.002, seed=0, names=["Snort", "SPM"],
-                             shards=3)
+                             plan=ExecutionPlan(shards=3))
         assert plain == batched == sharded

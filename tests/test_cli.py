@@ -51,6 +51,36 @@ class TestMatch:
             out = capsys.readouterr().out
             assert out.splitlines() == ["8\tneedle", "18\tneedle"], rate
 
+    def test_device_plan_with_prefilter_gates(self, capsys):
+        assert main(["--plan", '{"target": "device", "prefilter": true}',
+                     "match", "needle", "--text", "xx needle xx needle"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["8\tneedle", "18\tneedle"]
+        assert "prefilter: gated, 1 literals" in captured.err
+
+    def test_engine_plan_is_rejected(self):
+        with pytest.raises(SystemExit, match="--plan: match runs on the "
+                                             "device"):
+            main(["--plan", '{"prefilter": true}', "match", "needle",
+                  "--text", "xx needle"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--device-fidelity", "literal", "match", "ab", "--text", "xab"],
+    ["--prefilter", "match", "ab", "--text", "xab"],
+    ["--hotcold-coverage", "0.9", "match", "ab", "--text", "xab"],
+    ["experiment", "table1", "--batch", "4"],
+    ["experiment", "table1", "--shards", "auto"],
+    ["plan", "explain", "a.c", "--stream-bytes", "65536"],
+], ids=["device-fidelity", "prefilter", "hotcold-coverage", "batch",
+        "shards", "stream-bytes"])
+def test_removed_strategy_flags_are_usage_errors(argv, capsys):
+    """``--plan`` is the only strategy flag; the old ones no longer parse."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "repro: error:" in capsys.readouterr().err
+
 
 class TestOtherCommands:
     def test_transform(self, capsys):
@@ -160,14 +190,15 @@ class TestProfile:
         """Root flags before ``profile`` reach the wrapped command.
 
         ``profile`` re-parses its wrapped argv, which starts at the
-        subcommand — ``--prefilter`` given before ``profile`` must be
+        subcommand — a gating ``--plan`` given before ``profile`` must be
         copied onto the inner namespace or the gated run silently runs
         ungated.
         """
         import json
 
         metrics = tmp_path / "m.json"
-        assert main(["--prefilter", "profile", "match", "needle",
+        assert main(["--plan", '{"target": "device", "prefilter": true}',
+                     "profile", "match", "needle",
                      "--text", "xxxneedleyy",
                      "--metrics-out", str(metrics)]) == 0
         snapshot = json.loads(metrics.read_text())

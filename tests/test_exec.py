@@ -340,15 +340,6 @@ class TestPlanSerialization:
         with pytest.raises(ValueError):
             resolve_plan(3.5)
 
-    def test_from_flags_maps_the_legacy_surface(self):
-        plan = ExecutionPlan.from_flags(shards="auto", prefilter=False)
-        assert plan.shards == "auto" and plan.strategy == "sharded"
-        plan = ExecutionPlan.from_flags(prefilter=True, hotcold=0.9)
-        assert plan.prefilter and plan.hotcold_coverage == 0.9
-        assert plan.strategy == "gated"
-        with pytest.raises(ArchitectureError):
-            ExecutionPlan.from_flags(prefilter=True, fidelity="literal")
-
     def test_reasons_are_advisory_and_never_serialized(self):
         plan = ExecutionPlan(shards=2, reasons=[
             {"choice": "strategy", "value": "sharded", "reason": "test"}])
@@ -401,17 +392,25 @@ class TestPlanner:
         assert plan.reasons == choices
 
     def test_cyclic_machine_stays_serial(self):
-        plan, choices = Planner().explain(
-            compile_pattern("a.*b"),
-            stream_cycles=AUTO_SHARD_MIN_CYCLES * 2)
+        plan, choices = Planner().explain(compile_pattern("a.*b"))
         assert plan.strategy == "serial"
         assert choices[0]["reason"] == "cyclic"
 
-    def test_long_acyclic_unfilterable_stream_shards(self):
-        plan, choices = Planner().explain(
-            compile_pattern("a.c"), stream_cycles=AUTO_SHARD_MIN_CYCLES)
-        assert plan.shards == "auto"
-        assert choices[0]["reason"] == "long-acyclic-stream"
+    def test_long_acyclic_unfilterable_stream_stays_serial(self):
+        """The planner never shards one stream: without a process pool
+        the blocks only add warm-up replays.  A plan-free session binds
+        the default plan even past the engine's auto-shard threshold."""
+        machine = compile_pattern("a.c")
+        data = b"xaxcabc" * (AUTO_SHARD_MIN_CYCLES // 7 + 1)
+        assert len(data) >= AUTO_SHARD_MIN_CYCLES
+        session = Session(machine)
+        [result] = session.execute([data])
+        assert session.plan == DEFAULT_PLAN
+        assert session.plan.reasons[0] == {
+            "choice": "strategy", "value": "serial", "reason": "unfilterable"}
+        baseline = _recorder_for(machine, data)
+        BitsetEngine(machine).run(stream_for(machine, data)[0], baseline)
+        assert _sorted_events(result) == _sorted_events(baseline)
 
     def test_multi_stream_batches(self):
         _, choices = Planner().explain(compile_pattern("a.c"),
@@ -439,14 +438,13 @@ class TestPlanner:
             if not len(machine):
                 continue
             traits = automaton_traits(machine)
-            shape = rng.choice([(1, 0), (1, AUTO_SHARD_MIN_CYCLES), (3, 0)])
-            plan = Planner().plan(machine, stream_count=shape[0],
-                                  stream_cycles=shape[1])
+            stream_count = rng.choice([1, 1, 3])
+            plan = Planner().plan(machine, stream_count=stream_count)
             plan.validate_for(traits)
             data = bytes(rng.randrange(256) for _ in range(60))
-            streams = [data] * shape[0]
+            streams = [data] * stream_count
             results = Session(machine, plan).execute(streams)
-            assert len(results) == shape[0]
+            assert len(results) == stream_count
             baseline = _recorder_for(machine, data)
             BitsetEngine(machine).run(stream_for(machine, data)[0], baseline)
             assert _sorted_events(results[0]) == _sorted_events(baseline)
@@ -464,14 +462,36 @@ class TestStagePlumbing:
         plan = ExecutionPlan(shards="auto", prefilter=False)
         assert _stage_plan({"plan": plan.param_payload()}) == plan
         assert _stage_plan({}) == DEFAULT_PLAN
-        legacy = _stage_plan({"batch": 4})
-        assert legacy.batch == 4
+        gated = ExecutionPlan(prefilter=True, hotcold_coverage=0.9)
+        assert _stage_plan({"plan": gated.param_payload()}) == gated
 
     def test_default_plan_keeps_simulation_params_unchanged(self):
         from repro.experiments.table1 import simulation_params
         base = {"name": "Snort"}
+        assert simulation_params(base) == base
         assert simulation_params(base, plan=DEFAULT_PLAN) == base
         salted = simulation_params(base, plan=ExecutionPlan(shards="auto"))
         assert salted["plan"] == {"shards": "auto", "v": PLAN_VERSION}
-        with pytest.raises(ValueError, match="not both"):
-            simulation_params(base, batch=4, plan=DEFAULT_PLAN)
+
+    @pytest.mark.parametrize("fields", [
+        {"target": "device"},
+        {"fidelity": "literal"},
+        {"fidelity": "packed"},
+    ])
+    def test_simulation_params_reject_fields_the_stages_ignore(self, fields):
+        """The simulate stages run on the engine: a device target or a
+        pinned fidelity would re-key byte-identical rows, so it fails."""
+        from repro.experiments import table1, table4
+        from repro.runtime import StageGraph
+        plan = ExecutionPlan(**fields)
+        with pytest.raises(ArchitectureError, match="functional engine"):
+            table1.simulation_params({"name": "Snort"}, plan)
+        with pytest.raises(ArchitectureError, match="functional engine"):
+            table4.define(StageGraph(), 0.002, 0, ["Snort"], 4, plan=plan)
+
+    def test_cli_experiment_rejects_a_device_plan(self, capsys):
+        document = json.dumps({"target": "device"})
+        assert cli.main(["--plan", document, "experiment", "table1",
+                         "--scale", "0.002"]) == 2
+        assert "error: the simulate stages run on the functional engine" \
+            in capsys.readouterr().err

@@ -222,26 +222,44 @@ def test_hotcold_savings_recorded():
 
 
 def test_gated_stage_params_salt_keys():
-    """prefilter/hotcold join simulate-stage params only when enabled."""
+    """A gating plan joins simulate-stage params only when enabled."""
+    from repro.exec import ExecutionPlan
     from repro.experiments.table1 import simulation_params
-    plain = simulation_params({"name": "x"})
-    assert "prefilter" not in plain and "hotcold" not in plain
-    gated = simulation_params({"name": "x"}, prefilter=True, hotcold=0.9)
-    assert gated["prefilter"] is True
-    assert gated["hotcold"] == 0.9
+    plain = simulation_params({"name": "x"}, ExecutionPlan())
+    assert plain == {"name": "x"}
+    gated = simulation_params(
+        {"name": "x"}, ExecutionPlan(prefilter=True, hotcold_coverage=0.9))
+    assert gated["plan"]["prefilter"] is True
+    assert gated["plan"]["hotcold_coverage"] == 0.9
     from repro.runtime.stages import canonical
     assert canonical(plain) != canonical(gated)
 
 
 def test_gated_stages_match_ungated_reports():
     """simulate8/simulate_strided emit identical events under the gate."""
+    from repro import obs
+    from repro.exec import ExecutionPlan
     from repro.runtime.stages import get_stage
     from repro.workloads import generate
 
+    def gated_run(func, params, *deps):
+        registry = obs.MetricsRegistry()
+        trace = obs.TraceCollector()
+        with obs.collecting(registry=registry, trace=trace):
+            run = func(params, *deps)
+        # The gate must really have scanned the input; a plan the stage
+        # ignored would compare an ungated run with an ungated run.
+        assert registry.get("repro_prefilter_scan_bytes_total").value > 0
+        return run, {span.name for span in trace.spans}
+
+    gate = ExecutionPlan(prefilter=True).param_payload()
+    hotcold = ExecutionPlan(prefilter=True,
+                            hotcold_coverage=0.9).param_payload()
     instance = generate("ExactMatch", 0.005, 3)
     sim8 = get_stage("simulate8").func
     plain8 = sim8({"name": "ExactMatch"}, instance)
-    gated8 = sim8({"name": "ExactMatch", "prefilter": True}, instance)
+    gated8, _ = gated_run(sim8, {"name": "ExactMatch", "plan": gate},
+                          instance)
     assert gated8.recorder.events == plain8.recorder.events
     assert gated8.cycles == plain8.cycles
 
@@ -249,8 +267,9 @@ def test_gated_stages_match_ungated_reports():
     sim_strided = get_stage("simulate_strided").func
     plain = sim_strided({"name": "ExactMatch", "rate": 4}, instance,
                         strided)
-    gated = sim_strided({"name": "ExactMatch", "rate": 4,
-                         "prefilter": True, "hotcold": 0.9}, instance,
-                        strided)
+    gated, spans = gated_run(
+        sim_strided, {"name": "ExactMatch", "rate": 4, "plan": hotcold},
+        instance, strided)
+    assert "prefilter.hotcold" in spans
     assert gated.recorder.events == plain.recorder.events
     assert gated.cycles == plain.cycles
