@@ -5,6 +5,11 @@ states and a successor relation.  It is the common currency of the whole
 library: the regex compiler produces automata, the transformation passes
 rewrite them, the simulator executes them, and the architecture model maps
 them onto subarrays.
+
+A compiled machine is configured once and afterwards only read, so an
+automaton can be :meth:`~Automaton.freeze`-d: transform results and
+everything the artifact stores hold are frozen, shared read-only
+masters.  Call :meth:`~Automaton.copy` for a mutable machine.
 """
 
 import hashlib
@@ -40,7 +45,15 @@ class Automaton:
         multiples of this value.  A byte automaton rewritten to nibbles has
         ``start_period == 2`` because patterns may only begin on byte
         boundaries; strided automata fold the period back to 1.
+
+    :meth:`freeze` makes the machine read-only for good: its mutators
+    and any attribute rebinding then raise :class:`AutomatonError`.
     """
+
+    #: Instance defaults until :meth:`freeze` / a cached
+    #: :meth:`fingerprint` set the object's own.
+    _frozen = False
+    _fingerprint = None
 
     def __init__(self, name="automaton", bits=8, arity=1, start_period=1):
         if bits < 1:
@@ -49,19 +62,54 @@ class Automaton:
             raise AutomatonError("arity must be positive")
         if start_period < 1:
             raise AutomatonError("start_period must be positive")
-        self.name = name
-        self.bits = bits
-        self.arity = arity
-        self.start_period = start_period
-        self._states = {}
-        self._succ = {}
-        self._pred = {}
+        # One dict update instead of seven guarded __setattr__ calls.
+        vars(self).update(name=name, bits=bits, arity=arity,
+                          start_period=start_period,
+                          _states={}, _succ={}, _pred={})
+
+    def __setattr__(self, attr, value):
+        if self._frozen:
+            raise AutomatonError(
+                "automaton %r is frozen; cannot rebind %r (use copy() or "
+                "shallow_clone(name=...))" % (self.name, attr))
+        object.__setattr__(self, attr, value)
+
+    # ------------------------------------------------------------------
+    # Freezing
+    # ------------------------------------------------------------------
+    def freeze(self):
+        """Make this machine read-only for good; returns ``self``.
+
+        Idempotent and one-way.  Afterwards :meth:`add_state`,
+        :meth:`add_transition`, :meth:`remove_transition`,
+        :meth:`remove_state`, :meth:`prune_unreachable`, :meth:`merge_in`,
+        attribute rebinding (``name`` included) and
+        :meth:`IndexedAutomaton.write_back
+        <repro.automata.indexed.IndexedAutomaton.write_back>` into it raise
+        :class:`AutomatonError`, and :meth:`fingerprint` hashes once.  The
+        flag travels through pickling.  :meth:`copy` returns a mutable
+        machine.
+        """
+        object.__setattr__(self, "_frozen", True)
+        return self
+
+    @property
+    def frozen(self):
+        """Whether :meth:`freeze` has been called."""
+        return self._frozen
+
+    def _frozen_error(self, operation):
+        return AutomatonError(
+            "automaton %r is frozen; %s needs a mutable copy() of it"
+            % (self.name, operation))
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_state(self, ste):
         """Insert an STE; returns it for chaining."""
+        if self._frozen:
+            raise self._frozen_error("add_state")
         if not isinstance(ste, Ste):
             raise AutomatonError("add_state expects an Ste, got %r" % (ste,))
         if ste.id in self._states:
@@ -87,6 +135,8 @@ class Automaton:
 
     def add_transition(self, src, dst):
         """Add an edge ``src -> dst`` (idempotent)."""
+        if self._frozen:
+            raise self._frozen_error("add_transition")
         if src not in self._states:
             raise AutomatonError("unknown source state %r" % (src,))
         if dst not in self._states:
@@ -96,11 +146,15 @@ class Automaton:
 
     def remove_transition(self, src, dst):
         """Remove the edge ``src -> dst`` if present."""
+        if self._frozen:
+            raise self._frozen_error("remove_transition")
         self._succ.get(src, set()).discard(dst)
         self._pred.get(dst, set()).discard(src)
 
     def remove_state(self, state_id):
         """Remove a state and all incident edges."""
+        if self._frozen:
+            raise self._frozen_error("remove_state")
         if state_id not in self._states:
             raise AutomatonError("unknown state %r" % (state_id,))
         for succ in self._succ.pop(state_id):
@@ -137,11 +191,18 @@ class Automaton:
         return list(self._states.values())
 
     def successors(self, state_id):
-        """Successor ids of a state (a set; do not mutate)."""
+        """Successor ids of a state (a set; do not mutate).
+
+        The set is the machine's own row, not a copy: every
+        :meth:`shallow_clone` of a frozen machine shares it.
+        """
         return self._succ[state_id]
 
     def predecessors(self, state_id):
-        """Predecessor ids of a state (a set; do not mutate)."""
+        """Predecessor ids of a state (a set; do not mutate).
+
+        Shared like :meth:`successors`' rows.
+        """
         return self._pred[state_id]
 
     def transitions(self):
@@ -223,6 +284,8 @@ class Automaton:
         edge sets, so the result is identical either way
         (:meth:`unreachable_states` stays the oracle for both paths).
         """
+        if self._frozen:
+            raise self._frozen_error("prune_unreachable")
         dead = self.unreachable_states()
         if not dead:
             return 0
@@ -285,7 +348,7 @@ class Automaton:
         return max((longest[s.id] for s in self.start_states()), default=0)
 
     def copy(self, name=None):
-        """Deep-enough copy (STEs are cloned, edges rebuilt)."""
+        """Mutable deep-enough copy (STEs are cloned, edges rebuilt)."""
         duplicate = Automaton(
             name=name if name is not None else self.name,
             bits=self.bits,
@@ -301,12 +364,12 @@ class Automaton:
     def shallow_clone(self, name=None):
         """Copy sharing the (immutable-once-compiled) STE objects.
 
-        Edge sets and the state dict are fresh, so graph mutations on
-        the clone never touch the source — but the STEs themselves are
-        shared, which is what makes a rename-only copy (``stride``
-        factor 1, cache-hit relabeling) O(states) dict work instead of
-        a full re-validation pass.  Use :meth:`copy` when the caller
-        may mutate STE fields in place.
+        This is how a frozen machine is renamed.  The clone of a frozen
+        machine is frozen and shares its state dict and edge maps too:
+        O(1), no per-state work.  An unfrozen source gets a fresh state
+        dict and fresh edge sets, so graph mutations on the clone never
+        touch the source.  Either way the STEs are shared; use
+        :meth:`copy` when the caller may mutate STE fields in place.
         """
         duplicate = Automaton(
             name=name if name is not None else self.name,
@@ -314,6 +377,11 @@ class Automaton:
             arity=self.arity,
             start_period=self.start_period,
         )
+        if self._frozen:
+            duplicate._states = self._states
+            duplicate._succ = self._succ
+            duplicate._pred = self._pred
+            return duplicate.freeze()
         duplicate._states = dict(self._states)
         duplicate._succ = {src: set(dsts) for src, dsts in self._succ.items()}
         duplicate._pred = {dst: set(srcs) for dst, srcs in self._pred.items()}
@@ -360,7 +428,12 @@ class Automaton:
         The shape header (name, bits, arity, start period) is included,
         so machines that differ only in name do not collide — transform
         results derive their names from their source's.
+
+        A frozen machine hashes once and keeps the digest; an unfrozen
+        one hashes on every call.
         """
+        if self._fingerprint is not None:
+            return self._fingerprint
         digest = hashlib.sha256()
         digest.update(
             ("%s\x00%d\x00%d\x00%d" % (
@@ -380,7 +453,11 @@ class Automaton:
             )
             digest.update(("\x1e".join(record) + "\x1d").encode(
                 "utf-8", "surrogatepass"))
-        return digest.hexdigest()
+        text = digest.hexdigest()
+        if self._frozen:
+            # Idempotent write: racing first calls store the same digest.
+            object.__setattr__(self, "_fingerprint", text)
+        return text
 
     def to_payload(self):
         """Versioned JSON-serializable dict (see :data:`PAYLOAD_FORMAT`).
@@ -479,6 +556,8 @@ class Automaton:
         pack many independent patterns (e.g. a whole ruleset) into a single
         machine, which is how the benchmark suites ship their automata.
         """
+        if self._frozen:
+            raise self._frozen_error("merge_in")
         if (other.bits, other.arity) != (self.bits, self.arity):
             raise AutomatonError("cannot merge automata of different shapes")
         if other.start_period != self.start_period:

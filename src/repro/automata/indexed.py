@@ -541,6 +541,8 @@ class IndexedAutomaton:
         Survivors keep their original :class:`Ste` objects and their
         insertion order; edge rows convert back to string-id sets — the
         same final dict shapes the legacy in-place passes leave behind.
+        A frozen ``automaton`` refuses the rebinding and raises
+        :class:`~repro.errors.AutomatonError` untouched.
         """
         ids = self.ids
         stes = self.stes

@@ -241,26 +241,20 @@ MINIMAL_OP = "minimal"
 
 
 def _minimal_marker_store():
-    """The transform cache's generic store interface, or ``None``.
+    """The process-wide transform cache, which holds the markers.
 
     Imported lazily: ``repro.transform`` depends on this package, so a
     module-level import would be circular.
     """
-    try:
-        from ..transform import cache as transform_cache
-        return transform_cache.get_cache()
-    except Exception:  # pragma: no cover - import/config failures
-        return None
+    from ..transform import cache as transform_cache
+    return transform_cache.get_cache()
 
 
 def _is_known_minimal(fingerprint):
     """Whether ``fingerprint`` was recorded as a minimal machine."""
     if fingerprint in _MINIMAL_FINGERPRINTS:
         return True
-    store = _minimal_marker_store()
-    if store is None:
-        return False
-    if store.has_marker(MINIMAL_OP, fingerprint):
+    if _minimal_marker_store().has_marker(MINIMAL_OP, fingerprint):
         _remember_minimal(fingerprint)
         return True
     return False
@@ -275,9 +269,7 @@ def _remember_minimal(fingerprint):
 def _record_minimal(fingerprint):
     """Record ``fingerprint`` in-process and in the transform cache."""
     _remember_minimal(fingerprint)
-    store = _minimal_marker_store()
-    if store is not None:
-        store.put_marker(MINIMAL_OP, fingerprint)
+    _minimal_marker_store().put_marker(MINIMAL_OP, fingerprint)
 
 
 @gc_paused
@@ -297,7 +289,9 @@ def minimize(automaton, max_rounds=32):
     Machines whose fingerprint the cache already recorded as minimal
     (a previous ``minimize`` left them unchanged or produced them) are
     skipped outright: the fingerprint probe costs one canonical hash
-    instead of a full screening pass.
+    instead of a full screening pass.  A frozen machine returns 0 when
+    it is already minimal and raises :class:`~repro.errors.AutomatonError`
+    only if minimization would merge states.
     """
     fingerprint = automaton.fingerprint()
     if _is_known_minimal(fingerprint):

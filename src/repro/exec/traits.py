@@ -106,9 +106,6 @@ class TraitsCodec(Codec):
         except (json.JSONDecodeError, ValueError, TypeError) as error:
             raise ArtifactError("undecodable traits artifact: %s" % error)
 
-    def copy(self, traits):
-        return traits
-
 
 TRAITS_CODEC = TraitsCodec()
 

@@ -141,9 +141,9 @@ class Prefilter:
 class PrefilterCodec(Codec):
     """Artifact codec for memoized prefilter builds.
 
-    ``copy`` serves the master object itself: a built prefilter is
-    immutable apart from private scan-time caches, and cache sharing is
-    the point of memoizing the build.
+    The inherited identity ``freeze`` serves the master object itself: a
+    built prefilter is immutable apart from private scan-time caches,
+    and cache sharing is the point of memoizing the build.
     """
 
     kind = "prefilter"
@@ -156,9 +156,6 @@ class PrefilterCodec(Codec):
             return Prefilter.loads(text)
         except PrefilterError as error:
             raise ArtifactError("undecodable prefilter artifact: %s" % error)
-
-    def copy(self, prefilter):
-        return prefilter
 
 
 PREFILTER_CODEC = PrefilterCodec()

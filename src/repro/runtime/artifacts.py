@@ -2,7 +2,9 @@
 
 Each kind pairs a value type with a :class:`~repro.runtime.store.Codec`
 so the shared :class:`~repro.runtime.store.ArtifactStore` can persist it
-with a versioned serialization and serve defensive copies:
+with a versioned serialization.  The codecs of automata, instances and
+simulation runs freeze the object in place (``Codec.freeze``), and the
+store serves that one read-only master on every hit:
 
 - **workload instances** (:class:`~repro.workloads.base.WorkloadInstance`)
   — the ``generate`` stage's output: automaton + planted input stream +
@@ -12,7 +14,7 @@ with a versioned serialization and serve defensive copies:
   cycle count and active-state statistics the Table 1 columns need;
 - **automata** — reuses the transform cache's
   :class:`~repro.transform.cache.AutomatonCodec`;
-- **plain JSON values** — result rows and summaries.
+- **plain JSON values** — result rows and summaries, served as copies.
 """
 
 import base64
@@ -118,16 +120,9 @@ class SimRunCodec(Codec):
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise ArtifactError("malformed simrun payload: %s" % error)
 
-    def copy(self, obj):
-        # Events are treated as immutable by every consumer; copying the
-        # containers (not the events) keeps hits cheap but independent.
-        recorder = ReportRecorder(keep_events=obj.recorder.keep_events,
-                                  position_limit=obj.recorder.position_limit)
-        recorder.total_reports = obj.recorder.total_reports
-        recorder.reports_per_cycle = obj.recorder.reports_per_cycle.copy()
-        recorder.events = list(obj.recorder.events)
-        return SimRun(recorder, obj.cycles, obj.max_active_states,
-                      obj.avg_active_states)
+    def freeze(self, obj):
+        obj.recorder.freeze()
+        return obj
 
 
 class InstanceCodec(Codec):
@@ -171,14 +166,8 @@ class InstanceCodec(Codec):
         except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise ArtifactError("malformed instance payload: %s" % error)
 
-    def copy(self, obj):
-        return WorkloadInstance(
-            name=obj.name,
-            family=obj.family,
-            automaton=obj.automaton.copy(),
-            input_bytes=obj.input_bytes,
-            paper_row=dict(obj.paper_row),
-        )
+    def freeze(self, obj):
+        return obj.freeze()
 
 
 #: Shared codec instances (all stateless).

@@ -6,20 +6,25 @@ an optional on-disk artifact directory of versioned JSON payloads,
 addressed by ``CODE_VERSION``-salted SHA-256 keys.  Where the transform
 cache stores only automata, the artifact store is *kind-agnostic*: every
 ``get``/``put`` names a :class:`Codec` that owns the (de)serialization
-and the defensive copying of one artifact kind — automata, workload
-instances, simulation report streams, plain JSON rows.
+and the freezing of one artifact kind — automata, workload instances,
+simulation report streams, plain JSON rows.
 
 Guarantees shared with the transform cache (whose :class:`TransformCache
 <repro.transform.cache.TransformCache>` is now a subclass of this store):
 
-- **memory tier** — an LRU of master objects; hits return
-  ``codec.copy(master)`` so callers can mutate freely;
+- **memory tier** — an LRU of master objects.  ``put`` and a disk hit
+  pass the object through ``codec.freeze``, which makes automata,
+  instances and report streams read-only in place, so every hit serves
+  that one shared master; plain JSON values are the one kind served as
+  a copy;
 - **disk tier** — ``<key>.json`` files written through a temporary file
   plus :func:`os.replace`, so concurrent writers and readers never see a
   partial entry;
 - **corruption degrades to a miss** — an undecodable artifact counts as
   ``corrupt``, is left in place for post-mortem inspection, and the
-  caller rebuilds.
+  caller rebuilds;
+- **a bad path fails at construction** — a directory path that exists
+  but is not a directory raises :class:`~repro.errors.ArtifactError`.
 
 Keys produced by :func:`artifact_key` are prefixed with the codec kind
 (``simreport-<sha256>``), which keeps the artifact directory
@@ -64,7 +69,11 @@ class Codec:
       :class:`~repro.errors.ReproError` subclass (usually
       :class:`~repro.errors.ArtifactError`) on any malformed payload so
       the store can degrade to a miss;
-    - ``copy(obj) -> obj`` — defensive copy served on memory-tier hits.
+    - ``freeze(obj) -> obj`` — make ``obj`` safe to share.  The store
+      calls it on ``put``, on a memory hit and on a disk hit, and serves
+      what it returns.  The automaton, instance and simulation-run
+      codecs freeze ``obj`` in place and return it; the default returns
+      ``obj`` as is.
     """
 
     kind = "artifact"
@@ -75,7 +84,7 @@ class Codec:
     def decode(self, text):
         raise NotImplementedError
 
-    def copy(self, obj):
+    def freeze(self, obj):
         return obj
 
 
@@ -104,9 +113,11 @@ class JsonCodec(Codec):
         except KeyError:
             raise ArtifactError("json artifact lacks a value")
 
-    def copy(self, obj):
-        # Round-tripping keeps served values decoupled from the master
-        # and enforces JSON-serializability at store time.
+    def freeze(self, obj):
+        # Rows go back to callers as plain dicts, so they are the one
+        # kind served as a copy: round-tripping decouples each served
+        # value from the master and enforces JSON-serializability at
+        # store time.
         return json.loads(json.dumps(obj))
 
 
@@ -129,6 +140,11 @@ class ArtifactStore:
 
     def __init__(self, directory=None, memory_entries=DEFAULT_MEMORY_ENTRIES):
         self.directory = os.path.abspath(directory) if directory else None
+        if self.directory is not None and os.path.exists(self.directory) \
+                and not os.path.isdir(self.directory):
+            raise ArtifactError(
+                "artifact store path %s exists and is not a directory"
+                % self.directory)
         self.memory_entries = max(0, int(memory_entries))
         self._memory = OrderedDict()
         self._lock = threading.Lock()
@@ -137,11 +153,14 @@ class ArtifactStore:
 
     # -- lookup / store ------------------------------------------------
     def get(self, key, codec, context="?"):
-        """Cached artifact for ``key`` (a fresh copy) or ``None``.
+        """Cached artifact for ``key`` or ``None``.
 
-        A disk hit is promoted into the memory tier.  Undecodable disk
-        artifacts count as ``corrupt`` misses and are left in place for
-        post-mortem inspection (the next store overwrites them).
+        What is served is ``codec.freeze(master)``: the shared read-only
+        master itself for every kind but plain JSON values, so repeated
+        hits return one object.  A disk hit is promoted into the memory
+        tier.  Undecodable disk artifacts count as ``corrupt`` misses and
+        are left in place for post-mortem inspection (the next store
+        overwrites them).
         """
         with self._lock:
             entry = self._memory.get(key)
@@ -150,18 +169,23 @@ class ArtifactStore:
         if entry is not None:
             master_codec, master = entry
             self._record("memory_hits", context=context, tier="memory")
-            return master_codec.copy(master)
+            return master_codec.freeze(master)
         master = self._disk_get(key, codec, context)
         if master is not None:
+            served = codec.freeze(master)
             self._remember(key, codec, master)
             self._record("disk_hits", context=context, tier="disk")
-            return codec.copy(master)
+            return served
         self._record("misses", context=context)
         return None
 
     def put(self, key, obj, codec, context="?"):
-        """Store ``obj`` under ``key`` in every configured tier."""
-        self._remember(key, codec, codec.copy(obj))
+        """Store ``obj`` under ``key`` in every configured tier.
+
+        ``codec.freeze(obj)`` becomes the memory tier's master: ``obj``
+        itself, frozen in place, for every kind but plain JSON values.
+        """
+        self._remember(key, codec, codec.freeze(obj))
         self._record("stores", context=context)
         if self.directory is None:
             return

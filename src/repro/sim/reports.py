@@ -9,7 +9,7 @@ model, and Sunder's in-subarray reporting region).
 
 from collections import Counter
 
-from ..errors import ArtifactError
+from ..errors import ArtifactError, SimulationError
 
 #: Versioned serialization identifiers for recorder payloads (consumed
 #: by the stage-graph runtime's artifact store).
@@ -82,7 +82,13 @@ class ReportRecorder:
         Events at or beyond this sub-symbol position are dropped.  The
         striding transformation pads the final input vector; reports that
         fire on pad positions are artifacts and must be filtered.
+
+    A recorder the artifact store holds is frozen (:meth:`freeze`) and
+    shared by every reader.
     """
+
+    #: Instance default until :meth:`freeze` sets the object's own.
+    _frozen = False
 
     def __init__(self, keep_events=True, position_limit=None):
         self.keep_events = keep_events
@@ -91,8 +97,24 @@ class ReportRecorder:
         self.reports_per_cycle = Counter()
         self.total_reports = 0
 
+    def freeze(self):
+        """Make the recorder read-only for good; returns ``self``.
+
+        :meth:`record`, :meth:`record_cycle` and :meth:`absorb` raise
+        :class:`~repro.errors.SimulationError` afterwards.  ``events``
+        and ``reports_per_cycle`` stay plain containers that readers
+        must not mutate.
+        """
+        self._frozen = True
+        return self
+
+    def _frozen_error(self):
+        return SimulationError("cannot record into a frozen ReportRecorder")
+
     def record(self, position, cycle, state_id, report_code):
         """Log one report occurrence."""
+        if self._frozen:
+            raise self._frozen_error()
         if self.position_limit is not None and position >= self.position_limit:
             return
         self.total_reports += 1
@@ -110,6 +132,8 @@ class ReportRecorder:
         Sunder's in-place reporting — but the position limit is only
         checked on a cycle that reaches it.
         """
+        if self._frozen:
+            raise self._frozen_error()
         base = cycle * arity
         limit = self.position_limit
         if limit is not None and base + arity > limit:
@@ -135,6 +159,8 @@ class ReportRecorder:
         respect this recorder's ``position_limit`` — shard executions
         build their block recorders with the target's parameters.
         """
+        if self._frozen:
+            raise self._frozen_error()
         self.total_reports += other.total_reports
         per_cycle = self.reports_per_cycle
         for cycle, count in other.reports_per_cycle.items():

@@ -10,10 +10,12 @@ across ``ParallelRunner`` worker processes.
 
 :class:`TransformCache` is the automaton-kind specialization of the
 shared two-tier :class:`~repro.runtime.store.ArtifactStore` (the generic
-machinery — memory LRU of masters served as copies, atomic disk
+machinery — memory LRU of frozen masters served as they are, atomic disk
 artifacts, corruption-degrades-to-miss — lives there; the stage-graph
 runtime uses the same store for workload instances and simulation report
-streams).  This module keeps the transform-specific parts: SHA-256 keys
+streams).  Every transform result is therefore a frozen, shared
+automaton: rename one with ``shallow_clone(name=...)`` and mutate a
+``copy()``.  This module keeps the transform-specific parts: SHA-256 keys
 salted by the pipeline :data:`CODE_VERSION`, the ``transform.cache``
 span, and the ``repro_transform_cache_*`` metric family.
 
@@ -55,8 +57,8 @@ class AutomatonCodec(Codec):
         # malformed payload, which the store degrades to a corrupt miss.
         return Automaton.loads(text)
 
-    def copy(self, obj):
-        return obj.copy()
+    def freeze(self, obj):
+        return obj.freeze()
 
 
 #: Shared codec instance (stateless).
@@ -87,7 +89,7 @@ class TransformCache(ArtifactStore):
 
     # -- lookup / store ------------------------------------------------
     def get(self, key, op="?"):
-        """Cached automaton for ``key`` (a fresh copy) or ``None``."""
+        """Cached automaton for ``key`` (the frozen master) or ``None``."""
         return super().get(key, AUTOMATON_CODEC, context=op)
 
     def put(self, key, automaton, op="?"):
@@ -98,7 +100,7 @@ class TransformCache(ArtifactStore):
         """Memoize ``build()``: return ``(automaton, hit)``.
 
         ``hit`` is the serving tier (``"memory"``/``"disk"``) or ``None``
-        when ``build`` actually ran.
+        when ``build`` actually ran; either way the automaton is frozen.
         """
         key = self.key(op, source, **params)
         if OBS.active:

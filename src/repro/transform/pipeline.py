@@ -56,7 +56,7 @@ def _run_stage(stage, func, source):
 def to_rate(automaton, nibbles_per_cycle, minimized=True):
     """Transform an 8-bit automaton to process ``nibbles_per_cycle`` nibbles.
 
-    Returns a 4-bit automaton of arity ``nibbles_per_cycle``.  Report
+    Returns a frozen 4-bit automaton of arity ``nibbles_per_cycle``.  Report
     positions are preserved in nibble units: a byte-automaton report at
     byte ``t`` appears at nibble position ``2t + 1`` at any rate.
     """
@@ -69,17 +69,17 @@ def to_rate(automaton, nibbles_per_cycle, minimized=True):
         "nibble", lambda: to_nibbles(automaton, minimized=minimized),
         automaton)
     if nibbles_per_cycle == 1:
-        # Same naming scheme at every rate: the caller owns the returned
-        # machine (a fresh build or a cache copy), so renaming is safe.
-        nibble_automaton.name = "%s.1nibble" % automaton.name
-        return nibble_automaton
+        # Same naming scheme at every rate.  Transform results are
+        # frozen cache masters, so the rename is an O(1) frozen clone.
+        return nibble_automaton.shallow_clone(
+            name="%s.1nibble" % automaton.name)
     strided = _run_stage(
         "stride",
         lambda: stride(nibble_automaton, nibbles_per_cycle,
                        minimized=minimized),
         nibble_automaton)
-    strided.name = "%s.%dnibble" % (automaton.name, nibbles_per_cycle)
-    return strided
+    return strided.shallow_clone(
+        name="%s.%dnibble" % (automaton.name, nibbles_per_cycle))
 
 
 def transform_overhead(automaton, rates=SUPPORTED_RATES, minimized=True):

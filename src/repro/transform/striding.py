@@ -492,12 +492,10 @@ def stride(automaton, factor, minimized=True):
             applied *= 2
             current = square(
                 current, minimized=minimized and applied >= factor)
-        if current is automaton:
-            # Factor 1 is a rename-only pass: share the (immutable)
-            # STEs instead of deep-copying the whole machine.
-            current = automaton.shallow_clone()
-        current.name = automaton.name + (".x%d" % factor if factor > 1 else "")
-        return current
+        # Rename a clone: ``current`` is the source (factor 1) or a
+        # frozen ``square`` cache master, neither of which may change.
+        return current.shallow_clone(
+            name=automaton.name + (".x%d" % factor if factor > 1 else ""))
 
     return memoize("stride", automaton, build,
                    factor=factor, minimized=minimized)

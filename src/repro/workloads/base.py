@@ -47,6 +47,16 @@ class WorkloadInstance:
         #: The paper's Table 1 row for this benchmark (reference values).
         self.paper_row = paper_row or {}
 
+    def freeze(self):
+        """Freeze the instance's automaton for good; returns ``self``.
+
+        The artifact store freezes every instance it holds and serves
+        that one object to every reader (see
+        :meth:`~repro.automata.automaton.Automaton.freeze`).
+        """
+        self.automaton.freeze()
+        return self
+
     def measured_behavior(self):
         """Simulate and return the Table 1 row for this instance."""
         row = reporting_behavior(self.automaton, list(self.input_bytes))

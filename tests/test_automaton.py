@@ -1,8 +1,13 @@
 """Tests for Ste and Automaton structure."""
 
+import hashlib
+import pickle
+import weakref
+
 import pytest
 
 from repro.automata import Automaton, StartKind, Ste, SymbolSet, single_pattern
+from repro.automata import automaton as automaton_module
 from repro.errors import AutomatonError
 
 
@@ -148,6 +153,68 @@ class TestAutomaton:
         assert summary["states"] == 4
         assert summary["report_states"] == 1
         assert summary["report_state_pct"] == 25.0
+
+
+class _CountingHashlib:
+    """Stands in for the module's ``hashlib``; counts sha256 objects."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sha256(self, *args):
+        self.calls += 1
+        return hashlib.sha256(*args)
+
+
+class TestFrozen:
+    def test_frozen_machine_hashes_once(self, monkeypatch):
+        counting = _CountingHashlib()
+        monkeypatch.setattr(automaton_module, "hashlib", counting)
+        machine = single_pattern("p", b"abc")
+        machine.fingerprint()
+        machine.fingerprint()
+        assert counting.calls == 2  # unfrozen: every call hashes
+        first = machine.freeze().fingerprint()
+        assert counting.calls == 3
+        assert machine.fingerprint() == first
+        assert counting.calls == 3
+
+    def test_freeze_is_idempotent(self):
+        machine = single_pattern("p", b"abc")
+        assert machine.freeze() is machine
+        assert machine.freeze().frozen
+
+    def test_shallow_clone_of_frozen_shares_and_stays_frozen(self):
+        source = single_pattern("p", b"abc").freeze()
+        clone = source.shallow_clone(name="other")
+        assert clone.frozen
+        assert clone._succ is source._succ
+        assert clone.name == "other"
+        assert clone.fingerprint() != source.fingerprint()
+        with pytest.raises(AutomatonError):
+            clone.add_transition("p_0", "p_2")
+
+    def test_shallow_clone_of_unfrozen_is_independent(self):
+        source = single_pattern("p", b"abc")
+        clone = source.shallow_clone(name="other")
+        assert not clone.frozen
+        clone.remove_state("p_2")
+        assert "p_2" in source and source.successors("p_1") == {"p_2"}
+
+    def test_copy_of_frozen_is_mutable(self):
+        duplicate = single_pattern("p", b"ab").freeze().copy()
+        assert not duplicate.frozen
+        duplicate.remove_state("p_1")
+
+    def test_frozen_survives_pickling_and_stays_weakrefable(self):
+        machine = single_pattern("p", b"abc").freeze()
+        digest = machine.fingerprint()
+        loaded = pickle.loads(pickle.dumps(machine))
+        assert loaded.frozen
+        assert loaded.fingerprint() == digest
+        with pytest.raises(AutomatonError):
+            loaded.name = "renamed"
+        assert weakref.ref(loaded)() is loaded
 
 
 class TestSinglePattern:

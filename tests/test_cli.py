@@ -5,6 +5,25 @@ import pytest
 from repro.cli import main
 
 
+def test_store_path_that_is_not_a_directory_exits_2(tmp_path, capsys):
+    from repro.runtime import store as runtime_store
+    from repro.transform import cache as transform_cache
+
+    path = tmp_path / "not-a-dir"
+    path.write_text("x", encoding="utf-8")
+    try:
+        for argv in (["experiment", "table1", "--scale", "0.002"],
+                     ["runtime", "info"]):
+            assert main(["--artifact-dir", str(path)] + argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert str(path) in captured.err
+    finally:
+        runtime_store.configure()
+        transform_cache.configure()
+
+
 class TestCompile:
     def test_summary(self, capsys):
         assert main(["compile", "abc"]) == 0

@@ -66,6 +66,10 @@ class TestGoldenOutputs:
         claims = scorecard.build_scorecard(scale=SCALE)
         assert scorecard.render(claims) == GOLDEN["scorecard"]
         assert scorecard.to_json(claims) == GOLDEN["scorecard_json"]
+        # Hits share masters, so an eviction is the only way one
+        # scorecard would re-run a stage: the default tiers must hold it.
+        assert runtime_store.get_store().stats["evictions"] == 0
+        assert transform_cache.get_cache().stats["evictions"] == 0
 
 
 class TestWorkerInvariance:

@@ -14,6 +14,7 @@ from repro.automata import (
     union,
 )
 from repro.automata.ops import longest_simple_path_bound, reachable_from
+from repro.errors import AutomatonError
 from repro.sim import BitsetEngine
 from conftest import random_automaton
 
@@ -47,20 +48,35 @@ class TestDegreeStatistics:
         assert stats["max_fan_in"] == 0
 
 
+def _identical_branches():
+    """Two identical chains from one start: two states are redundant."""
+    automaton = Automaton(bits=8)
+    automaton.new_state("s", SymbolSet.of(8, [1]), start="all-input")
+    for branch in ("x", "y"):
+        automaton.new_state(branch + "1", SymbolSet.of(8, [2]))
+        automaton.new_state(branch + "2", SymbolSet.of(8, [3]),
+                            report=True, report_code="r")
+        automaton.add_transition("s", branch + "1")
+        automaton.add_transition(branch + "1", branch + "2")
+    return automaton
+
+
 class TestMinimize:
     def test_merges_identical_branches(self):
         # Two identical chains from the same start should collapse.
-        automaton = Automaton(bits=8)
-        automaton.new_state("s", SymbolSet.of(8, [1]), start="all-input")
-        for branch in ("x", "y"):
-            automaton.new_state(branch + "1", SymbolSet.of(8, [2]))
-            automaton.new_state(branch + "2", SymbolSet.of(8, [3]),
-                                report=True, report_code="r")
-            automaton.add_transition("s", branch + "1")
-            automaton.add_transition(branch + "1", branch + "2")
+        automaton = _identical_branches()
         removed = minimize(automaton)
         assert removed == 2
         assert len(automaton) == 3
+
+    def test_frozen_machine_raises_only_when_it_would_merge(self):
+        redundant = _identical_branches().freeze()
+        with pytest.raises(AutomatonError):
+            minimize(redundant)
+        assert len(redundant) == 5
+        minimal = _identical_branches()
+        minimize(minimal)
+        assert minimize(minimal.freeze()) == 0
 
     def test_does_not_merge_different_reports(self):
         automaton = Automaton(bits=8)

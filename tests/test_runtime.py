@@ -1,7 +1,8 @@
 """Tests for the stage-graph runtime (repro.runtime).
 
 Covers the artifact store's tiers (memory LRU, atomic disk artifacts,
-corruption-degrades-to-miss), the per-kind codecs' round trips, graph
+corruption-degrades-to-miss, frozen shared masters, a bad path failing
+at construction), the per-kind codecs' round trips, graph
 construction (deduplication, topological keys, error cases), and the
 scheduler's demand pruning — a warm store must skip the expensive
 upstream stages entirely.
@@ -13,10 +14,13 @@ import os
 import pytest
 
 from repro import obs
-from repro.errors import ArtifactError, StageGraphError
+from repro.automata import Ste, SymbolSet, ops, single_pattern, union
+from repro.automata.indexed import IndexedAutomaton
+from repro.errors import (ArtifactError, AutomatonError, SimulationError,
+                          StageGraphError)
 from repro.runtime import store as runtime_store
-from repro.runtime.artifacts import (INSTANCE_CODEC, JSON_CODEC,
-                                     SIMRUN_CODEC, SimRun)
+from repro.runtime.artifacts import (AUTOMATON_CODEC, INSTANCE_CODEC,
+                                     JSON_CODEC, SIMRUN_CODEC, SimRun)
 from repro.runtime.graph import Runtime, StageGraph
 from repro.runtime.stages import REGISTRY, canonical, get_stage
 from repro.runtime.store import ArtifactStore, JsonCodec, artifact_key
@@ -71,7 +75,7 @@ class TestCodecs:
 
     def test_json_codec_copy_decouples(self):
         master = {"rows": [1, 2]}
-        served = JSON_CODEC.copy(master)
+        served = JSON_CODEC.freeze(master)
         served["rows"].append(3)
         assert master["rows"] == [1, 2]
 
@@ -84,11 +88,10 @@ class TestCodecs:
         assert decoded.paper_row == instance.paper_row
         assert decoded.automaton.dumps() == instance.automaton.dumps()
 
-    def test_instance_codec_copy_decouples_automaton(self):
+    def test_instance_codec_freezes_in_place(self):
         instance = _instance()
-        copy = INSTANCE_CODEC.copy(instance)
-        assert copy.automaton is not instance.automaton
-        assert copy.automaton.dumps() == instance.automaton.dumps()
+        assert INSTANCE_CODEC.freeze(instance) is instance
+        assert instance.automaton.frozen
 
     def test_simrun_codec_round_trip(self):
         instance = _instance()
@@ -166,6 +169,101 @@ class TestArtifactStore:
         runtime_store.configure()  # reset so get_store re-reads the env
         runtime_store._ACTIVE = None
         assert runtime_store.get_store().directory == str(tmp_path)
+
+    def test_path_that_is_not_a_directory_fails_at_construction(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "not-a-dir"
+        path.write_text("x", encoding="utf-8")
+        for build in (ArtifactStore, runtime_store.configure,
+                      transform_cache.TransformCache,
+                      transform_cache.configure):
+            with pytest.raises(ArtifactError, match=str(path)):
+                build(directory=str(path))
+        # The env-var path reaches the store lazily, from inside
+        # minimize()'s marker lookup, which must not swallow the error.
+        monkeypatch.setenv(transform_cache.ENV_VAR, str(path))
+        monkeypatch.setattr(transform_cache, "_ACTIVE", None)
+        monkeypatch.setattr(ops, "_MINIMAL_FINGERPRINTS", {})
+        with pytest.raises(ArtifactError, match=str(path)):
+            ops.minimize(single_pattern("p", b"abc"))
+
+
+def _served_machine():
+    return union([single_pattern("a", b"abc"), single_pattern("b", b"abd")],
+                 name="served")
+
+
+def _first_edge(machine):
+    return next(iter(machine.transitions()))
+
+
+def _rebind(attr):
+    def mutate(machine):
+        setattr(machine, attr, getattr(machine, attr))
+    return mutate
+
+
+#: Every way to change an automaton; each must raise once it is frozen.
+MUTATORS = {
+    "add_state": lambda m: m.add_state(
+        Ste("fresh", SymbolSet.single(8, ord("z")))),
+    "add_transition": lambda m: m.add_transition(*_first_edge(m)),
+    "remove_transition": lambda m: m.remove_transition(*_first_edge(m)),
+    "remove_state": lambda m: m.remove_state(m.state_ids()[-1]),
+    "prune_unreachable": lambda m: m.prune_unreachable(),
+    "merge_in": lambda m: m.merge_in(single_pattern("c", b"xy"), "m_"),
+    "rebind_name": _rebind("name"),
+    "rebind_bits": _rebind("bits"),
+    "rebind_states": _rebind("_states"),
+    "write_back": lambda m: IndexedAutomaton.from_automaton(m).write_back(m),
+}
+
+
+def _served(tmp_path, codec, obj, tier):
+    """``obj`` put into a disk-backed store, then served from ``tier``."""
+    store = ArtifactStore(directory=str(tmp_path))
+    store.put("k", obj, codec)
+    if tier == "disk":
+        # A fresh store on the same directory models a new process.
+        store = ArtifactStore(directory=str(tmp_path))
+    served = store.get("k", codec)
+    assert store.stats["%s_hits" % tier] == 1
+    return store, served
+
+
+class TestFrozenMasters:
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    def test_served_automaton_mutators_raise(self, tmp_path, tier, mutator):
+        store, served = _served(tmp_path, AUTOMATON_CODEC,
+                                _served_machine(), tier)
+        before = served.dumps()
+        with pytest.raises(AutomatonError, match="frozen"):
+            MUTATORS[mutator](served)
+        assert served.dumps() == before
+        assert store.get("k", AUTOMATON_CODEC) is served
+
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_served_run_recorder_refuses_records(self, tmp_path, tier):
+        instance = _instance()
+        run = get_stage("simulate8").func({"name": instance.name}, instance)
+        store, served = _served(tmp_path, SIMRUN_CODEC, run, tier)
+        recorder = served.recorder
+        total = recorder.total_reports
+        with pytest.raises(SimulationError):
+            recorder.record(0, 0, "s", "code")
+        with pytest.raises(SimulationError):
+            recorder.record_cycle(0, [(0, "s", "code")], 1)
+        with pytest.raises(SimulationError):
+            recorder.absorb(ReportRecorder())
+        assert recorder.total_reports == total
+        assert store.get("k", SIMRUN_CODEC) is served
+
+    @pytest.mark.parametrize("tier", ["memory", "disk"])
+    def test_served_instance_automaton_is_frozen(self, tmp_path, tier):
+        store, served = _served(tmp_path, INSTANCE_CODEC, _instance(), tier)
+        assert served.automaton.frozen
+        assert store.get("k", INSTANCE_CODEC) is served
 
 
 class TestCanonical:

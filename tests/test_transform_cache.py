@@ -15,6 +15,7 @@ import pytest
 
 from repro import obs
 from repro.automata import single_pattern, union
+from repro.errors import AutomatonError
 from repro.transform import cache as transform_cache
 from repro.transform import (
     check_equivalent,
@@ -74,13 +75,26 @@ class TestMemoryTier:
         assert first.dumps() == second.dumps()
         assert _stats()["memory_hits"] == 1
 
-    def test_hits_return_independent_copies(self):
+    def test_hits_share_the_frozen_master(self):
         a = single_pattern("pat", b"hello")
         first = to_nibbles(a)
         second = to_nibbles(a)
-        assert first is not second
-        first.name = "mutated"
-        assert to_nibbles(a).name != "mutated"
+        assert second is first
+        assert first.frozen
+        with pytest.raises(AutomatonError):
+            first.name = "mutated"
+        assert to_nibbles(a).name == "pat.nibble"
+
+    def test_renames_never_reach_a_cached_master(self):
+        a = single_pattern("pat", b"hello")
+        for rate in (1, 2, 4):
+            assert to_rate(a, rate).name == "pat.%dnibble" % rate
+        nibble = to_nibbles(a)
+        assert nibble.name == a.name + ".nibble"
+        assert stride(nibble, 2).name == a.name + ".nibble.x2"
+        # stride(…, 4) renamed the outer square of its build.
+        inner = square(nibble, minimized=False)
+        assert square(inner).name == a.name + ".nibble.x2.x2"
 
     def test_structurally_equal_sources_share_entries(self):
         first = to_nibbles(single_pattern("pat", b"xyz"))
