@@ -23,8 +23,7 @@ COMMAND = ["experiment", "table4", "--scale", "0.005"]
 
 def _env():
     env = dict(os.environ)
-    for name in ("REPRO_ARTIFACT_DIR", "REPRO_TRANSFORM_CACHE",
-                 "REPRO_PROGRESS"):
+    for name in ("REPRO_ARTIFACT_DIR", "REPRO_PROGRESS"):
         env.pop(name, None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

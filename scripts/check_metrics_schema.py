@@ -39,7 +39,6 @@ from repro.obs import validate_snapshot  # noqa: E402
 from repro.regex import compile_ruleset  # noqa: E402
 from repro.runtime import store as runtime_store  # noqa: E402
 from repro.sim import BitsetEngine, stream_for  # noqa: E402
-from repro.transform import cache as transform_cache  # noqa: E402
 
 #: Metric families the profiled table4 run must populate.  The engine/
 #: transform families are recorded in pool workers under ``--workers 2``,
@@ -153,7 +152,7 @@ def check_prefilter_metrics():
     from repro.prefilter import build_prefilter, gated_simulation
     from repro.sim import ReportRecorder
 
-    transform_cache.configure()  # fresh cache so the build is a miss
+    runtime_store.configure()  # fresh store so the build is a miss
     filterable = compile_ruleset(["needle", "abc[0-9]"])
     unfilterable = compile_ruleset(["a.*b"])
     data = b"x" * 400 + b"needle" + b"y" * 400
@@ -225,11 +224,9 @@ def check_plan_metrics():
 
 
 def check(scale="0.002"):
-    # A warm transform cache or artifact store would serve every stage
-    # as a hit, which is (correctly) excluded from the *_seconds
-    # histograms — pin the cold-run exposition by starting from fresh
-    # memory-only stores.
-    transform_cache.configure()
+    # A warm artifact store would serve every stage as a hit, which is
+    # (correctly) excluded from the *_seconds histograms — pin the
+    # cold-run exposition by starting from a fresh memory-only store.
     runtime_store.configure()
     with tempfile.TemporaryDirectory() as tmp:
         metrics_path = pathlib.Path(tmp) / "metrics.json"

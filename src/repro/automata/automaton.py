@@ -23,7 +23,7 @@ from .symbolset import SymbolSet
 #: Format tag + version written into (and required from) every payload
 #: produced by :meth:`Automaton.to_payload`.  Bump the version whenever
 #: the payload shape changes; old artifacts then deserialize as errors
-#: (which the transform cache treats as misses).
+#: (which the artifact store treats as misses).
 PAYLOAD_FORMAT = "repro-automaton"
 PAYLOAD_VERSION = 1
 

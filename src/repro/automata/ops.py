@@ -235,41 +235,18 @@ def _prefix_protected(automaton):
 #: (bounded FIFO); probed before any minimization work is done.
 _MINIMAL_FINGERPRINTS = {}
 _MINIMAL_LIMIT = 4096
-#: Cache-key op for the cross-process known-minimal markers stored in
-#: the transform cache (content-addressed by fingerprint, like traits).
-MINIMAL_OP = "minimal"
-
-
-def _minimal_marker_store():
-    """The process-wide transform cache, which holds the markers.
-
-    Imported lazily: ``repro.transform`` depends on this package, so a
-    module-level import would be circular.
-    """
-    from ..transform import cache as transform_cache
-    return transform_cache.get_cache()
 
 
 def _is_known_minimal(fingerprint):
     """Whether ``fingerprint`` was recorded as a minimal machine."""
-    if fingerprint in _MINIMAL_FINGERPRINTS:
-        return True
-    if _minimal_marker_store().has_marker(MINIMAL_OP, fingerprint):
-        _remember_minimal(fingerprint)
-        return True
-    return False
-
-
-def _remember_minimal(fingerprint):
-    if len(_MINIMAL_FINGERPRINTS) >= _MINIMAL_LIMIT:
-        _MINIMAL_FINGERPRINTS.pop(next(iter(_MINIMAL_FINGERPRINTS)))
-    _MINIMAL_FINGERPRINTS[fingerprint] = True
+    return fingerprint in _MINIMAL_FINGERPRINTS
 
 
 def _record_minimal(fingerprint):
-    """Record ``fingerprint`` in-process and in the transform cache."""
-    _remember_minimal(fingerprint)
-    _minimal_marker_store().put_marker(MINIMAL_OP, fingerprint)
+    """Record ``fingerprint`` as a minimal machine in this process."""
+    if len(_MINIMAL_FINGERPRINTS) >= _MINIMAL_LIMIT:
+        _MINIMAL_FINGERPRINTS.pop(next(iter(_MINIMAL_FINGERPRINTS)))
+    _MINIMAL_FINGERPRINTS[fingerprint] = True
 
 
 @gc_paused
@@ -286,12 +263,13 @@ def minimize(automaton, max_rounds=32):
     writes the surviving graph back in place.  Output is bit-exact
     against the oracle (``tests/test_indexed.py``).
 
-    Machines whose fingerprint the cache already recorded as minimal
-    (a previous ``minimize`` left them unchanged or produced them) are
-    skipped outright: the fingerprint probe costs one canonical hash
-    instead of a full screening pass.  A frozen machine returns 0 when
-    it is already minimal and raises :class:`~repro.errors.AutomatonError`
-    only if minimization would merge states.
+    Machines whose fingerprint this process already recorded as minimal
+    (a previous ``minimize`` left them unchanged or produced them, or
+    ``square`` built them) are skipped outright: the fingerprint probe
+    costs one canonical hash instead of a full screening pass.  A
+    frozen machine returns 0 when it is already minimal and raises
+    :class:`~repro.errors.AutomatonError` only if minimization would
+    merge states.
     """
     fingerprint = automaton.fingerprint()
     if _is_known_minimal(fingerprint):

@@ -138,9 +138,9 @@ class Ste:
 
         Every field of an existing STE is already canonical (validated
         at construction), so the copy skips ``__init__`` validation —
-        cloning is the inner loop of ``Automaton.copy`` and the
-        transform cache's put path, where re-validating hundreds of
-        thousands of states per pipeline run was pure overhead.
+        cloning is the inner loop of ``Automaton.copy``, where
+        re-validating hundreds of thousands of states per pipeline run
+        was pure overhead.
         """
         return ste_from_canonical(
             state_id if state_id is not None else self.id,

@@ -11,8 +11,7 @@ Commands
 ``workload``     generate a synthetic benchmark and print its Table-1 row
 ``trace``        cycle-by-cycle execution trace for debugging
 ``profile``      run any other command with telemetry collection on
-``cache``        inspect or clear the content-addressed transform cache
-``runtime``      inspect or clear the stage-graph artifact store
+``runtime``      inspect or clear the artifact store
 
 ``match``, ``experiment``, and ``workload`` additionally accept
 ``--metrics-out metrics.json`` / ``--trace-out trace.json`` to export the
@@ -20,18 +19,12 @@ telemetry gathered during the run (see docs/observability.md).  The
 workload-driven experiments accept ``--workers N`` to fan benchmark
 evaluations across processes (see docs/performance.md).
 
-The global ``--transform-cache DIR`` flag (or the
-``REPRO_TRANSFORM_CACHE`` environment variable) adds an on-disk tier to
-the transform cache, persisting compiled nibble/strided automata across
-runs and sharing them between ``--workers`` processes.
-
 The global ``--artifact-dir DIR`` flag (or the ``REPRO_ARTIFACT_DIR``
-environment variable) does the same for the stage-graph runtime's
-artifact store: generated workloads, simulation report streams, and
-result rows persist across runs, so a warm directory re-renders every
-table without re-executing the expensive stages.  Unless
-``--transform-cache`` names its own directory, the transform cache
-piggybacks on ``DIR/transforms``.
+environment variable) adds an on-disk tier to the artifact store:
+compiled nibble/strided automata, generated workloads, simulation report
+streams, and result rows persist across runs and are shared between
+``--workers`` processes, so a warm directory re-renders every table
+without re-executing the expensive stages.
 
 The global ``--plan {auto,<json>}`` flag is the only way to choose how
 a run executes: an inline :class:`~repro.exec.ExecutionPlan` JSON
@@ -46,7 +39,6 @@ would pick and why (see docs/architecture.md).
 """
 
 import argparse
-import os
 import sys
 
 from . import experiments, obs
@@ -59,7 +51,6 @@ from .regex import compile_ruleset
 from .runtime import store as runtime_store
 from .sim import stream_for
 from .sim.trace import Tracer
-from .transform import cache as transform_cache
 from .transform import to_rate, transform_overhead
 from .workloads import BENCHMARK_NAMES, generate
 
@@ -266,18 +257,14 @@ def cmd_compare(args):
     return 0
 
 
-def cmd_cache(args):
-    """Inspect or clear the content-addressed transform cache."""
-    cache = transform_cache.get_cache()
+def cmd_runtime(args):
+    """Inspect or clear the artifact store."""
+    store = runtime_store.get_store()
     if args.action == "clear":
-        removed = cache.clear()
-        print("removed %d cached entries" % removed)
+        removed = store.clear()
+        print("removed %d cached artifacts" % removed)
         return 0
-    _print_store_info(cache.info())
-    return 0
-
-
-def _print_store_info(info):
+    info = store.info()
     stats = info.pop("stats")
     width = max(len(key) for key in info)
     for key, value in info.items():
@@ -285,16 +272,6 @@ def _print_store_info(info):
                             value if value is not None else "(memory only)"))
     print("%-*s  %s" % (width, "stats", ", ".join(
         "%s=%d" % (key, stats[key]) for key in sorted(stats))))
-
-
-def cmd_runtime(args):
-    """Inspect or clear the stage-graph artifact store."""
-    store = runtime_store.get_store()
-    if args.action == "clear":
-        removed = store.clear()
-        print("removed %d cached artifacts" % removed)
-        return 0
-    _print_store_info(store.info())
     return 0
 
 
@@ -340,7 +317,6 @@ def _run_observed(func, args, metrics_out, trace_out, summarize):
 #: the wrapped command: the wrapped argv starts at the subcommand, so
 #: flags given before ``profile`` only exist on the outer namespace.
 _ROOT_FLAG_DEFAULTS = {
-    "transform_cache": None,
     "artifact_dir": None,
     "plan": "auto",
 }
@@ -372,21 +348,10 @@ def cmd_profile(args):
 
 
 def _apply_store_flags(args):
-    """Honor ``--transform-cache`` / ``--artifact-dir`` by reconfiguring
-    the process-wide stores.
-
-    With ``--artifact-dir`` alone, the transform cache defaults to a
-    ``transforms/`` subdirectory so one flag persists every artifact
-    kind; an explicit ``--transform-cache`` wins.
-    """
-    cache_directory = getattr(args, "transform_cache", None)
+    """Honor ``--artifact-dir`` by reconfiguring the process-wide store."""
     artifact_directory = getattr(args, "artifact_dir", None)
     if artifact_directory:
         runtime_store.configure(directory=artifact_directory)
-        if not cache_directory:
-            cache_directory = os.path.join(artifact_directory, "transforms")
-    if cache_directory:
-        transform_cache.configure(directory=cache_directory)
 
 
 def _add_observability_flags(parser):
@@ -402,14 +367,10 @@ def build_parser():
         description="Sunder (MICRO'21) reproduction toolkit",
     )
     parser.add_argument(
-        "--transform-cache", metavar="DIR", default=None,
-        help="persist compiled transform artifacts in DIR (also: "
-             "REPRO_TRANSFORM_CACHE)")
-    parser.add_argument(
         "--artifact-dir", metavar="DIR", default=None,
-        help="persist stage-graph artifacts (workloads, simulation "
-             "runs, result rows) in DIR (also: REPRO_ARTIFACT_DIR); "
-             "the transform cache defaults to DIR/transforms")
+        help="persist artifacts (compiled automata, workloads, "
+             "simulation runs, result rows) in DIR (also: "
+             "REPRO_ARTIFACT_DIR)")
     parser.add_argument(
         "--plan", default="auto", metavar="PLAN",
         help="execution plan as an inline repro-exec-plan JSON document, "
@@ -494,13 +455,8 @@ def build_parser():
     trace_parser.add_argument("--max-cycles", type=int, default=100)
     trace_parser.set_defaults(func=cmd_trace)
 
-    cache_parser = commands.add_parser(
-        "cache", help="inspect or clear the transform cache")
-    cache_parser.add_argument("action", choices=["info", "clear"])
-    cache_parser.set_defaults(func=cmd_cache)
-
     runtime_parser = commands.add_parser(
-        "runtime", help="inspect or clear the stage-graph artifact store")
+        "runtime", help="inspect or clear the artifact store")
     runtime_parser.add_argument("action", choices=["info", "clear"])
     runtime_parser.set_defaults(func=cmd_runtime)
 

@@ -133,67 +133,16 @@ class MultiRoundResult:
 
 
 def run_multi_round(automaton, vectors, config, max_clusters,
-                    position_limit=None, fidelity="auto", batch=False):
+                    position_limit=None, fidelity="auto"):
     """Execute ``automaton`` over ``vectors`` in as many rounds as needed.
 
     Returns a :class:`MultiRoundResult` whose recorder holds the merged
     reports of every round (identical to a single-round run on unlimited
     hardware, which the tests verify).  ``fidelity`` selects each
     round's device execution path.
-
-    With ``batch=True``, ``vectors`` is a *list of streams* and every
-    round drives all of them through one :meth:`SunderDevice.run_batch`
-    call (packed fidelity only).  The result's ``recorder`` is then a
-    list of per-lane recorders, ``stream_cycles`` is the summed lane
-    length, and ``stall_cycles`` stays 0 — the batched path bypasses
-    the reporting-region stall model.
     """
-    if batch:
-        return _run_multi_round_batch(automaton, vectors, config,
-                                      max_clusters, position_limit, fidelity)
     vectors = list(vectors)
     merged = ReportRecorder(position_limit=position_limit)
-
-    def execute(device):
-        result = device.run(vectors, position_limit=position_limit)
-        _merge_events(merged, result.reports().events)
-        return result.stall_cycles
-
-    rounds, configure_cycles, stall_cycles = _run_rounds(
-        automaton, config, max_clusters, fidelity, execute)
-    return MultiRoundResult(
-        rounds, len(vectors), configure_cycles, stall_cycles, merged,
-    )
-
-
-def _run_multi_round_batch(automaton, streams, config, max_clusters,
-                           position_limit, fidelity):
-    """Multi-round execution over N independent streams per round."""
-    streams = [list(stream) for stream in streams]
-    merged = [ReportRecorder(position_limit=position_limit)
-              for _ in streams]
-
-    def execute(device):
-        lane_recorders = device.run_batch(streams,
-                                          position_limit=position_limit)
-        for target, part in zip(merged, lane_recorders):
-            _merge_events(target, part.events)
-        return 0  # the batched path bypasses the stall model
-
-    rounds, configure_cycles, _ = _run_rounds(
-        automaton, config, max_clusters, fidelity, execute)
-    return MultiRoundResult(
-        rounds, sum(len(stream) for stream in streams),
-        configure_cycles, 0, merged,
-    )
-
-
-def _run_rounds(automaton, config, max_clusters, fidelity, execute):
-    """The shared round skeleton: partition, configure, run, account.
-
-    ``execute(device)`` runs one configured round and returns its stall
-    cycles.  Returns ``(rounds, configure_cycles, stall_cycles)``.
-    """
     rounds = partition_rounds(automaton, config, max_clusters)
     configure_cycles = 0
     stall_cycles = 0
@@ -202,12 +151,11 @@ def _run_rounds(automaton, config, max_clusters, fidelity, execute):
                               fidelity=fidelity)
         placement = device.configure(machine)
         configure_cycles += configuration_write_cycles(placement, config)
-        stall_cycles += execute(device)
-    return len(rounds), configure_cycles, stall_cycles
-
-
-def _merge_events(target, events):
-    """Replay recorded events into the merged cross-round recorder."""
-    for event in events:
-        target.record(event.position, event.cycle, event.state_id,
-                      event.report_code)
+        result = device.run(vectors, position_limit=position_limit)
+        stall_cycles += result.stall_cycles
+        for event in result.reports().events:
+            merged.record(event.position, event.cycle, event.state_id,
+                          event.report_code)
+    return MultiRoundResult(
+        len(rounds), len(vectors), configure_cycles, stall_cycles, merged,
+    )

@@ -17,7 +17,7 @@ from .plan import (DEFAULT_PLAN, PLAN_FORMAT, PLAN_VERSION, TARGETS,
                    ExecutionPlan, resolve_plan)
 from .planner import Planner
 from .session import Session
-from .traits import (TRAITS_CODEC, TRAITS_FORMAT, TRAITS_OP, TRAITS_VERSION,
+from .traits import (TRAITS_CODEC, TRAITS_FORMAT, TRAITS_VERSION,
                      AutomatonTraits, TraitsCodec, automaton_traits)
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "TARGETS",
     "TRAITS_CODEC",
     "TRAITS_FORMAT",
-    "TRAITS_OP",
     "TRAITS_VERSION",
     "TraitsCodec",
     "automaton_traits",

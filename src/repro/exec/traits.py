@@ -9,12 +9,12 @@ them once per machine and memoizes the result twice over:
 
 - a process-wide weak map keyed on the machine object (the common case:
   one machine, many streams), and
-- a content-addressed artifact in the transform cache (key =
-  fingerprint + :data:`TRAITS_VERSION`), shared across processes and
-  runs through the same two-tier store prefilter builds use.
+- a content-addressed ``traits`` artifact in the process-wide artifact
+  store (key = fingerprint + :data:`TRAITS_VERSION`), shared across
+  processes and runs like every other artifact.
 
-Traits are derived facts, never mutated; the codec's ``copy`` serves
-the master object.
+Traits are derived facts, never mutated; the codec's inherited identity
+``freeze`` serves the master object itself.
 """
 
 import json
@@ -23,12 +23,10 @@ import weakref
 from ..automata.indexed import IndexedAutomaton
 from ..errors import ArtifactError
 from ..prefilter.literals import extract_literals
-from ..runtime.store import ArtifactStore, Codec
-from ..transform import cache as transform_cache
+from ..runtime.store import Codec, artifact_key, get_store
 
-#: Cache-key op and version salt for memoized trait computations; bump
-#: the version whenever trait derivation semantics change.
-TRAITS_OP = "traits"
+#: Version salt for memoized trait computations; bump it whenever trait
+#: derivation semantics change.
 TRAITS_VERSION = 1
 
 TRAITS_FORMAT = "repro-exec-traits"
@@ -140,8 +138,8 @@ def _compute_traits(automaton):
 def automaton_traits(automaton):
     """The (memoized) :class:`AutomatonTraits` of one machine.
 
-    Checks the in-process weak memo, then the content-addressed
-    transform cache, and only then recomputes — mirroring
+    Checks the in-process weak memo, then the artifact store, and only
+    then recomputes — mirroring
     :func:`repro.prefilter.gate.build_prefilter`'s tiering, so pool
     workers and repeated stage runs share one computation per
     fingerprint.
@@ -150,15 +148,11 @@ def automaton_traits(automaton):
         return _TRAITS_MEMO[automaton]
     except (KeyError, TypeError):
         pass
-    store = transform_cache.get_cache()
-    key = store.key(TRAITS_OP, automaton, version=TRAITS_VERSION)
-    # The transform cache narrows get/put to automata; go through the
-    # generic ArtifactStore interface with the traits codec instead.
-    traits = ArtifactStore.get(store, key, TRAITS_CODEC, context=TRAITS_OP)
-    if traits is None:
-        traits = _compute_traits(automaton)
-        ArtifactStore.put(store, key, traits, TRAITS_CODEC,
-                          context=TRAITS_OP)
+    traits, _ = get_store().fetch(
+        artifact_key(TRAITS_CODEC.kind, automaton.fingerprint(),
+                     TRAITS_VERSION),
+        TRAITS_CODEC, lambda: _compute_traits(automaton),
+        context=TRAITS_CODEC.kind)
     try:
         _TRAITS_MEMO[automaton] = traits
     except TypeError:  # pragma: no cover - unweakrefable machines

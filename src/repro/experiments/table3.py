@@ -7,10 +7,9 @@ original — the cost side of the throughput/density trade-off.
 Declared as a stage graph: one ``generate`` task per benchmark fans into
 one ``to_rate`` task per rate, and a ``table3_row`` stage derives the
 ratios.  The ``to_rate`` artifacts are the same content-addressed
-machines Table 4 and the scorecard need (key-chained through the
-transform cache's code version), so a shared artifact store makes later
-runs — and sibling experiments in the same scorecard — hit instead of
-re-transforming.
+machines Table 4 and the scorecard need, so a shared artifact store
+makes later runs — and sibling experiments in the same scorecard — hit
+instead of re-transforming.
 """
 
 from ..runtime import Runtime, StageGraph

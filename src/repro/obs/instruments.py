@@ -206,23 +206,6 @@ class Instruments:
             "(square/minimize/merge_in/union), by op — compile-side "
             "state growth made visible in profiles.", ("op",))
 
-        # --- transform cache (repro.transform.cache) ------------------
-        self.transform_cache_hits = counter(
-            "repro_transform_cache_hits_total",
-            "Transform-cache hits by serving tier.", ("tier",))
-        self.transform_cache_misses = counter(
-            "repro_transform_cache_misses_total",
-            "Transform-cache lookups that fell through to a rebuild.")
-        self.transform_cache_evictions = counter(
-            "repro_transform_cache_evictions_total",
-            "Entries evicted from the in-process LRU tier.")
-        self.transform_cache_corrupt = counter(
-            "repro_transform_cache_corrupt_total",
-            "On-disk artifacts that failed to decode (served as misses).")
-        self.transform_cache_bytes_written = counter(
-            "repro_transform_cache_bytes_written_total",
-            "Bytes of artifact JSON written to the disk tier.")
-
         # --- stage-graph runtime (repro.runtime) ----------------------
         self.runtime_stage_hits = counter(
             "repro_runtime_stage_hits_total",
@@ -235,10 +218,10 @@ class Instruments:
             "repro_runtime_stage_seconds",
             "Wall time per executed (non-cached) stage.", ("stage",),
             buckets=SECONDS_BUCKETS)
-        self.runtime_artifact_bytes_written = counter(
-            "repro_runtime_artifact_bytes_written_total",
-            "Bytes of artifact JSON written by the runtime store's disk "
-            "tier.")
+        self.runtime_artifact_corrupt = counter(
+            "repro_runtime_artifact_corrupt_total",
+            "On-disk artifacts of any kind that failed to decode (served "
+            "as misses).")
         self.stage_progress = gauge(
             "repro_stage_progress",
             "Completion fraction (0..1) of the most recent execution of "

@@ -21,8 +21,8 @@ report-dense streams.
 """
 
 from .direct_filter import LONG_LITERAL_LEN, DirectFilter, ScanResult
-from .gate import (PREFILTER_CODEC, PREFILTER_OP, PREFILTER_VERSION,
-                   Prefilter, PrefilterCodec, build_prefilter,
+from .gate import (PREFILTER_CODEC, PREFILTER_VERSION, Prefilter,
+                   PrefilterCodec, build_prefilter,
                    gated_device_run, gated_simulation, plan_windows,
                    record_hotcold_savings, scan_windows)
 from .literals import (MAX_LITERAL_LEN, LiteralExtraction, extract_literals)
@@ -33,7 +33,6 @@ __all__ = [
     "LiteralExtraction",
     "MAX_LITERAL_LEN",
     "PREFILTER_CODEC",
-    "PREFILTER_OP",
     "PREFILTER_VERSION",
     "Prefilter",
     "PrefilterCodec",

@@ -28,7 +28,7 @@ hot/cold fusion: with most states cold (see
 :func:`record_hotcold_savings`), nothing is loaded until the prefilter
 fires.
 
-Prefilter builds are memoized in the content-addressed transform cache
+Prefilter builds are memoized in the process-wide artifact store
 (:class:`PrefilterCodec`), so a ruleset's literal set is extracted once
 per corpus, not once per stream.
 """
@@ -39,16 +39,14 @@ from time import perf_counter
 from ..errors import ArtifactError, PrefilterError
 from ..extensions.hotcold import split_hot_cold
 from ..obs import OBS, trace_span
-from ..runtime.store import ArtifactStore, Codec
+from ..runtime.store import Codec, artifact_key, get_store
 from ..sim.engine import BitsetEngine
 from ..sim.inputs import stream_for, stream_shape, stream_slice
-from ..transform import cache as transform_cache
 from .direct_filter import DirectFilter
 from .literals import LiteralExtraction, extract_literals
 
-#: Cache-key op and version salt for memoized prefilter builds; bump the
-#: version whenever extraction or filter semantics change.
-PREFILTER_OP = "prefilter"
+#: Version salt for memoized prefilter builds; bump it whenever
+#: extraction or filter semantics change.
 PREFILTER_VERSION = 1
 
 #: Input prefix profiled by :func:`record_hotcold_savings` — enough to
@@ -164,44 +162,42 @@ PREFILTER_CODEC = PrefilterCodec()
 def build_prefilter(automaton):
     """Build (or fetch) the prefilter of one 8-bit source machine.
 
-    Memoized in the process-wide transform cache under a
+    Memoized in the process-wide artifact store under a
     content-addressed key (fingerprint + :data:`PREFILTER_VERSION`), so
     repeated stage runs and pool workers share one build.  The
     ``prefilter.build`` span and build instruments fire only on misses.
     """
-    store = transform_cache.get_cache()
-    key = store.key(PREFILTER_OP, automaton, version=PREFILTER_VERSION)
-    # The transform cache narrows get/put to automata; go through the
-    # generic ArtifactStore interface with the prefilter codec instead.
-    cached = ArtifactStore.get(store, key, PREFILTER_CODEC,
-                               context=PREFILTER_OP)
-    if cached is not None:
-        return cached
-    with trace_span("prefilter.build", automaton=automaton.name) as span:
-        start = perf_counter()
-        prefilter = Prefilter(extract_literals(automaton))
-        elapsed = perf_counter() - start
-        span.set_attr(filterable=prefilter.filterable,
-                      literals=len(prefilter.literals))
-    if OBS.active:
-        instruments = OBS.instruments
-        instruments.prefilter_builds.labels(
-            result="filterable" if prefilter.filterable
-            else "unfilterable").inc()
-        instruments.prefilter_build_seconds.observe(elapsed)
-        if prefilter.filterable:
-            instruments.prefilter_literals.observe(len(prefilter.literals))
-    ArtifactStore.put(store, key, prefilter, PREFILTER_CODEC,
-                      context=PREFILTER_OP)
+    def build():
+        with trace_span("prefilter.build", automaton=automaton.name) as span:
+            start = perf_counter()
+            prefilter = Prefilter(extract_literals(automaton))
+            elapsed = perf_counter() - start
+            span.set_attr(filterable=prefilter.filterable,
+                          literals=len(prefilter.literals))
+        if OBS.active:
+            instruments = OBS.instruments
+            instruments.prefilter_builds.labels(
+                result="filterable" if prefilter.filterable
+                else "unfilterable").inc()
+            instruments.prefilter_build_seconds.observe(elapsed)
+            if prefilter.filterable:
+                instruments.prefilter_literals.observe(
+                    len(prefilter.literals))
+        return prefilter
+
+    prefilter, _ = get_store().fetch(
+        artifact_key(PREFILTER_CODEC.kind, automaton.fingerprint(),
+                     PREFILTER_VERSION),
+        PREFILTER_CODEC, build, context=PREFILTER_CODEC.kind)
     return prefilter
 
 
 def _depth_bound(machine):
     """Memoized ``depth_bound()`` — an O(states) graph walk that would
     otherwise dominate gated runs on quiet streams.  Served from the
-    exec layer's trait artifacts (weak in-process memo + the
-    content-addressed transform cache), so gated callers, the planner,
-    and pool workers all share one walk per machine fingerprint.
+    exec layer's trait artifacts (weak in-process memo + the artifact
+    store), so gated callers, the planner, and pool workers all share
+    one walk per machine fingerprint.
     """
     # Imported lazily: repro.exec imports this module for its prefilter
     # bindings, so a top-level import would cycle.

@@ -2,21 +2,23 @@
 
 Public surface:
 
-- :mod:`repro.runtime.store` — the shared two-tier
-  :class:`~repro.runtime.store.ArtifactStore` (generalized from the
-  transform cache) plus the process-wide instance
-  (:func:`~repro.runtime.store.get_store` /
-  :func:`~repro.runtime.store.configure`);
-- :mod:`repro.runtime.artifacts` — codecs for workload instances,
-  simulation runs, automata, and JSON rows;
+- :mod:`repro.runtime.store` — the one two-tier
+  :class:`~repro.runtime.store.ArtifactStore` plus the process-wide
+  instance (:func:`~repro.runtime.store.get_store` /
+  :func:`~repro.runtime.store.configure`), which also holds every
+  memoized transform result;
+- :mod:`repro.runtime.artifacts` — codecs for automata, workload
+  instances, simulation runs, and JSON rows;
 - :mod:`repro.runtime.stages` — the registered stage taxonomy;
 - :mod:`repro.runtime.graph` — :class:`~repro.runtime.graph.StageGraph`
   construction and the :class:`~repro.runtime.graph.Runtime` scheduler.
 
-Only the store is imported eagerly: :mod:`repro.transform.cache`
-subclasses :class:`~repro.runtime.store.ArtifactStore`, and the
-artifact/stage modules import the transform pipeline back, so the
-higher layers resolve lazily (PEP 562) to keep that cycle open.
+Only the store is imported eagerly.  The stages import the transform
+pipeline, whose memoization (:mod:`repro.transform.cache`) imports this
+package back for the store and the automaton codec —
+``runtime.stages`` -> ``transform`` -> ``transform.cache`` ->
+``runtime`` — so the higher layers resolve lazily (PEP 562) to keep that
+cycle open.
 """
 
 from importlib import import_module

@@ -12,9 +12,14 @@ store serves that one read-only master on every hit:
 - **simulation runs** (:class:`SimRun`) — one functional-simulator pass:
   the full :class:`~repro.sim.reports.ReportRecorder` stream plus the
   cycle count and active-state statistics the Table 1 columns need;
-- **automata** — reuses the transform cache's
-  :class:`~repro.transform.cache.AutomatonCodec`;
+- **automata** (:class:`AutomatonCodec`) — the ``to_rate`` stage's
+  output and every memoized transform result
+  (:mod:`repro.transform.cache`);
 - **plain JSON values** — result rows and summaries, served as copies.
+
+The planner's traits and the prefilter builds are stored in the same
+store under codecs of their own (:mod:`repro.exec.traits`,
+:mod:`repro.prefilter.gate`).
 """
 
 import base64
@@ -23,7 +28,6 @@ import json
 from ..automata.automaton import Automaton
 from ..errors import ArtifactError
 from ..sim.reports import ReportRecorder
-from ..transform.cache import AUTOMATON_CODEC
 from ..workloads.base import WorkloadInstance
 from .store import Codec, JsonCodec
 
@@ -79,6 +83,23 @@ class SimRun:
     def __repr__(self):
         return "SimRun(cycles=%d, reports=%d)" % (
             self.cycles, self.recorder.total_reports)
+
+
+class AutomatonCodec(Codec):
+    """Codec for compiled automata (compact JSON v1 payloads)."""
+
+    kind = "automaton"
+
+    def encode(self, obj):
+        return obj.dumps()
+
+    def decode(self, text):
+        # Automaton.loads raises AutomatonError (a ReproError) on any
+        # malformed payload, which the store degrades to a corrupt miss.
+        return Automaton.loads(text)
+
+    def freeze(self, obj):
+        return obj.freeze()
 
 
 class SimRunCodec(Codec):
@@ -171,6 +192,7 @@ class InstanceCodec(Codec):
 
 
 #: Shared codec instances (all stateless).
+AUTOMATON_CODEC = AutomatonCodec()
 SIMRUN_CODEC = SimRunCodec()
 INSTANCE_CODEC = InstanceCodec()
 JSON_CODEC = JsonCodec()

@@ -37,7 +37,6 @@ from ..sim.engine import BitsetEngine
 from ..sim.inputs import stream_for, stream_shape
 from ..sim.reports import ReportRecorder
 from ..sim.stats import static_statistics
-from ..transform import cache as transform_cache
 from ..transform.pipeline import to_rate
 from ..workloads import registry as workloads
 from .artifacts import (AUTOMATON_CODEC, INSTANCE_CODEC, JSON_CODEC,
@@ -49,8 +48,8 @@ class Stage:
 
     ``codec`` names the artifact codec for cacheable stages (``None``
     means the stage re-runs every time); ``salt`` optionally derives
-    extra key material from the params (generator/transform versions) so
-    bumping an upstream code version invalidates cached results.
+    extra key material from the params (the workload generator version)
+    so bumping an upstream code version invalidates cached results.
     """
 
     def __init__(self, name, func, codec=None, salt=None):
@@ -208,11 +207,7 @@ def _simulate8(params, instance):
     return SimRun.from_engine(engine, recorder, len(stream))
 
 
-def _transform_salt(params):
-    return "transform:%s" % transform_cache.CODE_VERSION
-
-
-@stage("to_rate", codec=AUTOMATON_CODEC, salt=_transform_salt)
+@stage("to_rate", codec=AUTOMATON_CODEC)
 def _to_rate(params, instance):
     """Section 4 pipeline: 8-bit machine -> ``rate`` nibbles per cycle."""
     return to_rate(instance.automaton, params["rate"])

@@ -1,16 +1,16 @@
-"""Shared content-addressed artifact store for the stage-graph runtime.
+"""The one content-addressed artifact store.
 
-:class:`ArtifactStore` is the generalization of the transform cache's
-two-tier design (PR 3): an in-process LRU of decoded master objects plus
-an optional on-disk artifact directory of versioned JSON payloads,
-addressed by ``CODE_VERSION``-salted SHA-256 keys.  Where the transform
-cache stores only automata, the artifact store is *kind-agnostic*: every
-``get``/``put`` names a :class:`Codec` that owns the (de)serialization
-and the freezing of one artifact kind — automata, workload instances,
-simulation report streams, plain JSON rows.
+:class:`ArtifactStore` holds every artifact this reproduction caches:
+compiled automata (the Section 4 transform results and the ``to_rate``
+stage), workload instances, simulation report streams, planner traits,
+prefilter builds and plain JSON rows.  It has two tiers: an in-process
+LRU of decoded master objects plus an optional on-disk artifact
+directory of versioned JSON payloads, addressed by
+``CODE_VERSION``-salted SHA-256 keys.  Every ``get``/``put`` names a
+:class:`Codec` that owns the (de)serialization and the freezing of one
+artifact kind.
 
-Guarantees shared with the transform cache (whose :class:`TransformCache
-<repro.transform.cache.TransformCache>` is now a subclass of this store):
+Guarantees:
 
 - **memory tier** — an LRU of master objects.  ``put`` and a disk hit
   pass the object through ``codec.freeze``, which makes automata,
@@ -19,15 +19,16 @@ Guarantees shared with the transform cache (whose :class:`TransformCache
   a copy;
 - **disk tier** — ``<key>.json`` files written through a temporary file
   plus :func:`os.replace`, so concurrent writers and readers never see a
-  partial entry;
+  partial entry; :meth:`ArtifactStore.clear` also removes the temporary
+  files a killed writer leaves behind;
 - **corruption degrades to a miss** — an undecodable artifact counts as
-  ``corrupt``, is left in place for post-mortem inspection, and the
-  caller rebuilds;
+  ``corrupt`` (``repro_runtime_artifact_corrupt_total``), is left in
+  place for post-mortem inspection, and the caller rebuilds;
 - **a bad path fails at construction** — a directory path that exists
   but is not a directory raises :class:`~repro.errors.ArtifactError`.
 
 Keys produced by :func:`artifact_key` are prefixed with the codec kind
-(``simreport-<sha256>``), which keeps the artifact directory
+(``simrun-<sha256>``), which keeps the artifact directory
 self-describing and collision-free across kinds.
 """
 
@@ -40,18 +41,23 @@ from collections import OrderedDict
 from ..errors import ArtifactError, ReproError
 from ..obs import OBS
 
-#: Runtime code-version salt mixed into every stage/artifact key.  Bump
-#: whenever the semantics of a cached stage (generation, simulation,
-#: serialization formats) change so stale artifacts can never be served.
+#: Code-version salt mixed into every artifact key — the one salt of
+#: the one store.  Bump it whenever the semantics of anything stored
+#: change (generation, simulation, serialization formats, or the
+#: ``to_nibbles``/``square``/``stride``/``minimize`` transforms) so
+#: stale artifacts can never be served.
 CODE_VERSION = "2026.08-runtime-1"
 
 #: Environment variable naming the on-disk artifact directory for the
 #: process-wide store.  When unset, the store is memory-only.
 ENV_VAR = "REPRO_ARTIFACT_DIR"
 
-#: Default capacity (entries) of the in-process LRU tier.  Sized so one
-#: full-suite scorecard run (instances + report streams + strided
-#: machines + cached rows for 19 benchmarks) fits without eviction.
+#: Default capacity (entries) of the in-process LRU tier.  One scorecard
+#: holds exactly 250 artifacts at every scale from 0.002 to 0.01 (136
+#: stage artifacts plus 114 transform results), so 256 entries evict
+#: nothing.  Larger is not free: at 384, a warm scorecard (392 disk hits,
+#: no transform lookups) keeps 128 more decoded report streams alive and
+#: its peak RSS rose 24%.
 DEFAULT_MEMORY_ENTRIES = 256
 
 _STAT_KEYS = ("memory_hits", "disk_hits", "misses", "stores",
@@ -205,8 +211,6 @@ class ArtifactStore:
                 os.unlink(tmp)
             except OSError:
                 pass
-            return
-        self._record_written(len(text))
 
     def fetch(self, key, codec, build, context="?"):
         """Memoize ``build()``: return ``(artifact, hit)``.
@@ -236,7 +240,7 @@ class ArtifactStore:
             memory_used = len(self._memory)
         return {
             "directory": self.directory,
-            "code_version": self._code_version(),
+            "code_version": CODE_VERSION,
             "memory_entries": self.memory_entries,
             "memory_used": memory_used,
             "disk_entries": disk_entries,
@@ -245,19 +249,25 @@ class ArtifactStore:
         }
 
     def clear(self, memory=True, disk=True):
-        """Drop cached entries; returns the number removed."""
+        """Drop cached entries; returns the number removed.
+
+        Clearing the disk tier also deletes the ``*.json.tmp.*`` files a
+        killed writer leaves behind (they are not entries, so they are
+        not counted).  A writer racing ``clear`` loses at most its own
+        entry.
+        """
         removed = 0
         if memory:
             with self._lock:
                 removed += len(self._memory)
                 self._memory.clear()
         if disk:
-            for path in self._disk_paths():
+            for path in self._disk_paths(temporary=True):
                 try:
                     os.unlink(path)
-                    removed += 1
                 except OSError:
                     continue
+                removed += path.endswith(".json")
         return removed
 
     # -- internals -----------------------------------------------------
@@ -266,22 +276,20 @@ class ArtifactStore:
         """Serving tier of this thread's last lookup (None on miss)."""
         return getattr(self._tls, "tier", None)
 
-    def _code_version(self):
-        """Salt reported by :meth:`info` (subclasses override)."""
-        return CODE_VERSION
-
     def _path(self, key):
         return os.path.join(self.directory, key + ".json")
 
-    def _disk_paths(self):
+    def _disk_paths(self, temporary=False):
+        """Entry files, plus torn ``*.json.tmp.*`` writes if ``temporary``."""
         if self.directory is None:
             return []
         try:
             names = os.listdir(self.directory)
         except OSError:
             return []
-        return [os.path.join(self.directory, name)
-                for name in sorted(names) if name.endswith(".json")]
+        return [os.path.join(self.directory, name) for name in sorted(names)
+                if name.endswith(".json")
+                or (temporary and ".json.tmp." in name)]
 
     def _disk_get(self, key, codec, context):
         if self.directory is None:
@@ -316,19 +324,8 @@ class ArtifactStore:
             self._tls.tier = tier
         elif stat == "misses":
             self._tls.tier = None
-        self._emit(stat, context=context, tier=tier)
-
-    def _emit(self, stat, context=None, tier=None):
-        """Metric hook; the base store records nothing per lookup.
-
-        Stage-level hit/miss accounting belongs to the runtime scheduler
-        (``repro_runtime_stage_{hits,misses}_total``); subclasses with
-        their own catalogue entries (the transform cache) override this.
-        """
-
-    def _record_written(self, nbytes):
-        if OBS.active:
-            OBS.instruments.runtime_artifact_bytes_written.inc(nbytes)
+        elif stat == "corrupt" and OBS.active:
+            OBS.instruments.runtime_artifact_corrupt.inc()
 
 
 _ACTIVE = None

@@ -46,17 +46,15 @@ def default_workers():
     return os.cpu_count() or 1
 
 
-def _initialize_worker(cache_directory, artifact_directory=None):
-    """Process-pool initializer: point the worker's transform cache and
-    stage-graph artifact store at the parent's directories so workers
-    share compiled automata and stage artifacts through the disk tiers
-    instead of recomputing per process."""
+def _initialize_worker(artifact_directory):
+    """Process-pool initializer: point the worker's artifact store at the
+    parent's directory so workers share compiled automata and stage
+    artifacts through the disk tier instead of recomputing per
+    process."""
     from ..obs import OBS, detach
-    from ..runtime.store import configure as configure_store
-    from ..transform.cache import configure
+    from ..runtime.store import configure
 
-    configure(directory=cache_directory)
-    configure_store(directory=artifact_directory)
+    configure(directory=artifact_directory)
     # Under fork the child inherits the parent's attached collector; a
     # worker recording into that forked copy would lose every sample, so
     # start blind and let fleet capture attach per job.
@@ -112,8 +110,6 @@ class ParallelRunner:
         pool_workers = min(self.workers, len(jobs)) if jobs else 1
         if pool_workers > 1:
             from ..runtime.store import get_store
-            from ..transform.cache import get_cache
-            cache_directory = get_cache().directory
             artifact_directory = get_store().directory
             chunksize = self._resolve_chunksize(len(jobs), pool_workers)
             with trace_span("parallel.map", workers=pool_workers,
@@ -123,8 +119,7 @@ class ParallelRunner:
                     with ProcessPoolExecutor(
                             max_workers=pool_workers,
                             initializer=_initialize_worker,
-                            initargs=(cache_directory,
-                                      artifact_directory)) as pool:
+                            initargs=(artifact_directory,)) as pool:
                         if capture:
                             payloads = fleet.observed_jobs(
                                 func, jobs, context=span.context,

@@ -1,14 +1,6 @@
 """Hardware-aware automata transformations (paper Section 4)."""
 
-from .cache import (
-    CODE_VERSION,
-    ENV_VAR,
-    TransformCache,
-    configure,
-    get_cache,
-    last_call_was_hit,
-    memoize,
-)
+from .cache import last_call_was_hit, memoize
 from .equivalence import byte_reports, check_equivalent
 from .nibble import (
     nibble_report_position_to_byte,
@@ -20,14 +12,9 @@ from .pipeline import SUPPORTED_RATES, to_rate, transform_overhead
 from .striding import square, stride, verify_offset_invariant
 
 __all__ = [
-    "CODE_VERSION",
-    "ENV_VAR",
     "SUPPORTED_RATES",
-    "TransformCache",
     "byte_reports",
     "check_equivalent",
-    "configure",
-    "get_cache",
     "last_call_was_hit",
     "memoize",
     "nibble_report_position_to_byte",

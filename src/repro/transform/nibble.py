@@ -71,10 +71,10 @@ def to_nibbles(automaton, minimized=True, name=None):
     name:
         Name of the produced automaton (default: ``<src>.nibble``).
 
-    Results are served through the content-addressed transform cache
-    (see :mod:`repro.transform.cache`): the result is frozen, and
-    repeated calls with a structurally identical source return the first
-    build itself.  Call ``copy()`` on it before mutating.
+    Results are memoized in the process-wide artifact store (see
+    :mod:`repro.transform.cache`): the result is frozen, and repeated
+    calls with a structurally identical source return the first build
+    itself.  Call ``copy()`` on it before mutating.
     """
     if automaton.bits == 16 and automaton.arity == 1:
         build = lambda: _to_nibbles_wide(

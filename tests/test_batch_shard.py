@@ -2,10 +2,9 @@
 
 Every fast-path strategy — ``BitsetEngine.run_batch``,
 ``BitsetEngine.run_sharded`` (sequential and interleaved,
-in-process and through a worker pool), ``SunderDevice.run_batch``, and
-the multi-round batch path — must be *bit-exact* against the plain
-serial run: identical recorder payloads (event order included) and
-identical active-count histories.  The artifact-keying tests pin that
+in-process and through a worker pool) and ``SunderDevice.run_batch`` —
+must be *bit-exact* against the plain serial run: identical recorder
+payloads (event order included) and identical active-count histories.  The artifact-keying tests pin that
 ``batch``/``shards`` salt the simulate-stage keys while plain runs keep
 their pre-existing keys.
 """
@@ -17,7 +16,6 @@ import pytest
 from conftest import random_automaton
 from repro.automata import StartKind, SymbolSet
 from repro.core import SunderConfig, SunderDevice
-from repro.core.reconfigure import run_multi_round
 from repro.errors import ArchitectureError, SimulationError
 from repro.regex import compile_ruleset
 from repro.sim import BitsetEngine, stream_for
@@ -341,33 +339,6 @@ class TestDeviceBatchEdges:
         device = SunderDevice(SunderConfig(rate_nibbles=4, report_bits=16))
         with pytest.raises(ArchitectureError):
             device.run_batch([[(0, 0, 0, 0)]])
-
-
-class TestMultiRoundBatch:
-    def test_multi_round_batch_matches_serial_rounds(self):
-        machine = to_rate(compile_ruleset(RULES), 4)
-        config = SunderConfig(rate_nibbles=4, report_bits=16)
-        rng = random.Random(5)
-        data = _noisy_data(rng, 200)
-        streams, limit = [], None
-        for cut in range(3):
-            vectors, limit = stream_for(machine, data[cut * 60:
-                                                      (cut + 1) * 60])
-            streams.append(vectors)
-        serial = [run_multi_round(machine, vectors, config, max_clusters=8,
-                                  position_limit=limit, fidelity="packed")
-                  for vectors in streams]
-        batched = run_multi_round(machine, streams, config, max_clusters=8,
-                                  position_limit=limit, fidelity="packed",
-                                  batch=True)
-        assert batched.rounds == serial[0].rounds
-        assert batched.stall_cycles == 0
-        assert batched.stream_cycles == sum(len(s) for s in streams)
-        assert len(batched.recorder) == len(streams)
-        for part, reference in zip(batched.recorder, serial):
-            assert part.total_reports == reference.recorder.total_reports
-            assert (sorted(e.key() for e in part.events)
-                    == sorted(e.key() for e in reference.recorder.events))
 
 
 class TestDepthBound:

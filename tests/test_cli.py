@@ -3,12 +3,10 @@
 import pytest
 
 from repro.cli import main
+from repro.runtime import store as runtime_store
 
 
 def test_store_path_that_is_not_a_directory_exits_2(tmp_path, capsys):
-    from repro.runtime import store as runtime_store
-    from repro.transform import cache as transform_cache
-
     path = tmp_path / "not-a-dir"
     path.write_text("x", encoding="utf-8")
     try:
@@ -21,7 +19,22 @@ def test_store_path_that_is_not_a_directory_exits_2(tmp_path, capsys):
             assert str(path) in captured.err
     finally:
         runtime_store.configure()
-        transform_cache.configure()
+
+
+def test_artifact_dir_holds_every_kind_and_clears(tmp_path):
+    """One flag, one directory: compiled automata land next to the stage
+    artifacts, and ``runtime clear`` empties it."""
+    directory = str(tmp_path)
+    try:
+        assert main(["--artifact-dir", directory, "experiment", "table3",
+                     "--scale", "0.002"]) == 0
+        names = [path.name for path in tmp_path.iterdir()]
+        assert any(name.startswith("automaton-") for name in names)
+        assert not (tmp_path / "transforms").exists()
+        assert main(["--artifact-dir", directory, "runtime", "clear"]) == 0
+        assert not list(tmp_path.rglob("*.json"))
+    finally:
+        runtime_store.configure()
 
 
 class TestCompile:
@@ -91,10 +104,13 @@ class TestMatch:
     ["experiment", "table1", "--batch", "4"],
     ["experiment", "table1", "--shards", "auto"],
     ["plan", "explain", "a.c", "--stream-bytes", "65536"],
+    ["cache", "info"],
+    ["--transform-cache", "store", "runtime", "info"],
 ], ids=["device-fidelity", "prefilter", "hotcold-coverage", "batch",
-        "shards", "stream-bytes"])
+        "shards", "stream-bytes", "cache", "transform-cache"])
 def test_removed_strategy_flags_are_usage_errors(argv, capsys):
-    """``--plan`` is the only strategy flag; the old ones no longer parse."""
+    """``--plan`` is the only strategy flag and ``--artifact-dir`` the only
+    store flag; the old ones no longer parse."""
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2

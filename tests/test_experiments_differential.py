@@ -22,7 +22,6 @@ from repro.errors import WorkloadError
 from repro.experiments import (figure8, figure10, scorecard, table1, table3,
                                table4)
 from repro.runtime import store as runtime_store
-from repro.transform import cache as transform_cache
 from repro.workloads import generate
 
 SCALE = 0.002
@@ -34,13 +33,11 @@ GOLDEN = json.loads(
 
 
 @pytest.fixture(autouse=True)
-def fresh_stores():
-    """Every test starts and ends with pristine memory-only stores."""
+def fresh_store():
+    """Every test starts and ends with a pristine memory-only store."""
     runtime_store.configure()
-    transform_cache.configure()
     yield
     runtime_store.configure()
-    transform_cache.configure()
 
 
 class TestGoldenOutputs:
@@ -67,16 +64,15 @@ class TestGoldenOutputs:
         assert scorecard.render(claims) == GOLDEN["scorecard"]
         assert scorecard.to_json(claims) == GOLDEN["scorecard_json"]
         # Hits share masters, so an eviction is the only way one
-        # scorecard would re-run a stage: the default tiers must hold it.
+        # scorecard would re-run a stage or a transform: the default
+        # memory tier must hold all of it.
         assert runtime_store.get_store().stats["evictions"] == 0
-        assert transform_cache.get_cache().stats["evictions"] == 0
 
 
 class TestWorkerInvariance:
     def test_scorecard_identical_at_two_workers(self):
         serial = scorecard.render(scorecard.build_scorecard(scale=SCALE))
         runtime_store.configure()
-        transform_cache.configure()
         parallel = scorecard.render(
             scorecard.build_scorecard(scale=SCALE, workers=2))
         assert serial == parallel

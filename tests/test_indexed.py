@@ -7,7 +7,7 @@ same insertion order, same survivor choices, same ``dumps()`` text.  The
 legacy bodies survive as unmemoized oracles (``square_unindexed``,
 ``minimize_unindexed``) purely so this suite can keep pinning them.
 
-Bit-exactness is what keeps warm artifact stores warm: cache keys are
+Bit-exactness is what keeps warm artifact stores warm: keys are
 ``CODE_VERSION`` + structural fingerprints, and neither changed in the
 indexed rewrite, so artifacts written by the legacy kernels must still
 be served to the indexed ones (pinned below with literal fingerprints
@@ -23,6 +23,8 @@ from repro.automata import ops
 from repro.automata.indexed import IndexedAutomaton
 from repro.automata.ops import minimize, minimize_unindexed
 from repro.regex import compile_pattern
+from repro.runtime import store as runtime_store
+from repro.runtime.artifacts import AUTOMATON_CODEC
 from repro.transform import cache as transform_cache
 from repro.transform import to_nibbles
 from repro.transform.striding import _square, square, square_unindexed, stride
@@ -30,8 +32,9 @@ from repro.workloads.registry import generate
 
 #: Structural fingerprint of ``square(to_nibbles(he(llo)+))`` as produced
 #: by the pre-indexed pipeline.  If this changes, every artifact store in
-#: the field goes cold — bump ``transform.cache.CODE_VERSION`` instead of
-#: updating the constant unless the change is deliberate.
+#: the field goes cold — bump ``runtime.store.CODE_VERSION`` (the one salt
+#: of the one store) instead of updating the constant unless the change
+#: is deliberate.
 PINNED_SQUARE_FP = (
     "dbfa11cddba6a2cd3f8d02227158330e75839929bdd62b3f2d952b61d3dbc063")
 
@@ -164,26 +167,25 @@ def test_pinned_fingerprint_stability():
 
 def test_warm_store_stays_warm(tmp_path):
     """Artifacts written by the legacy kernel serve the indexed kernel."""
-    store = transform_cache.configure(directory=str(tmp_path))
+    store = runtime_store.configure(directory=str(tmp_path))
     machine = to_nibbles(compile_pattern("abc[0-9]x?", report_code="k"))
     legacy = square_unindexed(machine, minimized=True)
-    key = store.key("square", machine, minimized=True, name=None)
-    store.put(key, legacy, op="square")
+    key = transform_cache.key("square", machine, minimized=True, name=None)
+    store.put(key, legacy, AUTOMATON_CODEC)
     store.stats["memory_hits"] = 0
     try:
         served = square(machine, minimized=True)
         assert store.stats["memory_hits"] + store.stats["disk_hits"] >= 1
         assert served.dumps() == legacy.dumps()
     finally:
-        transform_cache.configure()
+        runtime_store.configure()
 
 
-def test_minimize_skip_markers(tmp_path):
+def test_minimize_skip_markers():
     """A machine once minimized is recognized and skipped thereafter."""
     machine = square_unindexed(
         to_nibbles(compile_pattern("ab+c", report_code="k")),
         minimized=False)
-    transform_cache.configure(directory=str(tmp_path))
     try:
         removed = minimize(machine)
         fingerprint = machine.fingerprint()
@@ -193,27 +195,21 @@ def test_minimize_skip_markers(tmp_path):
         again = machine.copy()
         assert minimize(again) == 0
         assert again.dumps() == machine.dumps()
-        # The marker also lives on disk: a fresh in-process memo (new
-        # cache, same directory) still sees it.
-        ops._MINIMAL_FINGERPRINTS.clear()
-        transform_cache.configure(directory=str(tmp_path))
-        assert ops._is_known_minimal(fingerprint)
         assert removed >= 0
     finally:
         ops._MINIMAL_FINGERPRINTS.clear()
-        transform_cache.configure()
 
 
 def test_square_records_result_as_minimal():
     machine = to_nibbles(compile_pattern("xy+z", report_code="k"))
-    transform_cache.configure()  # fresh store: the build must run
+    runtime_store.configure()  # fresh store: the build must run
     ops._MINIMAL_FINGERPRINTS.clear()
     try:
         squared = square(machine, minimized=True)
         assert ops._is_known_minimal(squared.fingerprint())
         assert minimize(squared.copy()) == 0
     finally:
-        transform_cache.configure()
+        runtime_store.configure()
 
 
 def test_shallow_clone_shares_states_not_edges():
@@ -231,7 +227,7 @@ def test_shallow_clone_shares_states_not_edges():
 
 
 def test_stride_factor_one_is_shallow():
-    transform_cache.configure()  # fresh, memory-only
+    runtime_store.configure()  # fresh, memory-only
     try:
         machine = rich_random_automaton(5)
         relabeled = stride(machine, 1)
@@ -239,7 +235,7 @@ def test_stride_factor_one_is_shallow():
         assert relabeled.name == machine.name
         assert relabeled.dumps() == machine.dumps()
     finally:
-        transform_cache.configure()
+        runtime_store.configure()
 
 
 def test_merge_in_matches_manual_union():

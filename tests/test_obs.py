@@ -7,6 +7,8 @@ simulator hooks emit the documented core metrics.
 """
 
 import json
+import pathlib
+import re
 import threading
 
 import pytest
@@ -412,3 +414,15 @@ class TestExperimentHooks:
         assert "c_total" in names
         # detached: metrics slot stays empty
         assert json.loads(to_json(claims))["metrics"] is None
+
+
+def test_catalogue_matches_observability_doc():
+    """Every registered instrument has a row in docs/observability.md's
+    metric tables, and every row names a registered instrument."""
+    registry = fresh()
+    obs.instruments_for(registry)
+    catalogue = {metric.name for metric in registry.collect()}
+    doc = (pathlib.Path(__file__).resolve().parent.parent / "docs"
+           / "observability.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"^\| `(repro_\w+)` \|", doc, re.MULTILINE))
+    assert catalogue == documented

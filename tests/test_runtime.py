@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro import obs
-from repro.automata import Ste, SymbolSet, ops, single_pattern, union
+from repro.automata import Ste, SymbolSet, single_pattern, union
 from repro.automata.indexed import IndexedAutomaton
 from repro.errors import (ArtifactError, AutomatonError, SimulationError,
                           StageGraphError)
@@ -26,18 +26,16 @@ from repro.runtime.stages import REGISTRY, canonical, get_stage
 from repro.runtime.store import ArtifactStore, JsonCodec, artifact_key
 from repro.core.config import SunderConfig
 from repro.sim.reports import ReportRecorder
-from repro.transform import cache as transform_cache
+from repro.transform import to_rate
 from repro.workloads import generate
 
 
 @pytest.fixture(autouse=True)
-def fresh_stores():
-    """Every test starts and ends with pristine memory-only stores."""
+def fresh_store():
+    """Every test starts and ends with a pristine memory-only store."""
     runtime_store.configure()
-    transform_cache.configure()
     yield
     runtime_store.configure()
-    transform_cache.configure()
 
 
 def _instance(name="Bro217", scale=0.002, seed=0):
@@ -164,28 +162,62 @@ class TestArtifactStore:
         assert store.clear() == 4  # two memory entries + two files
         assert store.info()["disk_entries"] == 0
 
+    def test_clear_removes_torn_temp_files(self, tmp_path):
+        store = ArtifactStore(directory=str(tmp_path))
+        store.put("json-k", 1, JSON_CODEC)
+        # What a writer killed between write and rename leaves behind.
+        (tmp_path / "json-abc.json.tmp.999.1").write_text(
+            '{"format": "repro-json"', encoding="utf-8")
+        assert store.info()["disk_entries"] == 1
+        assert store.clear() == 2  # one memory entry + one file
+        assert os.listdir(str(tmp_path)) == []
+
     def test_configure_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(runtime_store.ENV_VAR, str(tmp_path))
         runtime_store.configure()  # reset so get_store re-reads the env
         runtime_store._ACTIVE = None
         assert runtime_store.get_store().directory == str(tmp_path)
 
+    def test_env_var_alone_persists_transforms(self, tmp_path, monkeypatch):
+        machine = single_pattern("p", b"persist me")
+        monkeypatch.setenv(runtime_store.ENV_VAR, str(tmp_path))
+        monkeypatch.setattr(runtime_store, "_ACTIVE", None)
+        first = to_rate(machine, 4)
+        assert [name for name in os.listdir(str(tmp_path))
+                if name.startswith("automaton-") and name.endswith(".json")]
+        # A fresh store on the same directory models a new process.
+        runtime_store.configure(directory=str(tmp_path))
+        second = to_rate(machine, 4)
+        assert runtime_store.get_store().stats["disk_hits"] > 0
+        assert second.dumps() == first.dumps()
+
+    def test_corrupt_counter_counts_every_kind(self, tmp_path):
+        instance = _instance()
+        ArtifactStore(directory=str(tmp_path)).put(
+            "instance-k", instance, INSTANCE_CODEC)
+        path = tmp_path / "instance-k.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[:len(text) // 2], encoding="utf-8")
+        registry = obs.MetricsRegistry()
+        with obs.collecting(registry=registry):
+            store = ArtifactStore(directory=str(tmp_path))
+            assert store.get("instance-k", INSTANCE_CODEC) is None
+        assert registry.get("repro_runtime_artifact_corrupt_total").value == 1
+        assert store.stats["corrupt"] == 1
+
     def test_path_that_is_not_a_directory_fails_at_construction(
             self, tmp_path, monkeypatch):
         path = tmp_path / "not-a-dir"
         path.write_text("x", encoding="utf-8")
-        for build in (ArtifactStore, runtime_store.configure,
-                      transform_cache.TransformCache,
-                      transform_cache.configure):
+        for build in (ArtifactStore, runtime_store.configure):
             with pytest.raises(ArtifactError, match=str(path)):
                 build(directory=str(path))
-        # The env-var path reaches the store lazily, from inside
-        # minimize()'s marker lookup, which must not swallow the error.
-        monkeypatch.setenv(transform_cache.ENV_VAR, str(path))
-        monkeypatch.setattr(transform_cache, "_ACTIVE", None)
-        monkeypatch.setattr(ops, "_MINIMAL_FINGERPRINTS", {})
+        # The env-var path reaches the store lazily, from its first
+        # user, which must not swallow the error.
+        monkeypatch.setenv(runtime_store.ENV_VAR, str(path))
+        monkeypatch.setattr(runtime_store, "_ACTIVE", None)
         with pytest.raises(ArtifactError, match=str(path)):
-            ops.minimize(single_pattern("p", b"abc"))
+            to_rate(single_pattern("p", b"abc"), 4)
 
 
 def _served_machine():

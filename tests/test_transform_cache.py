@@ -1,11 +1,11 @@
-"""Tests for the content-addressed transform cache (repro.transform.cache).
+"""Tests for transform memoization in the artifact store
+(repro.transform.cache).
 
-Covers the acceptance criteria of the cache PR: cached and fresh
-transforms are structurally identical at every supported rate, the
-code-version salt invalidates entries, corrupt on-disk artifacts degrade
-to a miss with a warning metric, worker sharing goes through the disk
-tier, and cache hits are visible (and excluded from stage timing) in the
-telemetry.
+Cached and fresh transforms are structurally identical at every
+supported rate, the runtime code-version salt invalidates entries,
+corrupt on-disk artifacts degrade to a miss with a warning metric,
+sharing across processes goes through the disk tier, and store hits are
+visible (and excluded from stage timing) in the telemetry.
 """
 
 import os
@@ -16,6 +16,7 @@ import pytest
 from repro import obs
 from repro.automata import single_pattern, union
 from repro.errors import AutomatonError
+from repro.runtime import store as runtime_store
 from repro.transform import cache as transform_cache
 from repro.transform import (
     check_equivalent,
@@ -30,28 +31,27 @@ from conftest import random_automaton
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache():
-    """Every test starts and ends with a pristine memory-only cache."""
-    transform_cache.configure()
+def fresh_store():
+    """Every test starts and ends with a pristine memory-only store."""
+    runtime_store.configure()
     yield
-    transform_cache.configure()
+    runtime_store.configure()
 
 
 def _stats():
-    return transform_cache.get_cache().stats
+    return runtime_store.get_store().stats
 
 
 class TestKeying:
     def test_same_structure_same_key(self):
         a = single_pattern("p", b"abc")
         b = single_pattern("p", b"abc")
-        assert (transform_cache.TransformCache.key("nibble", a, minimized=True)
-                == transform_cache.TransformCache.key(
-                    "nibble", b, minimized=True))
+        assert (transform_cache.key("nibble", a, minimized=True)
+                == transform_cache.key("nibble", b, minimized=True))
 
     def test_params_change_key(self):
         a = single_pattern("p", b"abc")
-        key = transform_cache.TransformCache.key
+        key = transform_cache.key
         assert key("nibble", a, minimized=True) != key(
             "nibble", a, minimized=False)
         assert key("nibble", a, minimized=True) != key(
@@ -59,9 +59,9 @@ class TestKeying:
 
     def test_code_version_salts_key(self, monkeypatch):
         a = single_pattern("p", b"abc")
-        before = transform_cache.TransformCache.key("nibble", a)
-        monkeypatch.setattr(transform_cache, "CODE_VERSION", "next-version")
-        assert transform_cache.TransformCache.key("nibble", a) != before
+        before = transform_cache.key("nibble", a)
+        monkeypatch.setattr(runtime_store, "CODE_VERSION", "next-version")
+        assert transform_cache.key("nibble", a) != before
 
 
 class TestMemoryTier:
@@ -104,7 +104,7 @@ class TestMemoryTier:
         assert first.dumps() == second.dumps()
 
     def test_lru_evicts_oldest(self):
-        transform_cache.configure(memory_entries=1)
+        runtime_store.configure(memory_entries=1)
         to_nibbles(single_pattern("a", b"one"))
         to_nibbles(single_pattern("b", b"two"))
         assert _stats()["evictions"] >= 1
@@ -123,79 +123,74 @@ class TestMemoryTier:
 class TestDiskTier:
     def test_shared_directory_across_processes(self, tmp_path):
         directory = str(tmp_path)
-        transform_cache.configure(directory=directory)
+        runtime_store.configure(directory=directory)
         a = single_pattern("pat", b"hello world")
         first = to_rate(a, 4)
         assert os.listdir(directory)
-        # A fresh cache on the same directory models a new process.
-        transform_cache.configure(directory=directory)
+        # A fresh store on the same directory models a new process.
+        runtime_store.configure(directory=directory)
         second = to_rate(a, 4)
         assert _stats()["disk_hits"] > 0
         assert first.dumps() == second.dumps()
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
-        transform_cache.configure(directory=str(tmp_path))
+        runtime_store.configure(directory=str(tmp_path))
         to_rate(single_pattern("pat", b"abc"), 2)
         assert all(name.endswith(".json") for name in os.listdir(str(tmp_path)))
 
     def test_corrupt_artifact_is_a_miss_with_warning_metric(self, tmp_path):
         directory = str(tmp_path)
-        transform_cache.configure(directory=directory)
+        runtime_store.configure(directory=directory)
         a = single_pattern("pat", b"hello")
         first = to_rate(a, 2)
         for name in os.listdir(directory):
             with open(os.path.join(directory, name), "w") as handle:
                 handle.write('{"format": "repro-automaton", "version":')
-        transform_cache.configure(directory=directory)
+        runtime_store.configure(directory=directory)
         registry = obs.MetricsRegistry()
         with obs.collecting(registry=registry):
             second = to_rate(a, 2)
             corrupt = registry.get(
-                "repro_transform_cache_corrupt_total").value
+                "repro_runtime_artifact_corrupt_total").value
         assert _stats()["corrupt"] > 0
         assert corrupt > 0
         assert first.dumps() == second.dumps()
 
     def test_truncated_artifact_is_a_miss(self, tmp_path):
         directory = str(tmp_path)
-        transform_cache.configure(directory=directory)
+        runtime_store.configure(directory=directory)
         a = single_pattern("pat", b"truncate me")
         first = to_rate(a, 2)
         for name in os.listdir(directory):
             path = os.path.join(directory, name)
             data = open(path).read()
             open(path, "w").write(data[: len(data) // 2])
-        transform_cache.configure(directory=directory)
+        runtime_store.configure(directory=directory)
         second = to_rate(a, 2)
         assert _stats()["corrupt"] > 0
         assert first.dumps() == second.dumps()
 
     def test_salt_change_invalidates_disk_entries(self, tmp_path, monkeypatch):
         directory = str(tmp_path)
-        transform_cache.configure(directory=directory)
+        runtime_store.configure(directory=directory)
         a = single_pattern("pat", b"hello")
         to_rate(a, 2)
-        monkeypatch.setattr(transform_cache, "CODE_VERSION", "bumped")
-        transform_cache.configure(directory=directory)
+        monkeypatch.setattr(runtime_store, "CODE_VERSION", "bumped")
+        runtime_store.configure(directory=directory)
         to_rate(a, 2)
         assert _stats()["disk_hits"] == 0
         assert _stats()["misses"] > 0
 
-    def test_env_var_selects_directory(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(transform_cache.ENV_VAR, str(tmp_path))
-        monkeypatch.setattr(transform_cache, "_ACTIVE", None)
-        assert transform_cache.get_cache().directory == str(tmp_path)
-
     def test_info_and_clear(self, tmp_path):
-        transform_cache.configure(directory=str(tmp_path))
+        runtime_store.configure(directory=str(tmp_path))
         to_rate(single_pattern("pat", b"abc"), 2)
-        info = transform_cache.get_cache().info()
+        info = runtime_store.get_store().info()
         assert info["disk_entries"] > 0
         assert info["disk_bytes"] > 0
         assert info["memory_used"] > 0
-        removed = transform_cache.get_cache().clear()
+        removed = runtime_store.get_store().clear()
         assert removed == info["disk_entries"] + info["memory_used"]
-        after = transform_cache.get_cache().info()
+        after = runtime_store.get_store().info()
         assert after["disk_entries"] == 0 and after["memory_used"] == 0
 
 
@@ -206,7 +201,7 @@ class TestDifferential:
     def test_registry_benchmarks_all_rates(self, name):
         automaton = generate(name, scale=0.003, seed=5).automaton
         for rate in (1, 2, 4):
-            transform_cache.configure()  # cold cache: a real build
+            runtime_store.configure()  # cold store: a real build
             fresh = to_rate(automaton, rate)
             cached = to_rate(automaton, rate)
             assert last_call_was_hit()
@@ -235,9 +230,9 @@ class TestStrideRegression:
     def test_bit_identical_across_fresh_builds(self, rng):
         automaton = random_automaton(rng, n_states=9)
         nib = to_nibbles(automaton)
-        transform_cache.configure()
+        runtime_store.configure()
         first = stride(nib, 4)
-        transform_cache.configure()
+        runtime_store.configure()
         second = stride(nib, 4)
         assert first.dumps() == second.dumps()
 
@@ -257,17 +252,6 @@ class TestStrideRegression:
 
 
 class TestTelemetry:
-    def test_hit_miss_counters(self):
-        registry = obs.MetricsRegistry()
-        with obs.collecting(registry=registry):
-            a = single_pattern("pat", b"hello")
-            to_nibbles(a)
-            to_nibbles(a)
-            hits = registry.get("repro_transform_cache_hits_total")
-            misses = registry.get("repro_transform_cache_misses_total")
-            assert hits.labels(tier="memory").value == 1
-            assert misses.value >= 1
-
     def test_cached_stage_excluded_from_stage_seconds(self):
         a = single_pattern("pat", b"hello world!")
         registry = obs.MetricsRegistry()
@@ -285,8 +269,3 @@ class TestTelemetry:
                         if span.name == "transform.nibble"]
         assert [span.attrs.get("cached") for span in nibble_spans] == [
             False, True]
-        cache_spans = [span for span in trace.finished()
-                       if span.name == "transform.cache"]
-        assert cache_spans, "cache lookups emit transform.cache spans"
-        assert {span.attrs.get("tier") for span in cache_spans} >= {
-            "miss", "memory"}
