@@ -14,10 +14,11 @@ masters.  Call :meth:`~Automaton.copy` for a mutable machine.
 
 import hashlib
 import json
+from itertools import chain
 
-from ..errors import AutomatonError
+from ..errors import AutomatonError, SymbolError
 from ..obs import OBS
-from .ste import StartKind, Ste
+from .ste import StartKind, Ste, ste_from_canonical
 from .symbolset import SymbolSet
 
 #: Format tag + version written into (and required from) every payload
@@ -25,7 +26,11 @@ from .symbolset import SymbolSet
 #: the payload shape changes; old artifacts then deserialize as errors
 #: (which the artifact store treats as misses).
 PAYLOAD_FORMAT = "repro-automaton"
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
+
+#: Start kinds by the code a payload's ``start`` column stores.
+START_KINDS = (StartKind.NONE, StartKind.START_OF_DATA, StartKind.ALL_INPUT)
+_START_CODES = {kind: code for code, kind in enumerate(START_KINDS)}
 
 
 class Automaton:
@@ -462,22 +467,41 @@ class Automaton:
     def to_payload(self):
         """Versioned JSON-serializable dict (see :data:`PAYLOAD_FORMAT`).
 
-        State and edge order follow insertion order, so a round trip
-        through :meth:`from_payload` reproduces the automaton exactly —
-        including the state ordering the simulators use for bit
-        assignment.  Symbol-set masks are hex strings (they can exceed
-        64 bits for wide alphabets).
+        Every state id is written once, in insertion order (the bit
+        order the simulators assign), and everything else names a state
+        by its index in that list.  A strided state id runs to tens of
+        characters, so naming it once per incoming edge would make ids
+        most of the bytes to store and decode.  The columns, all aligned
+        with ``ids``:
+
+        - ``symbols`` — an index into ``symbol_sets``, where each
+          distinct symbol-set tuple is written once as hex masks (they
+          can exceed 64 bits for wide alphabets);
+        - ``start`` — an index into :data:`START_KINDS`;
+        - ``successors`` — ascending state indices.
+
+        The reporting states are ``report`` (ascending state indices)
+        with their ``report_code`` and ``report_offsets`` columns.  A
+        round trip through :meth:`from_payload` reproduces the machine
+        exactly, state order included.
         """
-        states = []
-        for state in self:
-            states.append([
-                state.id,
-                ["%x" % sset.mask for sset in state.symbols],
-                state.start.value,
-                1 if state.report else 0,
-                state.report_code,
-                list(state.report_offsets),
-            ])
+        states = self._states
+        index = {state_id: i for i, state_id in enumerate(states)}
+        symbol_sets = {}
+        symbols = []
+        starts = []
+        reports = []
+        codes = []
+        offsets = []
+        for i, state in enumerate(states.values()):
+            symbols.append(symbol_sets.setdefault(state.symbols,
+                                                  len(symbol_sets)))
+            starts.append(_START_CODES[state.start])
+            if state.report:
+                reports.append(i)
+                codes.append(state.report_code)
+                offsets.append(list(state.report_offsets))
+        index_of = index.__getitem__
         return {
             "format": PAYLOAD_FORMAT,
             "version": PAYLOAD_VERSION,
@@ -485,20 +509,31 @@ class Automaton:
             "bits": self.bits,
             "arity": self.arity,
             "start_period": self.start_period,
-            "states": states,
-            "transitions": [
-                [src, sorted(self._succ[src])]
-                for src in self._states if self._succ[src]
-            ],
+            "ids": list(states),
+            "symbol_sets": [["%x" % sset.mask for sset in key]
+                            for key in symbol_sets],
+            "symbols": symbols,
+            "start": starts,
+            "report": reports,
+            "report_code": codes,
+            "report_offsets": offsets,
+            "successors": [sorted(map(index_of, self._succ[state_id]))
+                           for state_id in states],
         }
 
     @classmethod
     def from_payload(cls, payload):
         """Rebuild an automaton from a :meth:`to_payload` dict.
 
-        Raises :class:`AutomatonError` on any malformed or
-        version-mismatched payload, so callers (notably the transform
-        cache) can treat corruption as a recoverable condition.
+        The graph is installed in bulk, after the checks that
+        :class:`~repro.automata.ste.Ste`, :meth:`add_state` and
+        :meth:`add_transition` would make: columns as long as ``ids``,
+        every index in range (a negative one too, which Python would
+        otherwise wrap), unique ids, masks inside the alphabet, one
+        symbol set per stride position, and non-empty ascending report
+        offsets below the arity.  Raises :class:`AutomatonError` on any
+        malformed or version-mismatched payload, so the artifact store
+        can treat corruption as a recoverable miss.
         """
         try:
             if payload.get("format") != PAYLOAD_FORMAT:
@@ -513,23 +548,92 @@ class Automaton:
                 arity=payload["arity"],
                 start_period=payload["start_period"],
             )
-            for record in payload["states"]:
-                state_id, masks, start, report, code, offsets = record
-                automaton.add_state(Ste(
-                    state_id,
-                    tuple(SymbolSet(automaton.bits, int(mask, 16))
-                          for mask in masks),
-                    start=StartKind(start),
-                    report=bool(report),
-                    report_code=code,
-                    report_offsets=tuple(offsets) if report else None,
-                ))
-            for src, dsts in payload["transitions"]:
-                for dst in dsts:
-                    automaton.add_transition(src, dst)
+            bits = automaton.bits
+            arity = automaton.arity
+            ids = payload["ids"]
+            count = len(ids)
+            # One SymbolSet per distinct mask, shared by every tuple.
+            sets = {mask: SymbolSet(bits, int(mask, 16)) for mask
+                    in set(chain.from_iterable(payload["symbol_sets"]))}
+            table = [tuple(map(sets.__getitem__, masks))
+                     for masks in payload["symbol_sets"]]
+            for position, entry in enumerate(table):
+                if len(entry) != arity:
+                    raise AutomatonError(
+                        "symbol set %d has arity %d in an arity-%d automaton"
+                        % (position, len(entry), arity))
+            symbols = payload["symbols"]
+            starts = payload["start"]
+            rows = payload["successors"]
+            reports = payload["report"]
+            for column, values in (("symbols", symbols), ("start", starts),
+                                   ("successors", rows)):
+                if len(values) != count:
+                    raise AutomatonError(
+                        "column %r has %d entries for %d states"
+                        % (column, len(values), count))
+            # A negative index must fail too: Python reads it from the end.
+            for column, indices, bound in (
+                    ("symbols", symbols, len(table)),
+                    ("start", starts, len(START_KINDS)),
+                    ("successors", list(chain.from_iterable(rows)), count),
+                    ("report", reports, count)):
+                if indices and (min(indices) < 0 or max(indices) >= bound):
+                    raise AutomatonError(
+                        "column %r has an index outside [0, %d)"
+                        % (column, bound))
+            codes = payload["report_code"]
+            offsets = payload["report_offsets"]
+            if not len(codes) == len(offsets) == len(reports):
+                raise AutomatonError(
+                    "report columns have %d, %d and %d entries"
+                    % (len(reports), len(codes), len(offsets)))
+            is_report = [False] * count
+            report_code = [None] * count
+            report_offsets = [()] * count
+            previous = -1
+            for index, code, offset_list in zip(reports, codes, offsets):
+                if index <= previous:
+                    raise AutomatonError(
+                        "report indices must ascend: %d after %d"
+                        % (index, previous))
+                previous = index
+                offset_row = tuple(offset_list)
+                if not offset_row or offset_row[0] < 0 \
+                        or offset_row[-1] >= arity or any(
+                            low >= high for low, high
+                            in zip(offset_row, offset_row[1:])):
+                    raise AutomatonError(
+                        "state %r has report offsets %r; they must ascend "
+                        "within [0, %d)" % (ids[index], offset_row, arity))
+                is_report[index] = True
+                report_code[index] = code
+                report_offsets[index] = offset_row
+            states = dict(zip(ids, map(
+                ste_from_canonical, ids, map(table.__getitem__, symbols),
+                map(START_KINDS.__getitem__, starts), is_report,
+                report_code, report_offsets)))
+            if len(states) != count:
+                seen = set()
+                for state_id in ids:
+                    if state_id in seen:
+                        raise AutomatonError(
+                            "duplicate state id %r" % (state_id,))
+                    seen.add(state_id)
+            id_of = ids.__getitem__
+            succ = {}
+            pred_rows = [[] for _ in range(count)]
+            for state_id, row in zip(ids, rows):
+                succ[state_id] = set(map(id_of, row))
+                for index in row:
+                    pred_rows[index].append(state_id)
+            automaton._states = states
+            automaton._succ = succ
+            automaton._pred = dict(zip(ids, map(set, pred_rows)))
         except AutomatonError:
             raise
-        except (KeyError, TypeError, ValueError, AttributeError) as error:
+        except (KeyError, TypeError, ValueError, AttributeError,
+                SymbolError) as error:
             raise AutomatonError("malformed automaton payload: %s" % error)
         return automaton
 

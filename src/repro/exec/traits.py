@@ -151,8 +151,7 @@ def automaton_traits(automaton):
     traits, _ = get_store().fetch(
         artifact_key(TRAITS_CODEC.kind, automaton.fingerprint(),
                      TRAITS_VERSION),
-        TRAITS_CODEC, lambda: _compute_traits(automaton),
-        context=TRAITS_CODEC.kind)
+        TRAITS_CODEC, lambda: _compute_traits(automaton))
     try:
         _TRAITS_MEMO[automaton] = traits
     except TypeError:  # pragma: no cover - unweakrefable machines

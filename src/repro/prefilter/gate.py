@@ -188,7 +188,7 @@ def build_prefilter(automaton):
     prefilter, _ = get_store().fetch(
         artifact_key(PREFILTER_CODEC.kind, automaton.fingerprint(),
                      PREFILTER_VERSION),
-        PREFILTER_CODEC, build, context=PREFILTER_CODEC.kind)
+        PREFILTER_CODEC, build)
     return prefilter
 
 

@@ -86,7 +86,7 @@ class SimRun:
 
 
 class AutomatonCodec(Codec):
-    """Codec for compiled automata (compact JSON v1 payloads)."""
+    """Codec for compiled automata (indexed ``repro-automaton`` payloads)."""
 
     kind = "automaton"
 

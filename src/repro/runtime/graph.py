@@ -137,8 +137,7 @@ class Runtime:
             if task not in demanded:
                 continue
             if task.key is not None:
-                value = self.store.get(task.key, task.stage.codec,
-                                       context=task.stage.name)
+                value = self.store.get(task.key, task.stage.codec)
                 if value is not None:
                     results[task] = value
                     self._record_hit(task)
@@ -165,8 +164,7 @@ class Runtime:
                 outcomes = runner.map(_execute_stage_job, jobs)
             for task, (value, seconds) in zip(wave, outcomes):
                 if task.key is not None:
-                    self.store.put(task.key, value, task.stage.codec,
-                                   context=task.stage.name)
+                    self.store.put(task.key, value, task.stage.codec)
                 results[task] = value
                 self._record_miss(task, seconds)
         return results

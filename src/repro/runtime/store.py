@@ -46,7 +46,7 @@ from ..obs import OBS
 #: change (generation, simulation, serialization formats, or the
 #: ``to_nibbles``/``square``/``stride``/``minimize`` transforms) so
 #: stale artifacts can never be served.
-CODE_VERSION = "2026.08-runtime-1"
+CODE_VERSION = "2026.10-runtime-2"
 
 #: Environment variable naming the on-disk artifact directory for the
 #: process-wide store.  When unset, the store is memory-only.
@@ -158,7 +158,7 @@ class ArtifactStore:
         self.stats = dict.fromkeys(_STAT_KEYS, 0)
 
     # -- lookup / store ------------------------------------------------
-    def get(self, key, codec, context="?"):
+    def get(self, key, codec):
         """Cached artifact for ``key`` or ``None``.
 
         What is served is ``codec.freeze(master)``: the shared read-only
@@ -174,25 +174,25 @@ class ArtifactStore:
                 self._memory.move_to_end(key)
         if entry is not None:
             master_codec, master = entry
-            self._record("memory_hits", context=context, tier="memory")
+            self._record("memory_hits", tier="memory")
             return master_codec.freeze(master)
-        master = self._disk_get(key, codec, context)
+        master = self._disk_get(key, codec)
         if master is not None:
             served = codec.freeze(master)
             self._remember(key, codec, master)
-            self._record("disk_hits", context=context, tier="disk")
+            self._record("disk_hits", tier="disk")
             return served
-        self._record("misses", context=context)
+        self._record("misses")
         return None
 
-    def put(self, key, obj, codec, context="?"):
+    def put(self, key, obj, codec):
         """Store ``obj`` under ``key`` in every configured tier.
 
         ``codec.freeze(obj)`` becomes the memory tier's master: ``obj``
         itself, frozen in place, for every kind but plain JSON values.
         """
         self._remember(key, codec, codec.freeze(obj))
-        self._record("stores", context=context)
+        self._record("stores")
         if self.directory is None:
             return
         self._disk_put(key, codec.encode(obj))
@@ -212,17 +212,17 @@ class ArtifactStore:
             except OSError:
                 pass
 
-    def fetch(self, key, codec, build, context="?"):
+    def fetch(self, key, codec, build):
         """Memoize ``build()``: return ``(artifact, hit)``.
 
         ``hit`` is the serving tier (``"memory"``/``"disk"``) or ``None``
         when ``build`` actually ran.
         """
-        found = self.get(key, codec, context=context)
+        found = self.get(key, codec)
         if found is not None:
             return found, self._last_tier
         result = build()
-        self.put(key, result, codec, context=context)
+        self.put(key, result, codec)
         return result, None
 
     # -- maintenance ---------------------------------------------------
@@ -291,7 +291,7 @@ class ArtifactStore:
                 if name.endswith(".json")
                 or (temporary and ".json.tmp." in name)]
 
-    def _disk_get(self, key, codec, context):
+    def _disk_get(self, key, codec):
         if self.directory is None:
             return None
         try:
@@ -302,7 +302,7 @@ class ArtifactStore:
         try:
             return codec.decode(text)
         except ReproError:
-            self._record("corrupt", context=context)
+            self._record("corrupt")
             return None
 
     def _remember(self, key, codec, master):
@@ -318,7 +318,7 @@ class ArtifactStore:
         for _ in range(evicted):
             self._record("evictions")
 
-    def _record(self, stat, context=None, tier=None):
+    def _record(self, stat, tier=None):
         self.stats[stat] += 1
         if stat.endswith("_hits"):
             self._tls.tier = tier

@@ -8,13 +8,14 @@ model, and Sunder's in-subarray reporting region).
 """
 
 from collections import Counter
+from itertools import chain
 
 from ..errors import ArtifactError, SimulationError
 
 #: Versioned serialization identifiers for recorder payloads (consumed
 #: by the stage-graph runtime's artifact store).
 PAYLOAD_FORMAT = "repro-report-stream"
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
 
 
 class ReportEvent:
@@ -42,16 +43,6 @@ class ReportEvent:
     def key(self):
         """(position, report_code) pair used for equivalence checking."""
         return (self.position, self.report_code)
-
-    def to_record(self):
-        """Compact JSON-serializable form (see :meth:`from_record`)."""
-        return [self.position, self.cycle, self.state_id, self.report_code]
-
-    @classmethod
-    def from_record(cls, record):
-        """Rebuild an event from :meth:`to_record` output."""
-        position, cycle, state_id, report_code = record
-        return cls(position, cycle, state_id, report_code)
 
     def __repr__(self):
         return "ReportEvent(pos=%d, cycle=%d, state=%r, code=%r)" % (
@@ -205,22 +196,39 @@ class ReportRecorder:
     def to_payload(self):
         """Versioned JSON-serializable dict capturing the full recorder.
 
-        Event order, per-cycle aggregate insertion order, and the
-        recording parameters all round-trip exactly through
+        Events are four columns: ``position``, ``cycle``, and indices
+        into ``state_ids`` and ``report_codes``.  A stream repeats a few
+        reporting states thousands of times, so each state id and code
+        is written once, in first-use order, instead of once per event.
+        ``reports_per_cycle`` is one flat ``[cycle, count, cycle, count,
+        ...]`` list.  Event order, per-cycle aggregate insertion order,
+        and the recording parameters all round-trip exactly through
         :meth:`from_payload`, so a replayed recorder drives the
         reporting-architecture models identically to the original.
         """
+        events = self.events
+        state_index = {}
+        code_index = {}
         return {
             "format": PAYLOAD_FORMAT,
             "version": PAYLOAD_VERSION,
             "keep_events": self.keep_events,
             "position_limit": self.position_limit,
             "total_reports": self.total_reports,
-            "reports_per_cycle": [
-                [cycle, count]
-                for cycle, count in self.reports_per_cycle.items()
-            ],
-            "events": [event.to_record() for event in self.events],
+            "reports_per_cycle": list(chain.from_iterable(
+                self.reports_per_cycle.items())),
+            "events": {
+                "position": [event.position for event in events],
+                "cycle": [event.cycle for event in events],
+                "state": [state_index.setdefault(event.state_id,
+                                                 len(state_index))
+                          for event in events],
+                "code": [code_index.setdefault(event.report_code,
+                                               len(code_index))
+                         for event in events],
+            },
+            "state_ids": list(state_index),
+            "report_codes": list(code_index),
         }
 
     @classmethod
@@ -228,7 +236,10 @@ class ReportRecorder:
         """Rebuild a recorder from a :meth:`to_payload` dict.
 
         Raises :class:`~repro.errors.ArtifactError` on any malformed or
-        version-mismatched payload, so the artifact store can treat
+        version-mismatched payload — event columns of unequal length, a
+        state or code index outside its table (a negative one too, which
+        Python would otherwise wrap), an odd-length
+        ``reports_per_cycle`` — so the artifact store can treat
         corruption as a recoverable miss.
         """
         try:
@@ -242,13 +253,38 @@ class ReportRecorder:
             recorder = cls(keep_events=bool(payload["keep_events"]),
                            position_limit=payload["position_limit"])
             recorder.total_reports = int(payload["total_reports"])
-            for cycle, count in payload["reports_per_cycle"]:
-                recorder.reports_per_cycle[cycle] = count
-            recorder.events = [ReportEvent.from_record(record)
-                               for record in payload["events"]]
+            flat = payload["reports_per_cycle"]
+            if len(flat) % 2:
+                raise ArtifactError(
+                    "reports_per_cycle has an odd length %d" % len(flat))
+            recorder.reports_per_cycle.update(
+                dict(zip(flat[::2], flat[1::2])))
+            columns = payload["events"]
+            positions = columns["position"]
+            cycles = columns["cycle"]
+            states = columns["state"]
+            codes = columns["code"]
+            if not len(positions) == len(cycles) == len(states) == len(codes):
+                raise ArtifactError(
+                    "event columns have %d, %d, %d and %d entries"
+                    % (len(positions), len(cycles), len(states), len(codes)))
+            state_ids = payload["state_ids"]
+            report_codes = payload["report_codes"]
+            # A negative index must fail too: Python reads it from the end.
+            for column, indices, table in (("state", states, state_ids),
+                                           ("code", codes, report_codes)):
+                if indices and (min(indices) < 0
+                                or max(indices) >= len(table)):
+                    raise ArtifactError(
+                        "event column %r has an index outside [0, %d)"
+                        % (column, len(table)))
+            recorder.events = list(map(
+                ReportEvent, positions, cycles,
+                map(state_ids.__getitem__, states),
+                map(report_codes.__getitem__, codes)))
         except ArtifactError:
             raise
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise ArtifactError("malformed report-stream payload: %s" % error)
         return recorder
 

@@ -48,7 +48,7 @@ def memoize(op, source, build, **params):
     not mislabel the stage.
     """
     result, tier = get_store().fetch(key(op, source, **params),
-                                     AUTOMATON_CODEC, build, context=op)
+                                     AUTOMATON_CODEC, build)
     _STATE.hit = tier is not None
     return result
 

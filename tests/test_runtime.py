@@ -60,6 +60,17 @@ def _json_round_trip(value):
     return JSON_CODEC.decode(JSON_CODEC.encode(value))
 
 
+def _assert_same_recorder(decoded, recorder):
+    """Every event field and per-cycle item, in order."""
+    def fields(rec):
+        return [(event.position, event.cycle, event.state_id,
+                 event.report_code) for event in rec.events]
+    assert fields(decoded) == fields(recorder)
+    assert list(decoded.reports_per_cycle.items()) == \
+        list(recorder.reports_per_cycle.items())
+    assert decoded.total_reports == recorder.total_reports
+
+
 class TestCodecs:
     def test_json_codec_round_trip(self):
         value = {"a": [1, 2.5, "x"], "b": None}
@@ -94,9 +105,24 @@ class TestCodecs:
     def test_simrun_codec_round_trip(self):
         instance = _instance()
         run = get_stage("simulate8").func({"name": instance.name}, instance)
+        assert run.recorder.events
         decoded = SIMRUN_CODEC.decode(SIMRUN_CODEC.encode(run))
         assert decoded.summary() == run.summary()
-        assert len(decoded.recorder.events) == len(run.recorder.events)
+        _assert_same_recorder(decoded.recorder, run.recorder)
+        # Parameters and an aggregates-only recorder survive too; the
+        # out-of-order cycle pins insertion order, not sorted order.
+        for keep_events in (True, False):
+            recorder = ReportRecorder(keep_events=keep_events,
+                                      position_limit=9)
+            recorder.record_cycle(4, [(0, "s1", "c"), (1, "s2", None)], 2)
+            recorder.record_cycle(1, [(1, "s1", "c")], 2)
+            run = SimRun(recorder, cycles=5, max_active_states=2,
+                         avg_active_states=0.5)
+            decoded = SIMRUN_CODEC.decode(SIMRUN_CODEC.encode(run))
+            assert decoded.summary() == run.summary()
+            assert decoded.recorder.keep_events is keep_events
+            assert decoded.recorder.position_limit == 9
+            _assert_same_recorder(decoded.recorder, recorder)
 
     def test_simrun_codec_rejects_garbage(self):
         with pytest.raises(ArtifactError):
