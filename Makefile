@@ -3,7 +3,7 @@
 PYTHON ?= python
 SCALE ?= 0.02
 
-.PHONY: install test bench repro scorecard scorecard-paper profile-smoke docs clean
+.PHONY: install test bench bench-smoke repro scorecard scorecard-paper profile-smoke docs clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -13,6 +13,11 @@ test:
 
 bench:
 	REPRO_BENCH_SCALE=$(SCALE) $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The end-to-end benchmark's own tests (about a minute); among them the
+# check that every layer entry point it times still exists.
+bench-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest bench -q
 
 repro:
 	$(PYTHON) examples/reproduce_paper.py $(SCALE)

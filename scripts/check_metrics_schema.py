@@ -61,9 +61,6 @@ REQUIRED_METRICS = (
     "repro_fleet_merged_samples_total",
     "repro_fleet_spans_stitched_total",
 )
-#: Stage spans that must appear, nested under the experiment span.  The
-#: stage spans themselves ran in worker processes; seeing them in the
-#: parent's trace pins the stitch path.
 #: Batch/shard instruments pinned by the observed mini-run below.
 BATCH_REQUIRED_METRICS = (
     "repro_engine_batch_lanes",
@@ -71,6 +68,9 @@ BATCH_REQUIRED_METRICS = (
     "repro_engine_batch_lane_cache_misses_total",
     "repro_shard_overlap_bytes",
 )
+#: Stage spans that must appear, nested under the experiment span.  The
+#: stage spans themselves ran in worker processes; seeing them in the
+#: parent's trace pins the stitch path.
 REQUIRED_SPANS = (
     "experiment.table4",
     "runtime.wave",
@@ -95,12 +95,10 @@ PREFILTER_REQUIRED_METRICS = (
     "repro_prefilter_gated_cycles_total",
     "repro_prefilter_skipped_cycles_total",
     "repro_prefilter_bypass_total",
-    "repro_hotcold_state_savings",
 )
 PREFILTER_REQUIRED_SPANS = (
     "prefilter.build",
     "prefilter.scan",
-    "prefilter.hotcold",
     "engine.run_windows",
 )
 #: Planner instruments pinned by the planned mini-run below.
@@ -145,9 +143,9 @@ def check_prefilter_metrics():
     """Observed gated mini-run; returns 0 or fail().
 
     Drives a filterable ruleset over a stream with one planted literal
-    (build miss + scan + gated windows), an unfilterable ruleset (the
-    bypass counter), and a hot/cold split — requiring every prefilter
-    instrument to record samples and the prefilter spans to be emitted.
+    (build miss + scan + gated windows) and an unfilterable ruleset (the
+    bypass counter), requiring every prefilter instrument to record
+    samples and the prefilter spans to be emitted.
     """
     from repro.prefilter import build_prefilter, gated_simulation
     from repro.sim import ReportRecorder
@@ -160,7 +158,7 @@ def check_prefilter_metrics():
     trace = obs.TraceCollector()
     with obs.collecting(registry=registry, trace=trace):
         recorder = ReportRecorder(keep_events=True)
-        gated_simulation(filterable, data, recorder, hotcold_coverage=0.9)
+        gated_simulation(filterable, data, recorder)
         gated_simulation(unfilterable, data, ReportRecorder())
     if recorder.total_reports != 1:
         return fail("prefilter mini-run expected 1 report, saw %d"

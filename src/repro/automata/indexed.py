@@ -46,6 +46,11 @@ from .ste import StartKind
 
 __all__ = ["IndexedAutomaton"]
 
+#: Round cap of every minimizer's merge loop.  Partition refinement
+#: reaches its fixpoint in one or two rounds; only the one-shot merges
+#: of ``minimize_legacy`` can run into the cap.
+MINIMIZE_ROUNDS = 32
+
 
 class IndexedAutomaton:
     """Dense-integer view of one :class:`Automaton` (see module docs).
@@ -509,7 +514,7 @@ class IndexedAutomaton:
     # ------------------------------------------------------------------
     # Minimization driver (indexed replica of ops.minimize)
     # ------------------------------------------------------------------
-    def minimize(self, max_rounds=32):
+    def minimize(self):
         """Screen + alternating refinement; returns states removed.
 
         Mirrors :func:`repro.automata.ops.minimize_unindexed` exactly:
@@ -521,7 +526,7 @@ class IndexedAutomaton:
         total += self.merge_prefix_equivalent()
         if total == 0:
             return 0
-        for _ in range(max_rounds):
+        for _ in range(MINIMIZE_ROUNDS):
             removed = self.apply_partition(
                 self.refine_partition(forward=True))
             removed += self.apply_partition(

@@ -11,7 +11,7 @@ from collections import deque
 from ..obs import OBS
 from .automaton import Automaton
 from .gcutil import gc_paused
-from .indexed import IndexedAutomaton
+from .indexed import MINIMIZE_ROUNDS, IndexedAutomaton
 
 
 def connected_components(automaton):
@@ -250,7 +250,7 @@ def _record_minimal(fingerprint):
 
 
 @gc_paused
-def minimize(automaton, max_rounds=32):
+def minimize(automaton):
     """Partition-refinement minimization; returns states removed.
 
     This is the hardware-aware minimization FlexAmata applies after
@@ -275,7 +275,7 @@ def minimize(automaton, max_rounds=32):
     if _is_known_minimal(fingerprint):
         return 0
     indexed = IndexedAutomaton.from_automaton(automaton)
-    total = indexed.minimize(max_rounds=max_rounds)
+    total = indexed.minimize()
     if total:
         indexed.write_back(automaton)
         _record_minimal(automaton.fingerprint())
@@ -288,7 +288,7 @@ def minimize(automaton, max_rounds=32):
 
 
 @gc_paused
-def minimize_unindexed(automaton, max_rounds=32):
+def minimize_unindexed(automaton):
     """Partition-refinement minimization on the string graph (oracle).
 
     One cheap exact-signature screening pass (one suffix + one prefix
@@ -305,7 +305,7 @@ def minimize_unindexed(automaton, max_rounds=32):
       merge, this reaches equivalences through cycles and collapses a
       chain of ``L`` duplicate states in one pass instead of ``L``
       mutate-and-rescan rounds (which :func:`minimize_legacy` caps at
-      ``max_rounds``, leaving long duplicates unmerged);
+      ``MINIMIZE_ROUNDS``, leaving long duplicates unmerged);
     - **prefix** — states in one block share behaviour and the same
       predecessor blocks, hence are always co-active, so their outgoing
       edges can be pooled.  Start states with no predecessors stay
@@ -322,7 +322,7 @@ def minimize_unindexed(automaton, max_rounds=32):
     total += merge_prefix_equivalent(automaton)
     if total == 0:
         return 0
-    for _ in range(max_rounds):
+    for _ in range(MINIMIZE_ROUNDS):
         removed = _apply_partition(
             automaton, _refine_partition(
                 automaton, automaton.successors, automaton.predecessors))
@@ -336,7 +336,7 @@ def minimize_unindexed(automaton, max_rounds=32):
     return total
 
 
-def minimize_legacy(automaton, max_rounds=32):
+def minimize_legacy(automaton):
     """The pre-refinement minimizer: iterate one-shot merges to fixpoint.
 
     Each round rescans and mutates the whole graph, and a chain of ``L``
@@ -346,7 +346,7 @@ def minimize_legacy(automaton, max_rounds=32):
     should call :func:`minimize`.
     """
     total = 0
-    for _ in range(max_rounds):
+    for _ in range(MINIMIZE_ROUNDS):
         removed = merge_suffix_equivalent(automaton)
         removed += merge_prefix_equivalent(automaton)
         total += removed

@@ -29,11 +29,11 @@ without re-executing the expensive stages.
 The global ``--plan {auto,<json>}`` flag is the only way to choose how
 a run executes: an inline :class:`~repro.exec.ExecutionPlan` JSON
 document names the whole strategy (target, device fidelity, batch,
-shards, prefilter gating, hot/cold coverage), and ``auto`` (the
-default) keeps the default plan.  ``match`` runs on the device, so its
-plan must target ``"device"`` (default ``{"target": "device"}``).  The
+shards, prefilter gating), and ``auto`` (the default) keeps the
+default plan.  ``match`` runs on the device, so its plan must target
+``"device"`` (default ``{"target": "device"}``).  The
 ``table1``/``table4`` experiments simulate on the engine, so theirs must
-target ``"engine"`` with fidelity ``auto``; other experiments take no
+target ``"engine"`` with fidelity ``packed``; other experiments take no
 plan.  ``repro plan explain <patterns>`` shows the plan the auto-planner
 would pick and why (see docs/architecture.md).
 """
@@ -106,8 +106,7 @@ def cmd_match(args):
         from .prefilter import build_prefilter, gated_device_run
         prefilter = build_prefilter(source)
         recorder = gated_device_run(device, machine, data, source=source,
-                                    prefilter=prefilter,
-                                    hotcold_coverage=plan.hotcold_coverage)
+                                    prefilter=prefilter)
         events = sorted(recorder.events, key=lambda e: e.position)
         for event in events:
             print("%d\t%s" % (event.position // positions_per_byte,

@@ -18,7 +18,6 @@ from .packed import (
     FIDELITIES,
     PackedKernel,
     pack_bits,
-    resolve_fidelity,
     unpack_bits,
 )
 from .perfmodel import (
@@ -48,7 +47,6 @@ __all__ = [
     "GlobalSwitch",
     "PackedKernel",
     "pack_bits",
-    "resolve_fidelity",
     "unpack_bits",
     "HOST_BITS_PER_CYCLE",
     "HostArchive",

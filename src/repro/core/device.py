@@ -10,7 +10,7 @@ Two execution fidelities share this interface (the ``fidelity`` knob):
 
 - ``"literal"`` — the original bit-level loop, kept as the differential
   oracle: numpy wired-NORs, crossbar row activations, the works.
-- ``"packed"`` (what ``"auto"`` selects) — the programmed subarrays are
+- ``"packed"`` (the default) — the programmed subarrays are
   compiled once into integer bitmasks (:mod:`repro.core.packed`) and
   cycles execute as int arithmetic with an LRU step cache and idle-PU
   skipping.  Reporting stays literal; matching-side access counters are
@@ -29,7 +29,7 @@ from ..sim.reports import ReportRecorder
 from .config import PUS_PER_CLUSTER, SunderConfig
 from .interconnect import GlobalSwitch
 from .mapping import place
-from .packed import DEFAULT_DEVICE_STEP_CACHE, PackedKernel, resolve_fidelity
+from .packed import DEFAULT_DEVICE_STEP_CACHE, FIDELITIES, PackedKernel
 from .pu import ProcessingUnit
 
 
@@ -70,8 +70,7 @@ class SunderDevice:
         result = device.run(vectors, position_limit=...)
     """
 
-    def __init__(self, config=None, max_clusters=None, fidelity="auto",
-                 step_cache=DEFAULT_DEVICE_STEP_CACHE):
+    def __init__(self, config=None, max_clusters=None, fidelity="packed"):
         self.config = config if config is not None else SunderConfig()
         self.max_clusters = max_clusters
         self.clusters = []
@@ -81,11 +80,16 @@ class SunderDevice:
         #: "automata" (AM) or "normal" (NM) — paper Section 5.1: in NM the
         #: subarrays behave as ordinary cache storage and matching halts.
         self.mode = "automata"
-        #: Resolved execution fidelity ("literal" or "packed").
-        self.fidelity = resolve_fidelity(fidelity)
-        self._step_cache_limit = step_cache
+        if fidelity not in FIDELITIES:
+            raise ArchitectureError(
+                "fidelity must be one of %r, got %r" % (FIDELITIES, fidelity))
+        #: Execution fidelity ("literal" or "packed").
+        self.fidelity = fidelity
         self._kernel = None
         self._regions = []
+        # Host drain bandwidth not yet spent, in entries; only its
+        # fractional part carries from one cycle to the next.
+        self._drain_credit = 0.0
         # FIFO-drain accounting: the cycle loops accumulate a plain int
         # and the run boundaries flush the delta to the instrument, so
         # the per-cycle paths never touch OBS (run-setup hoist; see
@@ -139,6 +143,7 @@ class SunderDevice:
         self.global_cycle = 0
         self._kernel = None
         self._regions = [pu.reporting for _, _, pu in self.iter_pus()]
+        self._drain_credit = 0.0
         return placement
 
     def _record_configure_metrics(self, placement):
@@ -223,7 +228,7 @@ class SunderDevice:
     def _compile_kernel(self):
         """Compile the programmed subarrays into the packed kernel."""
         with trace_span("device.compile_kernel"):
-            kernel = PackedKernel(self, step_cache=self._step_cache_limit)
+            kernel = PackedKernel(self)
         self._kernel = kernel
         if OBS.active:
             OBS.instruments.device_kernel_compile_seconds.observe(
@@ -261,30 +266,32 @@ class SunderDevice:
         kernel = self._kernel
         if kernel is None:
             return {"hits": 0, "misses": 0, "hit_rate": 0.0, "size": 0,
-                    "limit": self._step_cache_limit}
+                    "limit": DEFAULT_DEVICE_STEP_CACHE}
         return kernel.cache_info()
 
     def _fifo_drain(self, regions):
-        """Share the host's drain bandwidth across non-empty regions."""
+        """Share the host's drain bandwidth across non-empty regions.
+
+        Whole entries of budget that no region drains this cycle are
+        lost: the host link does not bank idle bandwidth.
+        """
         if not self.config.fifo:
             return
-        if not hasattr(self, "_drain_credit"):
-            self._drain_credit = 0.0
-        self._drain_credit += (
+        credit = self._drain_credit + (
             self.config.fifo_drain_rows_per_cycle * self.config.entries_per_row
         )
-        budget = int(self._drain_credit)
+        budget = int(credit)
+        self._drain_credit = credit - budget
         if budget <= 0:
             return
-        pending = [region for region in regions if region.count > 0]
         drained_total = 0
-        for region in pending:
+        for region in regions:
             if budget <= 0:
                 break
-            drained = region.tick(max_entries=budget)
-            budget -= drained
-            drained_total += drained
-        self._drain_credit -= int(self._drain_credit) - budget
+            if region.count > 0:
+                drained = region.tick(max_entries=budget)
+                budget -= drained
+                drained_total += drained
         self._fifo_drained_total += drained_total
 
     def _flush_fifo_drained(self):

@@ -37,18 +37,10 @@ from ..errors import ArchitectureError
 from .config import PUS_PER_CLUSTER
 
 #: Accepted values for the device's ``fidelity`` knob.
-FIDELITIES = ("auto", "literal", "packed")
-#: Default LRU capacity of the device step cache (mirrors the engine's).
+FIDELITIES = ("literal", "packed")
+#: LRU capacity of the device step cache (mirrors the engine's), read
+#: when a kernel is compiled.
 DEFAULT_DEVICE_STEP_CACHE = 1 << 16
-
-
-def resolve_fidelity(fidelity):
-    """Normalize a fidelity knob value; ``"auto"`` picks the packed path."""
-    if fidelity not in FIDELITIES:
-        raise ArchitectureError(
-            "fidelity must be one of %r, got %r" % (FIDELITIES, fidelity)
-        )
-    return "packed" if fidelity == "auto" else fidelity
 
 
 def pack_bits(array):
@@ -73,7 +65,7 @@ class PackedKernel:
     access counters.
     """
 
-    def __init__(self, device, step_cache=DEFAULT_DEVICE_STEP_CACHE):
+    def __init__(self, device):
         config = device.config
         self.config = config
         self.arity = config.rate_nibbles
@@ -108,7 +100,7 @@ class PackedKernel:
         self.dirty = False
 
         self._cache = {}
-        self._cache_limit = int(step_cache)
+        self._cache_limit = DEFAULT_DEVICE_STEP_CACHE
         # Lazy LRU: skip the move-to-end churn until the cache is at
         # least half full (same policy as the engine's step cache).
         self._touch_floor = self._cache_limit >> 1
@@ -146,10 +138,9 @@ class PackedKernel:
         if value is None:
             self.cache_misses += 1
             value = self._compute(key)
-            if self._cache_limit:
-                cache[key] = value
-                if len(cache) > self._cache_limit:
-                    del cache[next(iter(cache))]
+            cache[key] = value
+            if len(cache) > self._cache_limit:
+                del cache[next(iter(cache))]
         else:
             self.cache_hits += 1
             if len(cache) > self._touch_floor:
@@ -347,10 +338,9 @@ class PackedKernel:
                 if value is None:
                     lane_misses[lane] += 1
                     value = compute(key)
-                    if cache_limit:
-                        cache[key] = value
-                        if len(cache) > cache_limit:
-                            del cache[next(iter(cache))]
+                    cache[key] = value
+                    if len(cache) > cache_limit:
+                        del cache[next(iter(cache))]
                 else:
                     lane_hits[lane] += 1
                     if len(cache) > touch_floor:

@@ -133,7 +133,7 @@ class MultiRoundResult:
 
 
 def run_multi_round(automaton, vectors, config, max_clusters,
-                    position_limit=None, fidelity="auto"):
+                    position_limit=None, fidelity="packed"):
     """Execute ``automaton`` over ``vectors`` in as many rounds as needed.
 
     Returns a :class:`MultiRoundResult` whose recorder holds the merged

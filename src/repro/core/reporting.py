@@ -161,7 +161,9 @@ class ReportingRegion:
             return 0
         drained = min(drainable, self.count)
         if max_entries is None:
-            self._drain_credit -= drained
+            # Only the fractional credit carries over: bandwidth the
+            # host did not use this cycle is lost, not banked.
+            self._drain_credit -= drainable
         if self.sink is not None:
             self.sink(self._decode_range(0, drained))
         self.read_index = (self.read_index + drained) % self.capacity

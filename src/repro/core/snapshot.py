@@ -87,7 +87,7 @@ def save_device(device, include_dynamic_state=True):
     return json.dumps(document)
 
 
-def load_device(text, fidelity="auto"):
+def load_device(text, fidelity="packed"):
     """Reconstruct a device from :func:`save_device` output.
 
     The automaton is re-programmed from its MNRL form using the *saved*

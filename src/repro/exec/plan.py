@@ -14,8 +14,7 @@ into a single validated, serializable value:
   ignores it).
 - **batch / shards** — the single-stream throughput axes:
   interleaved-lane count and shard count for one long stream.
-- **prefilter / hotcold_coverage** — two-stage literal gating and the
-  optional hot/cold split recording.
+- **prefilter** — two-stage literal gating.
 
 Construction validates the whole combination up front — bad *values*
 raise :class:`ValueError`, contradictory *combinations* raise
@@ -33,7 +32,7 @@ pre-existing artifact keys (and warm stores) are untouched.
 
 import json
 
-from ..core.packed import FIDELITIES, resolve_fidelity
+from ..core.packed import FIDELITIES
 from ..errors import ArchitectureError
 
 #: Serialization format tag and version; bump the version whenever plan
@@ -48,11 +47,10 @@ TARGETS = ("engine", "device")
 #: emits exactly the fields that differ from these.
 _DEFAULTS = (
     ("target", "engine"),
-    ("fidelity", "auto"),
+    ("fidelity", "packed"),
     ("batch", 1),
     ("shards", 1),
     ("prefilter", False),
-    ("hotcold_coverage", None),
 )
 
 
@@ -60,10 +58,10 @@ class ExecutionPlan:
     """One validated execution strategy (see the module docstring)."""
 
     __slots__ = ("target", "fidelity", "batch", "shards", "prefilter",
-                 "hotcold_coverage", "reasons")
+                 "reasons")
 
-    def __init__(self, target="engine", fidelity="auto", batch=1, shards=1,
-                 prefilter=False, hotcold_coverage=None, reasons=None):
+    def __init__(self, target="engine", fidelity="packed", batch=1, shards=1,
+                 prefilter=False, reasons=None):
         # --- value validation (ValueError: the field itself is bad) ----
         if target not in TARGETS:
             raise ValueError(
@@ -83,20 +81,10 @@ class ExecutionPlan:
         if not isinstance(prefilter, bool):
             raise ValueError(
                 "plan prefilter must be a bool, got %r" % (prefilter,))
-        if hotcold_coverage is not None:
-            hotcold_coverage = float(hotcold_coverage)
-            if not 0.0 < hotcold_coverage <= 1.0:
-                raise ValueError(
-                    "plan hotcold_coverage must be in (0, 1], got %r"
-                    % (hotcold_coverage,))
-            if not prefilter:
-                raise ValueError(
-                    "plan hotcold_coverage requires prefilter=True (the "
-                    "split is recorded by the gated path)")
 
         # --- combination validation (ArchitectureError: fields clash) --
         sharded = shards == "auto" or shards > 1
-        if prefilter and resolve_fidelity(fidelity) == "literal":
+        if prefilter and fidelity == "literal":
             raise ArchitectureError(
                 "prefilter gating requires the packed fidelity (the "
                 "literal oracle has no window-replay form); drop "
@@ -119,7 +107,6 @@ class ExecutionPlan:
         self.batch = batch
         self.shards = shards
         self.prefilter = prefilter
-        self.hotcold_coverage = hotcold_coverage
         #: Machine-readable ``{"choice", "value", "reason"}`` records set
         #: by the planner; advisory only — never serialized.
         self.reasons = list(reasons) if reasons else []

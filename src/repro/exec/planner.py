@@ -88,6 +88,6 @@ class Planner:
         else:
             choose("strategy", "serial", "unfilterable")
         if self.target == "device":
-            choose("fidelity", "auto",
+            choose("fidelity", "packed",
                    "the packed kernel is the benchmarked default")
         return fields, choices

@@ -124,7 +124,6 @@ class Session:
                                           position_limit=limit)
                 gated_simulation(self.automaton, data, recorder,
                                  source=self.source, prefilter=prefilter,
-                                 hotcold_coverage=plan.hotcold_coverage,
                                  engine=engine)
                 recorders.append(recorder)
             return recorders
@@ -169,8 +168,7 @@ class Session:
             prefilter = self._bind_prefilter()
             return [gated_device_run(device, self.automaton, data,
                                      source=self.source,
-                                     prefilter=prefilter,
-                                     hotcold_coverage=plan.hotcold_coverage)
+                                     prefilter=prefilter)
                     for data in datas]
         device = self._bind_device(plan)
         if device.fidelity == "packed":

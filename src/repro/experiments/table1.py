@@ -54,18 +54,18 @@ def simulation_params(base, plan=None):
     params only when non-empty, so default runs keep their artifact keys
     (warm stores stay warm) while planned runs are content-addressed
     separately.  The simulate stages run on the functional engine, so a
-    plan targeting the device or pinning a device fidelity raises
+    plan targeting the device or the literal device fidelity raises
     :class:`~repro.errors.ArchitectureError` instead of re-keying
     identical rows.
     """
     params = dict(base)
     if plan is None:
         return params
-    if plan.target != "engine" or plan.fidelity != "auto":
+    if plan.target != "engine" or plan.fidelity != "packed":
         raise ArchitectureError(
             "the simulate stages run on the functional engine: a plan with "
             "target=%r, fidelity=%r would only re-key identical rows; use "
-            "target 'engine' and fidelity 'auto'"
+            "target 'engine' and fidelity 'packed'"
             % (plan.target, plan.fidelity))
     payload = plan.param_payload()
     if payload:

@@ -178,12 +178,6 @@ class Instruments:
             "Gated runs that fell back to the ungated kernel, by reason.",
             ("reason",))
 
-        # --- hot/cold split (repro.extensions.hotcold) ----------------
-        self.hotcold_state_savings = gauge(
-            "repro_hotcold_state_savings",
-            "Fraction of states left cold (unloaded until the prefilter "
-            "fires) by the last hot/cold split.")
-
         # --- transform pipeline (repro.transform) ---------------------
         self.transform_runs = counter(
             "repro_transform_runs_total",

@@ -12,8 +12,7 @@ pass it:
   bitmap + compact hash table + Aho-Corasick verification;
 - :mod:`~repro.prefilter.gate` — window planning and gated execution in
   front of :class:`~repro.sim.engine.BitsetEngine` and
-  :class:`~repro.core.device.SunderDevice`, fused with the hot/cold
-  state split.
+  :class:`~repro.core.device.SunderDevice`.
 
 See docs/performance.md ("Two-stage prefiltering") for the crossover
 analysis — prefiltering wins big on clean traffic and loses on
@@ -24,7 +23,7 @@ from .direct_filter import LONG_LITERAL_LEN, DirectFilter, ScanResult
 from .gate import (PREFILTER_CODEC, PREFILTER_VERSION, Prefilter,
                    PrefilterCodec, build_prefilter,
                    gated_device_run, gated_simulation, plan_windows,
-                   record_hotcold_savings, scan_windows)
+                   scan_windows)
 from .literals import (MAX_LITERAL_LEN, LiteralExtraction, extract_literals)
 
 __all__ = [
@@ -42,6 +41,5 @@ __all__ = [
     "gated_device_run",
     "gated_simulation",
     "plan_windows",
-    "record_hotcold_savings",
     "scan_windows",
 ]

@@ -25,8 +25,8 @@ tests/test_prefilter.py) — on every path: unfilterable or cyclic
 machines bypass the gate outright (soundness over coverage), and a scan
 with no hits returns without ever *building* the engine, which is the
 hot/cold fusion: with most states cold (see
-:func:`record_hotcold_savings`), nothing is loaded until the prefilter
-fires.
+:func:`~repro.extensions.hotcold.split_hot_cold`), nothing is loaded
+until the prefilter fires.
 
 Prefilter builds are memoized in the process-wide artifact store
 (:class:`PrefilterCodec`), so a ruleset's literal set is extracted once
@@ -37,7 +37,6 @@ import json
 from time import perf_counter
 
 from ..errors import ArtifactError, PrefilterError
-from ..extensions.hotcold import split_hot_cold
 from ..obs import OBS, trace_span
 from ..runtime.store import Codec, artifact_key, get_store
 from ..sim.engine import BitsetEngine
@@ -46,12 +45,9 @@ from .direct_filter import DirectFilter
 from .literals import LiteralExtraction, extract_literals
 
 #: Version salt for memoized prefilter builds; bump it whenever
-#: extraction or filter semantics change.
+#: extraction or filter semantics change, including any of the
+#: extraction caps in :mod:`repro.prefilter.literals`.
 PREFILTER_VERSION = 1
-
-#: Input prefix profiled by :func:`record_hotcold_savings` — enough to
-#: rank state activity without replaying the whole stream.
-HOTCOLD_SAMPLE_BYTES = 4096
 
 
 class Prefilter:
@@ -272,43 +268,17 @@ def scan_windows(prefilter, data, machine, cycle_count):
     return windows
 
 
-def record_hotcold_savings(automaton, data, coverage):
-    """Hot/cold split of the source machine; returns the split.
-
-    Profiles a bounded sample prefix (:data:`HOTCOLD_SAMPLE_BYTES`) of
-    the stream, records ``HotColdSplit.state_savings`` on the
-    ``repro_hotcold_state_savings`` gauge, and reports the split on the
-    ``prefilter.hotcold`` span.  Under gating the savings are realized
-    literally: the full machine is only instantiated when a window
-    passes the prefilter, so the cold fraction of states stays unloaded
-    on quiet streams.
-    """
-    sample = bytes(data[:HOTCOLD_SAMPLE_BYTES])
-    with trace_span("prefilter.hotcold", automaton=automaton.name,
-                    coverage=float(coverage)) as span:
-        split = split_hot_cold(automaton, sample,
-                               activity_coverage=float(coverage))
-        span.set_attr(state_savings=split.state_savings,
-                      hot_states=len(split.hot_ids))
-    if OBS.active:
-        OBS.instruments.hotcold_state_savings.set(split.state_savings)
-    return split
-
-
-def _gate_stream(machine, data, source, prefilter, hotcold_coverage):
+def _gate_stream(machine, data, source, prefilter):
     """The shared gate skeleton both execution targets run.
 
-    Builds (or takes) the prefilter, records the optional hot/cold
-    split, sizes the stream without materializing it, and plans the
-    replay windows.  Returns ``(cycle_count, position_limit, windows)``
-    with ``windows`` as :func:`scan_windows` produced them (None =
-    bypass, empty = gate stays cold).
+    Builds (or takes) the prefilter, sizes the stream without
+    materializing it, and plans the replay windows.  Returns
+    ``(cycle_count, position_limit, windows)`` with ``windows`` as
+    :func:`scan_windows` produced them (None = bypass, empty = gate
+    stays cold).
     """
-    source_machine = machine if source is None else source
     if prefilter is None:
-        prefilter = build_prefilter(source_machine)
-    if hotcold_coverage is not None:
-        record_hotcold_savings(source_machine, data, hotcold_coverage)
+        prefilter = build_prefilter(machine if source is None else source)
     cycle_count, limit = stream_shape(machine, data)
     windows = scan_windows(prefilter, data, machine, cycle_count)
     return cycle_count, limit, windows
@@ -329,7 +299,7 @@ def _window_lanes(machine, data, windows):
 
 
 def gated_simulation(machine, data, recorder, *, source=None,
-                     prefilter=None, hotcold_coverage=None, engine=None):
+                     prefilter=None, engine=None):
     """Prefilter-gated engine run of ``machine`` over byte stream ``data``.
 
     ``machine`` may be the 8-bit source itself or any rate-transformed
@@ -346,8 +316,7 @@ def gated_simulation(machine, data, recorder, *, source=None,
     payoff).
     """
     data = bytes(data)
-    cycle_count, _, windows = _gate_stream(machine, data, source, prefilter,
-                                           hotcold_coverage)
+    cycle_count, _, windows = _gate_stream(machine, data, source, prefilter)
     if windows is None:
         if engine is None:
             engine = BitsetEngine(machine)
@@ -365,7 +334,7 @@ def gated_simulation(machine, data, recorder, *, source=None,
 
 
 def gated_device_run(device, machine, data, *, source=None, prefilter=None,
-                     hotcold_coverage=None, position_limit=None):
+                     position_limit=None):
     """Prefilter-gated :class:`~repro.core.device.SunderDevice` run.
 
     ``device`` must already be configured with ``machine`` (a 4-bit
@@ -376,7 +345,7 @@ def gated_device_run(device, machine, data, *, source=None, prefilter=None,
     """
     data = bytes(data)
     cycle_count, limit, windows = _gate_stream(machine, data, source,
-                                               prefilter, hotcold_coverage)
+                                               prefilter)
     if position_limit is None:
         position_limit = limit
     if windows is None:

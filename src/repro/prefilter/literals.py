@@ -18,13 +18,18 @@ replays: walking backwards from a report state, each step's symbol set
 constrains the input byte at that relative offset *regardless of how the
 earliest state in the window was enabled* — a longer history only
 prepends bytes, so the extracted string is a suffix of every possible
-history and stopping early (at a start state or at ``max_len``) is
-sound.  Over-approximation is free (extra literals only cost filter
-selectivity); missing one would break bit-exactness, so any state whose
-backward walk cannot be enumerated within budget (wide symbol sets like
-``.`` or large counted ranges, or simply too many expansions) marks the
-whole machine **unfilterable** and the gate bypasses it.  Soundness over
-coverage.
+history and stopping early (at a start state or at
+:data:`MAX_LITERAL_LEN`) is sound.  Over-approximation is free (extra
+literals only cost filter selectivity); missing one would break
+bit-exactness, so any state whose backward walk cannot be enumerated
+within budget (wide symbol sets like ``.`` or large counted ranges, or
+simply too many expansions) marks the whole machine **unfilterable**
+and the gate bypasses it.  Soundness over coverage.
+
+The caps below are constants, not parameters: the memoized prefilter
+build is keyed by the machine's fingerprint and
+:data:`~repro.prefilter.gate.PREFILTER_VERSION` alone, so changing any
+cap means bumping ``PREFILTER_VERSION``.
 """
 
 from ..errors import PrefilterError
@@ -103,17 +108,14 @@ def _unfilterable(reason):
     return LiteralExtraction(filterable=False, reason=reason)
 
 
-def _expand(symbol_set, limit=MAX_SYMBOL_CHOICES):
+def _expand(symbol_set):
     """Concrete byte values of one symbol set, or None when too wide."""
-    if len(symbol_set) > limit:
+    if len(symbol_set) > MAX_SYMBOL_CHOICES:
         return None
     return tuple(symbol_set)
 
 
-def extract_literals(automaton, max_len=MAX_LITERAL_LEN,
-                     max_symbol_choices=MAX_SYMBOL_CHOICES,
-                     max_state_literals=MAX_STATE_LITERALS,
-                     max_total_literals=MAX_TOTAL_LITERALS):
+def extract_literals(automaton):
     """Required literals of an 8-bit byte machine (or the bypass verdict).
 
     Returns a :class:`LiteralExtraction`.  Only plain byte machines
@@ -128,21 +130,19 @@ def extract_literals(automaton, max_len=MAX_LITERAL_LEN,
             "(got %d-bit arity %d)" % (automaton.bits, automaton.arity))
     literals = set()
     for state in automaton.report_states():
-        emitted = _state_literals(automaton, state, max_len,
-                                  max_symbol_choices, max_state_literals)
+        emitted = _state_literals(automaton, state)
         if emitted is None:
             return _unfilterable(
                 "report state %r has no enumerable required literal"
                 % (state.id,))
         literals |= emitted
-        if len(literals) > max_total_literals:
+        if len(literals) > MAX_TOTAL_LITERALS:
             return _unfilterable(
-                "literal set exceeds %d entries" % max_total_literals)
+                "literal set exceeds %d entries" % MAX_TOTAL_LITERALS)
     return LiteralExtraction(literals=literals, filterable=True)
 
 
-def _state_literals(automaton, state, max_len, max_symbol_choices,
-                    max_state_literals):
+def _state_literals(automaton, state):
     """Backward walk from one report state; set of literals or None.
 
     Each frontier item is ``(state, suffix)``: ``suffix`` are the input
@@ -151,9 +151,9 @@ def _state_literals(automaton, state, max_len, max_symbol_choices,
     emits) at a start state — earlier history does not exist for chains
     born there, and for chains that instead entered it from a
     predecessor the emitted string is still a required suffix — or at
-    ``max_len``.
+    :data:`MAX_LITERAL_LEN`.
     """
-    first = _expand(state.symbols[0], max_symbol_choices)
+    first = _expand(state.symbols[0])
     if first is None:
         return None
     frontier = [(state, bytes([value])) for value in first]
@@ -164,9 +164,9 @@ def _state_literals(automaton, state, max_len, max_symbol_choices,
         if work > MAX_STATE_WORK:
             return None
         current, suffix = frontier.pop()
-        if current.is_start or len(suffix) >= max_len:
+        if current.is_start or len(suffix) >= MAX_LITERAL_LEN:
             emitted.add(suffix)
-            if len(emitted) > max_state_literals:
+            if len(emitted) > MAX_STATE_LITERALS:
                 return None
             continue
         predecessors = automaton.predecessors(current.id)
@@ -177,7 +177,7 @@ def _state_literals(automaton, state, max_len, max_symbol_choices,
             return None
         for pred_id in sorted(predecessors):
             pred = automaton.state(pred_id)
-            values = _expand(pred.symbols[0], max_symbol_choices)
+            values = _expand(pred.symbols[0])
             if values is None:
                 return None
             for value in values:

@@ -194,8 +194,7 @@ def _simulate8(params, instance):
     if plan.prefilter:
         recorder = ReportRecorder(keep_events=True)
         engine, gated = gated_simulation(
-            instance.automaton, instance.input_bytes, recorder,
-            hotcold_coverage=plan.hotcold_coverage)
+            instance.automaton, instance.input_bytes, recorder)
         cycles, _ = stream_shape(instance.automaton, instance.input_bytes)
         if engine is not None and not gated:
             return SimRun.from_engine(engine, recorder, cycles)
@@ -226,8 +225,7 @@ def _simulate_strided(params, instance, strided):
         cycles, limit = stream_shape(strided, instance.input_bytes)
         recorder = ReportRecorder(keep_events=True, position_limit=limit)
         gated_simulation(strided, instance.input_bytes, recorder,
-                         source=instance.automaton,
-                         hotcold_coverage=plan.hotcold_coverage)
+                         source=instance.automaton)
         return SimRun(recorder, cycles)
     vectors, limit = stream_for(strided, instance.input_bytes)
     recorder = ReportRecorder(keep_events=True, position_limit=limit)

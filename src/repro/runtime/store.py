@@ -52,12 +52,12 @@ CODE_VERSION = "2026.10-runtime-2"
 #: process-wide store.  When unset, the store is memory-only.
 ENV_VAR = "REPRO_ARTIFACT_DIR"
 
-#: Default capacity (entries) of the in-process LRU tier.  One scorecard
-#: holds exactly 250 artifacts at every scale from 0.002 to 0.01 (136
-#: stage artifacts plus 114 transform results), so 256 entries evict
-#: nothing.  Larger is not free: at 384, a warm scorecard (392 disk hits,
-#: no transform lookups) keeps 128 more decoded report streams alive and
-#: its peak RSS rose 24%.
+#: Capacity (entries) of the in-process LRU tier, read when a store is
+#: built.  One scorecard holds exactly 250 artifacts at every scale from
+#: 0.002 to 0.01 (136 stage artifacts plus 114 transform results), so
+#: 256 entries evict nothing.  Larger is not free: at 384, a warm
+#: scorecard (392 disk hits, no transform lookups) keeps 128 more decoded
+#: report streams alive and its peak RSS rose 24%.
 DEFAULT_MEMORY_ENTRIES = 256
 
 _STAT_KEYS = ("memory_hits", "disk_hits", "misses", "stores",
@@ -144,14 +144,14 @@ def artifact_key(kind, *parts):
 class ArtifactStore:
     """Two-tier (memory LRU + disk directory) content-addressed store."""
 
-    def __init__(self, directory=None, memory_entries=DEFAULT_MEMORY_ENTRIES):
+    def __init__(self, directory=None):
         self.directory = os.path.abspath(directory) if directory else None
         if self.directory is not None and os.path.exists(self.directory) \
                 and not os.path.isdir(self.directory):
             raise ArtifactError(
                 "artifact store path %s exists and is not a directory"
                 % self.directory)
-        self.memory_entries = max(0, int(memory_entries))
+        self.memory_entries = DEFAULT_MEMORY_ENTRIES
         self._memory = OrderedDict()
         self._lock = threading.Lock()
         self._tls = threading.local()
@@ -306,8 +306,6 @@ class ArtifactStore:
             return None
 
     def _remember(self, key, codec, master):
-        if self.memory_entries == 0:
-            return
         evicted = 0
         with self._lock:
             self._memory[key] = (codec, master)
@@ -343,7 +341,7 @@ def get_store():
     return _ACTIVE
 
 
-def configure(directory=None, memory_entries=DEFAULT_MEMORY_ENTRIES):
+def configure(directory=None):
     """Replace the process-wide store; returns the new one.
 
     The CLI's ``--artifact-dir`` flag and ``ParallelRunner`` worker
@@ -352,6 +350,5 @@ def configure(directory=None, memory_entries=DEFAULT_MEMORY_ENTRIES):
     """
     global _ACTIVE
     with _ACTIVE_LOCK:
-        _ACTIVE = ArtifactStore(
-            directory=directory, memory_entries=memory_entries)
+        _ACTIVE = ArtifactStore(directory=directory)
     return _ACTIVE

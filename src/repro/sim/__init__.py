@@ -9,7 +9,7 @@ from .analysis import (
     summarize_analysis,
 )
 from .engine import DEFAULT_STEP_CACHE, BitsetEngine, NaiveEngine
-from .parallel import ParallelRunner, default_workers, parallel_map
+from .parallel import ParallelRunner, default_workers
 from .inputs import (
     PAD_NIBBLE,
     bytes_to_nibbles,
@@ -30,7 +30,6 @@ __all__ = [
     "ParallelRunner",
     "Tracer",
     "default_workers",
-    "parallel_map",
     "ReportEvent",
     "ReportRecorder",
     "PAD_NIBBLE",

@@ -56,7 +56,7 @@ from .reports import ReportRecorder
 #: small enough that paper-scale streams report every few seconds.
 _PROGRESS_CHUNK = 65536
 
-#: Default transition budget of the step table; 0 disables the table.
+#: Transition budget of the step table.
 DEFAULT_STEP_CACHE = 1 << 16
 
 #: Automata at or below this many states get their (block, byte) tables
@@ -83,16 +83,15 @@ class BitsetEngine:
     The engine is reusable: call :meth:`run` for whole streams, or
     :meth:`reset` + :meth:`step` for streaming use.
 
+    The step table holds at most :data:`DEFAULT_STEP_CACHE` transitions
+    (read at construction).  When a new transition would exceed the
+    budget the whole table is cleared and rebuilt from the lanes'
+    current active sets.  The table survives :meth:`reset` — entries
+    are pure functions of the automaton, so reuse across runs is sound
+    and is where repeated-stream workloads win the most.
+
     Parameters
     ----------
-    step_cache:
-        Transition budget of the step table; ``0`` disables the table
-        and computes every step.  When a new transition would exceed
-        the budget the whole table is cleared and rebuilt from the
-        lanes' current active sets.  The table survives :meth:`reset`
-        — entries are pure functions of the automaton, so reuse across
-        runs is sound and is where repeated-stream workloads win the
-        most.
     history_limit:
         ``None`` (default) keeps the full per-cycle
         ``active_count_history`` list as before; ``N > 0`` keeps a ring
@@ -100,11 +99,8 @@ class BitsetEngine:
         bookkeeping entirely (recommended for unbounded streaming use).
     """
 
-    def __init__(self, automaton, step_cache=DEFAULT_STEP_CACHE,
-                 history_limit=None):
+    def __init__(self, automaton, history_limit=None):
         automaton.validate()
-        if step_cache < 0:
-            raise SimulationError("step_cache capacity must be >= 0")
         if history_limit is not None and history_limit < 0:
             raise SimulationError("history_limit must be None or >= 0")
         self.automaton = automaton
@@ -145,7 +141,7 @@ class BitsetEngine:
 
         self._build_block_tables()
 
-        self._step_cache_limit = step_cache
+        self._step_cache_limit = DEFAULT_STEP_CACHE
         self._cache_hits = 0
         self._cache_misses = 0
         # The transition table: interned active sets (mask <-> dense
@@ -330,7 +326,7 @@ class BitsetEngine:
         """Compute and store the transition of ``lanes[lane]`` on ``vector``.
 
         ``lanes`` holds the set id of every lane the caller still
-        steps.  When the table already holds ``step_cache``
+        steps.  When the table already holds its budget of
         transitions, it is cleared and each lane's active set is
         re-interned in place (the RE2-style cache reset), so the
         caller's ids stay valid.  The table's lists are cleared in
@@ -365,11 +361,11 @@ class BitsetEngine:
         """The serial run loop behind :meth:`run` and :meth:`step`.
 
         Continues from ``self._active`` at ``self._cycle``, so slicing
-        a stream across calls is bit-exact with one call.  With the
-        table on, the loop holds the active set as an interned id: a
-        hit is one row lookup, and only a miss touches masks.  The
-        collector is paused — the loop allocates report events but no
-        reference cycles.
+        a stream across calls is bit-exact with one call.  The loop
+        holds the active set as an interned id: a hit is one row
+        lookup, and only a miss touches masks.  The collector is
+        paused — the loop allocates report events but no reference
+        cycles.
         """
         period = self._start_period
         arity = self.automaton.arity
@@ -377,22 +373,6 @@ class BitsetEngine:
                    if self._history_limit != 0 else None)
         record = recorder.record_cycle if recorder is not None else None
         cycle = self._cycle
-        if not self._step_cache_limit:
-            report_mask = self._report_mask
-            active = self._active
-            for vector in vectors:
-                phase = 2 if cycle == 0 else 1 if cycle % period == 0 else 0
-                active = (self._enabled_from(active, phase)
-                          & self.match_mask(vector))
-                if active & report_mask and record is not None:
-                    record(cycle, self._report_plan(active & report_mask),
-                           arity)
-                if history is not None:
-                    history.append(_popcount(active))
-                cycle += 1
-            self._active = active
-            self._cycle = cycle
-            return
         rows = self._rows
         plans = self._set_plans
         counts = self._set_counts
@@ -547,9 +527,9 @@ class BitsetEngine:
                        record_from=None, histories=None):
         """The batched hot loop: N lanes, one shared transition table.
 
-        Each lane keeps its own active set (an interned id while the
-        table is on, else a mask); lanes share the table but no other
-        work (each consumes its own input vector).
+        Each lane keeps its own active set as an interned id; lanes
+        share the table but no other work (each consumes its own input
+        vector).
 
         ``start_cycles`` gives each lane's absolute first cycle (shard
         replays start mid-stream; phases derive from absolute cycles so
@@ -563,15 +543,13 @@ class BitsetEngine:
             start_cycles = (0,) * count
         if record_from is None:
             record_from = start_cycles
-        table = self._step_cache_limit != 0
         period = self._start_period
-        report_mask = self._report_mask
         arity = self.automaton.arity
         rows = self._rows
         plans = self._set_plans
         counts = self._set_counts
         miss = self._miss
-        actives = [self._intern(0) if table else 0] * count
+        actives = [self._intern(0)] * count
         lane_hits = [0] * count
         lane_misses = [0] * count
         lane_lengths = [len(vectors) for vectors in lane_vectors]
@@ -583,29 +561,21 @@ class BitsetEngine:
                 cycle = start_cycles[lane] + index
                 phase = (2 if cycle == 0 else
                          1 if cycle % period == 0 else 0)
-                if table:
-                    nxt = rows[actives[lane]][phase].get(vector)
-                    if nxt is None:
-                        lane_misses[lane] += 1
-                        nxt = miss(actives, lane, vector, phase)
-                    else:
-                        lane_hits[lane] += 1
-                    plan = plans[nxt]
-                    size = counts[nxt]
-                else:
+                nxt = rows[actives[lane]][phase].get(vector)
+                if nxt is None:
                     lane_misses[lane] += 1
-                    nxt = (self._enabled_from(actives[lane], phase)
-                           & self.match_mask(vector))
-                    plan = self._report_plan(nxt & report_mask)
-                    size = _popcount(nxt)
+                    nxt = miss(actives, lane, vector, phase)
+                else:
+                    lane_hits[lane] += 1
                 actives[lane] = nxt
                 if cycle >= record_from[lane]:
+                    plan = plans[nxt]
                     if plan:
                         recorder = recorders[lane]
                         if recorder is not None:
                             recorder.record_cycle(cycle, plan, arity)
                     if histories is not None:
-                        histories[lane].append(size)
+                        histories[lane].append(counts[nxt])
         self._cache_hits += sum(lane_hits)
         self._cache_misses += sum(lane_misses)
         return lane_hits, lane_misses
@@ -686,8 +656,7 @@ class BitsetEngine:
         """Execute shard blocks; returns (part recorders, histories)."""
         keep_history = self._history_limit != 0
         if runner is not None and runner.workers > 1:
-            jobs = [(self.automaton, self._step_cache_limit,
-                     block_vectors, start_cycle, record_from,
+            jobs = [(self.automaton, block_vectors, start_cycle, record_from,
                      recorder.keep_events, recorder.position_limit,
                      keep_history)
                     for block_vectors, start_cycle, record_from in blocks]
@@ -876,9 +845,9 @@ def _shard_job(job):
     automaton (transition-table state does not cross processes).  Returns
     ``(recorder_payload, history_list)``.
     """
-    (automaton, step_cache, vectors, start_cycle, record_from,
+    (automaton, vectors, start_cycle, record_from,
      keep_events, position_limit, keep_history) = job
-    engine = BitsetEngine(automaton, step_cache=step_cache, history_limit=0)
+    engine = BitsetEngine(automaton, history_limit=0)
     part = ReportRecorder(keep_events=keep_events,
                           position_limit=position_limit)
     history = [] if keep_history else None

@@ -71,29 +71,18 @@ class ParallelRunner:
         ``1`` runs serially in-process (no pool, no pickling), ``N > 1``
         uses a process pool of up to ``N`` workers, and ``0`` means
         "one worker per CPU core".
-    chunksize:
-        Forwarded to ``ProcessPoolExecutor.map``; raise it for many
-        tiny jobs to amortize IPC.  ``None`` (the default) picks
-        ``max(1, jobs // (4 * workers))`` per map call — about four
-        chunks per worker, enough slack for the pool to rebalance
-        uneven jobs while still batching tiny ones.
+
+    Each pool map ships jobs in chunks of ``max(1, jobs // (4 *
+    workers))``: about four chunks per worker, enough slack for the
+    pool to rebalance uneven jobs while still batching tiny ones.
     """
 
-    def __init__(self, workers=1, chunksize=None):
+    def __init__(self, workers=1):
         if workers is None:
             workers = 1
         if workers < 0:
             raise SimulationError("workers must be >= 0 (0 = all cores)")
-        if chunksize is not None and chunksize < 1:
-            raise SimulationError("chunksize must be >= 1 (None = auto)")
         self.workers = default_workers() if workers == 0 else workers
-        self.chunksize = chunksize
-
-    def _resolve_chunksize(self, jobs, pool_workers):
-        """The explicit chunksize, or the auto heuristic for this map."""
-        if self.chunksize is not None:
-            return self.chunksize
-        return max(1, jobs // (4 * pool_workers))
 
     def map(self, func, jobs):
         """``[func(job) for job in jobs]``, possibly across processes.
@@ -111,7 +100,7 @@ class ParallelRunner:
         if pool_workers > 1:
             from ..runtime.store import get_store
             artifact_directory = get_store().directory
-            chunksize = self._resolve_chunksize(len(jobs), pool_workers)
+            chunksize = max(1, len(jobs) // (4 * pool_workers))
             with trace_span("parallel.map", workers=pool_workers,
                             jobs=len(jobs), chunksize=chunksize) as span:
                 capture = OBS.active
@@ -163,8 +152,3 @@ class ParallelRunner:
         instruments = OBS.instruments
         instruments.parallel_jobs.labels(mode=mode).inc(jobs)
         instruments.parallel_workers.set(workers)
-
-
-def parallel_map(func, jobs, workers=1, chunksize=None):
-    """One-shot convenience wrapper around :class:`ParallelRunner`."""
-    return ParallelRunner(workers=workers, chunksize=chunksize).map(func, jobs)

@@ -4,14 +4,7 @@ Wraps :class:`~repro.sim.engine.BitsetEngine` and records, per cycle, the
 input vector, the active state ids, and any reports — the debugging view
 VASim provides with its ``--debug`` flag.  Traces render as aligned text
 or export as structured dicts for programmatic analysis.
-
-Long streams need not store every cycle: ``Tracer(machine,
-max_cycles=N)`` keeps only the last ``N`` records in a ring buffer, and
-``Tracer(machine, on_cycle=fn)`` streams each :class:`CycleTrace` to the
-callback instead of storing it (combine both to also keep the tail).
 """
-
-from collections import deque
 
 from .engine import BitsetEngine
 from .reports import ReportRecorder
@@ -44,57 +37,31 @@ class CycleTrace:
 class Tracer:
     """Run an automaton while capturing a full execution trace.
 
-    By default every cycle is stored (memory-hungry: one record per
-    cycle, fine for debugging runs).  For long/benchmark streams pass
-    ``max_cycles`` to keep only the most recent records in a ring
-    buffer, and/or ``on_cycle`` — a callable receiving each
-    :class:`CycleTrace` as it happens.  In callback-only mode
-    (``on_cycle`` set, ``max_cycles`` unset) nothing is stored at all.
+    Every cycle is stored (one record per cycle: a debugging view, not
+    a benchmark path).
     """
 
-    def __init__(self, automaton, max_cycles=None, on_cycle=None):
-        if max_cycles is not None and max_cycles < 1:
-            raise ValueError("max_cycles must be a positive integer")
+    def __init__(self, automaton):
         self.automaton = automaton
         self.engine = BitsetEngine(automaton)
-        self.max_cycles = max_cycles
-        self.on_cycle = on_cycle
-        #: Total cycles executed by the last run (>= len(cycles)).
-        self.cycles_seen = 0
-        self.cycles = self._new_storage()
-
-    def _new_storage(self):
-        if self.max_cycles is not None:
-            return deque(maxlen=self.max_cycles)
-        return []
-
-    @property
-    def _storing(self):
-        return self.max_cycles is not None or self.on_cycle is None
+        self.cycles = []
 
     def run(self, stream, position_limit=None):
         """Execute ``stream``; returns the report recorder."""
         recorder = ReportRecorder(position_limit=position_limit)
         self.engine.reset()
-        self.cycles = self._new_storage()
-        self.cycles_seen = 0
-        storing = self._storing
+        self.cycles = []
         for raw in stream:
             vector = (raw,) if isinstance(raw, int) else tuple(raw)
             events_before = len(recorder.events)
             self.engine.step(vector, recorder)
             new_events = recorder.events[events_before:]
-            trace = CycleTrace(
-                self.cycles_seen,
+            self.cycles.append(CycleTrace(
+                len(self.cycles),
                 vector,
                 self.engine.active_ids(),
                 [(event.state_id, event.report_code) for event in new_events],
-            )
-            self.cycles_seen += 1
-            if self.on_cycle is not None:
-                self.on_cycle(trace)
-            if storing:
-                self.cycles.append(trace)
+            ))
         return recorder
 
     # ------------------------------------------------------------------
@@ -107,7 +74,7 @@ class Tracer:
         if symbol_renderer is None:
             symbol_renderer = _default_symbol_renderer(self.automaton.bits)
         lines = ["cycle  input      active states"]
-        stored = list(self.cycles)
+        stored = self.cycles
         shown = stored if max_cycles is None else stored[:max_cycles]
         for trace in shown:
             report_text = ""
@@ -126,11 +93,11 @@ class Tracer:
         return "\n".join(lines)
 
     def active_counts(self):
-        """Per-stored-cycle active-state counts (enabled-set pressure)."""
+        """Per-cycle active-state counts (enabled-set pressure)."""
         return [len(trace.active) for trace in self.cycles]
 
     def report_cycles(self):
-        """Stored cycle indices at which at least one report fired."""
+        """Cycle indices at which at least one report fired."""
         return [trace.cycle for trace in self.cycles if trace.reports]
 
 

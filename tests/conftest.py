@@ -6,6 +6,16 @@ import pytest
 
 from repro.automata import Automaton, StartKind, SymbolSet
 from repro.regex import compile_pattern
+from repro.sim import BitsetEngine
+from repro.sim import engine as engine_module
+
+
+def budget_engine(automaton, step_cache):
+    """A :class:`BitsetEngine` built while its step-table budget
+    (``DEFAULT_STEP_CACHE``, read at construction) is ``step_cache``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine_module, "DEFAULT_STEP_CACHE", step_cache)
+        return BitsetEngine(automaton)
 
 
 def random_automaton(rng, n_states=8, bits=8, edge_density=0.25,

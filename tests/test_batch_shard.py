@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from conftest import random_automaton
+from conftest import budget_engine, random_automaton
 from repro.automata import StartKind, SymbolSet
 from repro.core import SunderConfig, SunderDevice
 from repro.errors import ArchitectureError, SimulationError
@@ -124,7 +124,7 @@ class TestEngineBatchEdges:
                 [rng.randrange(256) for _ in range(rng.randint(0, 60))]
                 for _ in range(rng.randint(1, 5))]
             expected, _ = _serial_payloads(machine, streams)
-            engine = BitsetEngine(machine, step_cache=step_cache)
+            engine = budget_engine(machine, step_cache)
             recorders = engine.run_batch(streams)
             assert [r.to_payload() for r in recorders] == expected, trial
             _assert_table_reset(engine, step_cache)
@@ -173,7 +173,7 @@ class TestEngineShardDifferential:
             stream = [rng.randrange(256) for _ in range(rng.randint(5, 120))]
             serial = BitsetEngine(machine).run(stream)
             shards = rng.randint(1, len(stream))
-            engine = BitsetEngine(machine, step_cache=step_cache)
+            engine = budget_engine(machine, step_cache)
             recorder = engine.run_sharded(
                 stream, shards, interleave=interleave)
             assert recorder.to_payload() == serial.to_payload(), \

@@ -8,10 +8,12 @@ strategies; the registry's Snort and SPM machines add placements that
 span many PUs.
 """
 
+import math
 import random
 
 import pytest
 
+from repro.core import packed as packed_module
 from repro.core import (
     FIDELITIES,
     SunderConfig,
@@ -189,13 +191,35 @@ class TestPackedStepAndContext:
                 == literal.report_events().event_keys())
 
 
+class TestFifoDrainBandwidth:
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_idle_cycles_bank_no_drain_credit(self, fidelity):
+        """Host bandwidth left unused while no region holds entries is
+        lost: after a long idle stretch, a burst drains at most what its
+        own cycles allow (0.01 rows x 8 entries per cycle)."""
+        config = SunderConfig(rate_nibbles=1, fifo=True,
+                              fifo_drain_rows_per_cycle=0.01)
+        machine = to_rate(compile_ruleset(["a"]), 1)
+        device = SunderDevice(config, fidelity=fidelity)
+        device.configure(machine)
+        # 10,000 idle nibble cycles, then 40 reports in 80 cycles.
+        vectors, limit = stream_for(machine, b"b" * 5000 + b"a" * 40)
+        result = device.run(vectors, position_limit=limit)
+        assert result.reports().total_reports == 40
+        drained = 40 - device.statistics()["buffered_entries"]
+        bandwidth = (config.fifo_drain_rows_per_cycle
+                     * config.entries_per_row * 80)
+        assert 0 < drained <= math.ceil(bandwidth)
+
+
 class TestKernelMechanics:
     def test_fidelity_knob(self):
-        assert SunderDevice(fidelity="auto").fidelity == "packed"
+        assert SunderDevice().fidelity == "packed"
         assert SunderDevice(fidelity="literal").fidelity == "literal"
-        assert "auto" in FIDELITIES
-        with pytest.raises(ArchitectureError):
-            SunderDevice(fidelity="warp")
+        assert FIDELITIES == ("literal", "packed")
+        for fidelity in ("auto", "warp"):
+            with pytest.raises(ArchitectureError):
+                SunderDevice(fidelity=fidelity)
 
     def test_step_cache_hits_and_idle_skipping(self):
         strided = to_rate(compile_ruleset(["abc"]), 4)
@@ -212,12 +236,14 @@ class TestKernelMechanics:
         # are never enabled and must be skipped.
         assert device._kernel.pus_skipped > 0
 
-    def test_cache_disabled_still_exact(self):
+    def test_cache_disabled_still_exact(self, monkeypatch):
+        # A zero budget evicts every entry as it is stored.
+        monkeypatch.setattr(packed_module, "DEFAULT_DEVICE_STEP_CACHE", 0)
         strided = to_rate(compile_ruleset(RULES[:3]), 4)
         config = _config(4, True)
         data = _random_data(5, length=100)
         vectors, limit = stream_for(strided, data)
-        uncached = SunderDevice(config, fidelity="packed", step_cache=0)
+        uncached = SunderDevice(config, fidelity="packed")
         uncached.configure(strided)
         literal = SunderDevice(config, fidelity="literal")
         literal.configure(strided)
@@ -227,6 +253,42 @@ class TestKernelMechanics:
         assert (uncached_result.reports().event_keys()
                 == literal_result.reports().event_keys())
         assert uncached_result.stall_cycles == literal_result.stall_cycles
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_eviction_past_the_budget_stays_exact(self, budget, monkeypatch):
+        """Past its budget the step cache evicts (and refreshes hits
+        above the touch floor) without changing a report or a stall."""
+        monkeypatch.setattr(packed_module, "DEFAULT_DEVICE_STEP_CACHE",
+                            budget)
+        strided = to_rate(compile_ruleset(RULES), 4)
+        # Idle runs repeat one key, so even a one-entry cache hits.
+        data = _random_data(budget, length=120) + b"z" * 40 + b"abc" * 12
+        vectors, limit = stream_for(strided, data)
+        stalled = False
+        for fifo in (False, True):
+            # Two report rows per PU, so the region fills and stalls.
+            config = SunderConfig(rate_nibbles=4, report_bits=16, fifo=fifo,
+                                  fifo_drain_rows_per_cycle=0.05,
+                                  subarray_rows=66)
+            _, literal, _, _ = _run(strided, data, config, "literal")
+            device, packed, _, _ = _run(strided, data, config, "packed")
+            expected = sorted(e.key() for e in literal.reports().events)
+            assert sorted(e.key() for e in packed.reports().events) \
+                == expected
+            assert packed.stall_cycles == literal.stall_cycles
+            stalled |= literal.stall_cycles > 0
+            info = device.step_cache_info()
+            assert info["limit"] == budget
+            assert info["size"] <= budget
+            assert info["hits"] > 0 and info["misses"] > budget
+
+            batch_device = SunderDevice(config)
+            batch_device.configure(strided)
+            [recorder] = batch_device.run_batch([vectors],
+                                                position_limit=limit)
+            assert sorted(e.key() for e in recorder.events) == expected
+            assert batch_device.step_cache_info()["size"] <= budget
+        assert stalled
 
     def test_literal_device_never_compiles(self):
         strided = to_rate(compile_ruleset(["abc"]), 4)

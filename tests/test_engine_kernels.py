@@ -12,10 +12,11 @@ from repro.automata import Automaton, StartKind, SymbolSet
 from repro.errors import SimulationError
 from repro.sim import BitsetEngine, NaiveEngine, ReportRecorder
 from repro.sim.engine import DEFAULT_STEP_CACHE, EAGER_SLICE_STATES, _popcount
-from conftest import random_automaton
+from conftest import budget_engine, random_automaton
 
-#: Every step-table budget under differential test (4 is tiny:
-#: constant table resets).
+#: Every step-table budget under differential test, patched into
+#: ``DEFAULT_STEP_CACHE`` before construction (0 and 4 are tiny: the
+#: table is cleared before every store, or every few).
 CACHES = [0, DEFAULT_STEP_CACHE, 4]
 
 
@@ -59,7 +60,7 @@ def _edge_case_automaton(rng, start_period=1, arity=2):
 
 
 def _assert_equivalent(automaton, streams, step_cache):
-    bitset = BitsetEngine(automaton, step_cache=step_cache)
+    bitset = budget_engine(automaton, step_cache)
     naive = NaiveEngine(automaton)
     for data in streams:
         r1, r2 = ReportRecorder(), ReportRecorder()
@@ -106,7 +107,7 @@ class TestDifferential:
         rng = random.Random(7)
         automaton = random_automaton(rng, n_states=EAGER_SLICE_STATES + 40,
                                      bits=4, edge_density=0.01)
-        engine = BitsetEngine(automaton, step_cache=0)
+        engine = BitsetEngine(automaton)
         assert any(entry is None
                    for table in engine._block_tables for entry in table)
         data = [rng.randrange(16) for _ in range(120)]
@@ -124,7 +125,7 @@ class TestDifferential:
         if len(automaton) == 0:
             return
         data = [byte % 16 for byte in raw]
-        r1 = BitsetEngine(automaton, step_cache=cache).run(data)
+        r1 = budget_engine(automaton, cache).run(data)
         r2 = NaiveEngine(automaton).run(data)
         assert r1.event_keys() == r2.event_keys()
 
@@ -172,26 +173,18 @@ class TestStepCache:
         assert info["limit"] == DEFAULT_STEP_CACHE
         assert info["size"] <= info["limit"]
 
-    def test_disabled_cache_records_nothing(self):
-        engine = BitsetEngine(self._abc(), step_cache=0)
-        engine.run([1, 1, 1])
-        info = engine.step_cache_info()
-        assert info == {"hits": 0, "misses": 0, "hit_rate": 0.0,
-                        "size": 0, "limit": 0}
-
     def test_tiny_cache_evicts_but_stays_exact(self):
         rng = random.Random(3)
         automaton = random_automaton(rng, n_states=8, bits=4)
-        engine = BitsetEngine(automaton, step_cache=2)
+        engine = budget_engine(automaton, 2)
         data = [rng.randrange(16) for _ in range(100)]
         recorder = engine.run(data)
+        assert engine.step_cache_info()["limit"] == 2
         assert engine.step_cache_info()["size"] <= 2
         reference = NaiveEngine(automaton).run(data)
         assert recorder.event_keys() == reference.event_keys()
 
     def test_invalid_configuration_raises(self):
-        with pytest.raises(SimulationError):
-            BitsetEngine(self._abc(), step_cache=-1)
         with pytest.raises(SimulationError):
             BitsetEngine(self._abc(), history_limit=-1)
 
@@ -203,7 +196,7 @@ class TestStepCache:
         automaton.new_state("s", SymbolSet.of(8, [255]), start="all-input",
                             report=True, report_code="s")
         assert NaiveEngine(automaton).run([-1, 255, -256]).positions() == [1]
-        engine = BitsetEngine(automaton, step_cache=step_cache)
+        engine = budget_engine(automaton, step_cache)
         for stream in ([-1, 255, -256], [255, -256], [256]):
             with pytest.raises(SimulationError):
                 engine.run(stream)

@@ -214,11 +214,11 @@ class TestPlanValidation:
         {"shards": "turbo"},
         {"shards": False},
         {"prefilter": 1},
-        {"prefilter": True, "hotcold_coverage": 0.0},
-        {"prefilter": True, "hotcold_coverage": 1.5},
-        {"hotcold_coverage": 0.9},          # requires prefilter
+        {"fidelity": "auto"},               # not an alias of "packed"
+        {"prefilter": "yes"},
+        {"shards": 2.5},
         {"shards": -1},
-        {"prefilter": True, "hotcold_coverage": -0.5},
+        {"target": "Engine"},
     ])
     def test_bad_values_raise_value_error(self, fields):
         with pytest.raises(ValueError):
@@ -247,7 +247,10 @@ class TestPlanValidation:
         with pytest.raises(ArchitectureError, match="competing"):
             ExecutionPlan(shards=2, batch=2)
         with pytest.raises(ValueError, match="hotcold_coverage"):
-            ExecutionPlan(prefilter=True, hotcold_coverage=2.0)
+            ExecutionPlan.from_payload(
+                {"prefilter": True, "hotcold_coverage": 0.9})
+        with pytest.raises(ValueError, match="'literal', 'packed'"):
+            ExecutionPlan(fidelity="auto")
 
     def test_validate_for_rejects_explicit_split_on_cyclic(self):
         cyclic = automaton_traits(compile_pattern("a.*b"))
@@ -286,9 +289,10 @@ class TestPlanSerialization:
         assert DEFAULT_PLAN.is_default
 
     def test_param_payload_carries_only_non_defaults_plus_version(self):
-        plan = ExecutionPlan(shards="auto", fidelity="packed")
+        plan = ExecutionPlan(shards="auto", fidelity="literal")
         assert plan.param_payload() == {
-            "fidelity": "packed", "shards": "auto", "v": PLAN_VERSION}
+            "fidelity": "literal", "shards": "auto", "v": PLAN_VERSION}
+        assert ExecutionPlan(fidelity="packed").param_payload() == {}
         # Unchanged since the plan lost its kernel/batch_layout/step_cache
         # fields, so salted artifact keys of existing plans stay valid.
         assert ExecutionPlan(prefilter=True).param_payload() == {
@@ -296,7 +300,7 @@ class TestPlanSerialization:
 
     def test_full_round_trip(self):
         plan = ExecutionPlan(target="device", fidelity="packed",
-                             prefilter=True, hotcold_coverage=0.9)
+                             prefilter=True)
         assert ExecutionPlan.from_payload(plan.to_payload()) == plan
         assert ExecutionPlan.loads(plan.dumps()) == plan
         assert ExecutionPlan.from_payload(plan.param_payload()) == plan
@@ -329,6 +333,15 @@ class TestPlanSerialization:
         document = json.dumps({"kernel": "scan", "v": PLAN_VERSION})
         with pytest.raises(SystemExit, match="--plan: unknown plan field"):
             cli.main(["--plan", document, "experiment", "table1"])
+
+    def test_cli_rejects_removed_plan_values(self):
+        document = json.dumps({"fidelity": "auto"})
+        with pytest.raises(SystemExit,
+                           match="--plan: .*'literal', 'packed'"):
+            cli.main(["--plan", document, "match", "ab", "--text", "xab"])
+        document = json.dumps({"prefilter": True, "hotcold_coverage": 0.9})
+        with pytest.raises(SystemExit, match="--plan: .*hotcold_coverage"):
+            cli.main(["--plan", document, "match", "ab", "--text", "xab"])
 
     def test_resolve_plan_coercions(self):
         assert resolve_plan(None) is None
@@ -462,7 +475,7 @@ class TestStagePlumbing:
         plan = ExecutionPlan(shards="auto", prefilter=False)
         assert _stage_plan({"plan": plan.param_payload()}) == plan
         assert _stage_plan({}) == DEFAULT_PLAN
-        gated = ExecutionPlan(prefilter=True, hotcold_coverage=0.9)
+        gated = ExecutionPlan(prefilter=True)
         assert _stage_plan({"plan": gated.param_payload()}) == gated
 
     def test_default_plan_keeps_simulation_params_unchanged(self):
@@ -472,15 +485,17 @@ class TestStagePlumbing:
         assert simulation_params(base, plan=DEFAULT_PLAN) == base
         salted = simulation_params(base, plan=ExecutionPlan(shards="auto"))
         assert salted["plan"] == {"shards": "auto", "v": PLAN_VERSION}
+        packed = simulation_params(base, plan=ExecutionPlan(fidelity="packed"))
+        assert packed == base
 
     @pytest.mark.parametrize("fields", [
         {"target": "device"},
         {"fidelity": "literal"},
-        {"fidelity": "packed"},
+        {"target": "device", "fidelity": "literal"},
     ])
     def test_simulation_params_reject_fields_the_stages_ignore(self, fields):
-        """The simulate stages run on the engine: a device target or a
-        pinned fidelity would re-key byte-identical rows, so it fails."""
+        """The simulate stages run on the engine: a device target or the
+        literal fidelity would re-key byte-identical rows, so it fails."""
         from repro.experiments import table1, table4
         from repro.runtime import StageGraph
         plan = ExecutionPlan(**fields)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.parallel import ParallelRunner, default_workers, parallel_map
+from repro.sim.parallel import ParallelRunner, default_workers
 from repro import obs
 
 
@@ -44,9 +44,6 @@ class TestRunner:
     def test_negative_workers_rejected(self):
         with pytest.raises(SimulationError):
             ParallelRunner(-1)
-
-    def test_parallel_map_convenience(self):
-        assert parallel_map(_square, [5], workers=1) == [25]
 
     def test_metrics_recorded_when_collecting(self):
         registry = obs.MetricsRegistry()

@@ -17,7 +17,7 @@ from conftest import random_automaton
 from repro.errors import PrefilterError
 from repro.prefilter import (Prefilter, build_prefilter, extract_literals,
                              gated_device_run, gated_simulation,
-                             plan_windows, record_hotcold_savings)
+                             plan_windows)
 from repro.core import SunderConfig, SunderDevice
 from repro.regex import compile_ruleset
 from repro.sim import BitsetEngine, stream_for
@@ -215,22 +215,14 @@ def test_unfilterable_scan_raises():
         prefilter.scan(b"data")
 
 
-def test_hotcold_savings_recorded():
-    source = compile_ruleset(["abc", "hello", "world"])
-    split = record_hotcold_savings(source, b"abcabcabc" + b"Q" * 100, 0.9)
-    assert 0.0 <= split.state_savings <= 1.0
-
-
 def test_gated_stage_params_salt_keys():
     """A gating plan joins simulate-stage params only when enabled."""
     from repro.exec import ExecutionPlan
     from repro.experiments.table1 import simulation_params
     plain = simulation_params({"name": "x"}, ExecutionPlan())
     assert plain == {"name": "x"}
-    gated = simulation_params(
-        {"name": "x"}, ExecutionPlan(prefilter=True, hotcold_coverage=0.9))
+    gated = simulation_params({"name": "x"}, ExecutionPlan(prefilter=True))
     assert gated["plan"]["prefilter"] is True
-    assert gated["plan"]["hotcold_coverage"] == 0.9
     from repro.runtime.stages import canonical
     assert canonical(plain) != canonical(gated)
 
@@ -253,8 +245,6 @@ def test_gated_stages_match_ungated_reports():
         return run, {span.name for span in trace.spans}
 
     gate = ExecutionPlan(prefilter=True).param_payload()
-    hotcold = ExecutionPlan(prefilter=True,
-                            hotcold_coverage=0.9).param_payload()
     instance = generate("ExactMatch", 0.005, 3)
     sim8 = get_stage("simulate8").func
     plain8 = sim8({"name": "ExactMatch"}, instance)
@@ -268,8 +258,8 @@ def test_gated_stages_match_ungated_reports():
     plain = sim_strided({"name": "ExactMatch", "rate": 4}, instance,
                         strided)
     gated, spans = gated_run(
-        sim_strided, {"name": "ExactMatch", "rate": 4, "plan": hotcold},
+        sim_strided, {"name": "ExactMatch", "rate": 4, "plan": gate},
         instance, strided)
-    assert "prefilter.hotcold" in spans
+    assert "prefilter.scan" in spans
     assert gated.recorder.events == plain.recorder.events
     assert gated.cycles == plain.cycles

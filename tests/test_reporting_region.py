@@ -139,6 +139,18 @@ class TestFifo:
         assert region.tick() == 0  # credit 0.5 entries (0.0625 * 8)
         assert region.tick() == 1  # credit reaches 1.0
 
+    def test_unused_credit_is_not_banked(self):
+        # One entry a cycle leaves 7 of the 8 entries of bandwidth unused;
+        # the host cannot spend them on a later burst.
+        region, config = _region(fifo=True, fifo_drain_rows_per_cycle=1.0)
+        for cycle in range(10):
+            region.append(_bits(config, 0), cycle)
+            assert region.tick() == 1
+        for cycle in range(10, 30):
+            region.append(_bits(config, 0), cycle)
+        assert region.tick() == config.entries_per_row
+        assert region.count == 20 - config.entries_per_row
+
     def test_explicit_budget_overrides(self):
         region, config = _region(fifo=True)
         for cycle in range(6):

@@ -170,8 +170,10 @@ class TestArtifactStore:
         value, hit = store.fetch("json-k", JSON_CODEC, build)
         assert (value, hit, len(calls)) == ({"v": 1}, "memory", 1)
 
-    def test_lru_eviction(self):
-        store = ArtifactStore(memory_entries=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(runtime_store, "DEFAULT_MEMORY_ENTRIES", 2)
+        store = ArtifactStore()
+        assert store.info()["memory_entries"] == 2
         for index in range(3):
             store.put("json-%d" % index, index, JSON_CODEC)
         assert store.stats["evictions"] == 1

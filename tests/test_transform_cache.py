@@ -103,8 +103,9 @@ class TestMemoryTier:
         assert last_call_was_hit()
         assert first.dumps() == second.dumps()
 
-    def test_lru_evicts_oldest(self):
-        runtime_store.configure(memory_entries=1)
+    def test_lru_evicts_oldest(self, monkeypatch):
+        monkeypatch.setattr(runtime_store, "DEFAULT_MEMORY_ENTRIES", 1)
+        runtime_store.configure()
         to_nibbles(single_pattern("a", b"one"))
         to_nibbles(single_pattern("b", b"two"))
         assert _stats()["evictions"] >= 1

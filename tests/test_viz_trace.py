@@ -82,48 +82,15 @@ class TestTracer:
         assert recorder.total_reports == 1
         assert "/" in tracer.render()  # hex nibble rendering
 
-
-class TestTracerBounded:
-    def test_ring_buffer_keeps_last_cycles(self, abc_automaton):
-        tracer = Tracer(abc_automaton, max_cycles=3)
-        recorder = tracer.run(list(b"xxabcabc"))
-        assert recorder.total_reports == 2
-        assert tracer.cycles_seen == 8
-        assert len(tracer.cycles) == 3
-        # absolute cycle indices of the retained tail
-        assert [trace.cycle for trace in tracer.cycles] == [5, 6, 7]
-        assert tracer.report_cycles() == [7]  # within the window
-        assert tracer.render()  # renders from the ring without error
-
-    def test_on_cycle_callback_without_storage(self, abc_automaton):
-        seen = []
-        tracer = Tracer(abc_automaton, on_cycle=seen.append)
-        tracer.run(list(b"xabc"))
-        assert len(seen) == 4
-        assert [trace.cycle for trace in seen] == [0, 1, 2, 3]
-        assert seen[3].reports == [("p2", "abc")]
-        assert tracer.cycles_seen == 4
-        assert len(tracer.cycles) == 0  # callback-only: nothing stored
-
-    def test_callback_plus_ring_keeps_tail(self, abc_automaton):
-        seen = []
-        tracer = Tracer(abc_automaton, max_cycles=2, on_cycle=seen.append)
-        tracer.run(list(b"xabc"))
-        assert len(seen) == 4
-        assert [trace.cycle for trace in tracer.cycles] == [2, 3]
-
-    def test_rerun_resets_counters(self, abc_automaton):
-        tracer = Tracer(abc_automaton, max_cycles=2)
+    def test_rerun_resets_cycles(self, abc_automaton):
+        tracer = Tracer(abc_automaton)
         tracer.run(list(b"abcabc"))
         tracer.run(list(b"abc"))
-        assert tracer.cycles_seen == 3
-        assert [trace.cycle for trace in tracer.cycles] == [1, 2]
+        assert [trace.cycle for trace in tracer.cycles] == [0, 1, 2]
+        assert tracer.report_cycles() == [2]
 
-    def test_invalid_max_cycles(self, abc_automaton):
-        import pytest
-        with pytest.raises(ValueError):
-            Tracer(abc_automaton, max_cycles=0)
 
+class TestTracerBounded:
     def test_default_behaviour_unchanged(self, abc_automaton):
         tracer = Tracer(abc_automaton)
         tracer.run(list(b"xabc"))
