@@ -46,7 +46,8 @@ def build_scorecard(scale=0.01, seed=0, workers=1, runtime=None):
     one artifact store), so the stages the tables have in common —
     Table 1's and Table 4's generate/simulate8, Table 3's and Table 4's
     to_rate machines — execute exactly once per scorecard, and a warm
-    ``--artifact-dir`` store serves them without executing at all.
+    ``--artifact-dir`` store serves the result rows without reading them
+    at all.
     """
     if runtime is None:
         runtime = Runtime(workers=workers)

@@ -18,15 +18,17 @@ Declared as a stage graph per benchmark::
 
     generate -> simulate8 ----------------------------\\
             \\-> to_rate -> simulate_strided -----------+-> report_drain
-                       \\-> place ----------------------/
+                       \\--------------------------------/
 
-``generate``/``simulate8`` are shared with Table 1 and ``to_rate`` with
-Table 3 through the content-addressed artifact store, so a scorecard
-run (or a warm ``--artifact-dir``) executes each only once; the cheap
-``place``/``report_drain`` replays re-run every time.  One
-:class:`~repro.exec.ExecutionPlan` (``plan=``, or ``--plan`` on the
-CLI) chooses how the two simulate stages execute; no device runs here,
-because the overheads come from the reporting models.
+``report_drain`` places the strided machine onto Sunder PUs and then
+replays both report streams; its row is cached like every other stage
+here.  ``generate``/``simulate8`` are shared with Table 1 and
+``to_rate`` with Table 3 through the content-addressed artifact store,
+so a scorecard run executes each only once, and a warm
+``--artifact-dir`` serves the rows without demanding anything below
+them.  One :class:`~repro.exec.ExecutionPlan` (``plan=``, or ``--plan``
+on the CLI) chooses how the two simulate stages execute; no device runs
+here, because the overheads come from the reporting models.
 """
 
 from ..core.config import SunderConfig
@@ -122,12 +124,10 @@ def define(graph, scale, seed, names, rate, plan=None):
             "simulate_strided",
             simulation_params({"name": name, "rate": rate}, plan),
             deps=[gen, strided])
-        placed = graph.task("place", {"name": name, "rate": rate},
-                            deps=[strided])
         rows.append(graph.task(
             "report_drain",
             {"name": name, "rate": rate, "scale": scale},
-            deps=[gen, sim8, sim_strided, placed]))
+            deps=[gen, sim8, sim_strided, strided]))
     return rows
 
 

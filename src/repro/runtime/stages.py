@@ -16,11 +16,13 @@ scheduler (:mod:`repro.runtime.graph`)
 - **fan stages out** through :class:`~repro.sim.parallel.ParallelRunner`
   with byte-identical results at any worker count.
 
-Cacheable stages name a codec; stages without one (placement, the
-buffer-model replays, figure aggregations) re-run every time — they are
-cheap, and their inputs are exactly the expensive cached artifacts.
+Cacheable stages name a codec.  Every result row is cacheable, so a
+warm store serves a row without demanding anything below it.  Stages
+without a codec (the figure points) re-run every time: they are closed
+forms with no expensive inputs.
 """
 
+import copy
 from time import perf_counter
 
 from ..baselines.ap import ApReportingModel
@@ -263,16 +265,6 @@ def _table3_row(params, instance, *machines):
     return row
 
 
-# ----------------------------------------------------------------------
-# Uncacheable stages (cheap model replays and aggregations)
-# ----------------------------------------------------------------------
-
-@stage("place")
-def _place(params, strided):
-    """Map the strided machine onto Sunder PUs."""
-    return place(strided, SunderConfig(rate_nibbles=params["rate"]))
-
-
 def drain_row(instance, run8, strided_run, placement, rate, scale,
               config=None):
     """Table 4 row: replay both report streams through every buffer model.
@@ -316,24 +308,26 @@ def drain_row(instance, run8, strided_run, placement, rate, scale,
 
 def _with_fifo(config, fifo):
     """Clone a config with the FIFO strategy toggled."""
-    return SunderConfig(
-        rate_nibbles=config.rate_nibbles,
-        report_bits=config.report_bits,
-        metadata_bits=config.metadata_bits,
-        fifo=fifo,
-        flush_rows_per_cycle=config.flush_rows_per_cycle,
-        fifo_drain_rows_per_cycle=config.fifo_drain_rows_per_cycle,
-        summarize_batch_rows=config.summarize_batch_rows,
-        summarize_stall_cycles=config.summarize_stall_cycles,
-    )
+    clone = copy.copy(config)
+    clone.fifo = fifo
+    return clone
 
 
-@stage("report_drain")
-def _report_drain(params, instance, run8, strided_run, placement):
-    """Table 4 row for one benchmark (AP, AP+RAD, Sunder, Sunder+FIFO)."""
+@stage("report_drain", codec=JSON_CODEC)
+def _report_drain(params, instance, run8, strided_run, strided):
+    """Table 4 row for one benchmark (AP, AP+RAD, Sunder, Sunder+FIFO).
+
+    Places the strided machine onto Sunder PUs first; the placement has
+    no other reader, so it lives and dies inside the row.
+    """
+    placement = place(strided, SunderConfig(rate_nibbles=params["rate"]))
     return drain_row(instance, run8, strided_run, placement,
                      rate=params["rate"], scale=params["scale"])
 
+
+# ----------------------------------------------------------------------
+# Uncacheable stages (closed-form figure points)
+# ----------------------------------------------------------------------
 
 @stage("figure9_arch")
 def _figure9_arch(params):

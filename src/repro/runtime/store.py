@@ -43,9 +43,11 @@ from ..obs import OBS
 
 #: Code-version salt mixed into every artifact key — the one salt of
 #: the one store.  Bump it whenever the semantics of anything stored
-#: change (generation, simulation, serialization formats, or the
-#: ``to_nibbles``/``square``/``stride``/``minimize`` transforms) so
-#: stale artifacts can never be served.
+#: change (generation, simulation, serialization formats, the
+#: ``to_nibbles``/``square``/``stride``/``minimize`` transforms, or the
+#: cached Table 4 rows: ``drain_row``, ``place``, ``ReportingPerfModel``,
+#: ``ApReportingModel`` and the ``SunderConfig`` defaults) so stale
+#: artifacts can never be served.
 CODE_VERSION = "2026.10-runtime-2"
 
 #: Environment variable naming the on-disk artifact directory for the
@@ -53,12 +55,11 @@ CODE_VERSION = "2026.10-runtime-2"
 ENV_VAR = "REPRO_ARTIFACT_DIR"
 
 #: Capacity (entries) of the in-process LRU tier, read when a store is
-#: built.  One scorecard holds exactly 250 artifacts at every scale from
-#: 0.002 to 0.01 (136 stage artifacts plus 114 transform results), so
-#: 256 entries evict nothing.  Larger is not free: at 384, a warm
-#: scorecard (392 disk hits, no transform lookups) keeps 128 more decoded
-#: report streams alive and its peak RSS rose 24%.
-DEFAULT_MEMORY_ENTRIES = 256
+#: built.  One scorecard holds exactly 269 artifacts at every scale from
+#: 0.002 to 0.01 (155 stage artifacts plus 114 transform results), so
+#: 272 entries evict nothing.  A warm scorecard reads only its cached
+#: rows, so the capacity bounds what a cold run keeps alive.
+DEFAULT_MEMORY_ENTRIES = 272
 
 _STAT_KEYS = ("memory_hits", "disk_hits", "misses", "stores",
               "evictions", "corrupt")

@@ -5,23 +5,30 @@ figures, and scorecard produced *before* the experiments were rewritten
 onto the stage-graph runtime (scale 0.002, seed 0).  These tests pin
 
 - byte-identity of every rendered experiment against those goldens,
-- byte-identity of the scorecard across worker counts and across a
+- byte-identity of the scorecard across worker counts, and of its
+  rendered table and full-precision ``to_json`` payload across a
   cold-vs-warm artifact store,
-- that a warm ``--artifact-dir`` scorecard performs zero
-  generate/simulate8/to_rate executions (pure artifact-store hits), and
+- that a warm ``--artifact-dir`` scorecard executes no cacheable stage
+  and is served by its result rows alone: ``table1_row``, ``table3_row``
+  and ``report_drain`` hit, and nothing below a row is read,
+- the cached Table 4 rows against a pinned digest, so a change to the
+  reporting models cannot leave warm stores serving stale rows, and
 - the ``scorecard.to_json`` payload schema.
 """
 
+import hashlib
 import json
 import pathlib
 
 import pytest
 
 from repro import obs
+from repro.core.config import SunderConfig
 from repro.errors import WorkloadError
 from repro.experiments import (figure8, figure10, scorecard, table1, table3,
                                table4)
 from repro.runtime import store as runtime_store
+from repro.runtime.stages import REGISTRY, _with_fifo
 from repro.workloads import generate
 
 SCALE = 0.002
@@ -81,29 +88,57 @@ class TestWorkerInvariance:
 class TestArtifactStoreInvariance:
     def test_cold_then_warm_scorecard_identical_and_hit_only(self, tmp_path):
         runtime_store.configure(directory=str(tmp_path))
-        cold = scorecard.render(scorecard.build_scorecard(scale=SCALE))
+        cold_claims = scorecard.build_scorecard(scale=SCALE)
 
         # Fresh store on the same directory: drops the memory tier, so
         # the warm run is served purely by on-disk artifacts.
         runtime_store.configure(directory=str(tmp_path))
         registry = obs.MetricsRegistry()
         with obs.collecting(registry=registry):
-            warm = scorecard.render(scorecard.build_scorecard(scale=SCALE))
+            warm_claims = scorecard.build_scorecard(scale=SCALE)
             snapshot = registry.snapshot()
-        assert cold == warm
+        assert scorecard.render(cold_claims) == scorecard.render(warm_claims)
+        # Outside the collector, so neither payload embeds metrics: the
+        # comparison is of the full-precision claim values.
+        assert scorecard.to_json(cold_claims) == scorecard.to_json(warm_claims)
 
         misses = registry.get("repro_runtime_stage_misses_total")
         hits = registry.get("repro_runtime_stage_hits_total")
-        for stage in ("generate", "simulate8", "to_rate"):
+        cacheable = {name for name, entry in REGISTRY.items()
+                     if entry.cacheable}
+        for stage in cacheable:
             assert misses.labels(stage=stage).value == 0, stage
+        for stage in ("table1_row", "table3_row", "report_drain"):
             assert hits.labels(stage=stage).value > 0, stage
+        # A row hit removes the demand on everything below it.
+        for stage in ("generate", "simulate8", "simulate_strided", "to_rate"):
+            assert hits.labels(stage=stage).value == 0, stage
+            assert misses.labels(stage=stage).value == 0, stage
         # The acceptance signal is also visible in the embedded metrics
         # snapshot (what --metrics-out exports).
         by_name = {metric["name"]: metric for metric in snapshot["metrics"]}
         samples = by_name["repro_runtime_stage_misses_total"]["samples"]
         executed = {sample["labels"]["stage"] for sample in samples
                     if sample["value"] > 0}
-        assert executed.isdisjoint({"generate", "simulate8", "to_rate"})
+        assert executed.isdisjoint(cacheable)
+
+
+#: ``(CODE_VERSION, sha256 of the FAST_NAMES Table 4 rows at SCALE)``.
+TABLE4_ROWS_PIN = (
+    "2026.10-runtime-2",
+    "a01b9c939951480990e836b07f1671cebb5cb0bdd842d6f5ab66d1f0fe18a85e",
+)
+
+
+class TestCachedRowsStaleness:
+    def test_table4_rows_match_the_code_version(self):
+        rows, _ = table4.run(scale=SCALE, seed=0, names=FAST_NAMES)
+        digest = hashlib.sha256(
+            json.dumps(rows, sort_keys=True).encode("utf-8")).hexdigest()
+        assert (runtime_store.CODE_VERSION, digest) == TABLE4_ROWS_PIN, (
+            "the Table 4 rows changed, so warm stores would serve stale "
+            "ones: bump runtime.store.CODE_VERSION and re-pin "
+            "TABLE4_ROWS_PIN")
 
 
 class TestToJsonSchema:
@@ -161,3 +196,13 @@ class TestCustomInstancePath:
         direct = table4.evaluate_benchmark(instance, scale=SCALE)
         rows, _ = table4.run(scale=SCALE, seed=0, names=["Bro217"])
         assert direct == rows[0]
+
+    def test_custom_config_keeps_its_subarray_geometry(self):
+        config = SunderConfig(rate_nibbles=4, subarray_rows=128)
+        clone = _with_fifo(config, not config.fifo)
+        assert vars(clone) == dict(vars(config), fifo=not config.fifo)
+        instance = generate("Snort", scale=SCALE, seed=0)
+        small = table4.evaluate_benchmark(instance, config=config,
+                                          scale=SCALE)
+        default = table4.evaluate_benchmark(instance, scale=SCALE)
+        assert small["sunder_flushes"] != default["sunder_flushes"]
