@@ -29,7 +29,7 @@ def _sweep(scale):
     instance = generate("SPM", scale=scale, seed=0)
     strided = to_rate(instance.automaton, 4)
     vectors, limit = stream_for(strided, instance.input_bytes)
-    recorder = ReportRecorder(keep_events=True, position_limit=limit)
+    recorder = ReportRecorder(position_limit=limit)
     BitsetEngine(strided).run(vectors, recorder)
 
     rows = []
@@ -37,7 +37,7 @@ def _sweep(scale):
         config = SunderConfig(rate_nibbles=4, report_bits=m, metadata_bits=n,
                               fifo=False)
         placement = place(strided, config)
-        fills = pu_fill_cycles_from_events(recorder.events, placement)
+        fills = pu_fill_cycles_from_events(recorder, placement)
         result = ReportingPerfModel(config).evaluate(
             fills, len(vectors), capacity_scale=scale
         )

@@ -53,21 +53,20 @@ def _experiment():
         ("hot/cold split", split_hot_cold(rules, list(data[:2000]),
                                           activity_coverage=0.99).hot_automaton),
     ]:
-        recorder = ReportRecorder(keep_events=True)
+        recorder = ReportRecorder()
         BitsetEngine(machine).run(list(data), recorder)
         report_ids = [s.id for s in machine.report_states()]
         ap = ApReportingModel(scale=0.01).evaluate(
-            recorder.events, report_ids, len(data))
+            recorder, report_ids, len(data))
 
         strided = to_rate(machine, 4)
         from repro.sim import stream_for
         vectors, limit = stream_for(strided, data)
-        strided_recorder = ReportRecorder(keep_events=True,
-                                          position_limit=limit)
+        strided_recorder = ReportRecorder(position_limit=limit)
         BitsetEngine(strided).run(vectors, strided_recorder)
         config = SunderConfig(rate_nibbles=4, report_bits=24)
         placement = place(strided, config)
-        fills = pu_fill_cycles_from_events(strided_recorder.events, placement)
+        fills = pu_fill_cycles_from_events(strided_recorder, placement)
         sunder = ReportingPerfModel(config).evaluate(
             fills, len(vectors), capacity_scale=0.01)
 

@@ -65,9 +65,9 @@ def _experiment(cycles=30_000, seed=5):
             else:
                 last = 13  # no reporting state matches values > 11
             stream.append((0, 0, 0, last))
-        recorder = ReportRecorder(keep_events=True)
+        recorder = ReportRecorder()
         engine.run(stream, recorder)
-        fills = pu_fill_cycles_from_events(recorder.events, placement)
+        fills = pu_fill_cycles_from_events(recorder, placement)
         result = ReportingPerfModel(config).evaluate(fills, cycles)
         rows.append({
             "target_pct": target_pct,

@@ -44,7 +44,7 @@ def main():
     traffic = synth_traffic(20_000)
 
     # Functional run at 8 bits/cycle: the AP's native rate.
-    recorder = ReportRecorder(keep_events=True)
+    recorder = ReportRecorder()
     BitsetEngine(ruleset).run(list(traffic), recorder)
     print("Traffic: %d bytes, %d reports over %d report cycles (%.1f%%)" % (
         len(traffic), recorder.total_reports, recorder.report_cycles,
@@ -54,18 +54,18 @@ def main():
     # AP and AP+RAD reporting overheads on that report stream.
     report_ids = [s.id for s in ruleset.report_states()]
     ap = ApReportingModel(scale=0.02).evaluate(
-        recorder.events, report_ids, len(traffic))
+        recorder, report_ids, len(traffic))
     rad = ApReportingModel(rad=True, scale=0.02).evaluate(
-        recorder.events, report_ids, len(traffic))
+        recorder, report_ids, len(traffic))
 
     # Sunder at 16 bits/cycle with in-place reporting.
     machine = to_rate(ruleset, 4)
     vectors, limit = stream_for(machine, traffic)
-    strided_recorder = ReportRecorder(keep_events=True, position_limit=limit)
+    strided_recorder = ReportRecorder(position_limit=limit)
     BitsetEngine(machine).run(vectors, strided_recorder)
     config = SunderConfig(rate_nibbles=4, report_bits=16)
     placement = place(machine, config)
-    fills = pu_fill_cycles_from_events(strided_recorder.events, placement)
+    fills = pu_fill_cycles_from_events(strided_recorder, placement)
     sunder = ReportingPerfModel(config).evaluate(
         fills, len(vectors), capacity_scale=0.02)
 

@@ -157,7 +157,7 @@ def check_prefilter_metrics():
     registry = obs.MetricsRegistry()
     trace = obs.TraceCollector()
     with obs.collecting(registry=registry, trace=trace):
-        recorder = ReportRecorder(keep_events=True)
+        recorder = ReportRecorder()
         gated_simulation(filterable, data, recorder)
         gated_simulation(unfilterable, data, ReportRecorder())
     if recorder.total_reports != 1:

@@ -3,9 +3,9 @@
 The transform kernels allocate hundreds of thousands of long-lived
 containers (adjacency rows, STEs, id strings) in one burst, and the
 engine's run loops (``BitsetEngine._execute`` and ``_execute_lanes``)
-allocate one report event per report.  None of them form reference
+allocate step-table entries on every miss.  None of them form reference
 cycles — automata are plain trees of dicts, lists, and immutable
-values, and events hold only ints and strings — so every generational
+values, and table entries hold only ints and tuples — so every generational
 collection CPython triggers during the burst walks a multi-million-object
 heap and reclaims nothing.  Measured on the squaring kernels this
 overhead is around half the total runtime, and it grows with whatever

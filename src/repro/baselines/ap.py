@@ -8,9 +8,10 @@ cannot push and pop simultaneously, so once the buffers saturate the
 device stalls at the export bandwidth.
 
 This model replays the exact per-cycle report sets from the functional
-simulator: each report cycle enqueues ``1088 * (#regions hit)`` bits into
-a finite queue drained continuously at ``export_bits_per_cycle``; when
-the queue is full the device stalls until space exists.  The export
+simulator's report rows: each report cycle enqueues ``1088 * (#regions
+hit)`` bits into a finite queue drained continuously at
+``export_bits_per_cycle``; when the queue is full the device stalls
+until space exists.  The export
 bandwidth is the single calibration constant, set so the model's Snort
 overhead lands at the published 46x (EXPERIMENTS.md records the value).
 
@@ -117,8 +118,12 @@ class ApReportingModel:
             for index, state_id in enumerate(report_state_ids)
         }
 
-    def offload_bits_per_cycle_map(self, events, report_state_ids):
-        """Bits offloaded at each report cycle, from raw report events."""
+    def offload_bits_per_cycle_map(self, recorder, report_state_ids):
+        """Bits offloaded at each report cycle, from a recorder's rows.
+
+        Each distinct plan's set of triggered regions (or RAD chunks) is
+        computed once; a cycle's offload covers the union over its rows.
+        """
         if not report_state_ids:
             raise ArchitectureError("no reporting states")
         groups = (
@@ -129,24 +134,30 @@ class ApReportingModel:
             RAD_CHUNK_BITS + RAD_CHUNK_METADATA_BITS if self.rad
             else REGION_VECTOR_BITS + REGION_METADATA_BITS
         )
+        table, column = recorder.plan_table()
+        plan_groups = [frozenset(groups[state_id] for _, state_id, _ in plan)
+                       for plan in table]
         hits = {}
-        for event in events:
-            hits.setdefault(event.cycle, set()).add(groups[event.state_id])
+        for cycle, index in zip(recorder.cycles, column):
+            hit = hits.get(cycle)
+            hits[cycle] = (plan_groups[index] if hit is None
+                           else hit | plan_groups[index])
         n_regions = max(groups.values()) + 1
         return (
             {cycle: len(groups_hit) * payload for cycle, groups_hit in hits.items()},
             n_regions,
         )
 
-    def evaluate(self, events, report_state_ids, total_cycles):
+    def evaluate(self, recorder, report_state_ids, total_cycles):
         """Replay the report stream through the buffer queue.
 
-        ``events`` is the functional simulator's report-event list;
+        ``recorder`` is the functional simulator's
+        :class:`~repro.sim.reports.ReportRecorder`;
         ``report_state_ids`` fixes the STE-to-region assignment order.
         Returns an :class:`ApPerfResult`.
         """
         offloads, n_regions = self.offload_bits_per_cycle_map(
-            events, report_state_ids
+            recorder, report_state_ids
         )
         queue_capacity = max(1.0, n_regions * L1_BITS_PER_REGION * self.scale)
         bandwidth = self.export_bits_per_cycle

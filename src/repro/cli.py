@@ -226,22 +226,22 @@ def cmd_compare(args):
         with open(args.file, "rb") as handle:
             data = handle.read()
 
-    recorder = ReportRecorder(keep_events=True)
+    recorder = ReportRecorder()
     BitsetEngine(machine).run(list(data), recorder)
     report_ids = [s.id for s in machine.report_states()]
     scale = max(1e-4, len(data) / 1_000_000.0)
     ap = ApReportingModel(scale=scale).evaluate(
-        recorder.events, report_ids, len(data))
+        recorder, report_ids, len(data))
     rad = ApReportingModel(rad=True, scale=scale).evaluate(
-        recorder.events, report_ids, len(data))
+        recorder, report_ids, len(data))
 
     strided = to_rate(machine, 4)
     vectors, limit = stream_for(strided, data)
-    strided_recorder = ReportRecorder(keep_events=True, position_limit=limit)
+    strided_recorder = ReportRecorder(position_limit=limit)
     BitsetEngine(strided).run(vectors, strided_recorder)
     config = SunderConfig(rate_nibbles=4, report_bits=args.report_bits)
     placement = place(strided, config)
-    fills = pu_fill_cycles_from_events(strided_recorder.events, placement)
+    fills = pu_fill_cycles_from_events(strided_recorder, placement)
     sunder = ReportingPerfModel(config).evaluate(
         fills, len(vectors), capacity_scale=scale)
 

@@ -545,8 +545,9 @@ class SunderDevice:
 
         Combines entries the host already received (flushes + FIFO drains)
         with entries still resident in the reporting regions, then decodes
-        report bits back to state identities.  Cycle metadata is unwrapped
-        modulo ``2**metadata_bits`` assuming in-order arrival.
+        report bits back to state identities, one row per entry.  Cycle
+        metadata is unwrapped modulo ``2**metadata_bits`` assuming
+        in-order arrival.
         """
         with trace_span("device.report_drain"):
             return self._report_events(position_limit)
@@ -563,13 +564,12 @@ class SunderDevice:
                 for entry in entries:
                     cycle = _unwrap(entry.cycle, last_cycle, modulus)
                     last_cycle = cycle
+                    plan = []
                     for state_id in pu.decode_report_columns(entry.report_vector):
                         state = self.automaton.state(state_id)
                         for offset in state.report_offsets:
-                            recorder.record(
-                                cycle * arity + offset, cycle, state_id,
-                                state.report_code,
-                            )
+                            plan.append((offset, state_id, state.report_code))
+                    recorder.record_cycle(cycle, plan, arity)
         return recorder
 
     def save_context(self):

@@ -34,6 +34,7 @@ from time import perf_counter
 import numpy as np
 
 from ..errors import ArchitectureError
+from ..sim.reports import open_rows
 from .config import PUS_PER_CLUSTER
 
 #: Accepted values for the device's ``fidelity`` knob.
@@ -302,19 +303,18 @@ class PackedKernel:
 
         Lanes share the step cache, so identical ``(enables, vector,
         phase)`` transitions are computed once per call.  Reports
-        decode straight into the per-lane recorders via
-        :meth:`_batch_report_plan` — the reporting-region hardware
-        model (row writes, stalls, flushes, FIFO drains) is bypassed,
-        and the kernel's own dynamic state, pending access counters,
-        and regions are untouched.  Returns per-lane ``(hits, misses)``
-        lists.
+        decode straight into the per-lane recorders, one row per
+        reporting PU holding :meth:`_batch_report_plan`'s shared tuple
+        — the reporting-region hardware model (row writes, stalls,
+        flushes, FIFO drains) is bypassed, and the kernel's own dynamic
+        state, pending access counters, and regions are untouched.
+        Returns per-lane ``(hits, misses)`` lists.
         """
         cache = self._cache
         cache_limit = self._cache_limit
         touch_floor = self._touch_floor
         compute = self._compute
         batch_plan = self._batch_report_plan
-        arity = self.arity
         lanes = len(lane_vectors)
         if start_cycles is None:
             start_cycles = (0,) * lanes
@@ -326,37 +326,38 @@ class PackedKernel:
         lane_misses = [0] * lanes
         lane_lengths = [len(vectors) for vectors in lane_vectors]
         skipped = 0
-        for index in range(max(lane_lengths, default=0)):
-            for lane in range(lanes):
-                if index >= lane_lengths[lane]:
-                    continue
-                cycle = start_cycles[lane] + index
-                phase = 2 if cycle == 0 else (
-                    1 if cycle % period == 0 else 0)
-                key = (enables[lane], lane_vectors[lane][index], phase)
-                value = cache.get(key)
-                if value is None:
-                    lane_misses[lane] += 1
-                    value = compute(key)
-                    cache[key] = value
-                    if len(cache) > cache_limit:
-                        del cache[next(iter(cache))]
-                else:
-                    lane_hits[lane] += 1
-                    if len(cache) > touch_floor:
-                        del cache[key]
+        with open_rows(recorders, self.arity) as sinks:
+            for index in range(max(lane_lengths, default=0)):
+                for lane in range(lanes):
+                    if index >= lane_lengths[lane]:
+                        continue
+                    cycle = start_cycles[lane] + index
+                    phase = 2 if cycle == 0 else (
+                        1 if cycle % period == 0 else 0)
+                    key = (enables[lane], lane_vectors[lane][index], phase)
+                    value = cache.get(key)
+                    if value is None:
+                        lane_misses[lane] += 1
+                        value = compute(key)
                         cache[key] = value
-                enables[lane] = value[0]
-                if cycle >= record_from[lane]:
-                    plan = value[2]
-                    if plan:
-                        record = recorders[lane].record
-                        base = cycle * arity
-                        for pu_index, report, _ in plan:
-                            for offset, state_id, code in batch_plan(
-                                    pu_index, report):
-                                record(base + offset, cycle, state_id, code)
-                skipped += value[5]
+                        if len(cache) > cache_limit:
+                            del cache[next(iter(cache))]
+                    else:
+                        lane_hits[lane] += 1
+                        if len(cache) > touch_floor:
+                            del cache[key]
+                            cache[key] = value
+                    enables[lane] = value[0]
+                    if cycle >= record_from[lane]:
+                        plan = value[2]
+                        if plan:
+                            # One row per reporting PU: what that PU
+                            # writes into its report region this cycle.
+                            add_cycle, add_plan = sinks[lane]
+                            for pu_index, report, _ in plan:
+                                add_cycle(cycle)
+                                add_plan(batch_plan(pu_index, report))
+                    skipped += value[5]
         self.pus_skipped += skipped
         self.cache_hits += sum(lane_hits)
         self.cache_misses += sum(lane_misses)

@@ -144,18 +144,23 @@ class ReportingPerfModel:
         return PerfResult(total_cycles, stall_cycles, flushes, fills)
 
 
-def pu_fill_cycles_from_events(events, placement):
-    """Group report events by the PU their state is placed in.
+def pu_fill_cycles_from_events(recorder, placement):
+    """Group a recorder's reports by the PU their state is placed in.
 
-    ``events`` is an iterable of :class:`~repro.sim.reports.ReportEvent`;
-    returns ``{(cluster, pu): set(cycles)}`` — one region write per PU per
+    ``recorder`` is a :class:`~repro.sim.reports.ReportRecorder`; returns
+    ``{(cluster, pu): sorted cycles}`` — one region write per PU per
     report cycle, which is exactly the hardware's behaviour (one entry
-    captures all of a PU's report bits for that cycle).
+    captures all of a PU's report bits for that cycle).  Each distinct
+    plan's PUs are looked up once, then the rows are walked.
     """
+    table, column = recorder.plan_table()
+    plan_pus = [tuple(dict.fromkeys(placement.report_pu_of(state_id)
+                                    for _, state_id, _ in plan))
+                for plan in table]
     fills = {}
-    for event in events:
-        key = placement.report_pu_of(event.state_id)
-        fills.setdefault(key, set()).add(event.cycle)
+    for cycle, index in zip(recorder.cycles, column):
+        for key in plan_pus[index]:
+            fills.setdefault(key, set()).add(cycle)
     return {key: sorted(cycles) for key, cycles in fills.items()}
 
 

@@ -153,9 +153,7 @@ def run_multi_round(automaton, vectors, config, max_clusters,
         configure_cycles += configuration_write_cycles(placement, config)
         result = device.run(vectors, position_limit=position_limit)
         stall_cycles += result.stall_cycles
-        for event in result.reports().events:
-            merged.record(event.position, event.cycle, event.state_id,
-                          event.report_code)
+        merged.absorb(result.reports())
     return MultiRoundResult(
         len(rounds), len(vectors), configure_cycles, stall_cycles, merged,
     )

@@ -79,8 +79,7 @@ class Session:
 
         ``streams`` is an iterable of byte strings.  Results are
         :class:`~repro.sim.reports.ReportRecorder`\\ s in stream order,
-        each with ``keep_events=True`` and the stream's own position
-        limit — bit-exact with the corresponding direct run-variant
+        each with the stream's own position limit — bit-exact with the corresponding direct run-variant
         call for the bound plan.
         """
         datas = [bytes(stream) for stream in streams]
@@ -120,15 +119,14 @@ class Session:
             recorders = []
             for data in datas:
                 _, limit = stream_shape(self.automaton, data)
-                recorder = ReportRecorder(keep_events=True,
-                                          position_limit=limit)
+                recorder = ReportRecorder(position_limit=limit)
                 gated_simulation(self.automaton, data, recorder,
                                  source=self.source, prefilter=prefilter,
                                  engine=engine)
                 recorders.append(recorder)
             return recorders
         lanes = [stream_for(self.automaton, data) for data in datas]
-        recorders = [ReportRecorder(keep_events=True, position_limit=limit)
+        recorders = [ReportRecorder(position_limit=limit)
                      for _, limit in lanes]
         if len(datas) > 1:
             engine.run_batch([vectors for vectors, _ in lanes], recorders)
@@ -173,8 +171,7 @@ class Session:
         device = self._bind_device(plan)
         if device.fidelity == "packed":
             lanes = [stream_for(self.automaton, data) for data in datas]
-            recorders = [ReportRecorder(keep_events=True,
-                                        position_limit=limit)
+            recorders = [ReportRecorder(position_limit=limit)
                          for _, limit in lanes]
             if lanes:
                 device.run_batch([vectors for vectors, _ in lanes],

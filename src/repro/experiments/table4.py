@@ -89,12 +89,11 @@ def evaluate_benchmark(instance, rate=4, config=None, scale=1.0):
     # --- run: exact report streams from the functional simulator -------
     with trace_span("table4.run", benchmark=instance.name):
         engine = BitsetEngine(automaton)
-        recorder = ReportRecorder(keep_events=True)
+        recorder = ReportRecorder()
         engine.run(list(data), recorder)
         run8 = SimRun(recorder, len(data))
         vectors, limit = stream_for(strided, data)
-        strided_recorder = ReportRecorder(keep_events=True,
-                                          position_limit=limit)
+        strided_recorder = ReportRecorder(position_limit=limit)
         BitsetEngine(strided).run(vectors, strided_recorder)
         strided_run = SimRun(strided_recorder, len(vectors))
 

@@ -178,8 +178,7 @@ class DirectFilter:
         ends = set()
         for start, end in merged:
             recorder = engine.run(data[start:min(end, len(data))])
-            for event in recorder.events:
-                ends.add(start + event.position)
+            ends.update(start + position for position in recorder.positions())
         return ends
 
     def __repr__(self):

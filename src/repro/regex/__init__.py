@@ -15,7 +15,7 @@ def find_match_ends(pattern, data, ignore_case=False):
 
     automaton = compile_pattern(pattern, ignore_case=ignore_case)
     recorder = BitsetEngine(automaton).run(list(data))
-    return sorted({event.position for event in recorder.events})
+    return recorder.positions()
 
 
 __all__ = ["compile_pattern", "compile_ruleset", "find_match_ends", "parse"]

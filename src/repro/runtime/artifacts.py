@@ -10,7 +10,7 @@ store serves that one read-only master on every hit:
   — the ``generate`` stage's output: automaton + planted input stream +
   provenance;
 - **simulation runs** (:class:`SimRun`) — one functional-simulator pass:
-  the full :class:`~repro.sim.reports.ReportRecorder` stream plus the
+  the full :class:`~repro.sim.reports.ReportRecorder` rows plus the
   cycle count and active-state statistics the Table 1 columns need;
 - **automata** (:class:`AutomatonCodec`) — the ``to_rate`` stage's
   output and every memoized transform result
@@ -41,7 +41,7 @@ SIMRUN_VERSION = 1
 class SimRun:
     """One functional-simulator pass, ready for replay.
 
-    ``recorder`` is the full report stream; ``cycles`` the stream length
+    ``recorder`` holds the run's report rows; ``cycles`` the stream length
     in vector cycles (bytes for an 8-bit machine, vectors for a strided
     one); the active-state statistics feed Table 1's dynamic columns.
     """

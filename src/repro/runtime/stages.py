@@ -183,7 +183,7 @@ def _run_simulation(engine, vectors, recorder, plan):
 def _simulate8(params, instance):
     """Functional simulation of the 8-bit machine over its input.
 
-    Records the full event stream (Table 4's AP replay needs it) and the
+    Records the report rows (Table 4's AP replay needs them) and the
     active-state statistics (Table 1's dynamic columns need them).
 
     The execution strategy comes from the params' ``plan`` value (see
@@ -194,7 +194,7 @@ def _simulate8(params, instance):
     """
     plan = _stage_plan(params)
     if plan.prefilter:
-        recorder = ReportRecorder(keep_events=True)
+        recorder = ReportRecorder()
         engine, gated = gated_simulation(
             instance.automaton, instance.input_bytes, recorder)
         cycles, _ = stream_shape(instance.automaton, instance.input_bytes)
@@ -202,7 +202,7 @@ def _simulate8(params, instance):
             return SimRun.from_engine(engine, recorder, cycles)
         return SimRun(recorder, cycles)
     engine = BitsetEngine(instance.automaton)
-    recorder = ReportRecorder(keep_events=True)
+    recorder = ReportRecorder()
     stream = list(instance.input_bytes)
     _run_simulation(engine, stream, recorder, plan)
     return SimRun.from_engine(engine, recorder, len(stream))
@@ -225,12 +225,12 @@ def _simulate_strided(params, instance, strided):
     plan = _stage_plan(params)
     if plan.prefilter:
         cycles, limit = stream_shape(strided, instance.input_bytes)
-        recorder = ReportRecorder(keep_events=True, position_limit=limit)
+        recorder = ReportRecorder(position_limit=limit)
         gated_simulation(strided, instance.input_bytes, recorder,
                          source=instance.automaton)
         return SimRun(recorder, cycles)
     vectors, limit = stream_for(strided, instance.input_bytes)
-    recorder = ReportRecorder(keep_events=True, position_limit=limit)
+    recorder = ReportRecorder(position_limit=limit)
     _run_simulation(BitsetEngine(strided), vectors, recorder, plan)
     return SimRun(recorder, len(vectors))
 
@@ -278,10 +278,10 @@ def drain_row(instance, run8, strided_run, placement, rate, scale,
     report_ids = [state.id for state in instance.automaton.report_states()]
     byte_cycles = run8.cycles
     ap = ApReportingModel(rad=False, scale=scale).evaluate(
-        run8.recorder.events, report_ids, byte_cycles)
+        run8.recorder, report_ids, byte_cycles)
     rad = ApReportingModel(rad=True, scale=scale).evaluate(
-        run8.recorder.events, report_ids, byte_cycles)
-    fills = pu_fill_cycles_from_events(strided_run.recorder.events, placement)
+        run8.recorder, report_ids, byte_cycles)
+    fills = pu_fill_cycles_from_events(strided_run.recorder, placement)
     no_fifo = ReportingPerfModel(_with_fifo(config, False)).evaluate(
         fills, strided_run.cycles, capacity_scale=scale)
     fifo = ReportingPerfModel(_with_fifo(config, True)).evaluate(

@@ -48,7 +48,7 @@ from ..obs import OBS
 #: cached Table 4 rows: ``drain_row``, ``place``, ``ReportingPerfModel``,
 #: ``ApReportingModel`` and the ``SunderConfig`` defaults) so stale
 #: artifacts can never be served.
-CODE_VERSION = "2026.10-runtime-2"
+CODE_VERSION = "2026.10-runtime-3"
 
 #: Environment variable naming the on-disk artifact directory for the
 #: process-wide store.  When unset, the store is memory-only.

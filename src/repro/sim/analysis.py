@@ -32,11 +32,16 @@ def burst_widths(recorder):
 def per_code_counts(recorder):
     """Counter of report codes — which rules actually fire.
 
-    Requires ``keep_events=True`` on the recorder.
+    Counts each distinct plan's codes once, weighted by the number of
+    rows that use the plan.
     """
-    if not recorder.keep_events:
-        raise SimulationError("per-code counts need keep_events=True")
-    return Counter(event.report_code for event in recorder.events)
+    table, column = recorder.plan_table()
+    uses = Counter(column)
+    counts = Counter()
+    for index, plan in enumerate(table):
+        for _, _, code in plan:
+            counts[code] += uses[index]
+    return counts
 
 
 def density_timeline(recorder, total_cycles, windows=20):
@@ -86,7 +91,7 @@ def buffer_pressure(recorder, capacity, total_cycles, drain_per_cycle=0.0):
 
 
 def summarize_analysis(recorder, total_cycles):
-    """One-stop dict of the analytics above (events optional)."""
+    """One-stop dict of the analytics above."""
     gaps = inter_report_gaps(recorder)
     widths = burst_widths(recorder)
     result = {
@@ -98,6 +103,6 @@ def summarize_analysis(recorder, total_cycles):
         "timeline": density_timeline(recorder, total_cycles)
         if total_cycles > 0 else [],
     }
-    if recorder.keep_events and recorder.events:
+    if recorder.total_reports:
         result["hot_codes"] = per_code_counts(recorder).most_common(5)
     return result

@@ -49,7 +49,7 @@ from ..errors import SimulationError
 from ..automata.gcutil import gc_paused
 from ..automata.ste import StartKind
 from ..obs import OBS, ProgressReporter, trace_span
-from .reports import ReportRecorder
+from .reports import ReportRecorder, open_rows
 
 #: Vectors per hot-loop slice between progress updates in observed runs.
 #: Large enough that the loop overhead of slicing is invisible (<0.1%),
@@ -363,15 +363,14 @@ class BitsetEngine:
         Continues from ``self._active`` at ``self._cycle``, so slicing
         a stream across calls is bit-exact with one call.  The loop
         holds the active set as an interned id: a hit is one row
-        lookup, and only a miss touches masks.  The collector is
-        paused — the loop allocates report events but no reference
-        cycles.
+        lookup, and only a miss touches masks.  A reporting cycle
+        appends one row — its cycle and the set's interned plan — onto
+        the recorder's columns.  The collector is paused — the loop
+        allocates no reference cycles.
         """
         period = self._start_period
-        arity = self.automaton.arity
         history = (self.active_count_history
                    if self._history_limit != 0 else None)
-        record = recorder.record_cycle if recorder is not None else None
         cycle = self._cycle
         rows = self._rows
         plans = self._set_plans
@@ -379,22 +378,25 @@ class BitsetEngine:
         single_period = period == 1
         set_id = self._intern(self._active)
         hits = misses = 0
-        for vector in vectors:
-            phase = (2 if cycle == 0 else
-                     1 if single_period or cycle % period == 0 else 0)
-            nxt = rows[set_id][phase].get(vector)
-            if nxt is None:
-                misses += 1
-                nxt = self._miss([set_id], 0, vector, phase)
-            else:
-                hits += 1
-            set_id = nxt
-            plan = plans[set_id]
-            if plan and record is not None:
-                record(cycle, plan, arity)
-            if history is not None:
-                history.append(counts[set_id])
-            cycle += 1
+        with open_rows((recorder,), self.automaton.arity) as (sink,):
+            add_cycle, add_plan = sink if sink is not None else (None, None)
+            for vector in vectors:
+                phase = (2 if cycle == 0 else
+                         1 if single_period or cycle % period == 0 else 0)
+                nxt = rows[set_id][phase].get(vector)
+                if nxt is None:
+                    misses += 1
+                    nxt = self._miss([set_id], 0, vector, phase)
+                else:
+                    hits += 1
+                set_id = nxt
+                plan = plans[set_id]
+                if plan and add_plan is not None:
+                    add_cycle(cycle)
+                    add_plan(plan)
+                if history is not None:
+                    history.append(counts[set_id])
+                cycle += 1
         self._active = self._set_masks[set_id]
         self._cycle = cycle
         self._cache_hits += hits
@@ -544,7 +546,6 @@ class BitsetEngine:
         if record_from is None:
             record_from = start_cycles
         period = self._start_period
-        arity = self.automaton.arity
         rows = self._rows
         plans = self._set_plans
         counts = self._set_counts
@@ -553,29 +554,31 @@ class BitsetEngine:
         lane_hits = [0] * count
         lane_misses = [0] * count
         lane_lengths = [len(vectors) for vectors in lane_vectors]
-        for index in range(max(lane_lengths, default=0)):
-            for lane in range(count):
-                if index >= lane_lengths[lane]:
-                    continue
-                vector = lane_vectors[lane][index]
-                cycle = start_cycles[lane] + index
-                phase = (2 if cycle == 0 else
-                         1 if cycle % period == 0 else 0)
-                nxt = rows[actives[lane]][phase].get(vector)
-                if nxt is None:
-                    lane_misses[lane] += 1
-                    nxt = miss(actives, lane, vector, phase)
-                else:
-                    lane_hits[lane] += 1
-                actives[lane] = nxt
-                if cycle >= record_from[lane]:
-                    plan = plans[nxt]
-                    if plan:
-                        recorder = recorders[lane]
-                        if recorder is not None:
-                            recorder.record_cycle(cycle, plan, arity)
-                    if histories is not None:
-                        histories[lane].append(counts[nxt])
+        with open_rows(recorders, self.automaton.arity) as sinks:
+            for index in range(max(lane_lengths, default=0)):
+                for lane in range(count):
+                    if index >= lane_lengths[lane]:
+                        continue
+                    vector = lane_vectors[lane][index]
+                    cycle = start_cycles[lane] + index
+                    phase = (2 if cycle == 0 else
+                             1 if cycle % period == 0 else 0)
+                    nxt = rows[actives[lane]][phase].get(vector)
+                    if nxt is None:
+                        lane_misses[lane] += 1
+                        nxt = miss(actives, lane, vector, phase)
+                    else:
+                        lane_hits[lane] += 1
+                    actives[lane] = nxt
+                    if cycle >= record_from[lane]:
+                        plan = plans[nxt]
+                        if plan:
+                            sink = sinks[lane]
+                            if sink is not None:
+                                sink[0](cycle)
+                                sink[1](plan)
+                        if histories is not None:
+                            histories[lane].append(counts[nxt])
         self._cache_hits += sum(lane_hits)
         self._cache_misses += sum(lane_misses)
         return lane_hits, lane_misses
@@ -657,17 +660,14 @@ class BitsetEngine:
         keep_history = self._history_limit != 0
         if runner is not None and runner.workers > 1:
             jobs = [(self.automaton, block_vectors, start_cycle, record_from,
-                     recorder.keep_events, recorder.position_limit,
-                     keep_history)
+                     recorder.position_limit, keep_history)
                     for block_vectors, start_cycle, record_from in blocks]
             outcomes = runner.map(_shard_job, jobs)
-            parts = [ReportRecorder.from_payload(payload)
-                     for payload, _ in outcomes]
+            parts = [part for part, _ in outcomes]
             histories = ([history for _, history in outcomes]
                          if keep_history else None)
             return parts, histories
-        parts = [ReportRecorder(keep_events=recorder.keep_events,
-                                position_limit=recorder.position_limit)
+        parts = [ReportRecorder(position_limit=recorder.position_limit)
                  for _ in blocks]
         histories = [[] for _ in blocks] if keep_history else None
         lane_vectors = [block_vectors for block_vectors, _, _ in blocks]
@@ -736,8 +736,7 @@ class BitsetEngine:
         materializes the full vector stream — its Python-level work
         stays proportional to the windows, not the input length.
         """
-        parts = [ReportRecorder(keep_events=recorder.keep_events,
-                                position_limit=recorder.position_limit)
+        parts = [ReportRecorder(position_limit=recorder.position_limit)
                  for _ in lane_vectors]
         if OBS.active:
             self._run_windows_observed(lane_vectors, parts, start_cycles,
@@ -809,14 +808,13 @@ class NaiveEngine:
             if automaton.state(state_id).matches(vector)
         }
         if recorder is not None:
-            base = self._cycle * automaton.arity
+            plan = []
             for state_id in active:
                 state = automaton.state(state_id)
                 if state.report:
                     for offset in state.report_offsets:
-                        recorder.record(
-                            base + offset, self._cycle, state_id, state.report_code
-                        )
+                        plan.append((offset, state_id, state.report_code))
+            recorder.record_cycle(self._cycle, plan, automaton.arity)
         self._active = active
         self._cycle += 1
         return active
@@ -843,19 +841,19 @@ def _shard_job(job):
     Module-level so :class:`~repro.sim.parallel.ParallelRunner` can
     pickle it; the worker rebuilds a private engine from the shipped
     automaton (transition-table state does not cross processes).  Returns
-    ``(recorder_payload, history_list)``.
+    ``(recorder, history_list)``: the recorder's rows pickle each shared
+    plan once.
     """
     (automaton, vectors, start_cycle, record_from,
-     keep_events, position_limit, keep_history) = job
+     position_limit, keep_history) = job
     engine = BitsetEngine(automaton, history_limit=0)
-    part = ReportRecorder(keep_events=keep_events,
-                          position_limit=position_limit)
+    part = ReportRecorder(position_limit=position_limit)
     history = [] if keep_history else None
     engine._execute_lanes(
         [vectors], [part],
         start_cycles=[start_cycle], record_from=[record_from],
         histories=[history] if keep_history else None)
-    return part.to_payload(), history
+    return part, history
 
 
 def _normalize_stream(automaton, stream):

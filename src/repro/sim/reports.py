@@ -1,21 +1,27 @@
-"""Report events and recorders for automata simulation.
+"""Report rows and recorders for automata simulation.
 
 A *report* is the architectural event the whole paper is about: a reporting
 STE matched, and (position, which-state) must reach the host.  The recorder
-keeps both the raw event list and the per-cycle aggregates that drive the
+stores reports the way Sunder's reporting region does: one *row* per
+reporting cycle, holding the cycle and that cycle's report plan — a shared
+tuple of ``(offset, state_id, report_code)`` triples, each firing at
+position ``cycle * arity + offset``.  A simulator interns one plan per
+active set, so a row costs two list slots however many reports it holds.
+Everything else — the total, the per-cycle counts that drive the
 reporting-architecture models (Table 1's dynamic columns, the AP buffer
-model, and Sunder's in-subarray reporting region).
+model, Sunder's in-subarray reporting region) and the individual
+:class:`ReportEvent` objects — is derived from the rows when asked.
 """
 
 from collections import Counter
-from itertools import chain
+from contextlib import contextmanager
 
 from ..errors import ArtifactError, SimulationError
 
 #: Versioned serialization identifiers for recorder payloads (consumed
 #: by the stage-graph runtime's artifact store).
 PAYLOAD_FORMAT = "repro-report-stream"
-PAYLOAD_VERSION = 2
+PAYLOAD_VERSION = 3
 
 
 class ReportEvent:
@@ -62,15 +68,17 @@ class ReportEvent:
 
 
 class ReportRecorder:
-    """Accumulates report events and per-cycle statistics.
+    """Report rows: a cycle column and a plan column, in write order.
+
+    ``cycles[i]`` is the cycle of row ``i`` and ``plans[i]`` its plan, a
+    non-empty tuple of ``(offset, state_id, report_code)`` triples with
+    ``0 <= offset < arity``.  Rows sharing a plan share the tuple.
+    ``arity`` is set by the first write and fixed after it.
 
     Parameters
     ----------
-    keep_events:
-        When False, only aggregates are kept — useful for long streams where
-        the event list itself would dominate memory.
     position_limit:
-        Events at or beyond this sub-symbol position are dropped.  The
+        Reports at or beyond this sub-symbol position are dropped.  The
         striding transformation pads the final input vector; reports that
         fire on pad positions are artifacts and must be filtered.
 
@@ -81,102 +89,161 @@ class ReportRecorder:
     #: Instance default until :meth:`freeze` sets the object's own.
     _frozen = False
 
-    def __init__(self, keep_events=True, position_limit=None):
-        self.keep_events = keep_events
+    def __init__(self, position_limit=None):
         self.position_limit = position_limit
-        self.events = []
-        self.reports_per_cycle = Counter()
+        self.arity = None
+        self.cycles = []
+        self.plans = []
         self.total_reports = 0
 
     def freeze(self):
         """Make the recorder read-only for good; returns ``self``.
 
-        :meth:`record`, :meth:`record_cycle` and :meth:`absorb` raise
-        :class:`~repro.errors.SimulationError` afterwards.  ``events``
-        and ``reports_per_cycle`` stay plain containers that readers
-        must not mutate.
+        :meth:`record_cycle`, :meth:`absorb` and :func:`open_rows` raise
+        :class:`~repro.errors.SimulationError` afterwards.  The row
+        columns stay plain lists that readers must not mutate.
         """
         self._frozen = True
         return self
 
-    def _frozen_error(self):
-        return SimulationError("cannot record into a frozen ReportRecorder")
-
-    def record(self, position, cycle, state_id, report_code):
-        """Log one report occurrence."""
+    def _writable(self, arity):
+        """Check a write of arity-``arity`` rows may start; fix the arity."""
         if self._frozen:
-            raise self._frozen_error()
-        if self.position_limit is not None and position >= self.position_limit:
-            return
-        self.total_reports += 1
-        self.reports_per_cycle[cycle] += 1
-        if self.keep_events:
-            self.events.append(ReportEvent(position, cycle, state_id, report_code))
+            raise SimulationError("cannot record into a frozen ReportRecorder")
+        if arity != self.arity:
+            if self.arity is not None:
+                raise SimulationError(
+                    "recorder holds arity-%d rows, got arity %r"
+                    % (self.arity, arity))
+            self.arity = arity
+
+    def _commit(self, first):
+        """Account for the rows appended since row ``first``.
+
+        Drops their reports at or past ``position_limit`` and adds the
+        rest to ``total_reports``.  Only the last cycles can reach the
+        limit, so only tail rows are examined: the rows must ascend in
+        cycle.
+        """
+        if self.position_limit is not None:
+            self._trim(first)
+        self.total_reports += sum(map(len, self.plans[first:]))
+
+    def _trim(self, first):
+        limit = self.position_limit
+        arity = self.arity
+        cycles, plans = self.cycles, self.plans
+        start = len(cycles)
+        while start > first and (cycles[start - 1] + 1) * arity > limit:
+            start -= 1
+        tail = list(zip(cycles[start:], plans[start:]))
+        del cycles[start:], plans[start:]
+        for cycle, plan in tail:
+            base = cycle * arity
+            kept = tuple(entry for entry in plan if base + entry[0] < limit)
+            if kept:
+                cycles.append(cycle)
+                plans.append(plan if len(kept) == len(plan) else kept)
 
     def record_cycle(self, cycle, plan, arity):
-        """Log all of one cycle's reports in one call.
+        """Log all of one cycle's reports as one row.
 
         ``plan`` holds ``(offset, state_id, report_code)`` triples with
         ``0 <= offset < arity``; each fires at position ``cycle * arity
-        + offset``.  The result is exactly that of calling :meth:`record`
-        for each triple in order — the whole cycle is one row, as in
-        Sunder's in-place reporting — but the position limit is only
-        checked on a cycle that reaches it.
+        + offset``.  Triples at or past the position limit are dropped,
+        and a row left empty is not written.
         """
-        if self._frozen:
-            raise self._frozen_error()
-        base = cycle * arity
-        limit = self.position_limit
-        if limit is not None and base + arity > limit:
-            plan = [entry for entry in plan if base + entry[0] < limit]
-            if not plan:
-                return
-        count = len(plan)
-        self.total_reports += count
-        per_cycle = self.reports_per_cycle
-        per_cycle[cycle] = per_cycle.get(cycle, 0) + count
-        if self.keep_events:
-            append = self.events.append
-            for offset, state_id, code in plan:
-                append(ReportEvent(base + offset, cycle, state_id, code))
+        self._writable(arity)
+        first = len(self.plans)
+        if plan:
+            self.cycles.append(cycle)
+            self.plans.append(tuple(plan))
+        self._commit(first)
 
     def absorb(self, other):
-        """Fold another recorder's events and aggregates into this one.
+        """Append another recorder's rows to this one, in ``other``'s order.
 
-        Events and per-cycle counts are appended in ``other``'s own
-        order, so stitching shard recorders in block order reproduces
-        the serial run's recorder exactly (the differential suite pins
-        payload-level identity).  ``other``'s events must already
+        Stitching shard or window recorders in block order thus
+        reproduces the serial run's rows exactly (the differential suite
+        pins payload-level identity).  ``other``'s rows must already
         respect this recorder's ``position_limit`` — shard executions
         build their block recorders with the target's parameters.
         """
-        if self._frozen:
-            raise self._frozen_error()
+        self._writable(self.arity if other.arity is None else other.arity)
+        self.cycles.extend(other.cycles)
+        self.plans.extend(other.plans)
         self.total_reports += other.total_reports
-        per_cycle = self.reports_per_cycle
-        for cycle, count in other.reports_per_cycle.items():
-            per_cycle[cycle] += count
-        if self.keep_events:
-            self.events.extend(other.events)
         return self
 
     # ------------------------------------------------------------------
+    def rows(self):
+        """Iterator of ``(cycle, plan)`` rows in write order."""
+        return zip(self.cycles, self.plans)
+
+    @property
+    def reports_per_cycle(self):
+        """Fresh ``Counter`` of reports per cycle, in first-write order."""
+        per_cycle = Counter()
+        for cycle, plan in self.rows():
+            per_cycle[cycle] += len(plan)
+        return per_cycle
+
     @property
     def report_cycles(self):
         """Number of cycles in which at least one report fired."""
-        return len(self.reports_per_cycle)
+        return len(set(self.cycles))
+
+    @property
+    def events(self):
+        """Every report as a fresh list of :class:`ReportEvent`, in row order.
+
+        Built on each access and never kept: a reader that only needs
+        counts, positions or keys should use the row readers instead.
+        """
+        arity = self.arity
+        return [ReportEvent(cycle * arity + offset, cycle, state_id, code)
+                for cycle, plan in self.rows()
+                for offset, state_id, code in plan]
+
+    def plan_table(self):
+        """``(table, column)``: the distinct plans and each row's index.
+
+        ``table`` lists distinct plan values in first-use order, and
+        ``column[i]`` is row ``i``'s index into it.  Each plan object is
+        hashed once however many rows share it, so a reader can derive
+        a fact per distinct plan and then walk the rows.
+        """
+        by_object = {}
+        by_value = {}
+        table = []
+        column = []
+        for plan in self.plans:
+            index = by_object.get(id(plan))
+            if index is None:
+                index = by_value.get(plan)
+                if index is None:
+                    index = by_value[plan] = len(table)
+                    table.append(plan)
+                by_object[id(plan)] = index
+            column.append(index)
+        return table, column
 
     def max_reports_in_a_cycle(self):
         """Burstiness: the largest per-cycle report count."""
-        return max(self.reports_per_cycle.values()) if self.reports_per_cycle else 0
+        return max(self.reports_per_cycle.values(), default=0)
 
     def event_keys(self):
-        """Set of (position, report_code) pairs (requires keep_events)."""
-        return {event.key() for event in self.events}
+        """Set of (position, report_code) pairs."""
+        arity = self.arity
+        return {(cycle * arity + offset, code)
+                for cycle, plan in self.rows() for offset, _, code in plan}
 
     def positions(self):
-        """Sorted distinct report positions (requires keep_events)."""
-        return sorted({event.position for event in self.events})
+        """Sorted distinct report positions."""
+        arity = self.arity
+        return sorted({cycle * arity + offset
+                       for cycle, plan in self.rows()
+                       for offset, _, _ in plan})
 
     def cycle_profile(self, total_cycles):
         """Per-cycle report counts as a list of ints of length total_cycles.
@@ -185,9 +252,9 @@ class ReportRecorder:
         element ``t`` is the number of reports generated in cycle ``t``.
         """
         profile = [0] * total_cycles
-        for cycle, count in self.reports_per_cycle.items():
+        for cycle, plan in self.rows():
             if cycle < total_cycles:
-                profile[cycle] = count
+                profile[cycle] += len(plan)
         return profile
 
     # ------------------------------------------------------------------
@@ -196,36 +263,32 @@ class ReportRecorder:
     def to_payload(self):
         """Versioned JSON-serializable dict capturing the full recorder.
 
-        Events are four columns: ``position``, ``cycle``, and indices
-        into ``state_ids`` and ``report_codes``.  A stream repeats a few
-        reporting states thousands of times, so each state id and code
-        is written once, in first-use order, instead of once per event.
-        ``reports_per_cycle`` is one flat ``[cycle, count, cycle, count,
-        ...]`` list.  Event order, per-cycle aggregate insertion order,
-        and the recording parameters all round-trip exactly through
-        :meth:`from_payload`, so a replayed recorder drives the
-        reporting-architecture models identically to the original.
+        Rows are two columns, ``cycle`` and ``plan`` (an index into the
+        plan table).  The plan table is four flat columns: each plan's
+        ``size`` and its entries' ``offset``, and indices into
+        ``state_ids`` and ``report_codes``, which list each state id and
+        code once, in first-use order.  ``total_reports`` and the
+        per-cycle counts are derived from the rows, so a payload cannot
+        contradict itself.  Row order and the recording parameters
+        round-trip exactly through :meth:`from_payload`.
         """
-        events = self.events
+        table, column = self.plan_table()
         state_index = {}
         code_index = {}
+        entries = [entry for plan in table for entry in plan]
         return {
             "format": PAYLOAD_FORMAT,
             "version": PAYLOAD_VERSION,
-            "keep_events": self.keep_events,
             "position_limit": self.position_limit,
-            "total_reports": self.total_reports,
-            "reports_per_cycle": list(chain.from_iterable(
-                self.reports_per_cycle.items())),
-            "events": {
-                "position": [event.position for event in events],
-                "cycle": [event.cycle for event in events],
-                "state": [state_index.setdefault(event.state_id,
-                                                 len(state_index))
-                          for event in events],
-                "code": [code_index.setdefault(event.report_code,
-                                               len(code_index))
-                         for event in events],
+            "arity": self.arity,
+            "rows": {"cycle": list(self.cycles), "plan": column},
+            "plans": {
+                "size": [len(plan) for plan in table],
+                "offset": [offset for offset, _, _ in entries],
+                "state": [state_index.setdefault(state_id, len(state_index))
+                          for _, state_id, _ in entries],
+                "code": [code_index.setdefault(code, len(code_index))
+                         for _, _, code in entries],
             },
             "state_ids": list(state_index),
             "report_codes": list(code_index),
@@ -236,11 +299,11 @@ class ReportRecorder:
         """Rebuild a recorder from a :meth:`to_payload` dict.
 
         Raises :class:`~repro.errors.ArtifactError` on any malformed or
-        version-mismatched payload — event columns of unequal length, a
-        state or code index outside its table (a negative one too, which
-        Python would otherwise wrap), an odd-length
-        ``reports_per_cycle`` — so the artifact store can treat
-        corruption as a recoverable miss.
+        version-mismatched payload — row or plan columns of unequal
+        length, a plan, state or code index outside its table (a
+        negative one too, which Python would otherwise wrap), an empty
+        plan, an offset outside ``[0, arity)`` — so the artifact store
+        can treat corruption as a recoverable miss.
         """
         try:
             if payload.get("format") != PAYLOAD_FORMAT:
@@ -250,38 +313,54 @@ class ReportRecorder:
                 raise ArtifactError(
                     "unsupported report-stream version %r"
                     % (payload.get("version"),))
-            recorder = cls(keep_events=bool(payload["keep_events"]),
-                           position_limit=payload["position_limit"])
-            recorder.total_reports = int(payload["total_reports"])
-            flat = payload["reports_per_cycle"]
-            if len(flat) % 2:
+            recorder = cls(position_limit=payload["position_limit"])
+            arity = payload["arity"]
+            rows = payload["rows"]
+            cycles = rows["cycle"]
+            column = rows["plan"]
+            if len(cycles) != len(column):
                 raise ArtifactError(
-                    "reports_per_cycle has an odd length %d" % len(flat))
-            recorder.reports_per_cycle.update(
-                dict(zip(flat[::2], flat[1::2])))
-            columns = payload["events"]
-            positions = columns["position"]
-            cycles = columns["cycle"]
-            states = columns["state"]
-            codes = columns["code"]
-            if not len(positions) == len(cycles) == len(states) == len(codes):
+                    "row columns have %d and %d entries"
+                    % (len(cycles), len(column)))
+            plans = payload["plans"]
+            sizes = plans["size"]
+            offsets = plans["offset"]
+            states = plans["state"]
+            codes = plans["code"]
+            if not sum(sizes) == len(offsets) == len(states) == len(codes):
                 raise ArtifactError(
-                    "event columns have %d, %d, %d and %d entries"
-                    % (len(positions), len(cycles), len(states), len(codes)))
+                    "plan columns have %d, %d and %d entries for %d"
+                    % (len(offsets), len(states), len(codes), sum(sizes)))
+            if sizes and min(sizes) < 1:
+                raise ArtifactError("plan table holds an empty plan")
+            if not (arity is None and not cycles
+                    or isinstance(arity, int) and arity >= 1):
+                raise ArtifactError(
+                    "arity %r for %d rows" % (arity, len(cycles)))
             state_ids = payload["state_ids"]
             report_codes = payload["report_codes"]
             # A negative index must fail too: Python reads it from the end.
-            for column, indices, table in (("state", states, state_ids),
-                                           ("code", codes, report_codes)):
-                if indices and (min(indices) < 0
-                                or max(indices) >= len(table)):
+            for name, values, bound in (
+                    ("cycle", cycles, None), ("plan", column, len(sizes)),
+                    ("offset", offsets, arity),
+                    ("state", states, len(state_ids)),
+                    ("code", codes, len(report_codes))):
+                if values and (min(values) < 0
+                               or bound is not None and max(values) >= bound):
                     raise ArtifactError(
-                        "event column %r has an index outside [0, %d)"
-                        % (column, len(table)))
-            recorder.events = list(map(
-                ReportEvent, positions, cycles,
-                map(state_ids.__getitem__, states),
-                map(report_codes.__getitem__, codes)))
+                        "column %r has a value outside [0, %s)"
+                        % (name, "inf" if bound is None else bound))
+            entries = list(zip(offsets, map(state_ids.__getitem__, states),
+                               map(report_codes.__getitem__, codes)))
+            table = []
+            start = 0
+            for size in sizes:
+                table.append(tuple(entries[start:start + size]))
+                start += size
+            recorder.arity = arity
+            recorder.cycles = list(cycles)
+            recorder.plans = list(map(table.__getitem__, column))
+            recorder.total_reports = sum(map(len, recorder.plans))
         except ArtifactError:
             raise
         except (KeyError, TypeError, ValueError, AttributeError) as error:
@@ -304,3 +383,32 @@ class ReportRecorder:
                 100.0 * report_cycles / total_cycles if total_cycles else 0.0
             ),
         }
+
+
+@contextmanager
+def open_rows(recorders, arity):
+    """Row sinks for a loop writing into ``recorders`` inline.
+
+    Yields one ``(cycles.append, plans.append)`` pair per recorder
+    (``None`` for a ``None`` recorder); the loop appends each reporting
+    cycle's row through it, cycles ascending per recorder.  On exit —
+    an error included, so a recorder's total always matches its rows —
+    each distinct recorder drops its new reports at or past its
+    position limit and adds the rest to ``total_reports``.  Raises
+    :class:`~repro.errors.SimulationError` before any row is written
+    when a recorder is frozen or holds rows of another arity.
+    """
+    opened = {}
+    sinks = []
+    for recorder in recorders:
+        if recorder is None:
+            sinks.append(None)
+            continue
+        recorder._writable(arity)
+        opened.setdefault(id(recorder), (recorder, len(recorder.plans)))
+        sinks.append((recorder.cycles.append, recorder.plans.append))
+    try:
+        yield sinks
+    finally:
+        for recorder, first in opened.values():
+            recorder._commit(first)

@@ -21,14 +21,14 @@ def static_statistics(automaton):
     }
 
 
-def dynamic_statistics(automaton, stream, position_limit=None, keep_events=False):
+def dynamic_statistics(automaton, stream, position_limit=None):
     """Table 1 dynamic columns from actually simulating ``stream``.
 
     Returns the recorder summary plus ``cycles`` (the stream length in
     vector cycles) and the recorder itself for downstream models.
     """
     engine = BitsetEngine(automaton)
-    recorder = ReportRecorder(keep_events=keep_events, position_limit=position_limit)
+    recorder = ReportRecorder(position_limit=position_limit)
     stream = list(stream)
     engine.run(stream, recorder)
     cycles = len(stream)

@@ -53,14 +53,15 @@ class Tracer:
         self.cycles = []
         for raw in stream:
             vector = (raw,) if isinstance(raw, int) else tuple(raw)
-            events_before = len(recorder.events)
+            rows_before = len(recorder.plans)
             self.engine.step(vector, recorder)
-            new_events = recorder.events[events_before:]
             self.cycles.append(CycleTrace(
                 len(self.cycles),
                 vector,
                 self.engine.active_ids(),
-                [(event.state_id, event.report_code) for event in new_events],
+                [(state_id, code)
+                 for plan in recorder.plans[rows_before:]
+                 for _, state_id, code in plan],
             ))
         return recorder
 

@@ -22,12 +22,11 @@ def byte_reports(automaton, data):
     """
     vectors, limit = stream_for(automaton, data)
     recorder = BitsetEngine(automaton).run(vectors, position_limit=limit)
+    keys = recorder.event_keys()
     if automaton.bits == 8:
-        return {(event.position, event.report_code) for event in recorder.events}
-    return {
-        (nibble_report_position_to_byte(event.position), event.report_code)
-        for event in recorder.events
-    }
+        return keys
+    return {(nibble_report_position_to_byte(position), code)
+            for position, code in keys}
 
 
 def check_equivalent(original, transformed, data):

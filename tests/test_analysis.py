@@ -14,11 +14,11 @@ from repro.sim.analysis import (
 )
 
 
-def _recorder(cycle_counts, keep_events=True):
-    recorder = ReportRecorder(keep_events=keep_events)
+def _recorder(cycle_counts):
+    recorder = ReportRecorder()
     for cycle, count in cycle_counts:
-        for index in range(count):
-            recorder.record(cycle, cycle, "s%d" % index, "c%d" % index)
+        plan = [(0, "s%d" % index, "c%d" % index) for index in range(count)]
+        recorder.record_cycle(cycle, plan, 1)
     return recorder
 
 
@@ -39,10 +39,14 @@ class TestGapsAndBursts:
         counts = per_code_counts(recorder)
         assert counts["c0"] == 2 and counts["c1"] == 1
 
-    def test_per_code_requires_events(self):
-        recorder = _recorder([(0, 1)], keep_events=False)
-        with pytest.raises(SimulationError):
-            per_code_counts(recorder)
+    def test_per_code_counts_weight_shared_plans(self):
+        recorder = ReportRecorder()
+        shared = ((0, "a", "x"), (0, "b", "y"), (0, "c", "x"))
+        for cycle in (0, 3, 9):
+            recorder.record_cycle(cycle, shared, 1)
+        recorder.record_cycle(10, [(0, "d", "z")], 1)
+        assert per_code_counts(recorder) == {"x": 6, "y": 3, "z": 1}
+        assert list(per_code_counts(recorder)) == ["x", "y", "z"]
 
 
 class TestTimeline:

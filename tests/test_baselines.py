@@ -9,14 +9,15 @@ from repro.baselines import (
     figure8_rows,
 )
 from repro.errors import ArchitectureError
-from repro.sim.reports import ReportEvent
+from repro.sim.reports import ReportRecorder
 
 
 def _events(cycles_and_states):
-    return [
-        ReportEvent(cycle, cycle, state, state)
-        for cycle, state in cycles_and_states
-    ]
+    """A recorder with one single-report row per ``(cycle, state)``."""
+    recorder = ReportRecorder()
+    for cycle, state in cycles_and_states:
+        recorder.record_cycle(cycle, [(0, state, state)], 1)
+    return recorder
 
 
 STATE_IDS = ["s%d" % index for index in range(32)]
@@ -24,12 +25,12 @@ STATE_IDS = ["s%d" % index for index in range(32)]
 
 class TestApModel:
     def test_silent_workload_is_free(self):
-        result = ApReportingModel().evaluate([], STATE_IDS, 10_000)
+        result = ApReportingModel().evaluate(_events([]), STATE_IDS, 10_000)
         assert result.slowdown == 1.0
 
     def test_no_reporting_states_rejected(self):
         with pytest.raises(ArchitectureError):
-            ApReportingModel().evaluate([], [], 100)
+            ApReportingModel().evaluate(_events([]), [], 100)
 
     def test_every_cycle_reporting_saturates(self):
         # One report per cycle forever: the queue saturates and the

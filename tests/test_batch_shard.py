@@ -83,7 +83,7 @@ class TestEngineBatchDifferential:
         recorders = engine.run_batch(lane_streams, position_limit=limit)
         assert [r.to_payload() for r in recorders] == expected
         assert [list(h) for h in engine.lane_histories] == histories
-        assert any(p["total_reports"] for p in expected)
+        assert any(p["rows"]["cycle"] for p in expected)
 
     def test_batch_with_caller_recorders(self, rate, layout):
         rng = random.Random(rate + len(layout))

@@ -121,16 +121,15 @@ class TestDifferential:
 class TestRecorder:
     def test_position_limit_filters(self):
         recorder = ReportRecorder(position_limit=5)
-        recorder.record(4, 4, "s", "c")
-        recorder.record(5, 5, "s", "c")
+        recorder.record_cycle(4, [(0, "s", "c")], 1)
+        recorder.record_cycle(5, [(0, "s", "c")], 1)
         assert recorder.total_reports == 1
         assert recorder.positions() == [4]
 
     def test_summary_columns(self):
         recorder = ReportRecorder()
-        recorder.record(0, 0, "a", "x")
-        recorder.record(0, 0, "b", "y")
-        recorder.record(3, 3, "a", "x")
+        recorder.record_cycle(0, [(0, "a", "x"), (0, "b", "y")], 1)
+        recorder.record_cycle(3, [(0, "a", "x")], 1)
         summary = recorder.summary(10)
         assert summary["reports"] == 3
         assert summary["report_cycles"] == 2
@@ -139,43 +138,55 @@ class TestRecorder:
 
     def test_cycle_profile(self):
         recorder = ReportRecorder()
-        recorder.record(1, 1, "a", "x")
-        recorder.record(1, 1, "b", "y")
+        recorder.record_cycle(1, [(0, "a", "x"), (0, "b", "y")], 1)
         assert recorder.cycle_profile(3) == [0, 2, 0]
-
-    def test_keep_events_false_keeps_aggregates(self):
-        recorder = ReportRecorder(keep_events=False)
-        recorder.record(0, 0, "a", "x")
-        assert recorder.total_reports == 1
-        assert recorder.events == []
 
     def test_max_reports_in_a_cycle(self):
         recorder = ReportRecorder()
         assert recorder.max_reports_in_a_cycle() == 0
         for _ in range(3):
-            recorder.record(7, 7, "a", "x")
+            recorder.record_cycle(7, [(0, "a", "x")], 1)
         assert recorder.max_reports_in_a_cycle() == 3
 
+    def test_rows_keep_one_arity(self):
+        recorder = ReportRecorder()
+        recorder.record_cycle(0, [(1, "a", "x")], 2)
+        with pytest.raises(SimulationError, match="arity"):
+            recorder.record_cycle(1, [(0, "a", "x")], 4)
+        other = ReportRecorder()
+        other.record_cycle(0, [(0, "a", "x")], 1)
+        with pytest.raises(SimulationError, match="arity"):
+            recorder.absorb(other)
+        assert recorder.total_reports == 1
+
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(1, 4), st.booleans(),
+    @given(st.integers(1, 4),
            st.one_of(st.none(), st.integers(0, 40)),
            st.lists(st.tuples(st.integers(0, 9),
                               st.lists(st.tuples(st.integers(0, 3),
                                                  st.sampled_from("abc")),
                                        min_size=1, max_size=4)),
                     max_size=8))
-    def test_record_cycle_equals_per_event_record(self, arity, keep_events,
-                                                  limit, rows):
-        """One call per cycle leaves the recorder exactly as one record()
-        per report would, position limit and repeated cycles included."""
-        batched = ReportRecorder(keep_events=keep_events,
-                                 position_limit=limit)
-        single = ReportRecorder(keep_events=keep_events,
-                                position_limit=limit)
+    def test_record_cycle_equals_per_event_record(self, arity, limit, rows):
+        """Rows expand to exactly the reports a per-event log would hold:
+        each triple at ``cycle * arity + offset``, in write order, minus
+        those at or past the limit, repeated cycles summed per cycle."""
+        recorder = ReportRecorder(position_limit=limit)
+        expected = []
         for cycle, entries in rows:
             plan = tuple((offset % arity, "s" + code, code)
                          for offset, code in entries)
-            batched.record_cycle(cycle, plan, arity)
-            for offset, state_id, code in plan:
-                single.record(cycle * arity + offset, cycle, state_id, code)
-        assert batched.to_payload() == single.to_payload()
+            recorder.record_cycle(cycle, plan, arity)
+            expected += [(cycle * arity + offset, cycle, state_id, code)
+                         for offset, state_id, code in plan
+                         if limit is None or cycle * arity + offset < limit]
+        assert [(event.position, event.cycle, event.state_id,
+                 event.report_code) for event in recorder.events] == expected
+        assert recorder.total_reports == len(expected)
+        per_cycle = {}
+        for _, cycle, _, _ in expected:
+            per_cycle[cycle] = per_cycle.get(cycle, 0) + 1
+        assert list(recorder.reports_per_cycle.items()) == \
+            list(per_cycle.items())
+        assert recorder.event_keys() == {
+            (position, code) for position, _, _, code in expected}

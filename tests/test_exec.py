@@ -47,7 +47,7 @@ def _sorted_events(recorder):
 
 def _recorder_for(machine, data):
     _, limit = stream_for(machine, data)
-    return ReportRecorder(keep_events=True, position_limit=limit)
+    return ReportRecorder(position_limit=limit)
 
 
 # ---------------------------------------------------------------------------

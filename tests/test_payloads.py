@@ -21,6 +21,7 @@ from repro.errors import ArtifactError, AutomatonError
 from repro.runtime import store as runtime_store
 from repro.runtime.artifacts import AUTOMATON_CODEC, SIMRUN_CODEC, SimRun
 from repro.runtime.store import ArtifactStore
+from repro.sim import BitsetEngine
 from repro.sim.reports import ReportRecorder
 from repro.transform import to_rate
 from repro.workloads import BENCHMARK_NAMES, generate
@@ -148,29 +149,49 @@ def _report_stream_v1(payload):
     })
 
 
-def _set_event(column, index, value):
+def _report_stream_v2(payload):
+    payload.clear()
+    payload.update({
+        "format": "repro-report-stream", "version": 2, "keep_events": True,
+        "position_limit": None, "total_reports": 1,
+        "reports_per_cycle": [3, 1],
+        "events": {"position": [3], "cycle": [3], "state": [0], "code": [0]},
+        "state_ids": ["s"], "report_codes": ["c"],
+    })
+
+
+def _set_in(table, column, index, value):
     def mutate(payload):
-        payload["events"][column][index] = value
+        payload[table][column][index] = value
     return mutate
 
 
-def _drop_event(column):
+def _drop(table, column):
     def mutate(payload):
-        payload["events"][column].pop()
+        payload[table][column].pop()
     return mutate
 
 
-#: (case, mutation of ``_small_run().recorder.to_payload()``).
+#: (case, mutation of ``_small_run().recorder.to_payload()``), whose plan
+#: table holds two plans of two and one entries over states ``a``/``b``
+#: and codes ``r``/``None``, at arity 2.
 REPORT_STREAM_CASES = [
-    ("state index past the end", _set_event("state", 0, 2)),
-    ("negative state index", _set_event("state", 1, -1)),
-    ("code index past the end", _set_event("code", 0, 2)),
-    ("negative code index", _set_event("code", 1, -1)),
-    ("short cycle column", _drop_event("cycle")),
-    ("short state column", _drop_event("state")),
-    ("odd reports_per_cycle", lambda payload:
-        payload["reports_per_cycle"].pop()),
+    ("state index past the end", _set_in("plans", "state", 0, 2)),
+    ("negative state index", _set_in("plans", "state", 1, -1)),
+    ("code index past the end", _set_in("plans", "code", 0, 2)),
+    ("negative code index", _set_in("plans", "code", 1, -1)),
+    ("plan index past the end", _set_in("rows", "plan", 0, 2)),
+    ("negative plan index", _set_in("rows", "plan", 1, -1)),
+    ("offset past the arity", _set_in("plans", "offset", 0, 2)),
+    ("negative offset", _set_in("plans", "offset", 2, -1)),
+    ("short cycle column", _drop("rows", "cycle")),
+    ("short plan column", _drop("rows", "plan")),
+    ("short state column", _drop("plans", "state")),
+    ("plan sizes short of the entries", _set_in("plans", "size", 0, 1)),
+    ("empty plan", lambda payload: payload["plans"].update(size=[3, 0])),
+    ("rows without an arity", _put("arity", None)),
     ("v1 payload", _report_stream_v1),
+    ("v2 payload", _report_stream_v2),
 ]
 
 
@@ -180,6 +201,50 @@ def _small_run():
     recorder.record_cycle(1, [(1, "a", "r")], 2)
     return SimRun(recorder, cycles=6, max_active_states=2,
                   avg_active_states=0.5)
+
+
+def _assert_same_rows(decoded, recorder):
+    assert decoded.position_limit == recorder.position_limit
+    assert decoded.arity == recorder.arity
+    assert decoded.cycles == recorder.cycles
+    assert decoded.plans == recorder.plans
+    assert decoded.total_reports == recorder.total_reports
+    assert list(decoded.reports_per_cycle.items()) == \
+        list(recorder.reports_per_cycle.items())
+    assert decoded.events == recorder.events
+
+
+class TestReportStreamRoundTrip:
+    def test_out_of_order_cycles(self):
+        recorder = _small_run().recorder
+        payload = recorder.to_payload()
+        assert payload["rows"] == {"cycle": [4, 1], "plan": [0, 1]}
+        decoded = ReportRecorder.from_payload(json.loads(json.dumps(payload)))
+        _assert_same_rows(decoded, recorder)
+        assert decoded.to_payload() == payload
+
+    def test_last_row_trimmed_by_the_limit(self):
+        machine = Automaton(name="t", bits=4, arity=2)
+        machine.new_state("x", (SymbolSet.full(4), SymbolSet.full(4)),
+                          start=StartKind.ALL_INPUT, report=True,
+                          report_code="x", report_offsets=(0, 1))
+        recorder = ReportRecorder(position_limit=5)
+        BitsetEngine(machine).run([(1, 2)] * 3, recorder)
+        # Cycles 0 and 1 keep both offsets; cycle 2 keeps position 4 only.
+        assert recorder.positions() == [0, 1, 2, 3, 4]
+        assert recorder.plans[0] is recorder.plans[1]
+        assert recorder.plans[2] == ((0, "x", "x"),)
+        payload = recorder.to_payload()
+        assert payload["rows"]["plan"] == [0, 0, 1]
+        assert payload["plans"]["size"] == [2, 1]
+        decoded = ReportRecorder.from_payload(json.loads(json.dumps(payload)))
+        _assert_same_rows(decoded, recorder)
+        assert decoded.plans[0] is decoded.plans[1]
+
+    def test_empty_recorder(self):
+        recorder = ReportRecorder(position_limit=3)
+        decoded = ReportRecorder.from_payload(recorder.to_payload())
+        _assert_same_rows(decoded, recorder)
 
 
 def _case_ids(cases):

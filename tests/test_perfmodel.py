@@ -9,7 +9,7 @@ from repro.core import (
     sensitivity_slowdown,
 )
 from repro.errors import ArchitectureError
-from repro.sim.reports import ReportEvent
+from repro.sim.reports import ReportRecorder
 
 
 def _config(fifo=False, **kwargs):
@@ -90,12 +90,11 @@ class TestFillExtraction:
             def report_pu_of(self, state_id):
                 return ("c0", 0) if state_id.startswith("a") else ("c0", 1)
 
-        events = [
-            ReportEvent(0, 0, "a1", "x"),
-            ReportEvent(0, 0, "a2", "y"),   # same PU, same cycle -> one fill
-            ReportEvent(4, 1, "b1", "z"),
-        ]
-        fills = pu_fill_cycles_from_events(events, FakePlacement())
+        recorder = ReportRecorder()
+        # a1 and a2: same PU, same cycle -> one fill.
+        recorder.record_cycle(0, [(0, "a1", "x"), (0, "a2", "y")], 4)
+        recorder.record_cycle(1, [(0, "b1", "z")], 4)
+        fills = pu_fill_cycles_from_events(recorder, FakePlacement())
         assert fills == {("c0", 0): [0], ("c0", 1): [1]}
 
 

@@ -57,7 +57,7 @@ def _streams(rules, rng, length=300):
 
 def _engine_events(machine, data):
     vectors, limit = stream_for(machine, data)
-    recorder = ReportRecorder(keep_events=True, position_limit=limit)
+    recorder = ReportRecorder(position_limit=limit)
     BitsetEngine(machine).run(vectors, recorder)
     return recorder
 
@@ -70,7 +70,7 @@ def test_gated_engine_bit_exact_across_rates(family, rng):
     assert prefilter.filterable, prefilter.extraction.reason
     for data in _streams(rules, rng):
         baseline = _engine_events(source, data)
-        recorder = ReportRecorder(keep_events=True)
+        recorder = ReportRecorder()
         engine, gated = gated_simulation(source, data, recorder,
                                          prefilter=prefilter)
         assert gated
@@ -79,8 +79,7 @@ def test_gated_engine_bit_exact_across_rates(family, rng):
             machine = to_rate(source, rate)
             expected = _engine_events(machine, data)
             _, limit = stream_for(machine, data)
-            gated_rec = ReportRecorder(keep_events=True,
-                                       position_limit=limit)
+            gated_rec = ReportRecorder(position_limit=limit)
             gated_simulation(machine, data, gated_rec, source=source,
                              prefilter=prefilter)
             assert gated_rec.events == expected.events, (family, rate)
@@ -112,7 +111,7 @@ def test_unfilterable_families_bypass_bit_exact(family, rng):
     assert not prefilter.filterable
     data = b"a" + bytes(rng.choice(ALPHABET) for _ in range(200)) + b"xyyyzb"
     baseline = _engine_events(source, data)
-    recorder = ReportRecorder(keep_events=True)
+    recorder = ReportRecorder()
     engine, gated = gated_simulation(source, data, recorder,
                                      prefilter=prefilter)
     assert not gated
@@ -140,7 +139,7 @@ def test_cyclic_machine_bypasses_bit_exact(rng):
     data = b"xyz " + bytes(rng.choice(ALPHABET) for _ in range(150)) \
         + b" xyyyyz"
     baseline = _engine_events(source, data)
-    recorder = ReportRecorder(keep_events=True)
+    recorder = ReportRecorder()
     engine, gated = gated_simulation(source, data, recorder,
                                      prefilter=prefilter)
     assert not gated
@@ -150,7 +149,7 @@ def test_cyclic_machine_bypasses_bit_exact(rng):
 def test_cold_gate_never_builds_the_engine():
     source = compile_ruleset(["needle", "hay[0-9]"])
     prefilter = build_prefilter(source)
-    recorder = ReportRecorder(keep_events=True)
+    recorder = ReportRecorder()
     engine, gated = gated_simulation(source, b"Q" * 500, recorder,
                                      prefilter=prefilter)
     assert gated

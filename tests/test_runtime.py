@@ -25,6 +25,7 @@ from repro.runtime.graph import Runtime, StageGraph
 from repro.runtime.stages import REGISTRY, canonical, get_stage
 from repro.runtime.store import ArtifactStore, JsonCodec, artifact_key
 from repro.core.config import SunderConfig
+from repro.sim import BitsetEngine
 from repro.sim.reports import ReportRecorder
 from repro.transform import to_rate
 from repro.workloads import generate
@@ -109,20 +110,17 @@ class TestCodecs:
         decoded = SIMRUN_CODEC.decode(SIMRUN_CODEC.encode(run))
         assert decoded.summary() == run.summary()
         _assert_same_recorder(decoded.recorder, run.recorder)
-        # Parameters and an aggregates-only recorder survive too; the
-        # out-of-order cycle pins insertion order, not sorted order.
-        for keep_events in (True, False):
-            recorder = ReportRecorder(keep_events=keep_events,
-                                      position_limit=9)
-            recorder.record_cycle(4, [(0, "s1", "c"), (1, "s2", None)], 2)
-            recorder.record_cycle(1, [(1, "s1", "c")], 2)
-            run = SimRun(recorder, cycles=5, max_active_states=2,
-                         avg_active_states=0.5)
-            decoded = SIMRUN_CODEC.decode(SIMRUN_CODEC.encode(run))
-            assert decoded.summary() == run.summary()
-            assert decoded.recorder.keep_events is keep_events
-            assert decoded.recorder.position_limit == 9
-            _assert_same_recorder(decoded.recorder, recorder)
+        # Parameters survive too; the out-of-order cycle pins insertion
+        # order, not sorted order.
+        recorder = ReportRecorder(position_limit=9)
+        recorder.record_cycle(4, [(0, "s1", "c"), (1, "s2", None)], 2)
+        recorder.record_cycle(1, [(1, "s1", "c")], 2)
+        run = SimRun(recorder, cycles=5, max_active_states=2,
+                     avg_active_states=0.5)
+        decoded = SIMRUN_CODEC.decode(SIMRUN_CODEC.encode(run))
+        assert decoded.summary() == run.summary()
+        assert decoded.recorder.position_limit == 9
+        _assert_same_recorder(decoded.recorder, recorder)
 
     def test_simrun_codec_rejects_garbage(self):
         with pytest.raises(ArtifactError):
@@ -311,7 +309,8 @@ class TestFrozenMasters:
         recorder = served.recorder
         total = recorder.total_reports
         with pytest.raises(SimulationError):
-            recorder.record(0, 0, "s", "code")
+            BitsetEngine(instance.automaton).run(
+                list(instance.input_bytes), recorder)
         with pytest.raises(SimulationError):
             recorder.record_cycle(0, [(0, "s", "code")], 1)
         with pytest.raises(SimulationError):
