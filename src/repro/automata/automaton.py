@@ -55,10 +55,12 @@ class Automaton:
     and any attribute rebinding then raise :class:`AutomatonError`.
     """
 
-    #: Instance defaults until :meth:`freeze` / a cached
-    #: :meth:`fingerprint` set the object's own.
+    #: Instance defaults until :meth:`freeze`, a cached
+    #: :meth:`fingerprint` or a passed :meth:`validate` set the object's
+    #: own.
     _frozen = False
     _fingerprint = None
+    _validated = False
 
     def __init__(self, name="automaton", bits=8, arity=1, start_period=1):
         if bits < 1:
@@ -238,7 +240,12 @@ class Automaton:
         predecessor maps mirror each other; every non-start state is
         reachable from some start state; no state has an empty symbol set at
         any position (such a state could never activate).
+
+        A frozen machine cannot change, so once it passes it returns at
+        once on every later call; an unfrozen one checks on every call.
         """
+        if self._validated:
+            return self
         for state in self:
             if state.bits != self.bits or state.arity != self.arity:
                 raise AutomatonError("state %r shape mismatch" % (state.id,))
@@ -265,6 +272,8 @@ class Automaton:
             raise AutomatonError(
                 "unreachable states: %s" % sorted(unreachable)[:8]
             )
+        if self._frozen:
+            object.__setattr__(self, "_validated", True)
         return self
 
     def unreachable_states(self):

@@ -58,18 +58,12 @@ def determinize(automaton, max_states=100_000):
     engine = BitsetEngine(automaton)  # reuse its precomputed masks
     all_input = engine._all_input_mask
     start_of_data = engine._start_of_data_mask
-    succ = engine._succ_mask
+    propagate = engine._propagate
     report_info = engine._report_info
     match_masks = engine._match_masks[0]
 
     def successors_of(subset_mask):
-        enabled = all_input
-        mask = subset_mask
-        while mask:
-            low = mask & -mask
-            enabled |= succ[low.bit_length() - 1]
-            mask ^= low
-        return enabled
+        return all_input | propagate(subset_mask)
 
     def codes_of(subset_mask):
         codes = set()

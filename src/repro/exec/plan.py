@@ -124,19 +124,30 @@ class ExecutionPlan:
         stays valid everywhere (the engine falls back to the serial
         path itself).  Returns the plan for chaining.
         """
-        if (self.shards != "auto" and self.shards > 1
-                and traits.depth_bound is None):
-            raise ArchitectureError(
-                "shards=%d is invalid for cyclic machine %r: shard warm-up "
-                "replay needs a bounded depth (depth_bound() is None); use "
-                "shards='auto' for a serial fallback" % (self.shards,
-                                                         traits.name))
-        if self.batch > 1 and traits.depth_bound is None:
+        if not self.splits_stream or traits.depth_bound is not None:
+            return self
+        if self.batch > 1:
             raise ArchitectureError(
                 "batch=%d is invalid for cyclic machine %r: interleaved "
                 "lanes replay shard warm-up prefixes, which need a bounded "
                 "depth (depth_bound() is None)" % (self.batch, traits.name))
-        return self
+        raise ArchitectureError(
+            "shards=%d is invalid for cyclic machine %r: shard warm-up "
+            "replay needs a bounded depth (depth_bound() is None); use "
+            "shards='auto' for a serial fallback" % (self.shards,
+                                                     traits.name))
+
+    @property
+    def splits_stream(self):
+        """True when the plan splits one stream into a set number of
+        blocks: ``batch > 1`` or an int ``shards > 1``.
+
+        These are the only plans :meth:`validate_for` can reject: each
+        block's warm-up replay needs a bounded depth.  ``shards="auto"``
+        is not counted, because the engine falls back to the serial path
+        on its own.
+        """
+        return self.batch > 1 or (self.shards != "auto" and self.shards > 1)
 
     # ------------------------------------------------------------------
     # Canonical serialization

@@ -12,6 +12,16 @@ of which stays individually available and bit-exact (the differential
 suite in tests/test_exec.py pins ``execute`` against each direct
 variant call).
 
+Binding costs only what the plan needs.  The machine's planner traits
+(:func:`~repro.exec.traits.automaton_traits`: a fingerprint, an indexed
+``depth_bound()`` walk and, for 8-bit machines, literal extraction)
+are computed when the planner runs, or at construction for a plan that
+splits one stream (:attr:`ExecutionPlan.splits_stream`), whose warm-up
+replay needs a bounded depth.  The session computes none for an
+explicit serial, gated or device plan; a gated run reads the depth
+bound from the same memoized traits when it plans its windows.  The
+engine or device is built on the first ``execute`` call.
+
 The ROADMAP's streaming service schedules tenants through exactly this
 object: one session per (ruleset, plan), many ``execute`` calls.
 """
@@ -41,7 +51,10 @@ class Session:
         An :class:`ExecutionPlan`, or None to let ``planner`` choose
         one from the machine's traits and the first ``execute`` call's
         stream count (the chosen plan is then bound for the session's
-        lifetime and readable as ``session.plan``).
+        lifetime and readable as ``session.plan``).  A plan that
+        splits a stream is checked against the machine's traits here
+        and raises :class:`~repro.errors.ArchitectureError` for a
+        cyclic machine; any other explicit plan reads no traits.
     source:
         The 8-bit machine ``automaton`` was rate-transformed from;
         prefilter literals are extracted from it.  Defaults to
@@ -60,13 +73,13 @@ class Session:
         self.automaton = automaton
         self.source = source if source is not None else automaton
         self.config = config
-        self.traits = automaton_traits(automaton)
         if plan is not None:
             if not isinstance(plan, ExecutionPlan):
                 raise ValueError(
                     "Session plan must be an ExecutionPlan or None, got %r"
                     % (plan,))
-            plan.validate_for(self.traits)
+            if plan.splits_stream:
+                plan.validate_for(automaton_traits(automaton))
         self.plan = plan
         self._planner = planner
         self._engine = None
@@ -96,7 +109,7 @@ class Session:
         if planner is None:
             planner = self._planner = Planner()
         plan = planner.plan(self.automaton, stream_count=max(1, len(datas)))
-        return plan.validate_for(self.traits)
+        return plan.validate_for(automaton_traits(self.automaton))
 
     # ------------------------------------------------------------------
     # Engine target

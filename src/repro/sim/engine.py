@@ -8,7 +8,9 @@ Two engines with identical semantics:
   space is sliced into 8-bit *blocks*, and for each (block, byte-value)
   pair the OR of that block's successor masks is table-driven, so one
   lookup covers up to eight active states at once (the CAMA-style
-  compaction argument: iterate table entries, not states).
+  compaction argument: iterate table entries, not states).  Successors
+  are stored as compressed rows sized by edges, and large machines OR
+  a block entry from its rows the first time the entry is needed.
 
   On top of the kernel sits a lazily built *transition table* over
   interned active sets: each distinct active mask gets a dense id the
@@ -49,9 +51,11 @@ from ..errors import SimulationError
 from ..automata.gcutil import gc_paused
 from ..automata.ste import StartKind
 from ..obs import OBS, ProgressReporter, trace_span
+from ..obs.progress import enabled as progress_enabled
 from .reports import ReportRecorder, open_rows
 
-#: Vectors per hot-loop slice between progress updates in observed runs.
+#: Vectors per hot-loop slice between progress updates (observed runs,
+#: or ``REPRO_PROGRESS`` set).
 #: Large enough that the loop overhead of slicing is invisible (<0.1%),
 #: small enough that paper-scale streams report every few seconds.
 _PROGRESS_CHUNK = 65536
@@ -105,39 +109,56 @@ class BitsetEngine:
             raise SimulationError("history_limit must be None or >= 0")
         self.automaton = automaton
         self._ids = automaton.state_ids()
-        self._index = {state_id: i for i, state_id in enumerate(self._ids)}
+        index = {state_id: i for i, state_id in enumerate(self._ids)}
         size = len(self._ids)
         self._size = size
         self._start_period = automaton.start_period
 
-        self._succ_mask = [0] * size
-        for src, dst in automaton.transitions():
-            self._succ_mask[self._index[src]] |= 1 << self._index[dst]
+        # Successor rows, compressed: state i's successors are
+        # _targets[_offsets[i]:_offsets[i + 1]].  One slot per edge in
+        # two flat lists, so the collector tracks two objects, not one
+        # per state.
+        targets = []
+        offsets = [0]
+        successors = automaton.successors
+        for state_id in self._ids:
+            targets.extend(map(index.__getitem__, successors(state_id)))
+            offsets.append(len(targets))
+        self._targets = targets
+        self._offsets = offsets
 
-        self._all_input_mask = 0
-        self._start_of_data_mask = 0
-        self._report_mask = 0
+        all_input = []
+        start_of_data = []
+        reporting = []
         self._report_info = {}
-        for state in automaton:
-            bit = 1 << self._index[state.id]
+        # States grouped by (position, symbol-set mask): each group's
+        # wide mask is built once, however many values its set holds.
+        groups = {}
+        for i, state in enumerate(automaton):
             if state.start is StartKind.ALL_INPUT:
-                self._all_input_mask |= bit
+                all_input.append(i)
             elif state.start is StartKind.START_OF_DATA:
-                self._start_of_data_mask |= bit
+                start_of_data.append(i)
             if state.report:
-                self._report_mask |= bit
-                self._report_info[self._index[state.id]] = (
+                reporting.append(i)
+                self._report_info[i] = (
                     state.id, state.report_code, state.report_offsets,
                 )
+            for position, sset in enumerate(state.symbols):
+                groups.setdefault((position, sset.mask), []).append(i)
+        self._all_input_mask = _mask_of(all_input, size)
+        self._start_of_data_mask = _mask_of(start_of_data, size)
+        self._report_mask = _mask_of(reporting, size)
 
         alphabet = 1 << automaton.bits
         self._match_masks = [[0] * alphabet for _ in range(automaton.arity)]
-        for state in automaton:
-            bit = 1 << self._index[state.id]
-            for position, sset in enumerate(state.symbols):
-                column = self._match_masks[position]
-                for value in sset:
-                    column[value] |= bit
+        for (position, values), members in groups.items():
+            column = self._match_masks[position]
+            wide = _mask_of(members, size)
+            while values:
+                low = values & -values
+                column[low.bit_length() - 1] |= wide
+                values ^= low
 
         self._build_block_tables()
 
@@ -164,23 +185,25 @@ class BitsetEngine:
 
         ``_block_tables[b][v]`` is the OR of the successor masks of the
         states in block ``b`` whose bit is set in byte-value ``v``.
-        Small automata are filled eagerly (with the subset-doubling
-        recurrence ``table[v] = table[v without lowest bit] | succ``);
-        large ones leave entries as ``None`` to be filled on first use.
+        Small automata are filled eagerly: each of a block's states gets
+        its successor mask from its row, and the subset-doubling
+        recurrence ``table[v] = table[v without lowest bit] | succ``
+        combines them.  Large ones leave entries as ``None`` to be
+        filled on first use, so their memory is the rows, one 256-slot
+        list per block and the entries the stream touches.
         """
-        succ = self._succ_mask
         n_blocks = (self._size + 7) >> 3
-        self._block_clear = [~(0xFF << (b << 3)) for b in range(n_blocks)]
         tables = []
         if self._size <= EAGER_SLICE_STATES:
             for block in range(n_blocks):
                 base = block << 3
                 width = min(8, self._size - base)
+                succ = [self._successor_mask(base + j) for j in range(width)]
                 table = [0] * 256
                 for value in range(1, 1 << width):
                     low = value & -value
                     table[value] = (table[value ^ low]
-                                    | succ[base + low.bit_length() - 1])
+                                    | succ[low.bit_length() - 1])
                 if width < 8:  # bits beyond the state space never occur
                     for value in range(1 << width, 256):
                         table[value] = table[value & ((1 << width) - 1)]
@@ -189,15 +212,22 @@ class BitsetEngine:
             tables = [[None] * 256 for _ in range(n_blocks)]
         self._block_tables = tables
 
+    def _successor_mask(self, state):
+        """OR of ``1 << j`` over state index ``state``'s successor row."""
+        mask = 0
+        for target in self._targets[self._offsets[state]:
+                                    self._offsets[state + 1]]:
+            mask |= 1 << target
+        return mask
+
     def _fill_block_entry(self, block, value):
         """Lazily compute and store one (block, byte-value) table entry."""
-        succ = self._succ_mask
         base = block << 3
         entry = 0
         bits = value
         while bits:
             low = bits & -bits
-            entry |= succ[base + low.bit_length() - 1]
+            entry |= self._successor_mask(base + low.bit_length() - 1)
             bits ^= low
         self._block_tables[block][value] = entry
         return entry
@@ -246,16 +276,16 @@ class BitsetEngine:
         """Successor-union of an active mask (start states excluded)."""
         enabled = 0
         tables = self._block_tables
-        clear = self._block_clear
         while active:
             low = active & -active
             block = (low.bit_length() - 1) >> 3
-            value = (active >> (block << 3)) & 0xFF
+            shift = block << 3
+            value = (active >> shift) & 0xFF
             entry = tables[block][value]
             if entry is None:
                 entry = self._fill_block_entry(block, value)
             enabled |= entry
-            active &= clear[block]
+            active ^= value << shift  # clear the block just read
         return enabled
 
     def _enabled_from(self, active, phase):
@@ -413,8 +443,29 @@ class BitsetEngine:
         if OBS.active:  # single attribute check when no collector attached
             return self._run_observed(stream, recorder)
         self.reset()
-        self._execute(_normalize_stream(self.automaton, stream), recorder)
+        self._execute_stream(_normalize_stream(self.automaton, stream),
+                             recorder)
         return recorder
+
+    def _execute_stream(self, vectors, recorder):
+        """:meth:`_execute` over a whole stream, reporting progress.
+
+        When a collector is attached or ``REPRO_PROGRESS`` is set, a
+        stream longer than one chunk runs chunk by chunk: _execute keeps
+        self._active/self._cycle across calls, so slicing the stream is
+        bit-exact with one big call, and the chunk boundary is where
+        paper-scale runs report progress.  Otherwise it is one call.
+        """
+        total = len(vectors)
+        if total <= _PROGRESS_CHUNK or not (OBS.active or progress_enabled()):
+            self._execute(vectors, recorder)
+            return
+        progress = ProgressReporter("simulate", total,
+                                    detail=self.automaton.name)
+        for begin in range(0, total, _PROGRESS_CHUNK):
+            self._execute(vectors[begin:begin + _PROGRESS_CHUNK], recorder)
+            progress.update(begin + _PROGRESS_CHUNK)
+        progress.finish()
 
     def _run_observed(self, stream, recorder):
         """`run` with the telemetry hooks live (collector attached).
@@ -433,20 +484,7 @@ class BitsetEngine:
                         cycles=len(vectors)):
             start = perf_counter()
             self.reset()
-            # _execute keeps self._active/self._cycle across calls, so
-            # slicing the stream is bit-exact with one big call; the
-            # chunk boundary is where paper-scale runs report progress.
-            total = len(vectors)
-            if total > _PROGRESS_CHUNK:
-                progress = ProgressReporter(
-                    "simulate", total, detail=self.automaton.name)
-                for begin in range(0, total, _PROGRESS_CHUNK):
-                    self._execute(
-                        vectors[begin:begin + _PROGRESS_CHUNK], recorder)
-                    progress.update(begin + _PROGRESS_CHUNK)
-                progress.finish()
-            else:
-                self._execute(vectors, recorder)
+            self._execute_stream(vectors, recorder)
             elapsed = perf_counter() - start
         handles.runs.inc()
         handles.cycles.inc(len(vectors))
@@ -857,7 +895,15 @@ def _shard_job(job):
 
 
 def _normalize_stream(automaton, stream):
-    """Turn a flat or vector stream into tuples of the automaton's arity."""
+    """Turn a flat or vector stream into tuples of the automaton's arity.
+
+    A list that already holds only tuples of the right arity (what
+    :func:`~repro.sim.inputs.stream_for` builds) is returned as it is;
+    both checks run in C.
+    """
+    if (type(stream) is list and set(map(type, stream)) <= {tuple}
+            and set(map(len, stream)) <= {automaton.arity}):
+        return stream
     vectors = []
     for item in stream:
         if isinstance(item, int):
@@ -871,6 +917,19 @@ def _normalize_stream(automaton, stream):
             )
         vectors.append(item)
     return vectors
+
+
+def _mask_of(indices, size):
+    """Bitmask with bit ``i`` set for each ``i`` in ``indices``.
+
+    Bits go into a ``size``-bit byte buffer and become an int in one
+    conversion: ORing ``1 << i`` per index would cost one wide int per
+    index.
+    """
+    buffer = bytearray((size + 7) >> 3)
+    for i in indices:
+        buffer[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buffer, "little")
 
 
 def _iter_bits(mask):

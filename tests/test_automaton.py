@@ -179,6 +179,32 @@ class TestFrozen:
         assert machine.fingerprint() == first
         assert counting.calls == 3
 
+    def test_frozen_machine_validates_once(self, monkeypatch):
+        calls = []
+        walk = Automaton.unreachable_states
+
+        def counting(machine):
+            calls.append(machine)
+            return walk(machine)
+
+        monkeypatch.setattr(Automaton, "unreachable_states", counting)
+        machine = single_pattern("p", b"abc")
+        machine.validate()
+        machine.validate()
+        assert len(calls) == 2  # unfrozen: every call checks
+        machine.freeze()
+        assert machine.validate() is machine
+        assert machine.validate() is machine
+        assert len(calls) == 3
+
+    def test_failed_validation_is_not_remembered(self):
+        machine = single_pattern("p", b"abc")
+        machine.new_state("orphan", _sset(1))
+        machine.freeze()
+        for _ in range(2):
+            with pytest.raises(AutomatonError, match="unreachable"):
+                machine.validate()
+
     def test_freeze_is_idempotent(self):
         machine = single_pattern("p", b"abc")
         assert machine.freeze() is machine

@@ -1,6 +1,7 @@
 """Functional-engine tests: semantics, differential, and recorder."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.automata import Automaton, StartKind, SymbolSet
 from repro.errors import SimulationError
 from repro.sim import BitsetEngine, NaiveEngine, ReportRecorder
+from repro.sim.engine import _normalize_stream
 from conftest import random_automaton
 
 
@@ -116,6 +118,74 @@ class TestDifferential:
         r1 = BitsetEngine(automaton).run(data)
         r2 = NaiveEngine(automaton).run(data)
         assert r1.event_keys() == r2.event_keys()
+
+
+def _chain(length):
+    """A frozen, validated ``length``-state chain: one edge per state."""
+    automaton = Automaton(name="chain", bits=8)
+    for index in range(length):
+        automaton.new_state(
+            "s%d" % index, SymbolSet.of(8, [index % 256]),
+            start="all-input" if index == 0 else "none",
+            report=index == length - 1,
+            report_code="end" if index == length - 1 else None)
+        if index:
+            automaton.add_transition("s%d" % (index - 1), "s%d" % index)
+    return automaton.freeze().validate()
+
+
+class TestBinding:
+    def test_build_memory_is_sized_by_edges(self):
+        # Full-width successor masks took 37 MB (1.9 kB per state) for
+        # this chain; rows sized by edges take under 9 MB.
+        states = 20_000
+        automaton = _chain(states)
+        tracemalloc.start()
+        try:
+            engine = BitsetEngine(automaton)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 800 * states
+        assert engine.run(bytes(range(256)) * 2).total_reports == 0
+
+    def test_shaped_stream_is_used_as_is(self):
+        automaton = Automaton(bits=4, arity=2)
+        automaton.new_state("s", (SymbolSet.of(4, [1]), SymbolSet.full(4)),
+                            start="all-input", report=True, report_code="s",
+                            report_offsets=(0,))
+        shaped = [(1, 5), (2, 5), (1, 0)]
+        assert _normalize_stream(automaton, shaped) is shaped
+        assert _normalize_stream(automaton, [[1, 5], (2, 5)]) == [
+            (1, 5), (2, 5)]
+        with pytest.raises(SimulationError, match="arity"):
+            _normalize_stream(automaton, [(1, 5), (2,)])
+        flat = Automaton(bits=8)
+        flat.new_state("s", SymbolSet.of(8, [1]), start="all-input")
+        assert _normalize_stream(flat, [1, (2,)]) == [(1,), (2,)]
+
+
+class TestProgress:
+    """Unobserved runs longer than one chunk report under REPRO_PROGRESS."""
+
+    def _run(self, monkeypatch, capsys, setting):
+        if setting is None:
+            monkeypatch.delenv("REPRO_PROGRESS", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_PROGRESS", setting)
+        automaton = Automaton(name="ones", bits=8)
+        automaton.new_state("s", SymbolSet.of(8, [1]), start="all-input",
+                            report=True, report_code="s")
+        recorder = BitsetEngine(automaton).run([1, 0] * 40_000)
+        assert recorder.total_reports == 40_000
+        return capsys.readouterr().err
+
+    def test_progress_lines_when_requested(self, monkeypatch, capsys):
+        assert "[repro] simulate[ones] 100.0%" in self._run(
+            monkeypatch, capsys, "1")
+
+    def test_silent_by_default(self, monkeypatch, capsys):
+        assert "simulate" not in self._run(monkeypatch, capsys, None)
 
 
 class TestRecorder:

@@ -18,11 +18,15 @@ import pytest
 
 from conftest import random_automaton
 from repro import cli
+from repro.automata import Automaton
 from repro.core import SunderConfig, SunderDevice
 from repro.errors import ArchitectureError
 from repro.exec import (DEFAULT_PLAN, PLAN_FORMAT, PLAN_VERSION,
                         ExecutionPlan, Planner, Session, automaton_traits,
                         resolve_plan)
+from repro.exec import planner as planner_module
+from repro.exec import session as session_module
+from repro.exec import traits as traits_module
 from repro.prefilter import build_prefilter, gated_device_run, gated_simulation
 from repro.regex import compile_pattern, compile_ruleset
 from repro.sim import BitsetEngine, stream_for
@@ -390,6 +394,73 @@ class TestTraits:
     def test_traits_are_memoized_per_machine(self):
         machine = compile_pattern("abc")
         assert automaton_traits(machine) is automaton_traits(machine)
+
+
+class TestTraitsOnDemand:
+    """A session computes traits only when it plans or splits a stream."""
+
+    DATA = b"xxabcxxneedlexxabc"
+
+    def _machines(self):
+        source = compile_ruleset(["abc", "needle"])
+        return source, to_rate(source, 4)
+
+    def _count(self, monkeypatch, refuse=False):
+        calls = []
+
+        def traits(machine):
+            calls.append(machine)
+            if refuse:
+                raise AssertionError("traits computed for %r" % machine.name)
+            return automaton_traits(machine)
+
+        for module in (session_module, planner_module, traits_module):
+            monkeypatch.setattr(module, "automaton_traits", traits)
+        if refuse:
+            def no_fingerprint(machine):
+                raise AssertionError("fingerprinted %r" % machine.name)
+            monkeypatch.setattr(Automaton, "fingerprint", no_fingerprint)
+        return calls
+
+    def test_explicit_serial_plan_computes_none(self, monkeypatch):
+        machines = self._machines()
+        expected = []
+        for machine in machines:
+            vectors, limit = stream_for(machine, self.DATA)
+            recorder = ReportRecorder(position_limit=limit)
+            expected.append(_events(BitsetEngine(machine).run(vectors,
+                                                              recorder)))
+        self._count(monkeypatch, refuse=True)
+        for machine, events in zip(machines, expected):
+            got = Session(machine, ExecutionPlan()).execute([self.DATA])
+            assert _events(got[0]) == events and events
+
+    def test_plan_free_session_computes_traits(self, monkeypatch):
+        source, _ = self._machines()
+        calls = self._count(monkeypatch)
+        session = Session(source)
+        assert calls == []
+        session.execute([self.DATA])
+        assert calls and all(machine is source for machine in calls)
+
+    def test_split_stream_plan_computes_traits_at_construction(
+            self, monkeypatch):
+        source, _ = self._machines()
+        calls = self._count(monkeypatch)
+        Session(source, ExecutionPlan(shards=2))
+        assert calls == [source]
+        Session(source, ExecutionPlan(batch=2))
+        assert calls == [source, source]
+        Session(source, ExecutionPlan(shards="auto"))
+        assert calls == [source, source]
+
+    def test_splits_stream(self):
+        assert ExecutionPlan(shards=2).splits_stream
+        assert ExecutionPlan(batch=2).splits_stream
+        for plan in (ExecutionPlan(), ExecutionPlan(shards="auto"),
+                     ExecutionPlan(prefilter=True),
+                     ExecutionPlan(target="device")):
+            assert not plan.splits_stream
 
 
 # ---------------------------------------------------------------------------
