@@ -14,12 +14,11 @@ Runs ``python -m repro profile experiment table4 --workers 2
   generate -> simulate -> transform -> report-drain stage spans nested
   under the experiment span, and the ``parallel.map`` fan-out span the
   worker spans are stitched under;
-- a second observed mini-run exercising ``run_batch``/``run_sharded``
-  directly, pinning the batch/shard metric families (the profiled
-  table4 run stays on the default serial stage params, so these
-  instruments need their own exercise to record samples);
-- observed gated and *planned* mini-runs pinning the prefilter
-  instrument family and the execution planner's
+- a second observed mini-run exercising ``run_batch`` directly,
+  pinning the batch metric family (the profiled table4 run simulates
+  serially, so these instruments need their own exercise to record
+  samples);
+- an observed *planned* mini-run pinning the execution planner's
   ``repro_plan_selected_total`` counter plus ``exec.plan`` span.
 
 Exits non-zero on any drift, so the exposition format is pinned in CI
@@ -61,12 +60,11 @@ REQUIRED_METRICS = (
     "repro_fleet_merged_samples_total",
     "repro_fleet_spans_stitched_total",
 )
-#: Batch/shard instruments pinned by the observed mini-run below.
+#: Batch instruments pinned by the observed mini-run below.
 BATCH_REQUIRED_METRICS = (
     "repro_engine_batch_lanes",
     "repro_engine_batch_lane_cache_hits_total",
     "repro_engine_batch_lane_cache_misses_total",
-    "repro_shard_overlap_bytes",
 )
 #: Stage spans that must appear, nested under the experiment span.  The
 #: stage spans themselves ran in worker processes; seeing them in the
@@ -83,24 +81,6 @@ REQUIRED_SPANS = (
     "reporting.drain_model",
     "transform.indexed",
 )
-#: Prefilter instruments pinned by the gated mini-run below.
-PREFILTER_REQUIRED_METRICS = (
-    "repro_prefilter_builds_total",
-    "repro_prefilter_build_seconds",
-    "repro_prefilter_literals",
-    "repro_prefilter_scan_bytes_total",
-    "repro_prefilter_scan_seconds",
-    "repro_prefilter_candidate_windows_total",
-    "repro_prefilter_verified_windows_total",
-    "repro_prefilter_gated_cycles_total",
-    "repro_prefilter_skipped_cycles_total",
-    "repro_prefilter_bypass_total",
-)
-PREFILTER_REQUIRED_SPANS = (
-    "prefilter.build",
-    "prefilter.scan",
-    "engine.run_windows",
-)
 #: Planner instruments pinned by the planned mini-run below.
 PLAN_REQUIRED_METRICS = (
     "repro_plan_selected_total",
@@ -115,8 +95,8 @@ def fail(message):
     return 1
 
 
-def check_batch_shard_metrics():
-    """Observed mini-run over run_batch/run_sharded; returns 0 or fail()."""
+def check_batch_metrics():
+    """Observed mini-run over run_batch; returns 0 or fail()."""
     machine = compile_ruleset(["abc", "hello", "[0-9]{3}"])
     data = b"abc hello 123 " * 40
     vectors, limit = stream_for(machine, data)
@@ -124,61 +104,17 @@ def check_batch_shard_metrics():
     with obs.collecting(registry=registry):
         engine = BitsetEngine(machine)
         engine.run_batch([vectors, vectors, vectors], position_limit=limit)
-        engine.run_sharded(vectors, 3, position_limit=limit)
     snapshot = registry.snapshot()
     validate_snapshot(snapshot)
     by_name = {metric["name"]: metric for metric in snapshot["metrics"]}
     missing = [name for name in BATCH_REQUIRED_METRICS
                if name not in by_name]
     if missing:
-        return fail("batch/shard mini-run lacks metrics: %s" % missing)
+        return fail("batch mini-run lacks metrics: %s" % missing)
     empty = [name for name in BATCH_REQUIRED_METRICS
              if not by_name[name]["samples"]]
     if empty:
-        return fail("batch/shard metrics recorded no samples: %s" % empty)
-    return 0
-
-
-def check_prefilter_metrics():
-    """Observed gated mini-run; returns 0 or fail().
-
-    Drives a filterable ruleset over a stream with one planted literal
-    (build miss + scan + gated windows) and an unfilterable ruleset (the
-    bypass counter), requiring every prefilter instrument to record
-    samples and the prefilter spans to be emitted.
-    """
-    from repro.prefilter import build_prefilter, gated_simulation
-    from repro.sim import ReportRecorder
-
-    runtime_store.configure()  # fresh store so the build is a miss
-    filterable = compile_ruleset(["needle", "abc[0-9]"])
-    unfilterable = compile_ruleset(["a.*b"])
-    data = b"x" * 400 + b"needle" + b"y" * 400
-    registry = obs.MetricsRegistry()
-    trace = obs.TraceCollector()
-    with obs.collecting(registry=registry, trace=trace):
-        recorder = ReportRecorder()
-        gated_simulation(filterable, data, recorder)
-        gated_simulation(unfilterable, data, ReportRecorder())
-    if recorder.total_reports != 1:
-        return fail("prefilter mini-run expected 1 report, saw %d"
-                    % recorder.total_reports)
-    snapshot = registry.snapshot()
-    validate_snapshot(snapshot)
-    by_name = {metric["name"]: metric for metric in snapshot["metrics"]}
-    missing = [name for name in PREFILTER_REQUIRED_METRICS
-               if name not in by_name]
-    if missing:
-        return fail("prefilter mini-run lacks metrics: %s" % missing)
-    empty = [name for name in PREFILTER_REQUIRED_METRICS
-             if not by_name[name]["samples"]]
-    if empty:
-        return fail("prefilter metrics recorded no samples: %s" % empty)
-    span_names = {span.name for span in trace.spans}
-    missing_spans = [name for name in PREFILTER_REQUIRED_SPANS
-                     if name not in span_names]
-    if missing_spans:
-        return fail("prefilter mini-run lacks spans: %s" % missing_spans)
+        return fail("batch metrics recorded no samples: %s" % empty)
     return 0
 
 
@@ -274,11 +210,7 @@ def check(scale="0.002"):
                 return fail("span %s is not nested under the experiment"
                             % stage)
 
-    code = check_batch_shard_metrics()
-    if code:
-        return code
-
-    code = check_prefilter_metrics()
+    code = check_batch_metrics()
     if code:
         return code
 

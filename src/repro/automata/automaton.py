@@ -320,47 +320,6 @@ class Automaton:
         self._pred = pred
         return len(dead)
 
-    def depth_bound(self):
-        """Longest edge-path from any start state, or ``None`` if cyclic.
-
-        A state at edge-distance ``d`` from a start can only be active
-        ``d`` cycles after that start last self-enabled, so the bound
-        caps how much input history can influence the active set: a
-        replay from an empty active mask converges to the true state
-        after ``depth_bound()`` cycles.  That is exactly the overlap
-        prefix shard-and-stitch execution needs (see
-        ``BitsetEngine.run_sharded``).  Machines with a reachable cycle
-        have unbounded memory — ``None`` tells callers to fall back to
-        a serial run.
-        """
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = dict.fromkeys(self._states, WHITE)
-        longest = {}
-        for root in self.start_states():
-            if color[root.id] == BLACK:
-                continue
-            stack = [(root.id, iter(sorted(self._succ[root.id])))]
-            color[root.id] = GRAY
-            while stack:
-                state_id, successors = stack[-1]
-                advanced = False
-                for succ in successors:
-                    mark = color[succ]
-                    if mark == GRAY:
-                        return None
-                    if mark == WHITE:
-                        color[succ] = GRAY
-                        stack.append((succ, iter(sorted(self._succ[succ]))))
-                        advanced = True
-                        break
-                if advanced:
-                    continue
-                stack.pop()
-                color[state_id] = BLACK
-                longest[state_id] = 1 + max(
-                    (longest[s] for s in self._succ[state_id]), default=-1)
-        return max((longest[s.id] for s in self.start_states()), default=0)
-
     def copy(self, name=None):
         """Mutable deep-enough copy (STEs are cloned, edges rebuilt)."""
         duplicate = Automaton(

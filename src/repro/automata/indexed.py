@@ -243,47 +243,6 @@ class IndexedAutomaton:
         return len(dead)
 
     # ------------------------------------------------------------------
-    # Depth bound (reused by repro.exec traits)
-    # ------------------------------------------------------------------
-    def depth_bound(self):
-        """Longest edge-path from any start, or ``None`` if cyclic.
-
-        Same contract as :meth:`Automaton.depth_bound`, computed over the
-        dense adjacency rows (the value is traversal-order independent).
-        """
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = [WHITE] * self.n
-        longest = [0] * self.n
-        succ = self.succ
-        alive = self.alive
-        is_start = self.is_start
-        roots = [i for i in range(self.n) if is_start[i] and alive[i]]
-        for root in roots:
-            if color[root] == BLACK:
-                continue
-            stack = [(root, iter(sorted(succ[root])))]
-            color[root] = GRAY
-            while stack:
-                i, successors = stack[-1]
-                advanced = False
-                for j in successors:
-                    mark = color[j]
-                    if mark == GRAY:
-                        return None
-                    if mark == WHITE:
-                        color[j] = GRAY
-                        stack.append((j, iter(sorted(succ[j]))))
-                        advanced = True
-                        break
-                if advanced:
-                    continue
-                stack.pop()
-                color[i] = BLACK
-                longest[i] = 1 + max(
-                    (longest[j] for j in succ[i]), default=-1)
-        return max((longest[i] for i in roots), default=0)
-
-    # ------------------------------------------------------------------
     # Screening merges (indexed replica of ops._merge_pass)
     # ------------------------------------------------------------------
     def _merge_pass(self, signature):

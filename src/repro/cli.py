@@ -26,16 +26,13 @@ streams, and result rows persist across runs and are shared between
 ``--workers`` processes, so a warm directory re-renders every table
 without re-executing the expensive stages.
 
-The global ``--plan {auto,<json>}`` flag is the only way to choose how
-a run executes: an inline :class:`~repro.exec.ExecutionPlan` JSON
-document names the whole strategy (target, device fidelity, batch,
-shards, prefilter gating), and ``auto`` (the default) keeps the
-default plan.  ``match`` runs on the device, so its plan must target
-``"device"`` (default ``{"target": "device"}``).  The
-``table1``/``table4`` experiments simulate on the engine, so theirs must
-target ``"engine"`` with fidelity ``packed``; other experiments take no
-plan.  ``repro plan explain <patterns>`` shows the plan the auto-planner
-would pick and why (see docs/architecture.md).
+The global ``--plan {auto,<json>}`` flag applies to ``match`` only: an
+inline :class:`~repro.exec.ExecutionPlan` JSON document names the
+target and the device fidelity, and ``auto`` (the default) keeps the
+default ``{"target": "device"}``.  ``match`` runs on the device, so its
+plan must target ``"device"``.  ``repro plan explain <patterns>`` shows
+the plan the auto-planner would pick and why (see
+docs/architecture.md).
 """
 
 import argparse
@@ -72,23 +69,15 @@ def cmd_compile(args):
     return 0
 
 
-def _plan_flag(args, default=None):
-    """The ``--plan`` value as an :class:`ExecutionPlan` (``auto`` gives
-    ``default``); a malformed document exits with a ``--plan:`` message."""
+def cmd_match(args):
     try:
-        plan = resolve_plan(args.plan)
+        plan = resolve_plan(args.plan) or ExecutionPlan(target="device")
     except ValueError as error:
         raise SystemExit("--plan: %s" % error)
-    return default if plan is None else plan
-
-
-def cmd_match(args):
-    plan = _plan_flag(args, ExecutionPlan(target="device"))
     if plan.target != "device":
         raise SystemExit("--plan: match runs on the device; the plan must "
                          "set target 'device', got %r" % plan.target)
-    source = _build_ruleset(args.patterns)
-    machine = to_rate(source, args.rate)
+    machine = to_rate(_build_ruleset(args.patterns), args.rate)
     device = SunderDevice(SunderConfig(rate_nibbles=args.rate,
                                        report_bits=args.report_bits),
                           fidelity=plan.fidelity)
@@ -102,21 +91,6 @@ def cmd_match(args):
     # the 4-bit machines every rate produces); derive the per-byte
     # divisor from the configured geometry instead of hardcoding it.
     positions_per_byte = 8 // machine.bits
-    if plan.prefilter:
-        from .prefilter import build_prefilter, gated_device_run
-        prefilter = build_prefilter(source)
-        recorder = gated_device_run(device, machine, data, source=source,
-                                    prefilter=prefilter)
-        events = sorted(recorder.events, key=lambda e: e.position)
-        for event in events:
-            print("%d\t%s" % (event.position // positions_per_byte,
-                              event.report_code))
-        print("-- %d matches (prefilter: %s)" % (
-            len(events),
-            "gated, %d literals" % len(prefilter.literals)
-            if prefilter.filterable else "bypassed, unfilterable"),
-            file=sys.stderr)
-        return 0
     vectors, limit = stream_for(machine, data)
     result = device.run(vectors, position_limit=limit)
     events = sorted(result.reports().events, key=lambda e: e.position)
@@ -147,11 +121,11 @@ _SCALED_EXPERIMENTS = ("table1", "table3", "table4", "figure8", "scorecard")
 #: Experiments whose entry points fan out through ParallelRunner.
 _PARALLEL_EXPERIMENTS = ("table1", "table3", "table4",
                          "figure8", "figure9", "figure10", "scorecard")
-#: Experiments whose entry points take one ExecutionPlan value.
-_PLAN_EXPERIMENTS = ("table1", "table4")
 
 
 def cmd_experiment(args):
+    if args.plan != "auto":
+        raise SystemExit("--plan applies only to: match")
     module = experiments.ALL_EXPERIMENTS[args.name]
     kwargs = {}
     if args.name in _SCALED_EXPERIMENTS:
@@ -159,11 +133,6 @@ def cmd_experiment(args):
         kwargs["seed"] = args.seed
     if args.name in _PARALLEL_EXPERIMENTS:
         kwargs["workers"] = args.workers
-    if args.name in _PLAN_EXPERIMENTS:
-        kwargs["plan"] = _plan_flag(args)
-    elif args.plan != "auto":
-        raise SystemExit(
-            "--plan applies only to: %s" % ", ".join(_PLAN_EXPERIMENTS))
     module.main(**kwargs)
     return 0
 
@@ -372,10 +341,10 @@ def build_parser():
              "REPRO_ARTIFACT_DIR)")
     parser.add_argument(
         "--plan", default="auto", metavar="PLAN",
-        help="execution plan as an inline repro-exec-plan JSON document, "
-             "or 'auto' for the default plan; applies to match (target "
-             "'device') and experiment table1/table4 (target 'engine'); "
-             "see 'repro plan explain'")
+        help="execution plan as an inline repro-exec-plan JSON document "
+             "(target 'device', fidelity 'packed' or 'literal'), or 'auto' "
+             "for the default plan; applies to match only; see 'repro "
+             "plan explain'")
     commands = parser.add_subparsers(dest="command", required=True)
 
     compile_parser = commands.add_parser(

@@ -405,7 +405,7 @@ class SunderDevice:
         if OBS.active:
             self._run_batch_observed(kernel, lane_vectors, period, recorders)
         else:
-            kernel.run_batch(lane_vectors, period, recorders)
+            kernel.run_lanes(lane_vectors, period, recorders)
         return recorders
 
     def _run_batch_observed(self, kernel, lane_vectors, period, recorders):
@@ -416,7 +416,7 @@ class SunderDevice:
         with trace_span("device.run_batch", lanes=len(lane_vectors),
                         cycles=total_cycles):
             start = perf_counter()
-            lane_hits, lane_misses = kernel.run_batch(
+            lane_hits, lane_misses = kernel.run_lanes(
                 lane_vectors, period, recorders)
             elapsed = perf_counter() - start
         instruments.device_cycles.inc(total_cycles)
@@ -426,92 +426,6 @@ class SunderDevice:
         handles.batch_lanes.observe(len(lane_vectors))
         handles.batch_lane_cache_hits.inc(sum(lane_hits))
         handles.batch_lane_cache_misses.inc(sum(lane_misses))
-
-    # ------------------------------------------------------------------
-    # Prefilter-gated execution
-    # ------------------------------------------------------------------
-    def run_gated(self, vectors, windows, position_limit=None):
-        """Execute only the prefilter's replay windows of one stream.
-
-        ``windows`` are the ascending ``(start, record_from, end)``
-        cycle triples from :func:`repro.prefilter.gate.plan_windows`;
-        ``None`` means the gate was bypassed (unfilterable or cyclic
-        machine) and the full stream runs as a one-lane
-        :meth:`run_batch`.  Either way the result is one stitched
-        :class:`ReportRecorder` with ``run_batch``'s direct-decode
-        report semantics (reporting-region hardware bypassed, device
-        streaming state untouched) — events are bit-exact with the
-        ungated run's reports.  Packed fidelity only.
-        """
-        if windows is None:
-            self._check_runnable()
-            if self.fidelity != "packed":
-                raise ArchitectureError(
-                    "run_gated requires the packed fidelity (the literal "
-                    "oracle has no window-replay form)")
-            return self.run_batch([vectors], position_limit=position_limit)[0]
-        if not windows:
-            return ReportRecorder(position_limit=position_limit)
-        vectors = [(vector,) if isinstance(vector, int) else tuple(vector)
-                   for vector in vectors]
-        lane_vectors = [vectors[start:end] for start, _, end in windows]
-        starts = [start for start, _, _ in windows]
-        record_from = [record for _, record, _ in windows]
-        return self.run_gated_lanes(lane_vectors, starts, record_from,
-                                    position_limit=position_limit,
-                                    total_cycles=len(vectors))
-
-    def run_gated_lanes(self, lane_vectors, start_cycles, record_from,
-                        position_limit=None, total_cycles=None):
-        """The lane-level form of :meth:`run_gated`.
-
-        The gate calls this directly with window slices built by
-        :func:`~repro.sim.inputs.stream_slice`, so a gated device run
-        never materializes the full vector stream.
-        """
-        self._check_runnable()
-        if self.fidelity != "packed":
-            raise ArchitectureError(
-                "run_gated requires the packed fidelity (the literal "
-                "oracle has no window-replay form)")
-        recorder = ReportRecorder(position_limit=position_limit)
-        if not lane_vectors:
-            return recorder
-        lane_vectors = [
-            [(vector,) if isinstance(vector, int) else tuple(vector)
-             for vector in lane]
-            for lane in lane_vectors]
-        parts = [ReportRecorder(position_limit=position_limit)
-                 for _ in lane_vectors]
-        kernel = self._kernel
-        if kernel is None:
-            kernel = self._compile_kernel()
-        period = self.automaton.start_period
-        if OBS.active:
-            self._run_gated_observed(kernel, lane_vectors, period, parts,
-                                     start_cycles, record_from,
-                                     total_cycles)
-        else:
-            kernel.run_windows(lane_vectors, period, parts, start_cycles,
-                               record_from)
-        for part in parts:
-            recorder.absorb(part)
-        return recorder
-
-    def _run_gated_observed(self, kernel, lane_vectors, period, parts,
-                            starts, record_from, total_cycles):
-        """`run_gated` with the telemetry hooks live."""
-        instruments = OBS.instruments
-        before = self._kernel_counters()
-        executed = sum(len(vectors) for vectors in lane_vectors)
-        with trace_span("device.run_gated", windows=len(lane_vectors),
-                        cycles=executed, total_cycles=total_cycles):
-            start = perf_counter()
-            kernel.run_windows(lane_vectors, period, parts, starts,
-                               record_from)
-        instruments.device_cycles.inc(executed)
-        instruments.device_run_seconds.observe(perf_counter() - start)
-        self._record_kernel_metrics(instruments, before)
 
     def _kernel_counters(self):
         kernel = self._kernel

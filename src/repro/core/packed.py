@@ -286,20 +286,12 @@ class PackedKernel:
             self._batch_plans[key] = plan
         return plan
 
-    def run_lanes(self, lane_vectors, period, recorders, start_cycles=None,
-                  record_from=None):
-        """The shared lane executor: N lanes, one step cache.
+    def run_lanes(self, lane_vectors, period, recorders):
+        """The device's lane executor: N lanes, one step cache.
 
-        Each lane is an independent normalized stream (or a replay
-        window of one stream) starting from the reset dynamic state
-        (zero enables).  ``start_cycles`` gives each lane's absolute
-        first cycle (window replays start mid-stream; phases derive
-        from absolute cycles so ``ALL_INPUT`` start-period boundaries
-        line up with the serial run) and ``record_from`` suppresses
-        reports before a lane's true block start — warm-up cycles exist
-        only to rebuild the enable state (the shard-replay warm-up
-        argument).  Omitting both runs every lane as a fresh stream
-        from cycle 0 with nothing suppressed.
+        Each lane is an independent normalized stream starting from the
+        reset dynamic state (zero enables) at cycle 0, so all lanes
+        share one cycle index and one start phase per step.
 
         Lanes share the step cache, so identical ``(enables, vector,
         phase)`` transitions are computed once per call.  Reports
@@ -316,10 +308,6 @@ class PackedKernel:
         compute = self._compute
         batch_plan = self._batch_report_plan
         lanes = len(lane_vectors)
-        if start_cycles is None:
-            start_cycles = (0,) * lanes
-        if record_from is None:
-            record_from = start_cycles
         reset_enables = (0,) * len(self.pus)
         enables = [reset_enables] * lanes
         lane_hits = [0] * lanes
@@ -327,14 +315,13 @@ class PackedKernel:
         lane_lengths = [len(vectors) for vectors in lane_vectors]
         skipped = 0
         with open_rows(recorders, self.arity) as sinks:
-            for index in range(max(lane_lengths, default=0)):
+            for cycle in range(max(lane_lengths, default=0)):
+                phase = 2 if cycle == 0 else (
+                    1 if cycle % period == 0 else 0)
                 for lane in range(lanes):
-                    if index >= lane_lengths[lane]:
+                    if cycle >= lane_lengths[lane]:
                         continue
-                    cycle = start_cycles[lane] + index
-                    phase = 2 if cycle == 0 else (
-                        1 if cycle % period == 0 else 0)
-                    key = (enables[lane], lane_vectors[lane][index], phase)
+                    key = (enables[lane], lane_vectors[lane][cycle], phase)
                     value = cache.get(key)
                     if value is None:
                         lane_misses[lane] += 1
@@ -348,42 +335,19 @@ class PackedKernel:
                             del cache[key]
                             cache[key] = value
                     enables[lane] = value[0]
-                    if cycle >= record_from[lane]:
-                        plan = value[2]
-                        if plan:
-                            # One row per reporting PU: what that PU
-                            # writes into its report region this cycle.
-                            add_cycle, add_plan = sinks[lane]
-                            for pu_index, report, _ in plan:
-                                add_cycle(cycle)
-                                add_plan(batch_plan(pu_index, report))
+                    plan = value[2]
+                    if plan:
+                        # One row per reporting PU: what that PU writes
+                        # into its report region this cycle.
+                        add_cycle, add_plan = sinks[lane]
+                        for pu_index, report, _ in plan:
+                            add_cycle(cycle)
+                            add_plan(batch_plan(pu_index, report))
                     skipped += value[5]
         self.pus_skipped += skipped
         self.cache_hits += sum(lane_hits)
         self.cache_misses += sum(lane_misses)
         return lane_hits, lane_misses
-
-    def run_batch(self, lane_vectors, period, recorders):
-        """Drive N independent normalized streams through the kernel.
-
-        Thin delegate over :meth:`run_lanes` with every lane a fresh
-        stream from cycle 0 and nothing suppressed.
-        """
-        return self.run_lanes(lane_vectors, period, recorders)
-
-    # ------------------------------------------------------------------
-    # Prefilter-gated window execution
-    # ------------------------------------------------------------------
-    def run_windows(self, lane_vectors, period, recorders, start_cycles,
-                    record_from):
-        """Replay windows of one stream at absolute cycle offsets.
-
-        Thin delegate over :meth:`run_lanes`; see there for the
-        warm-up-replay and suppression semantics.
-        """
-        return self.run_lanes(lane_vectors, period, recorders,
-                              start_cycles=start_cycles,
-                              record_from=record_from)
 
     # ------------------------------------------------------------------
     # Synchronization with the literal model

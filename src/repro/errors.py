@@ -63,7 +63,3 @@ class ArtifactError(ReproError):
 
 class StageGraphError(ReproError):
     """A stage graph was constructed or executed inconsistently."""
-
-
-class PrefilterError(ReproError):
-    """The literal prefilter was built or driven inconsistently."""

@@ -1,14 +1,9 @@
-"""Unified execution planning: plan, planner, session.
-
-The run-variant explosion of PRs 5-8 (serial, batched, sharded,
-windowed, gated, multi-round, at two device fidelities) collapses here
-into three composable pieces:
+"""Execution planning: plan, planner, session.
 
 - :class:`~repro.exec.plan.ExecutionPlan` — one validated, versioned
-  value naming a complete run strategy;
-- :class:`~repro.exec.planner.Planner` — auto-selects a plan from
-  memoized automaton traits (:mod:`~repro.exec.traits`) plus stream
-  shape, with a machine-readable reason per choice;
+  value naming the execution target and the device fidelity;
+- :class:`~repro.exec.planner.Planner` — picks a plan from the stream
+  count, with a machine-readable reason per choice;
 - :class:`~repro.exec.session.Session` — binds a plan to a compiled
   engine/device and exposes ``execute(streams) -> results``.
 """
@@ -17,11 +12,8 @@ from .plan import (DEFAULT_PLAN, PLAN_FORMAT, PLAN_VERSION, TARGETS,
                    ExecutionPlan, resolve_plan)
 from .planner import Planner
 from .session import Session
-from .traits import (TRAITS_CODEC, TRAITS_FORMAT, TRAITS_VERSION,
-                     AutomatonTraits, TraitsCodec, automaton_traits)
 
 __all__ = [
-    "AutomatonTraits",
     "DEFAULT_PLAN",
     "ExecutionPlan",
     "PLAN_FORMAT",
@@ -29,10 +21,5 @@ __all__ = [
     "Planner",
     "Session",
     "TARGETS",
-    "TRAITS_CODEC",
-    "TRAITS_FORMAT",
-    "TRAITS_VERSION",
-    "TraitsCodec",
-    "automaton_traits",
     "resolve_plan",
 ]

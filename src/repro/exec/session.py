@@ -1,41 +1,27 @@
 """The session: one plan bound to one compiled machine, one entry point.
 
-:class:`Session` is the single execution abstraction the run-variant
-explosion collapses into: construct it with an automaton (and
-optionally a plan — otherwise the :class:`~repro.exec.planner.Planner`
-picks one from the machine's traits and the first ``execute`` call's
-stream count), then call ``execute(streams) -> [ReportRecorder]`` with
-raw byte streams.  The session owns stream conversion, position
-limits, compiled-artifact reuse (one engine / packed device kernel
-across calls), and the dispatch to the right run variant — every one
-of which stays individually available and bit-exact (the differential
-suite in tests/test_exec.py pins ``execute`` against each direct
-variant call).
+Construct a :class:`Session` with an automaton (and optionally a plan —
+otherwise the :class:`~repro.exec.planner.Planner` picks one from the
+first ``execute`` call's stream count), then call ``execute(streams) ->
+[ReportRecorder]`` with raw byte streams.  The session owns stream
+conversion, position limits, compiled-artifact reuse (one engine /
+packed device kernel across calls), and the dispatch to the kernel's
+run loop: serial ``run`` for one stream on the engine, ``run_batch``
+lanes from cycle 0 for several (and for every packed device run), one
+fresh literal device per stream at the literal fidelity.
 
-Binding costs only what the plan needs.  The machine's planner traits
-(:func:`~repro.exec.traits.automaton_traits`: a fingerprint, an indexed
-``depth_bound()`` walk and, for 8-bit machines, literal extraction)
-are computed when the planner runs, or at construction for a plan that
-splits one stream (:attr:`ExecutionPlan.splits_stream`), whose warm-up
-replay needs a bounded depth.  The session computes none for an
-explicit serial, gated or device plan; a gated run reads the depth
-bound from the same memoized traits when it plans its windows.  The
-engine or device is built on the first ``execute`` call.
-
-The ROADMAP's streaming service schedules tenants through exactly this
-object: one session per (ruleset, plan), many ``execute`` calls.
+Apart from validating its machine, a session computes nothing before
+the first ``execute`` call, which builds the engine or configures the
+device.
 """
 
 from ..core.config import SunderConfig
 from ..core.device import SunderDevice
-from ..prefilter.gate import (build_prefilter, gated_device_run,
-                              gated_simulation)
 from ..sim.engine import BitsetEngine
-from ..sim.inputs import stream_for, stream_shape
+from ..sim.inputs import stream_for
 from ..sim.reports import ReportRecorder
 from .plan import ExecutionPlan
 from .planner import Planner
-from .traits import automaton_traits
 
 
 class Session:
@@ -49,42 +35,34 @@ class Session:
         4-bit strided); for the device target a 4-bit rate machine.
     plan:
         An :class:`ExecutionPlan`, or None to let ``planner`` choose
-        one from the machine's traits and the first ``execute`` call's
-        stream count (the chosen plan is then bound for the session's
-        lifetime and readable as ``session.plan``).  A plan that
-        splits a stream is checked against the machine's traits here
-        and raises :class:`~repro.errors.ArchitectureError` for a
-        cyclic machine; any other explicit plan reads no traits.
+        one from the first ``execute`` call's stream count (the chosen
+        plan is then bound for the session's lifetime and readable as
+        ``session.plan``).
     source:
-        The 8-bit machine ``automaton`` was rate-transformed from;
-        prefilter literals are extracted from it.  Defaults to
-        ``automaton`` itself.
+        Accepted and ignored: nothing reads it.  Callers that still
+        pass the 8-bit machine ``automaton`` was rate-transformed from
+        keep working.
     config:
         Device-target :class:`~repro.core.config.SunderConfig`;
         defaults to one sized by the automaton's arity.
     planner:
         The :class:`~repro.exec.planner.Planner` used when ``plan`` is
-        None; defaults to one targeting the plan's target.
+        None; defaults to an engine planner.
     """
 
     def __init__(self, automaton, plan=None, *, source=None, config=None,
                  planner=None):
         automaton.validate()
+        if plan is not None and not isinstance(plan, ExecutionPlan):
+            raise ValueError(
+                "Session plan must be an ExecutionPlan or None, got %r"
+                % (plan,))
         self.automaton = automaton
-        self.source = source if source is not None else automaton
         self.config = config
-        if plan is not None:
-            if not isinstance(plan, ExecutionPlan):
-                raise ValueError(
-                    "Session plan must be an ExecutionPlan or None, got %r"
-                    % (plan,))
-            if plan.splits_stream:
-                plan.validate_for(automaton_traits(automaton))
         self.plan = plan
         self._planner = planner
         self._engine = None
         self._device = None
-        self._prefilter = None
 
     # ------------------------------------------------------------------
     def execute(self, streams):
@@ -92,79 +70,39 @@ class Session:
 
         ``streams`` is an iterable of byte strings.  Results are
         :class:`~repro.sim.reports.ReportRecorder`\\ s in stream order,
-        each with the stream's own position limit — bit-exact with the corresponding direct run-variant
-        call for the bound plan.
+        each with the stream's own position limit.
         """
         datas = [bytes(stream) for stream in streams]
         plan = self.plan
         if plan is None:
-            plan = self._plan_for(datas)
-            self.plan = plan
+            planner = self._planner
+            if planner is None:
+                planner = self._planner = Planner()
+            plan = self.plan = planner.plan(
+                self.automaton, stream_count=max(1, len(datas)))
         if plan.target == "device":
             return self._execute_device(plan, datas)
-        return self._execute_engine(plan, datas)
-
-    def _plan_for(self, datas):
-        planner = self._planner
-        if planner is None:
-            planner = self._planner = Planner()
-        plan = planner.plan(self.automaton, stream_count=max(1, len(datas)))
-        return plan.validate_for(automaton_traits(self.automaton))
+        return self._execute_engine(datas)
 
     # ------------------------------------------------------------------
     # Engine target
     # ------------------------------------------------------------------
-    def _bind_engine(self):
-        if self._engine is None:
-            self._engine = BitsetEngine(self.automaton)
-        return self._engine
-
-    def _bind_prefilter(self):
-        prefilter = self._prefilter
-        if prefilter is None:
-            prefilter = self._prefilter = build_prefilter(self.source)
-        return prefilter
-
-    def _execute_engine(self, plan, datas):
-        engine = self._bind_engine()
-        if plan.prefilter:
-            prefilter = self._bind_prefilter()
-            recorders = []
-            for data in datas:
-                _, limit = stream_shape(self.automaton, data)
-                recorder = ReportRecorder(position_limit=limit)
-                gated_simulation(self.automaton, data, recorder,
-                                 source=self.source, prefilter=prefilter,
-                                 engine=engine)
-                recorders.append(recorder)
-            return recorders
+    def _execute_engine(self, datas):
+        engine = self._engine
+        if engine is None:
+            engine = self._engine = BitsetEngine(self.automaton)
         lanes = [stream_for(self.automaton, data) for data in datas]
         recorders = [ReportRecorder(position_limit=limit)
                      for _, limit in lanes]
-        if len(datas) > 1:
+        if len(lanes) > 1:
             engine.run_batch([vectors for vectors, _ in lanes], recorders)
-        elif datas:
-            vectors = lanes[0][0]
-            if plan.shards == "auto" or plan.shards > 1:
-                engine.run_sharded(vectors, plan.shards, recorders[0],
-                                   interleave=False)
-            elif plan.batch > 1:
-                engine.run_sharded(vectors, plan.batch, recorders[0],
-                                   interleave=True)
-            else:
-                engine.run(vectors, recorders[0])
+        elif lanes:
+            engine.run(lanes[0][0], recorders[0])
         return recorders
 
     # ------------------------------------------------------------------
     # Device target
     # ------------------------------------------------------------------
-    def _bind_device(self, plan):
-        device = self._device
-        if device is None:
-            device = self._fresh_device(plan)
-            self._device = device
-        return device
-
     def _fresh_device(self, plan):
         config = self.config
         if config is None:
@@ -174,14 +112,9 @@ class Session:
         return device
 
     def _execute_device(self, plan, datas):
-        if plan.prefilter:
-            device = self._bind_device(plan)
-            prefilter = self._bind_prefilter()
-            return [gated_device_run(device, self.automaton, data,
-                                     source=self.source,
-                                     prefilter=prefilter)
-                    for data in datas]
-        device = self._bind_device(plan)
+        device = self._device
+        if device is None:
+            device = self._device = self._fresh_device(plan)
         if device.fidelity == "packed":
             lanes = [stream_for(self.automaton, data) for data in datas]
             recorders = [ReportRecorder(position_limit=limit)

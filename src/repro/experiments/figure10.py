@@ -9,8 +9,7 @@ without summarization, 1.4x with 16-row-batch summarization.
 
 Each sweep point is one ``figure10_point`` stage in the runtime graph
 (closed-form, so uncached); the scheduler fans points across ``workers``
-with rows in sweep order at any count.  No device runs, so the
-experiment takes no execution plan.
+with rows in sweep order at any count.
 """
 
 from ..core.config import SunderConfig

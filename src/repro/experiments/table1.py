@@ -10,12 +10,9 @@ table1_row`` per benchmark) executed by the runtime scheduler: the
 expensive stages are content-addressed in the shared artifact store, so
 they are shared with Table 4 (same generate/simulate8 artifacts) and
 skipped entirely on warm runs, and the scheduler fans stage executions
-across ``workers`` processes with byte-identical output.  One
-:class:`~repro.exec.ExecutionPlan` (``plan=``, or ``--plan`` on the
-CLI) chooses how the simulate stages execute.
+across ``workers`` processes with byte-identical output.
 """
 
-from ..errors import ArchitectureError
 from ..runtime import Runtime, StageGraph
 from ..workloads.registry import BENCHMARK_NAMES
 from ..obs import instrumented_experiment
@@ -47,62 +44,30 @@ def select_names(names, experiment):
     return chosen
 
 
-def simulation_params(base, plan=None):
-    """Simulate-stage params with the execution plan salted in.
-
-    The plan's :meth:`~repro.exec.ExecutionPlan.param_payload` joins the
-    params only when non-empty, so default runs keep their artifact keys
-    (warm stores stay warm) while planned runs are content-addressed
-    separately.  The simulate stages run on the functional engine, so a
-    plan targeting the device or the literal device fidelity raises
-    :class:`~repro.errors.ArchitectureError` instead of re-keying
-    identical rows.
-    """
-    params = dict(base)
-    if plan is None:
-        return params
-    if plan.target != "engine" or plan.fidelity != "packed":
-        raise ArchitectureError(
-            "the simulate stages run on the functional engine: a plan with "
-            "target=%r, fidelity=%r would only re-key identical rows; use "
-            "target 'engine' and fidelity 'packed'"
-            % (plan.target, plan.fidelity))
-    payload = plan.param_payload()
-    if payload:
-        params["plan"] = payload
-    return params
-
-
-def define(graph, scale, seed, names, plan=None):
+def define(graph, scale, seed, names):
     """Declare Table 1's stages; returns the per-benchmark row tasks."""
     rows = []
     for name in names:
         gen = graph.task("generate",
                          {"name": name, "scale": scale, "seed": seed})
-        sim = graph.task("simulate8",
-                         simulation_params({"name": name}, plan),
-                         deps=[gen])
+        sim = graph.task("simulate8", {"name": name}, deps=[gen])
         rows.append(graph.task("table1_row", {"name": name},
                                deps=[gen, sim]))
     return rows
 
 
-def run(scale=0.02, seed=0, names=None, workers=1, runtime=None, plan=None):
+def run(scale=0.02, seed=0, names=None, workers=1, runtime=None):
     """Simulate the suite; returns the list of result rows.
 
     ``workers`` fans the stage executions out across a process pool
     (0 = all cores); rows come back in suite order regardless.  Pass a
     shared ``runtime`` to deduplicate stages with other experiments.
-    ``plan`` (:class:`~repro.exec.ExecutionPlan`) picks the simulate
-    stages' engine strategy: batched or sharded runs are bit-exact, and
-    a gating plan keeps reports bit-exact but skips active-state
-    statistics on gated runs (see docs/performance.md).
     """
     chosen = select_names(names, "table1.run")
     if runtime is None:
         runtime = Runtime(workers=workers)
     graph = StageGraph()
-    tasks = define(graph, scale, seed, chosen, plan=plan)
+    tasks = define(graph, scale, seed, chosen)
     results = runtime.execute(graph, targets=tasks)
     return [results[task] for task in tasks]
 
@@ -113,8 +78,8 @@ def render(rows):
 
 
 @instrumented_experiment("table1")
-def main(scale=0.02, seed=0, workers=1, plan=None):
+def main(scale=0.02, seed=0, workers=1):
     """Run and print (entry point used by the benchmark harness)."""
-    rows = run(scale=scale, seed=seed, workers=workers, plan=plan)
+    rows = run(scale=scale, seed=seed, workers=workers)
     print(render(rows))
     return rows

@@ -26,9 +26,8 @@ here.  ``generate``/``simulate8`` are shared with Table 1 and
 ``to_rate`` with Table 3 through the content-addressed artifact store,
 so a scorecard run executes each only once, and a warm
 ``--artifact-dir`` serves the rows without demanding anything below
-them.  One :class:`~repro.exec.ExecutionPlan` (``plan=``, or ``--plan``
-on the CLI) chooses how the two simulate stages execute; no device runs
-here, because the overheads come from the reporting models.
+them.  No device runs here, because the overheads come from the
+reporting models.
 """
 
 from ..core.config import SunderConfig
@@ -42,7 +41,7 @@ from ..sim.reports import ReportRecorder
 from ..transform.pipeline import to_rate
 from ..obs import instrumented_experiment, trace_span
 from .formatting import average_row, format_table
-from .table1 import select_names, simulation_params
+from .table1 import select_names
 
 COLUMNS = [
     ("benchmark", "Benchmark"),
@@ -103,26 +102,18 @@ def evaluate_benchmark(instance, rate=4, config=None, scale=1.0):
                          rate=rate, scale=scale, config=config)
 
 
-def define(graph, scale, seed, names, rate, plan=None):
-    """Declare Table 4's stages; returns the per-benchmark row tasks.
-
-    ``plan`` reaches the two simulate stages through
-    :func:`~repro.experiments.table1.simulation_params`, which salts
-    their keys only for a non-default plan.
-    """
+def define(graph, scale, seed, names, rate):
+    """Declare Table 4's stages; returns the per-benchmark row tasks."""
     rows = []
     for name in names:
         gen = graph.task("generate",
                          {"name": name, "scale": scale, "seed": seed})
-        sim8 = graph.task("simulate8",
-                          simulation_params({"name": name}, plan),
-                          deps=[gen])
+        sim8 = graph.task("simulate8", {"name": name}, deps=[gen])
         strided = graph.task("to_rate", {"name": name, "rate": rate},
                              deps=[gen])
-        sim_strided = graph.task(
-            "simulate_strided",
-            simulation_params({"name": name, "rate": rate}, plan),
-            deps=[gen, strided])
+        sim_strided = graph.task("simulate_strided",
+                                 {"name": name, "rate": rate},
+                                 deps=[gen, strided])
         rows.append(graph.task(
             "report_drain",
             {"name": name, "rate": rate, "scale": scale},
@@ -130,22 +121,18 @@ def define(graph, scale, seed, names, rate, plan=None):
     return rows
 
 
-def run(scale=0.01, seed=0, names=None, rate=4, workers=1, runtime=None,
-        plan=None):
+def run(scale=0.01, seed=0, names=None, rate=4, workers=1, runtime=None):
     """Evaluate the suite; returns (rows, averages).
 
     ``workers`` fans the stage executions out across a process pool
     (0 = all cores); row order is the suite order regardless.  Pass a
     shared ``runtime`` to deduplicate stages with other experiments.
-    ``plan`` (:class:`~repro.exec.ExecutionPlan`) picks the simulate
-    stages' engine strategy (bit-exact reports either way; see
-    docs/performance.md).
     """
     chosen = select_names(names, "table4.run")
     if runtime is None:
         runtime = Runtime(workers=workers)
     graph = StageGraph()
-    tasks = define(graph, scale, seed, chosen, rate, plan=plan)
+    tasks = define(graph, scale, seed, chosen, rate)
     results = runtime.execute(graph, targets=tasks)
     rows = [results[task] for task in tasks]
     averages = average_row(
@@ -164,9 +151,8 @@ def render(rows, averages):
 
 
 @instrumented_experiment("table4")
-def main(scale=0.01, seed=0, names=None, workers=1, plan=None):
+def main(scale=0.01, seed=0, names=None, workers=1):
     """Run and print."""
-    rows, averages = run(scale=scale, seed=seed, names=names, workers=workers,
-                         plan=plan)
+    rows, averages = run(scale=scale, seed=seed, names=names, workers=workers)
     print(render(rows, averages))
     return rows, averages

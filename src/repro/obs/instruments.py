@@ -17,10 +17,6 @@ SECONDS_BUCKETS = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
 RATIO_BUCKETS = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0)
 #: Buckets for run_batch lane counts (powers of two up to a large fleet).
 BATCH_LANE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-#: Buckets for shard warm-up overlap lengths, in sub-symbol units.
-OVERLAP_BUCKETS = (0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 1024)
-#: Buckets for extracted literal-set sizes per prefilter build.
-LITERAL_COUNT_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096)
 
 
 class Instruments:
@@ -67,11 +63,6 @@ class Instruments:
             "repro_engine_batch_lane_cache_misses_total",
             "Step-cache misses inside batched lanes (summed per-lane "
             "counts of every run_batch).", ("engine",))
-        self.shard_overlap_bytes = histogram(
-            "repro_shard_overlap_bytes",
-            "Warm-up overlap replayed per shard block, in sub-symbol "
-            "units (depth bound x arity, clamped to the block start).",
-            buckets=OVERLAP_BUCKETS)
         self._engine_handles = {}
 
         # --- parallel experiment runner (repro.sim.parallel) -----------
@@ -139,44 +130,6 @@ class Instruments:
         self.device_cluster_utilization = gauge(
             "repro_device_cluster_utilization",
             "Fraction of each cluster's state columns in use.", ("cluster",))
-
-        # --- literal prefilter (repro.prefilter) ----------------------
-        self.prefilter_builds = counter(
-            "repro_prefilter_builds_total",
-            "Prefilter builds (cache misses) by extraction outcome.",
-            ("result",))
-        self.prefilter_build_seconds = histogram(
-            "repro_prefilter_build_seconds",
-            "Wall time of one prefilter build (cache misses only).",
-            buckets=SECONDS_BUCKETS)
-        self.prefilter_literals = histogram(
-            "repro_prefilter_literals",
-            "Extracted literal-set size per filterable build.",
-            buckets=LITERAL_COUNT_BUCKETS)
-        self.prefilter_scan_bytes = counter(
-            "repro_prefilter_scan_bytes_total",
-            "Input bytes scanned by the direct filter.")
-        self.prefilter_scan_seconds = histogram(
-            "repro_prefilter_scan_seconds",
-            "Wall time of one direct-filter scan.", buckets=SECONDS_BUCKETS)
-        self.prefilter_candidate_windows = counter(
-            "repro_prefilter_candidate_windows_total",
-            "Candidate positions the direct-filter bitmap passed to "
-            "verification.")
-        self.prefilter_verified_windows = counter(
-            "repro_prefilter_verified_windows_total",
-            "Literal occurrences confirmed by the verification stage.")
-        self.prefilter_gated_cycles = counter(
-            "repro_prefilter_gated_cycles_total",
-            "Cycles executed inside gated replay windows (warm-up "
-            "included).")
-        self.prefilter_skipped_cycles = counter(
-            "repro_prefilter_skipped_cycles_total",
-            "Cycles the gate skipped entirely (the kernel never woke).")
-        self.prefilter_bypass = counter(
-            "repro_prefilter_bypass_total",
-            "Gated runs that fell back to the ungated kernel, by reason.",
-            ("reason",))
 
         # --- transform pipeline (repro.transform) ---------------------
         self.transform_runs = counter(

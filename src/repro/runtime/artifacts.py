@@ -16,10 +16,6 @@ store serves that one read-only master on every hit:
   output and every memoized transform result
   (:mod:`repro.transform.cache`);
 - **plain JSON values** — result rows and summaries, served as copies.
-
-The planner's traits and the prefilter builds are stored in the same
-store under codecs of their own (:mod:`repro.exec.traits`,
-:mod:`repro.prefilter.gate`).
 """
 
 import base64
@@ -60,10 +56,9 @@ class SimRun:
     def from_engine(cls, engine, recorder, cycles):
         """Build a run from a just-executed engine's active-count history.
 
-        Works for plain, sharded, and batched-lane executions alike:
-        every engine path leaves ``active_count_history`` holding the
-        serial-equivalent per-cycle counts, so the Table 1 dynamic
-        statistics come out identical regardless of execution strategy.
+        ``engine`` must have just executed the whole stream with
+        :meth:`~repro.sim.engine.BitsetEngine.run`, which leaves
+        ``active_count_history`` holding one count per cycle.
         """
         history = engine.active_count_history
         return cls(

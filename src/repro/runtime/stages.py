@@ -31,12 +31,10 @@ from ..core.mapping import place
 from ..core.perfmodel import (ReportingPerfModel, pu_fill_cycles_from_events,
                               sensitivity_slowdown)
 from ..errors import StageGraphError
-from ..exec.plan import ExecutionPlan
 from ..hwmodel import area
 from ..obs import stage_progress, trace_span
-from ..prefilter import gated_simulation
 from ..sim.engine import BitsetEngine
-from ..sim.inputs import stream_for, stream_shape
+from ..sim.inputs import stream_for
 from ..sim.reports import ReportRecorder
 from ..sim.stats import static_statistics
 from ..transform.pipeline import to_rate
@@ -150,61 +148,17 @@ def _generate(params):
                               seed=params["seed"])
 
 
-def _stage_plan(params):
-    """The :class:`ExecutionPlan` a stage's ``plan`` param selects.
-
-    The param holds the minimal ``param_payload`` form and is the sole
-    key-salt source: the experiment layer adds it only for a non-default
-    plan, so default runs keep their artifact keys (and warm stores)
-    while planned runs are content-addressed separately through
-    :func:`canonical`.
-    """
-    return ExecutionPlan.from_payload(params.get("plan", {}))
-
-
-def _run_simulation(engine, vectors, recorder, plan):
-    """Dispatch a stage simulation through the plan's engine strategy.
-
-    ``shards=K`` splits the stream into K overlap-replayed blocks run
-    back to back; ``batch=N`` runs the same N blocks as interleaved
-    lanes of one pass (both are bit-exact vs ``engine.run``, pinned by
-    tests/test_batch_shard.py).
-    """
-    if plan.shards == "auto" or plan.shards > 1:
-        engine.run_sharded(vectors, plan.shards, recorder, interleave=False)
-    elif plan.batch > 1:
-        engine.run_sharded(vectors, plan.batch, recorder, interleave=True)
-    else:
-        engine.run(vectors, recorder)
-    return recorder
-
-
 @stage("simulate8", codec=SIMRUN_CODEC)
 def _simulate8(params, instance):
     """Functional simulation of the 8-bit machine over its input.
 
     Records the report rows (Table 4's AP replay needs them) and the
     active-state statistics (Table 1's dynamic columns need them).
-
-    The execution strategy comes from the params' ``plan`` value (see
-    :func:`_stage_plan`).  A gating plan routes the run through the
-    two-stage literal prefilter (:func:`repro.prefilter.gated_simulation`):
-    reports stay bit-exact, but active-state statistics are only kept
-    when the gate bypasses (a gated run skips most cycles).
     """
-    plan = _stage_plan(params)
-    if plan.prefilter:
-        recorder = ReportRecorder()
-        engine, gated = gated_simulation(
-            instance.automaton, instance.input_bytes, recorder)
-        cycles, _ = stream_shape(instance.automaton, instance.input_bytes)
-        if engine is not None and not gated:
-            return SimRun.from_engine(engine, recorder, cycles)
-        return SimRun(recorder, cycles)
     engine = BitsetEngine(instance.automaton)
     recorder = ReportRecorder()
     stream = list(instance.input_bytes)
-    _run_simulation(engine, stream, recorder, plan)
+    engine.run(stream, recorder)
     return SimRun.from_engine(engine, recorder, len(stream))
 
 
@@ -216,22 +170,10 @@ def _to_rate(params, instance):
 
 @stage("simulate_strided", codec=SIMRUN_CODEC)
 def _simulate_strided(params, instance, strided):
-    """Functional simulation of the strided machine over the same input.
-
-    A gating plan gates the run on literals extracted from the 8-bit
-    *source* machine; windows are mapped onto the strided machine's
-    cycles (see :func:`repro.prefilter.gated_simulation`).
-    """
-    plan = _stage_plan(params)
-    if plan.prefilter:
-        cycles, limit = stream_shape(strided, instance.input_bytes)
-        recorder = ReportRecorder(position_limit=limit)
-        gated_simulation(strided, instance.input_bytes, recorder,
-                         source=instance.automaton)
-        return SimRun(recorder, cycles)
+    """Functional simulation of the strided machine over the same input."""
     vectors, limit = stream_for(strided, instance.input_bytes)
     recorder = ReportRecorder(position_limit=limit)
-    _run_simulation(BitsetEngine(strided), vectors, recorder, plan)
+    BitsetEngine(strided).run(vectors, recorder)
     return SimRun(recorder, len(vectors))
 
 

@@ -2,11 +2,10 @@
 
 :class:`ArtifactStore` holds every artifact this reproduction caches:
 compiled automata (the Section 4 transform results and the ``to_rate``
-stage), workload instances, simulation report streams, planner traits,
-prefilter builds and plain JSON rows.  It has two tiers: an in-process
-LRU of decoded master objects plus an optional on-disk artifact
-directory of versioned JSON payloads, addressed by
-``CODE_VERSION``-salted SHA-256 keys.  Every ``get``/``put`` names a
+stage), workload instances, simulation report streams and plain JSON
+rows.  It has two tiers: an in-process LRU of decoded master objects
+plus an optional on-disk artifact directory of versioned JSON payloads,
+addressed by ``CODE_VERSION``-salted SHA-256 keys.  Every ``get``/``put`` names a
 :class:`Codec` that owns the (de)serialization and the freezing of one
 artifact kind.
 

@@ -23,18 +23,11 @@ Two engines with identical semantics:
 - :class:`NaiveEngine` — direct set-of-states implementation kept as a
   differential-testing oracle.
 
-On top of the single-stream path sit two aggregate-throughput modes:
-
-- :meth:`BitsetEngine.run_batch` drives N independent streams through
-  the compiled automaton in one pass (per-lane active sets, per-lane
-  recorders, one shared transition table — identical ``(active,
-  vector, phase)`` work is paid once per batch instead of once per
-  stream);
-- :meth:`BitsetEngine.run_sharded` splits one long stream into blocks
-  whose warm-up overlap is bounded by
-  :meth:`~repro.automata.automaton.Automaton.depth_bound` and stitches
-  the block results bit-exact with the single-pass run (cyclic
-  machines, whose history is unbounded, fall back to the serial path).
+Beside the single-stream path, :meth:`BitsetEngine.run_batch` drives N
+independent streams through the compiled automaton in one pass
+(per-lane active sets, per-lane recorders, one shared transition table
+— identical ``(active, vector, phase)`` work is paid once per batch
+instead of once per stream).
 
 Cycle semantics (matching VASim and the paper's Figure 1):
 
@@ -44,7 +37,6 @@ Cycle semantics (matching VASim and the paper's Figure 1):
 3. every active reporting state emits one report per report offset.
 """
 
-from collections import deque
 from time import perf_counter
 
 from ..errors import SimulationError
@@ -69,17 +61,6 @@ DEFAULT_STEP_CACHE = 1 << 16
 #: actually exercises.
 EAGER_SLICE_STATES = 512
 
-#: ``run_sharded(shards="auto")`` falls back to the serial path below
-#: this stream length (in vector cycles): the documented pathological
-#: pool case (0.05-0.15x at scale 0.01, docs/performance.md) is exactly
-#: short streams, where per-shard warm-up replay and pool shipping
-#: dwarf the work being split.
-AUTO_SHARD_MIN_CYCLES = 1 << 16
-
-#: Shard count ``"auto"`` picks for in-process (no runner) sharding of
-#: streams above the threshold.
-AUTO_SHARD_DEFAULT = 4
-
 
 class BitsetEngine:
     """Bitmask-based cycle-accurate simulator for one automaton.
@@ -93,20 +74,10 @@ class BitsetEngine:
     current active sets.  The table survives :meth:`reset` — entries
     are pure functions of the automaton, so reuse across runs is sound
     and is where repeated-stream workloads win the most.
-
-    Parameters
-    ----------
-    history_limit:
-        ``None`` (default) keeps the full per-cycle
-        ``active_count_history`` list as before; ``N > 0`` keeps a ring
-        buffer of the most recent ``N`` counts; ``0`` disables history
-        bookkeeping entirely (recommended for unbounded streaming use).
     """
 
-    def __init__(self, automaton, history_limit=None):
+    def __init__(self, automaton):
         automaton.validate()
-        if history_limit is not None and history_limit < 0:
-            raise SimulationError("history_limit must be None or >= 0")
         self.automaton = automaton
         self._ids = automaton.state_ids()
         index = {state_id: i for i, state_id in enumerate(self._ids)}
@@ -174,10 +145,6 @@ class BitsetEngine:
         self._set_plans = []
         self._rows = []
         self._transitions = 0
-        self._history_limit = history_limit
-        #: Per-lane active-count histories of the last :meth:`run_batch`
-        #: (or in-process :meth:`run_sharded`) call; empty otherwise.
-        self.lane_histories = []
         self.reset()
 
     def _build_block_tables(self):
@@ -241,12 +208,8 @@ class BitsetEngine:
         """
         self._active = 0
         self._cycle = 0
-        self.active_count_history = self._new_history()
-
-    def _new_history(self):
-        """Fresh history container honoring ``history_limit``."""
-        limit = self._history_limit
-        return [] if limit is None else deque(maxlen=limit)
+        #: Active-state count of every cycle since the last reset.
+        self.active_count_history = []
 
     @property
     def cycle(self):
@@ -294,8 +257,8 @@ class BitsetEngine:
         ``phase`` is the step-key phase: 2 = start-of-data cycle (both
         start kinds self-enable), 1 = start-period boundary (all-input
         starts only), 0 = mid-period.  Pure in its arguments so batch
-        lanes and shard replays — which never own ``self._cycle`` —
-        share one transition function with the streaming path.
+        lanes, which never own ``self._cycle``, share one transition
+        function with the streaming path.
         """
         enabled = self._propagate(active)
         if phase:
@@ -399,8 +362,7 @@ class BitsetEngine:
         allocates no reference cycles.
         """
         period = self._start_period
-        history = (self.active_count_history
-                   if self._history_limit != 0 else None)
+        add_count = self.active_count_history.append
         cycle = self._cycle
         rows = self._rows
         plans = self._set_plans
@@ -424,8 +386,7 @@ class BitsetEngine:
                 if plan and add_plan is not None:
                     add_cycle(cycle)
                     add_plan(plan)
-                if history is not None:
-                    history.append(counts[set_id])
+                add_count(counts[set_id])
                 cycle += 1
         self._active = self._set_masks[set_id]
         self._cycle = cycle
@@ -509,9 +470,7 @@ class BitsetEngine:
         continue.  The transition table is shared across lanes, so
         identical ``(active, vector, phase)`` work is paid once per
         batch instead of once per stream.  Returns the list of per-lane
-        recorders; per-lane active-count histories land in
-        ``self.lane_histories`` and the engine's own streaming state is
-        reset afterwards.
+        recorders; the engine's own streaming state is reset afterwards.
         """
         lane_vectors = [_normalize_stream(self.automaton, stream)
                         for stream in streams]
@@ -522,27 +481,29 @@ class BitsetEngine:
             raise SimulationError(
                 "run_batch got %d recorders for %d streams"
                 % (len(recorders), len(lane_vectors)))
-        histories = (None if self._history_limit == 0
-                     else [self._new_history() for _ in lane_vectors])
         if OBS.active:
-            self._run_batch_observed(lane_vectors, recorders, histories)
+            self._run_batch_observed(lane_vectors, recorders)
         else:
-            self._execute_lanes(lane_vectors, recorders, histories=histories)
-        self.lane_histories = histories if histories is not None else []
+            self._execute_lanes(lane_vectors, recorders)
         self.reset()
         return recorders
 
-    def _run_batch_observed(self, lane_vectors, recorders, histories):
-        """`run_batch` with the telemetry hooks live."""
+    def _run_batch_observed(self, lane_vectors, recorders):
+        """`run_batch` with the telemetry hooks live.
+
+        Only here does each lane keep its active-count history: the
+        ``active_states`` histogram is its one reader.
+        """
         handles = OBS.instruments.engine_handles("bitset")
         reports_before = sum(r.total_reports for r in recorders)
         total_cycles = sum(len(vectors) for vectors in lane_vectors)
+        histories = [[] for _ in lane_vectors]
         with trace_span("engine.run_batch", engine="bitset",
                         automaton=self.automaton.name,
                         lanes=len(lane_vectors), cycles=total_cycles):
             start = perf_counter()
             lane_hits, lane_misses = self._execute_lanes(
-                lane_vectors, recorders, histories=histories)
+                lane_vectors, recorders, histories)
             elapsed = perf_counter() - start
         # Lane-for-lane parity with N serial runs: counters move by the
         # same amounts a loop of run() calls would move them.
@@ -556,33 +517,23 @@ class BitsetEngine:
         handles.batch_lanes.observe(len(lane_vectors))
         handles.batch_lane_cache_hits.inc(sum(lane_hits))
         handles.batch_lane_cache_misses.inc(sum(lane_misses))
-        if histories is not None:
-            observe_active = handles.active_states.observe
-            for history in histories:
-                for count in history:
-                    observe_active(count)
+        observe_active = handles.active_states.observe
+        for history in histories:
+            for count in history:
+                observe_active(count)
 
     @gc_paused
-    def _execute_lanes(self, lane_vectors, recorders, start_cycles=None,
-                       record_from=None, histories=None):
+    def _execute_lanes(self, lane_vectors, recorders, histories=None):
         """The batched hot loop: N lanes, one shared transition table.
 
-        Each lane keeps its own active set as an interned id; lanes
-        share the table but no other work (each consumes its own input
-        vector).
-
-        ``start_cycles`` gives each lane's absolute first cycle (shard
-        replays start mid-stream; phases derive from absolute cycles so
-        start-period boundaries line up with the serial run) and
-        ``record_from`` suppresses reports/history before a lane's true
-        block start (warm-up cycles exist only to rebuild the active
-        mask).  Returns per-lane ``(hits, misses)`` lists.
+        Every lane starts from the empty active set at cycle 0, so all
+        lanes share one cycle index and one start phase per step.  Each
+        lane keeps its own active set as an interned id; lanes share the
+        table but no other work (each consumes its own input vector).
+        ``histories``, when given, receives each lane's per-cycle
+        active-state counts.  Returns per-lane ``(hits, misses)`` lists.
         """
         count = len(lane_vectors)
-        if start_cycles is None:
-            start_cycles = (0,) * count
-        if record_from is None:
-            record_from = start_cycles
         period = self._start_period
         rows = self._rows
         plans = self._set_plans
@@ -593,14 +544,13 @@ class BitsetEngine:
         lane_misses = [0] * count
         lane_lengths = [len(vectors) for vectors in lane_vectors]
         with open_rows(recorders, self.automaton.arity) as sinks:
-            for index in range(max(lane_lengths, default=0)):
+            for cycle in range(max(lane_lengths, default=0)):
+                phase = (2 if cycle == 0 else
+                         1 if cycle % period == 0 else 0)
                 for lane in range(count):
-                    if index >= lane_lengths[lane]:
+                    if cycle >= lane_lengths[lane]:
                         continue
-                    vector = lane_vectors[lane][index]
-                    cycle = start_cycles[lane] + index
-                    phase = (2 if cycle == 0 else
-                             1 if cycle % period == 0 else 0)
+                    vector = lane_vectors[lane][cycle]
                     nxt = rows[actives[lane]][phase].get(vector)
                     if nxt is None:
                         lane_misses[lane] += 1
@@ -608,208 +558,17 @@ class BitsetEngine:
                     else:
                         lane_hits[lane] += 1
                     actives[lane] = nxt
-                    if cycle >= record_from[lane]:
-                        plan = plans[nxt]
-                        if plan:
-                            sink = sinks[lane]
-                            if sink is not None:
-                                sink[0](cycle)
-                                sink[1](plan)
-                        if histories is not None:
-                            histories[lane].append(counts[nxt])
+                    plan = plans[nxt]
+                    if plan:
+                        sink = sinks[lane]
+                        if sink is not None:
+                            sink[0](cycle)
+                            sink[1](plan)
+                    if histories is not None:
+                        histories[lane].append(counts[nxt])
         self._cache_hits += sum(lane_hits)
         self._cache_misses += sum(lane_misses)
         return lane_hits, lane_misses
-
-    # ------------------------------------------------------------------
-    # Sharded single-stream execution
-    # ------------------------------------------------------------------
-    def run_sharded(self, stream, shards, recorder=None, position_limit=None,
-                    runner=None, interleave=True):
-        """Split one stream into ``shards`` blocks and stitch the results.
-
-        Every block after the first replays an *overlap prefix* of
-        ``depth_bound()`` vectors from an empty active mask before its
-        own range: a state at edge-distance ``d`` from a start only
-        remembers ``d`` cycles of history, so the replayed active mask
-        is exact by the block's first true cycle, and reports inside the
-        overlap window are suppressed (they belong to the previous
-        block).  The stitched recorder and active-count history are
-        bit-exact with :meth:`run` — cyclic machines (``depth_bound()``
-        is None) and degenerate splits fall back to it outright.
-
-        ``runner`` fans blocks across a
-        :class:`~repro.sim.parallel.ParallelRunner` pool (workers
-        rebuild the engine from the pickled automaton); without one the
-        blocks run in-process — ``interleave=True`` drives them as lanes
-        of one batched pass sharing this engine's transition table,
-        ``interleave=False`` replays them sequentially.
-
-        ``shards="auto"`` sizes the split itself: the pool's worker
-        count (or :data:`AUTO_SHARD_DEFAULT` in-process), falling back
-        to the serial path outright below
-        :data:`AUTO_SHARD_MIN_CYCLES` vectors — the regime where
-        sharding is a documented pessimization.  The threshold is
-        recorded on the ``engine.run_sharded`` span either way.
-        """
-        vectors = _normalize_stream(self.automaton, stream)
-        if recorder is None:
-            recorder = ReportRecorder(position_limit=position_limit)
-        auto = shards == "auto"
-        if auto:
-            shards = self._auto_shards(len(vectors), runner)
-        shards = max(1, min(int(shards), len(vectors)))
-        depth = self.automaton.depth_bound()
-        if shards <= 1 or depth is None:
-            if auto:
-                with trace_span("engine.run_sharded", engine="bitset",
-                                automaton=self.automaton.name, shards=1,
-                                depth_bound=depth, cycles=len(vectors),
-                                auto_threshold=AUTO_SHARD_MIN_CYCLES,
-                                fallback="serial"):
-                    return self.run(vectors, recorder)
-            return self.run(vectors, recorder)
-        spans = _shard_spans(len(vectors), shards)
-        blocks = [(vectors[max(0, start - depth):end],
-                   max(0, start - depth), start)
-                  for start, end in spans]
-        if OBS.active:
-            arity = self.automaton.arity
-            overlap = OBS.instruments.shard_overlap_bytes
-            for _, warm_start, start in blocks[1:]:
-                overlap.observe((start - warm_start) * arity)
-        with trace_span("engine.run_sharded", engine="bitset",
-                        automaton=self.automaton.name, shards=shards,
-                        depth_bound=depth, cycles=len(vectors),
-                        auto_threshold=AUTO_SHARD_MIN_CYCLES):
-            parts, histories = self._run_shard_blocks(
-                blocks, recorder, runner, interleave)
-        for part in parts:
-            recorder.absorb(part)
-        self.reset()
-        if histories is not None:
-            stitched = self.active_count_history
-            for history in histories:
-                stitched.extend(history)
-        return recorder
-
-    def _run_shard_blocks(self, blocks, recorder, runner, interleave):
-        """Execute shard blocks; returns (part recorders, histories)."""
-        keep_history = self._history_limit != 0
-        if runner is not None and runner.workers > 1:
-            jobs = [(self.automaton, block_vectors, start_cycle, record_from,
-                     recorder.position_limit, keep_history)
-                    for block_vectors, start_cycle, record_from in blocks]
-            outcomes = runner.map(_shard_job, jobs)
-            parts = [part for part, _ in outcomes]
-            histories = ([history for _, history in outcomes]
-                         if keep_history else None)
-            return parts, histories
-        parts = [ReportRecorder(position_limit=recorder.position_limit)
-                 for _ in blocks]
-        histories = [[] for _ in blocks] if keep_history else None
-        lane_vectors = [block_vectors for block_vectors, _, _ in blocks]
-        start_cycles = [start_cycle for _, start_cycle, _ in blocks]
-        record_from = [record for _, _, record in blocks]
-        if interleave:
-            self._execute_lanes(lane_vectors, parts,
-                                start_cycles=start_cycles,
-                                record_from=record_from,
-                                histories=histories)
-        else:
-            for index in range(len(blocks)):
-                self._execute_lanes(
-                    [lane_vectors[index]], [parts[index]],
-                    start_cycles=[start_cycles[index]],
-                    record_from=[record_from[index]],
-                    histories=[histories[index]] if histories else None)
-        return parts, histories
-
-    @staticmethod
-    def _auto_shards(cycle_count, runner):
-        """Shard count for ``shards="auto"`` (1 means run serial)."""
-        if cycle_count < AUTO_SHARD_MIN_CYCLES:
-            return 1
-        if runner is not None and runner.workers > 1:
-            return runner.workers
-        return AUTO_SHARD_DEFAULT
-
-    # ------------------------------------------------------------------
-    # Prefilter-gated window execution
-    # ------------------------------------------------------------------
-    def run_windows(self, vectors, windows, recorder=None,
-                    position_limit=None):
-        """Execute only the given windows of one stream; returns the recorder.
-
-        ``windows`` are ascending, disjoint ``(start, record_from,
-        end)`` cycle triples from :func:`repro.prefilter.gate.
-        plan_windows`: each runs as a lane from an empty active mask at
-        absolute cycle ``start`` (phases align with the serial run) and
-        suppresses reports before ``record_from`` — the same warm-up
-        replay :meth:`run_sharded` uses, so provided ``record_from -
-        start >= depth_bound()`` (or ``start == 0``) the recorded
-        events are bit-exact with the corresponding slice of
-        :meth:`run`.  Parts are stitched in window order, which is
-        cycle order.  No active-count history is kept: a gated run
-        skips most cycles, so per-cycle statistics would not be
-        comparable with an ungated run's.
-        """
-        vectors = _normalize_stream(self.automaton, vectors)
-        if recorder is None:
-            recorder = ReportRecorder(position_limit=position_limit)
-        if not windows:
-            return recorder
-        lane_vectors = [vectors[start:end] for start, _, end in windows]
-        starts = [start for start, _, _ in windows]
-        record_from = [record for _, record, _ in windows]
-        return self.run_window_lanes(lane_vectors, starts, record_from,
-                                     recorder, total_cycles=len(vectors))
-
-    def run_window_lanes(self, lane_vectors, start_cycles, record_from,
-                         recorder, total_cycles=None):
-        """The lane-level form of :meth:`run_windows`.
-
-        The gate calls this directly with window slices built by
-        :func:`~repro.sim.inputs.stream_slice`, so a gated run never
-        materializes the full vector stream — its Python-level work
-        stays proportional to the windows, not the input length.
-        """
-        parts = [ReportRecorder(position_limit=recorder.position_limit)
-                 for _ in lane_vectors]
-        if OBS.active:
-            self._run_windows_observed(lane_vectors, parts, start_cycles,
-                                       record_from, total_cycles)
-        else:
-            self._execute_lanes(lane_vectors, parts,
-                                start_cycles=start_cycles,
-                                record_from=record_from)
-        for part in parts:
-            recorder.absorb(part)
-        self.reset()
-        return recorder
-
-    def _run_windows_observed(self, lane_vectors, parts, starts,
-                              record_from, total_cycles):
-        """`run_windows` with the telemetry hooks live."""
-        handles = OBS.instruments.engine_handles("bitset")
-        executed = sum(len(vectors) for vectors in lane_vectors)
-        if total_cycles is None:
-            total_cycles = executed
-        with trace_span("engine.run_windows", engine="bitset",
-                        automaton=self.automaton.name,
-                        windows=len(lane_vectors), cycles=executed,
-                        total_cycles=total_cycles):
-            start = perf_counter()
-            lane_hits, lane_misses = self._execute_lanes(
-                lane_vectors, parts, start_cycles=starts,
-                record_from=record_from)
-            elapsed = perf_counter() - start
-        handles.runs.inc()
-        handles.cycles.inc(executed)
-        handles.reports.inc(sum(part.total_reports for part in parts))
-        handles.run_seconds.observe(elapsed)
-        handles.cache_hits.inc(sum(lane_hits))
-        handles.cache_misses.inc(sum(lane_misses))
 
 
 class NaiveEngine:
@@ -865,33 +624,6 @@ class NaiveEngine:
         for vector in _normalize_stream(self.automaton, stream):
             self.step(vector, recorder)
         return recorder
-
-
-def _shard_spans(total, shards):
-    """Near-equal ``[start, end)`` block boundaries covering ``total``."""
-    return [(index * total // shards, (index + 1) * total // shards)
-            for index in range(shards)]
-
-
-def _shard_job(job):
-    """Replay one shard block in a pool worker.
-
-    Module-level so :class:`~repro.sim.parallel.ParallelRunner` can
-    pickle it; the worker rebuilds a private engine from the shipped
-    automaton (transition-table state does not cross processes).  Returns
-    ``(recorder, history_list)``: the recorder's rows pickle each shared
-    plan once.
-    """
-    (automaton, vectors, start_cycle, record_from,
-     position_limit, keep_history) = job
-    engine = BitsetEngine(automaton, history_limit=0)
-    part = ReportRecorder(position_limit=position_limit)
-    history = [] if keep_history else None
-    engine._execute_lanes(
-        [vectors], [part],
-        start_cycles=[start_cycle], record_from=[record_from],
-        histories=[history] if keep_history else None)
-    return part, history
 
 
 def _normalize_stream(automaton, stream):

@@ -83,58 +83,3 @@ def stream_for(automaton, data):
 def nibble_position_to_byte(position):
     """Map a nibble-stream report position back to its byte index."""
     return position // 2
-
-
-def stream_shape(automaton, data):
-    """``(cycle_count, position_limit)`` of :func:`stream_for` — without
-    materializing the vectors.
-
-    The prefilter gate plans its replay windows from the stream *shape*
-    alone; on a quiet stream the vectors themselves are never built
-    (that per-byte Python work would dominate a gated run).
-    """
-    if automaton.bits == 8:
-        if automaton.arity != 1:
-            raise SimulationError("strided 8-bit automata are not modelled")
-        return len(data), len(data)
-    if automaton.bits == 4:
-        nibbles = 2 * len(data)
-        arity = automaton.arity
-        return (nibbles + arity - 1) // arity, nibbles
-    raise SimulationError(
-        "no byte-stream conversion for %d-bit automata" % automaton.bits
-    )
-
-
-def stream_slice(automaton, data, start_cycle, end_cycle):
-    """Vectors for cycles ``[start_cycle, end_cycle)`` of the stream.
-
-    Equal to ``stream_for(automaton, data)[0][start_cycle:end_cycle]``,
-    but touches only the bytes those cycles consume — the gate's window
-    replays stay proportional to the windows, not the stream.
-    """
-    if automaton.bits == 8:
-        if automaton.arity != 1:
-            raise SimulationError("strided 8-bit automata are not modelled")
-        return [(value,) for value in data[start_cycle:end_cycle]]
-    if automaton.bits != 4:
-        raise SimulationError(
-            "no byte-stream conversion for %d-bit automata" % automaton.bits
-        )
-    arity = automaton.arity
-    total_nibbles = 2 * len(data)
-    total_cycles = (total_nibbles + arity - 1) // arity
-    end_cycle = min(end_cycle, total_cycles)
-    if start_cycle >= end_cycle:
-        return []
-    first_nibble = start_cycle * arity
-    last_nibble = end_cycle * arity  # exclusive; may run into padding
-    chunk = bytes_to_nibbles(
-        data[first_nibble // 2:(min(last_nibble, total_nibbles) + 1) // 2])
-    offset = first_nibble % 2
-    nibbles = chunk[offset:offset + (last_nibble - first_nibble)]
-    pad = (last_nibble - first_nibble) - len(nibbles)
-    if pad:
-        nibbles.extend([PAD_NIBBLE] * pad)
-    return [tuple(nibbles[index:index + arity])
-            for index in range(0, len(nibbles), arity)]

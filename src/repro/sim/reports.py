@@ -163,11 +163,9 @@ class ReportRecorder:
     def absorb(self, other):
         """Append another recorder's rows to this one, in ``other``'s order.
 
-        Stitching shard or window recorders in block order thus
-        reproduces the serial run's rows exactly (the differential suite
-        pins payload-level identity).  ``other``'s rows must already
-        respect this recorder's ``position_limit`` — shard executions
-        build their block recorders with the target's parameters.
+        A multi-round device run merges each round's recorder this way.
+        ``other``'s rows must already respect this recorder's
+        ``position_limit``: build it with the same limit.
         """
         self._writable(self.arity if other.arity is None else other.arity)
         self.cycles.extend(other.cycles)

@@ -19,12 +19,16 @@ def budget_engine(automaton, step_cache):
 
 
 def random_automaton(rng, n_states=8, bits=8, edge_density=0.25,
-                     report_fraction=0.3, all_input=True):
-    """A random (connected-ish) homogeneous NFA for differential tests."""
+                     report_fraction=0.3, all_input=True, alphabet=None):
+    """A random (connected-ish) homogeneous NFA for differential tests.
+
+    Symbol sets draw from ``alphabet`` (default: every symbol).
+    """
     automaton = Automaton(name="rand", bits=bits)
     ids = []
+    pool = range(1 << bits) if alphabet is None else alphabet
     for index in range(n_states):
-        members = rng.sample(range(1 << bits), rng.randint(1, min(6, 1 << bits)))
+        members = rng.sample(pool, rng.randint(1, min(6, len(pool))))
         start = StartKind.NONE
         if index == 0:
             start = StartKind.ALL_INPUT if all_input else StartKind.START_OF_DATA

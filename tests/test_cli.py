@@ -83,17 +83,10 @@ class TestMatch:
             out = capsys.readouterr().out
             assert out.splitlines() == ["8\tneedle", "18\tneedle"], rate
 
-    def test_device_plan_with_prefilter_gates(self, capsys):
-        assert main(["--plan", '{"target": "device", "prefilter": true}',
-                     "match", "needle", "--text", "xx needle xx needle"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.splitlines() == ["8\tneedle", "18\tneedle"]
-        assert "prefilter: gated, 1 literals" in captured.err
-
     def test_engine_plan_is_rejected(self):
         with pytest.raises(SystemExit, match="--plan: match runs on the "
                                              "device"):
-            main(["--plan", '{"prefilter": true}', "match", "needle",
+            main(["--plan", '{"target": "engine"}', "match", "needle",
                   "--text", "xx needle"])
 
 
@@ -225,18 +218,21 @@ class TestProfile:
         """Root flags before ``profile`` reach the wrapped command.
 
         ``profile`` re-parses its wrapped argv, which starts at the
-        subcommand — a gating ``--plan`` given before ``profile`` must be
-        copied onto the inner namespace or the gated run silently runs
-        ungated.
+        subcommand — a literal-fidelity ``--plan`` given before
+        ``profile`` must be copied onto the inner namespace or the run
+        silently uses the packed kernel.
         """
         import json
 
         metrics = tmp_path / "m.json"
-        assert main(["--plan", '{"target": "device", "prefilter": true}',
+        assert main(["--plan", '{"target": "device", "fidelity": "literal"}',
                      "profile", "match", "needle",
                      "--text", "xxxneedleyy",
                      "--metrics-out", str(metrics)]) == 0
         snapshot = json.loads(metrics.read_text())
         by_name = {m["name"]: m for m in snapshot["metrics"]}
-        scanned = by_name["repro_prefilter_scan_bytes_total"]["samples"]
-        assert scanned and scanned[0]["value"] > 0
+        cycles = by_name["repro_device_cycles_total"]["samples"]
+        assert cycles and cycles[0]["value"] > 0
+        # The literal device never compiles the packed kernel.
+        compiles = by_name["repro_device_kernel_compile_seconds"]["samples"]
+        assert compiles and compiles[0]["count"] == 0

@@ -184,10 +184,6 @@ class TestStepCache:
         reference = NaiveEngine(automaton).run(data)
         assert recorder.event_keys() == reference.event_keys()
 
-    def test_invalid_configuration_raises(self):
-        with pytest.raises(SimulationError):
-            BitsetEngine(self._abc(), history_limit=-1)
-
     @pytest.mark.parametrize("step_cache", [DEFAULT_STEP_CACHE, 0])
     def test_out_of_range_values_raise(self, step_cache):
         """A value outside [0, 2**bits) fails at the boundary: a negative
@@ -269,26 +265,13 @@ class TestStepTableCounters:
 
 
 class TestHistoryLimit:
-    def _engine(self, **kwargs):
+    def test_default_is_unbounded_list(self):
         automaton = Automaton(bits=8)
         automaton.new_state("s", SymbolSet.of(8, [1]), start="all-input")
-        return BitsetEngine(automaton, **kwargs)
-
-    def test_default_is_unbounded_list(self):
-        engine = self._engine()
+        engine = BitsetEngine(automaton)
         engine.run([1, 2, 1])
         assert engine.active_count_history == [1, 0, 1]
         assert isinstance(engine.active_count_history, list)
-
-    def test_limit_keeps_most_recent_counts(self):
-        engine = self._engine(history_limit=2)
-        engine.run([1, 2, 1, 1])
-        assert list(engine.active_count_history) == [1, 1]
-
-    def test_zero_disables_history(self):
-        engine = self._engine(history_limit=0)
-        engine.run([1, 2, 1])
-        assert len(engine.active_count_history) == 0
 
 
 def test_popcount_matches_reference():

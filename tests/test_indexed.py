@@ -155,9 +155,6 @@ def test_prune_and_depth_bound_bit_exact(seed):
     indexed.write_back(via_index)
     assert via_index.dumps() == direct.dumps()
 
-    assert (IndexedAutomaton.from_automaton(direct).depth_bound()
-            == direct.depth_bound())
-
 
 def test_pinned_fingerprint_stability():
     machine = compile_pattern("he(llo)+", report_code="hello")
