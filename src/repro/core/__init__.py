@@ -14,7 +14,6 @@ from .interconnect import CrossbarSwitch, GlobalSwitch
 from .mapping import Placement, StateSlot, place
 from .match_array import MatchArray
 from .packed import (
-    DEFAULT_DEVICE_STEP_CACHE,
     FIDELITIES,
     PackedKernel,
     pack_bits,
@@ -42,7 +41,6 @@ from .subarray import MAX_ACTIVATED_ROWS, SramSubarray
 __all__ = [
     "AddressMap",
     "CrossbarSwitch",
-    "DEFAULT_DEVICE_STEP_CACHE",
     "FIDELITIES",
     "GlobalSwitch",
     "PackedKernel",

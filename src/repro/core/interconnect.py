@@ -67,16 +67,6 @@ class CrossbarSwitch:
         self.subarray.port2_reads += 1
         return np.any(self.subarray.cells[rows, :], axis=0)
 
-    def packed_successors(self):
-        """Per-source successor masks as ints (entry ``r`` packs row ``r``).
-
-        Compiled form for the packed device kernel: propagation OR-folds
-        the entries of the set bits of the active vector, which computes
-        the same column-wise OR as :meth:`propagate`.
-        """
-        packed = np.packbits(self.subarray.cells, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
 
 class GlobalSwitch:
     """Cluster-level crossbar: routes activations between PUs.
@@ -131,17 +121,3 @@ class GlobalSwitch:
             enabled[index * self.pu_size:(index + 1) * self.pu_size]
             for index in range(self.num_pus)
         ]
-
-    def packed_successors(self):
-        """Successor masks of *programmed* global slots only.
-
-        Returns ``{slot: mask}`` where ``slot`` is ``pu * pu_size + col``
-        and ``mask`` is a cluster-wide (``size``-bit) int.  Inter-PU
-        edges are sparse, so the packed kernel probes this dict instead
-        of walking a dense table.
-        """
-        cells = self.crossbar.subarray.cells
-        programmed = np.flatnonzero(cells.any(axis=1))
-        packed = np.packbits(cells, axis=1, bitorder="little")
-        return {int(row): int.from_bytes(packed[row].tobytes(), "little")
-                for row in programmed}

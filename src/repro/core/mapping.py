@@ -123,44 +123,17 @@ def place(automaton, config, max_clusters=None):
             % (automaton.arity, config.rate_nibbles)
         )
     placement = Placement(automaton, config)
-    components = connected_components(automaton)
-    normal_per_cluster = PUS_PER_CLUSTER * (config.subarray_cols - config.report_bits)
-    report_per_cluster = PUS_PER_CLUSTER * config.report_bits
-
-    clusters = []  # list of lists of _PuBudget
-
-    def cluster_free(budgets):
-        normal = sum(b.normal_free for b in budgets)
-        report = sum(b.report_free for b in budgets)
-        return normal, report
-
-    for component in components:
-        report_ids = [s for s in component if automaton.state(s).report]
-        normal_ids = [s for s in component if not automaton.state(s).report]
-        if len(normal_ids) > normal_per_cluster or len(report_ids) > report_per_cluster:
-            raise CapacityError(
-                "component with %d states (%d reporting) exceeds one cluster "
-                "(%d normal + %d reporting columns); split the automaton or "
-                "raise report_bits" % (
-                    len(component), len(report_ids),
-                    normal_per_cluster, report_per_cluster,
-                )
-            )
-        target = None
-        for budgets in clusters:
-            normal, report = cluster_free(budgets)
-            if normal >= len(normal_ids) and report >= len(report_ids):
-                target = budgets
-                break
-        if target is None:
-            if max_clusters is not None and len(clusters) >= max_clusters:
-                raise CapacityError(
-                    "automaton does not fit in %d clusters; multi-round "
-                    "reconfiguration required" % max_clusters
-                )
-            target = [_PuBudget(config) for _ in range(PUS_PER_CLUSTER)]
-            clusters.append(target)
-        cluster_index = clusters.index(target)
+    split = []  # per component: (normal ids, reporting ids)
+    for component in connected_components(automaton):
+        split.append(([s for s in component if not automaton.state(s).report],
+                      [s for s in component if automaton.state(s).report]))
+    assignment = first_fit([(len(normal_ids), len(report_ids))
+                            for normal_ids, report_ids in split],
+                           config, max_clusters)
+    clusters = [[_PuBudget(config) for _ in range(PUS_PER_CLUSTER)]
+                for _ in range(max(assignment, default=-1) + 1)]
+    for (normal_ids, report_ids), cluster_index in zip(split, assignment):
+        target = clusters[cluster_index]
         for state_id in normal_ids:
             pu_index, column = _take(target, "normal")
             placement.slots[state_id] = StateSlot(cluster_index, pu_index, column)
@@ -170,6 +143,46 @@ def place(automaton, config, max_clusters=None):
 
     placement.clusters_used = len(clusters)
     return placement
+
+
+def first_fit(components, config, max_clusters=None):
+    """Cluster index of each component under placement's first-fit rule.
+
+    ``components`` holds ``(normal, reporting)`` state counts in
+    placement order.  Each goes to the first cluster with enough free
+    normal and reporting columns, or opens a new one.  Raises
+    :class:`CapacityError` when one component outgrows a cluster, or
+    when ``max_clusters`` is given and more clusters are needed.
+    """
+    normal_per_cluster = PUS_PER_CLUSTER * (config.subarray_cols - config.report_bits)
+    report_per_cluster = PUS_PER_CLUSTER * config.report_bits
+    free = []  # [normal, reporting] columns left per cluster
+    assignment = []
+    for normal, reporting in components:
+        if normal > normal_per_cluster or reporting > report_per_cluster:
+            raise CapacityError(
+                "component with %d states (%d reporting) exceeds one cluster "
+                "(%d normal + %d reporting columns); split the automaton or "
+                "raise report_bits" % (
+                    normal + reporting, reporting,
+                    normal_per_cluster, report_per_cluster,
+                )
+            )
+        for index, columns in enumerate(free):
+            if columns[0] >= normal and columns[1] >= reporting:
+                break
+        else:
+            if max_clusters is not None and len(free) >= max_clusters:
+                raise CapacityError(
+                    "automaton does not fit in %d clusters; multi-round "
+                    "reconfiguration required" % max_clusters
+                )
+            index = len(free)
+            free.append([normal_per_cluster, report_per_cluster])
+        free[index][0] -= normal
+        free[index][1] -= reporting
+        assignment.append(index)
+    return assignment
 
 
 def _take(budgets, kind):

@@ -63,7 +63,8 @@ class MatchArray:
         """Program one state's symbol sets into ``column``.
 
         ``symbols`` is the STE's tuple of 4-bit symbol sets (length ==
-        rate).  Stored complemented, per the module docstring.
+        rate).  Stored complemented, per the module docstring, with one
+        write of the column's matching rows computed from the masks.
         """
         if not 0 <= column < self.capacity:
             raise CapacityError(
@@ -74,18 +75,24 @@ class MatchArray:
                 "state arity %d does not match configured rate %d"
                 % (len(symbols), self.rate_nibbles)
             )
-        for position, symbol_set in enumerate(symbols):
+        # Row p * 16 + v of the column is bit p * 16 + v of the
+        # complemented masks laid end to end: 1 where position p
+        # rejects value v.
+        rejects = 0
+        for symbol_set in reversed(symbols):
             if symbol_set.bits != 4:
                 raise ArchitectureError("match array stores 4-bit symbols only")
-            for value in range(ROWS_PER_NIBBLE):
-                accepts = value in symbol_set
-                self.subarray.cells[self.row_of(position, value), column] = not accepts
-        self._configured = max(self._configured, column + 1)
+            rejects = (rejects << ROWS_PER_NIBBLE) | (symbol_set.mask ^ 0xFFFF)
+        raw = np.frombuffer(rejects.to_bytes(2 * len(symbols), "little"),
+                            dtype=np.uint8)
+        self.subarray.cells[: ROWS_PER_NIBBLE * len(symbols), column] = \
+            np.unpackbits(raw, bitorder="little").view(bool)
+        if column >= self._configured:
+            self._configured = column + 1
 
     def clear_column(self, column):
         """Erase a state column (mark every value as rejecting)."""
-        for row in range(self.matching_rows):
-            self.subarray.cells[row, column] = True
+        self.subarray.cells[: self.matching_rows, column] = True
 
     # ------------------------------------------------------------------
     # Runtime (Automata Mode matches through Port 2).
@@ -107,26 +114,6 @@ class MatchArray:
     def match_columns(self, vector):
         """Match restricted to configured columns (ignores unused ones)."""
         return self.match(vector)[: self._configured]
-
-    def packed_match_tables(self):
-        """Per-(position, value) acceptance masks as column-bitmask ints.
-
-        ``tables[position][value]`` has bit ``c`` set iff the state in
-        column ``c`` accepts nibble ``value`` at ``position`` — the
-        un-complemented view of the stored matching rows, compiled for
-        the packed device kernel (a cycle's match vector is the AND of
-        one entry per position).
-        """
-        from .packed import pack_bits
-
-        tables = []
-        for position in range(self.rate_nibbles):
-            row_masks = []
-            for value in range(ROWS_PER_NIBBLE):
-                accepts = ~self.subarray.cells[self.row_of(position, value), :]
-                row_masks.append(pack_bits(accepts))
-            tables.append(row_masks)
-        return tables
 
 
 def match_vector_reference(states, vector):

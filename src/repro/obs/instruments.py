@@ -115,10 +115,6 @@ class Instruments:
         self.device_kernel_step_cache_misses = counter(
             "repro_device_kernel_step_cache_misses_total",
             "Packed-kernel step-cache misses during SunderDevice.run.")
-        self.device_kernel_pus_skipped = counter(
-            "repro_device_kernel_pus_skipped_total",
-            "Idle PU-cycles the packed kernel skipped (zero enable bits "
-            "and no start boundary).")
         self.device_kernel_compile_seconds = histogram(
             "repro_device_kernel_compile_seconds",
             "Wall time to compile the packed device kernel.",

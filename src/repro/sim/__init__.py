@@ -8,7 +8,12 @@ from .analysis import (
     per_code_counts,
     summarize_analysis,
 )
-from .engine import DEFAULT_STEP_CACHE, BitsetEngine, NaiveEngine
+from .engine import (
+    DEFAULT_STEP_CACHE,
+    BitsetEngine,
+    NaiveEngine,
+    TransitionTable,
+)
 from .parallel import ParallelRunner, default_workers
 from .inputs import (
     PAD_NIBBLE,
@@ -29,6 +34,7 @@ __all__ = [
     "NaiveEngine",
     "ParallelRunner",
     "Tracer",
+    "TransitionTable",
     "default_workers",
     "ReportEvent",
     "ReportRecorder",

@@ -29,6 +29,11 @@ independent streams through the compiled automaton in one pass
 — identical ``(active, vector, phase)`` work is paid once per batch
 instead of once per stream).
 
+The table, its kernel and its lanes loop live in :class:`TransitionTable`,
+which :class:`BitsetEngine` compiles from an automaton and the packed
+device kernel (:class:`~repro.core.packed.PackedKernel`) compiles from a
+programmed device, with one state slot per subarray column.
+
 Cycle semantics (matching VASim and the paper's Figure 1):
 
 1. ``enabled(t) = successors(active(t-1)) | all-input starts (if t is a
@@ -61,8 +66,290 @@ DEFAULT_STEP_CACHE = 1 << 16
 #: actually exercises.
 EAGER_SLICE_STATES = 512
 
+#: The block list every lazily filled block starts on; a block gets its
+#: own list when its first entry is filled, so this one stays all None.
+_UNFILLED_BLOCK = [None] * 256
 
-class BitsetEngine:
+
+class TransitionTable:
+    """The step kernel and transition table a compiled machine runs on.
+
+    A subclass compiles its machine into slots ``0 .. _size - 1`` and
+    sets the engine form:
+
+    - ``_targets``/``_offsets``: slot ``i``'s successors are
+      ``_targets[_offsets[i]:_offsets[i + 1]]``;
+    - ``_match_masks[position][value]``: the slots accepting ``value``
+      at ``position``;
+    - ``_all_input_mask``, ``_start_of_data_mask`` and ``_report_mask``;
+    - ``_arity`` and ``_start_period``;
+
+    then calls :meth:`_init_table`.  It also supplies :meth:`_describe`,
+    the facts a newly interned active set carries, and
+    :meth:`_vector_error`.  The base class owns everything from there:
+    block-sliced propagation, interning, the budgeted table and its
+    lanes loop, so :class:`BitsetEngine` and the packed device kernel
+    step through one implementation.
+    """
+
+    def _init_table(self, set_facts):
+        """Build the block tables and an empty transition table.
+
+        ``set_facts`` holds one list per fact :meth:`_describe` returns;
+        ``_set_plans``, the report rows of each set, must be among them.
+        The budget is :data:`DEFAULT_STEP_CACHE`, read here.
+        """
+        self._build_block_tables()
+        self._step_cache_limit = DEFAULT_STEP_CACHE
+        self._cache_hits = 0
+        self._cache_misses = 0
+        # The transition table: interned active sets (mask <-> dense
+        # id, with each set's enabled mask per start phase once needed
+        # and the subclass's facts) and, per id, one {vector: next id}
+        # row per start phase.
+        self._set_index = {}
+        self._set_masks = []
+        self._set_enabled = []
+        self._rows = []
+        self._set_facts = set_facts
+        self._set_lists = (self._set_masks, self._set_enabled,
+                           self._rows) + tuple(set_facts)
+        self._transitions = 0
+
+    def _describe(self, mask):
+        """Per-set facts of a newly interned ``mask``, one per list."""
+        raise NotImplementedError
+
+    def _build_block_tables(self):
+        """Slice the state space into 8-bit blocks of successor ORs.
+
+        ``_block_tables[b][v]`` is the OR of the successor masks of the
+        states in block ``b`` whose bit is set in byte-value ``v``.
+        Small automata are filled eagerly: each of a block's states gets
+        its successor mask from its row, and the subset-doubling
+        recurrence ``table[v] = table[v without lowest bit] | succ``
+        combines them.  Large ones start every block on one shared
+        all-``None`` list; a block gets its own list when its first
+        entry is filled, so their memory is the rows, one list per
+        block the stream touches and the entries it needs.
+        """
+        n_blocks = (self._size + 7) >> 3
+        tables = []
+        if self._size <= EAGER_SLICE_STATES:
+            for block in range(n_blocks):
+                base = block << 3
+                width = min(8, self._size - base)
+                succ = [self._successor_mask(base + j) for j in range(width)]
+                table = [0] * 256
+                for value in range(1, 1 << width):
+                    low = value & -value
+                    table[value] = (table[value ^ low]
+                                    | succ[low.bit_length() - 1])
+                if width < 8:  # bits beyond the state space never occur
+                    for value in range(1 << width, 256):
+                        table[value] = table[value & ((1 << width) - 1)]
+                tables.append(table)
+        else:
+            tables = [_UNFILLED_BLOCK] * n_blocks
+        self._block_tables = tables
+
+    def _successor_mask(self, state):
+        """OR of ``1 << j`` over state index ``state``'s successor row."""
+        mask = 0
+        for target in self._targets[self._offsets[state]:
+                                    self._offsets[state + 1]]:
+            mask |= 1 << target
+        return mask
+
+    def _fill_block_entry(self, block, value):
+        """Lazily compute and store one (block, byte-value) table entry."""
+        base = block << 3
+        entry = 0
+        bits = value
+        while bits:
+            low = bits & -bits
+            entry |= self._successor_mask(base + low.bit_length() - 1)
+            bits ^= low
+        table = self._block_tables[block]
+        if table is _UNFILLED_BLOCK:
+            table = self._block_tables[block] = [None] * 256
+        table[value] = entry
+        return entry
+
+    def step_cache_info(self):
+        """Table statistics: hits/misses since construction, size, limit.
+
+        A hit is a transition found in the table; ``size`` is the
+        number of stored transitions and ``limit`` the budget.
+        """
+        lookups = self._cache_hits + self._cache_misses
+        return {
+            "hits": self._cache_hits,
+            "misses": self._cache_misses,
+            "hit_rate": self._cache_hits / lookups if lookups else 0.0,
+            "size": self._transitions,
+            "limit": self._step_cache_limit,
+        }
+
+    def _propagate(self, active):
+        """Successor-union of an active mask (start states excluded)."""
+        enabled = 0
+        tables = self._block_tables
+        while active:
+            low = active & -active
+            block = (low.bit_length() - 1) >> 3
+            shift = block << 3
+            value = (active >> shift) & 0xFF
+            entry = tables[block][value]
+            if entry is None:
+                entry = self._fill_block_entry(block, value)
+            enabled |= entry
+            active ^= value << shift  # clear the block just read
+        return enabled
+
+    def _enabled_from(self, active, phase):
+        """Enabled mask as a pure function of ``(active, phase)``.
+
+        ``phase`` is the step-key phase: 2 = start-of-data cycle (both
+        start kinds self-enable), 1 = start-period boundary (all-input
+        starts only), 0 = mid-period.  Pure in its arguments so batch
+        lanes, which never own a cycle counter, share one transition
+        function with the streaming path.
+        """
+        enabled = self._propagate(active)
+        if phase:
+            enabled |= self._all_input_mask
+            if phase == 2:
+                enabled |= self._start_of_data_mask
+        return enabled
+
+    def match_mask(self, vector):
+        """Bitmask of states whose symbols match ``vector``.
+
+        Raises :meth:`_vector_error`'s error for a value outside the
+        alphabet or a vector whose length is not the arity.
+        """
+        masks = self._match_masks
+        try:
+            # A negative index would wrap silently, a short vector would
+            # leave positions unchecked.
+            if min(vector) < 0 or len(vector) != len(masks):
+                raise IndexError
+            result = masks[0][vector[0]]
+            for position in range(1, len(vector)):
+                result &= masks[position][vector[position]]
+        except (IndexError, ValueError):
+            raise self._vector_error(vector) from None
+        return result
+
+    def _vector_error(self, vector):
+        """The error :meth:`match_mask` raises for a bad ``vector``."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Transition table over interned active sets
+    # ------------------------------------------------------------------
+    def _intern(self, mask):
+        """Dense id of the active set ``mask``, interned on first sight.
+
+        Interning computes the set's facts (:meth:`_describe`) once, so
+        the run loops read them by id on every later visit.
+        """
+        set_id = self._set_index.get(mask)
+        if set_id is None:
+            set_id = len(self._set_masks)
+            self._set_index[mask] = set_id
+            self._set_masks.append(mask)
+            self._set_enabled.append([None, None, None])
+            self._rows.append(({}, {}, {}))
+            for facts, fact in zip(self._set_facts, self._describe(mask)):
+                facts.append(fact)
+        return set_id
+
+    def _miss(self, lanes, lane, vector, phase):
+        """Compute and store the transition of ``lanes[lane]`` on ``vector``.
+
+        ``lanes`` holds the set id of every lane the caller still
+        steps.  The set's enabled mask for ``phase`` is computed on its
+        first miss in that phase and kept with its other facts.  When
+        the table already holds its budget of transitions, it is
+        cleared and each lane's active set is re-interned in place (the
+        RE2-style cache reset), so the caller's ids stay valid.  The
+        table's lists are cleared in place too, so loops holding them
+        keep working.  Returns the next set id.
+        """
+        set_id = lanes[lane]
+        enabled = self._set_enabled[set_id]
+        if enabled[phase] is None:
+            enabled[phase] = self._enabled_from(self._set_masks[set_id],
+                                                phase)
+        nxt = enabled[phase] & self.match_mask(vector)
+        if self._transitions >= self._step_cache_limit:
+            held = [self._set_masks[held_id] for held_id in lanes]
+            self._set_index.clear()
+            for facts in self._set_lists:
+                facts.clear()
+            self._transitions = 0
+            lanes[:] = [self._intern(mask) for mask in held]
+        target = self._intern(nxt)
+        self._rows[lanes[lane]][phase][vector] = target
+        self._transitions += 1
+        return target
+
+    @gc_paused
+    def _execute_lanes(self, lane_vectors, recorders, histories=None):
+        """The batched hot loop: N lanes, one shared transition table.
+
+        Every lane starts from the empty active set at cycle 0, so all
+        lanes share one cycle index and one start phase per step.  Each
+        lane keeps its own active set as an interned id; lanes share the
+        table but no other work (each consumes its own input vector).
+        A reporting set writes its report rows (``_set_plans``) into
+        the lane's recorder, each row this cycle's.  ``histories``,
+        when given, receives each lane's per-cycle active-state counts
+        (``_set_counts``).  Returns per-lane ``(hits, misses)`` lists.
+        """
+        count = len(lane_vectors)
+        period = self._start_period
+        rows = self._rows
+        plans = self._set_plans
+        counts = self._set_counts if histories is not None else None
+        miss = self._miss
+        actives = [self._intern(0)] * count
+        lane_hits = [0] * count
+        lane_misses = [0] * count
+        lane_lengths = [len(vectors) for vectors in lane_vectors]
+        with open_rows(recorders, self._arity) as sinks:
+            for cycle in range(max(lane_lengths, default=0)):
+                phase = (2 if cycle == 0 else
+                         1 if cycle % period == 0 else 0)
+                for lane in range(count):
+                    if cycle >= lane_lengths[lane]:
+                        continue
+                    vector = lane_vectors[lane][cycle]
+                    nxt = rows[actives[lane]][phase].get(vector)
+                    if nxt is None:
+                        lane_misses[lane] += 1
+                        nxt = miss(actives, lane, vector, phase)
+                    else:
+                        lane_hits[lane] += 1
+                    actives[lane] = nxt
+                    report_rows = plans[nxt]
+                    if report_rows:
+                        sink = sinks[lane]
+                        if sink is not None:
+                            add_cycle, add_plan = sink
+                            for plan in report_rows:
+                                add_cycle(cycle)
+                                add_plan(plan)
+                    if histories is not None:
+                        histories[lane].append(counts[nxt])
+        self._cache_hits += sum(lane_hits)
+        self._cache_misses += sum(lane_misses)
+        return lane_hits, lane_misses
+
+
+class BitsetEngine(TransitionTable):
     """Bitmask-based cycle-accurate simulator for one automaton.
 
     The engine is reusable: call :meth:`run` for whole streams, or
@@ -83,6 +370,7 @@ class BitsetEngine:
         index = {state_id: i for i, state_id in enumerate(self._ids)}
         size = len(self._ids)
         self._size = size
+        self._arity = automaton.arity
         self._start_period = automaton.start_period
 
         # Successor rows, compressed: state i's successors are
@@ -131,73 +419,21 @@ class BitsetEngine:
                 column[low.bit_length() - 1] |= wide
                 values ^= low
 
-        self._build_block_tables()
-
-        self._step_cache_limit = DEFAULT_STEP_CACHE
-        self._cache_hits = 0
-        self._cache_misses = 0
-        # The transition table: interned active sets (mask <-> dense
-        # id, with each set's popcount and report plan) and, per id,
-        # one {vector: next id} row per start phase.
-        self._set_index = {}
-        self._set_masks = []
+        # Per interned set: its popcount and its report rows — one row,
+        # the set's decoded plan, when it reports.
         self._set_counts = []
         self._set_plans = []
-        self._rows = []
-        self._transitions = 0
+        self._init_table((self._set_counts, self._set_plans))
         self.reset()
 
-    def _build_block_tables(self):
-        """Slice the state space into 8-bit blocks of successor ORs.
+    def _describe(self, mask):
+        plan = self._report_plan(mask & self._report_mask)
+        return _popcount(mask), (plan,) if plan else ()
 
-        ``_block_tables[b][v]`` is the OR of the successor masks of the
-        states in block ``b`` whose bit is set in byte-value ``v``.
-        Small automata are filled eagerly: each of a block's states gets
-        its successor mask from its row, and the subset-doubling
-        recurrence ``table[v] = table[v without lowest bit] | succ``
-        combines them.  Large ones leave entries as ``None`` to be
-        filled on first use, so their memory is the rows, one 256-slot
-        list per block and the entries the stream touches.
-        """
-        n_blocks = (self._size + 7) >> 3
-        tables = []
-        if self._size <= EAGER_SLICE_STATES:
-            for block in range(n_blocks):
-                base = block << 3
-                width = min(8, self._size - base)
-                succ = [self._successor_mask(base + j) for j in range(width)]
-                table = [0] * 256
-                for value in range(1, 1 << width):
-                    low = value & -value
-                    table[value] = (table[value ^ low]
-                                    | succ[low.bit_length() - 1])
-                if width < 8:  # bits beyond the state space never occur
-                    for value in range(1 << width, 256):
-                        table[value] = table[value & ((1 << width) - 1)]
-                tables.append(table)
-        else:
-            tables = [[None] * 256 for _ in range(n_blocks)]
-        self._block_tables = tables
-
-    def _successor_mask(self, state):
-        """OR of ``1 << j`` over state index ``state``'s successor row."""
-        mask = 0
-        for target in self._targets[self._offsets[state]:
-                                    self._offsets[state + 1]]:
-            mask |= 1 << target
-        return mask
-
-    def _fill_block_entry(self, block, value):
-        """Lazily compute and store one (block, byte-value) table entry."""
-        base = block << 3
-        entry = 0
-        bits = value
-        while bits:
-            low = bits & -bits
-            entry |= self._successor_mask(base + low.bit_length() - 1)
-            bits ^= low
-        self._block_tables[block][value] = entry
-        return entry
+    def _vector_error(self, vector):
+        return SimulationError(
+            "input vector %r out of range for %d-bit arity-%d automaton"
+            % (vector, self.automaton.bits, self.automaton.arity))
 
     # ------------------------------------------------------------------
     def reset(self):
@@ -220,73 +456,6 @@ class BitsetEngine:
         """Ids of currently active states (after the last step)."""
         return [self._ids[i] for i in _iter_bits(self._active)]
 
-    def step_cache_info(self):
-        """Table statistics: hits/misses since construction, size, limit.
-
-        A hit is a transition found in the table; ``size`` is the
-        number of stored transitions and ``limit`` the budget.
-        """
-        lookups = self._cache_hits + self._cache_misses
-        return {
-            "hits": self._cache_hits,
-            "misses": self._cache_misses,
-            "hit_rate": self._cache_hits / lookups if lookups else 0.0,
-            "size": self._transitions,
-            "limit": self._step_cache_limit,
-        }
-
-    def _propagate(self, active):
-        """Successor-union of an active mask (start states excluded)."""
-        enabled = 0
-        tables = self._block_tables
-        while active:
-            low = active & -active
-            block = (low.bit_length() - 1) >> 3
-            shift = block << 3
-            value = (active >> shift) & 0xFF
-            entry = tables[block][value]
-            if entry is None:
-                entry = self._fill_block_entry(block, value)
-            enabled |= entry
-            active ^= value << shift  # clear the block just read
-        return enabled
-
-    def _enabled_from(self, active, phase):
-        """Enabled mask as a pure function of ``(active, phase)``.
-
-        ``phase`` is the step-key phase: 2 = start-of-data cycle (both
-        start kinds self-enable), 1 = start-period boundary (all-input
-        starts only), 0 = mid-period.  Pure in its arguments so batch
-        lanes, which never own ``self._cycle``, share one transition
-        function with the streaming path.
-        """
-        enabled = self._propagate(active)
-        if phase:
-            enabled |= self._all_input_mask
-            if phase == 2:
-                enabled |= self._start_of_data_mask
-        return enabled
-
-    def match_mask(self, vector):
-        """Bitmask of states whose symbols match ``vector``.
-
-        Raises :class:`~repro.errors.SimulationError` for a value outside
-        ``[0, 2**bits)`` or a vector longer than the arity.
-        """
-        masks = self._match_masks
-        try:
-            if min(vector) < 0:  # a negative index would wrap silently
-                raise IndexError
-            result = masks[0][vector[0]]
-            for position in range(1, len(vector)):
-                result &= masks[position][vector[position]]
-        except (IndexError, ValueError):
-            raise SimulationError(
-                "input vector %r out of range for %d-bit arity-%d automaton"
-                % (vector, self.automaton.bits, self.automaton.arity)
-            ) from None
-        return result
-
     def _report_plan(self, reporting):
         """Decode a reporting mask into ((offset, state_id, code), ...)."""
         plan = []
@@ -295,53 +464,6 @@ class BitsetEngine:
             for offset in offsets:
                 plan.append((offset, state_id, code))
         return tuple(plan)
-
-    # ------------------------------------------------------------------
-    # Transition table over interned active sets
-    # ------------------------------------------------------------------
-    def _intern(self, mask):
-        """Dense id of the active set ``mask``, interned on first sight.
-
-        Interning computes the set's popcount and report plan once, so
-        the run loops read both by id on every later visit.
-        """
-        set_id = self._set_index.get(mask)
-        if set_id is None:
-            set_id = len(self._set_masks)
-            self._set_index[mask] = set_id
-            self._set_masks.append(mask)
-            self._set_counts.append(_popcount(mask))
-            self._set_plans.append(self._report_plan(mask & self._report_mask))
-            self._rows.append(({}, {}, {}))
-        return set_id
-
-    def _miss(self, lanes, lane, vector, phase):
-        """Compute and store the transition of ``lanes[lane]`` on ``vector``.
-
-        ``lanes`` holds the set id of every lane the caller still
-        steps.  When the table already holds its budget of
-        transitions, it is cleared and each lane's active set is
-        re-interned in place (the RE2-style cache reset), so the
-        caller's ids stay valid.  The table's lists are cleared in
-        place too, so loops holding them keep working.  Returns the
-        next set id.
-        """
-        masks = self._set_masks
-        nxt = (self._enabled_from(masks[lanes[lane]], phase)
-               & self.match_mask(vector))
-        if self._transitions >= self._step_cache_limit:
-            held = [masks[set_id] for set_id in lanes]
-            self._set_index.clear()
-            masks.clear()
-            self._set_counts.clear()
-            self._set_plans.clear()
-            self._rows.clear()
-            self._transitions = 0
-            lanes[:] = [self._intern(mask) for mask in held]
-        target = self._intern(nxt)
-        self._rows[lanes[lane]][phase][vector] = target
-        self._transitions += 1
-        return target
 
     def step(self, vector, recorder=None):
         """Advance one cycle on ``vector``; returns the active bitmask."""
@@ -357,9 +479,9 @@ class BitsetEngine:
         a stream across calls is bit-exact with one call.  The loop
         holds the active set as an interned id: a hit is one row
         lookup, and only a miss touches masks.  A reporting cycle
-        appends one row — its cycle and the set's interned plan — onto
-        the recorder's columns.  The collector is paused — the loop
-        allocates no reference cycles.
+        appends the set's one report row — its cycle and the set's
+        interned plan — onto the recorder's columns.  The collector is
+        paused — the loop allocates no reference cycles.
         """
         period = self._start_period
         add_count = self.active_count_history.append
@@ -370,7 +492,7 @@ class BitsetEngine:
         single_period = period == 1
         set_id = self._intern(self._active)
         hits = misses = 0
-        with open_rows((recorder,), self.automaton.arity) as (sink,):
+        with open_rows((recorder,), self._arity) as (sink,):
             add_cycle, add_plan = sink if sink is not None else (None, None)
             for vector in vectors:
                 phase = (2 if cycle == 0 else
@@ -382,10 +504,11 @@ class BitsetEngine:
                 else:
                     hits += 1
                 set_id = nxt
-                plan = plans[set_id]
-                if plan and add_plan is not None:
-                    add_cycle(cycle)
-                    add_plan(plan)
+                report_rows = plans[set_id]
+                if report_rows and add_plan is not None:
+                    for plan in report_rows:
+                        add_cycle(cycle)
+                        add_plan(plan)
                 add_count(counts[set_id])
                 cycle += 1
         self._active = self._set_masks[set_id]
@@ -521,54 +644,6 @@ class BitsetEngine:
         for history in histories:
             for count in history:
                 observe_active(count)
-
-    @gc_paused
-    def _execute_lanes(self, lane_vectors, recorders, histories=None):
-        """The batched hot loop: N lanes, one shared transition table.
-
-        Every lane starts from the empty active set at cycle 0, so all
-        lanes share one cycle index and one start phase per step.  Each
-        lane keeps its own active set as an interned id; lanes share the
-        table but no other work (each consumes its own input vector).
-        ``histories``, when given, receives each lane's per-cycle
-        active-state counts.  Returns per-lane ``(hits, misses)`` lists.
-        """
-        count = len(lane_vectors)
-        period = self._start_period
-        rows = self._rows
-        plans = self._set_plans
-        counts = self._set_counts
-        miss = self._miss
-        actives = [self._intern(0)] * count
-        lane_hits = [0] * count
-        lane_misses = [0] * count
-        lane_lengths = [len(vectors) for vectors in lane_vectors]
-        with open_rows(recorders, self.automaton.arity) as sinks:
-            for cycle in range(max(lane_lengths, default=0)):
-                phase = (2 if cycle == 0 else
-                         1 if cycle % period == 0 else 0)
-                for lane in range(count):
-                    if cycle >= lane_lengths[lane]:
-                        continue
-                    vector = lane_vectors[lane][cycle]
-                    nxt = rows[actives[lane]][phase].get(vector)
-                    if nxt is None:
-                        lane_misses[lane] += 1
-                        nxt = miss(actives, lane, vector, phase)
-                    else:
-                        lane_hits[lane] += 1
-                    actives[lane] = nxt
-                    plan = plans[nxt]
-                    if plan:
-                        sink = sinks[lane]
-                        if sink is not None:
-                            sink[0](cycle)
-                            sink[1](plan)
-                    if histories is not None:
-                        histories[lane].append(counts[nxt])
-        self._cache_hits += sum(lane_hits)
-        self._cache_misses += sum(lane_misses)
-        return lane_hits, lane_misses
 
 
 class NaiveEngine:

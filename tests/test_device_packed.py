@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.core import packed as packed_module
+from repro.automata import Automaton
 from repro.core import (
     FIDELITIES,
     SunderConfig,
@@ -26,6 +26,7 @@ from repro.errors import ArchitectureError
 from repro.hwmodel.energy import device_energy
 from repro.regex import compile_ruleset
 from repro.sim import BitsetEngine, NaiveEngine, stream_for
+from repro.sim import engine as engine_module
 from repro.transform import to_rate
 from repro.workloads.registry import generate
 
@@ -232,13 +233,19 @@ class TestKernelMechanics:
         assert info["hits"] > info["misses"]  # periodic stream re-keys fast
         assert 0.0 < info["hit_rate"] <= 1.0
         assert info["size"] <= info["limit"]
-        # A one-cluster device still instantiates 4 PUs; the unused ones
-        # are never enabled and must be skipped.
-        assert device._kernel.pus_skipped > 0
+        # The kernel steps on the engine's table, keyed on active sets:
+        # the PUs a one-cluster machine leaves empty add no keys, so the
+        # device misses exactly where the engine does, and under the
+        # budget each miss stores one transition.
+        engine = BitsetEngine(strided)
+        engine.run(vectors)
+        assert info["misses"] == engine.step_cache_info()["misses"]
+        assert info["hits"] == engine.step_cache_info()["hits"]
+        assert info["size"] == info["misses"]
 
     def test_cache_disabled_still_exact(self, monkeypatch):
-        # A zero budget evicts every entry as it is stored.
-        monkeypatch.setattr(packed_module, "DEFAULT_DEVICE_STEP_CACHE", 0)
+        # A zero budget clears the table on every miss.
+        monkeypatch.setattr(engine_module, "DEFAULT_STEP_CACHE", 0)
         strided = to_rate(compile_ruleset(RULES[:3]), 4)
         config = _config(4, True)
         data = _random_data(5, length=100)
@@ -249,19 +256,21 @@ class TestKernelMechanics:
         literal.configure(strided)
         uncached_result = uncached.run(vectors, position_limit=limit)
         literal_result = literal.run(vectors, position_limit=limit)
-        assert uncached.step_cache_info()["hits"] == 0
+        # Only the transition stored by the last miss survives it.
+        info = uncached.step_cache_info()
+        assert info["limit"] == 0 and info["size"] == 1
+        assert info["hits"] + info["misses"] == len(vectors)
         assert (uncached_result.reports().event_keys()
                 == literal_result.reports().event_keys())
         assert uncached_result.stall_cycles == literal_result.stall_cycles
 
     @pytest.mark.parametrize("budget", [1, 2, 3])
     def test_eviction_past_the_budget_stays_exact(self, budget, monkeypatch):
-        """Past its budget the step cache evicts (and refreshes hits
-        above the touch floor) without changing a report or a stall."""
-        monkeypatch.setattr(packed_module, "DEFAULT_DEVICE_STEP_CACHE",
-                            budget)
+        """Past its budget the transition table is cleared and rebuilt
+        from the live active set without changing a report or a stall."""
+        monkeypatch.setattr(engine_module, "DEFAULT_STEP_CACHE", budget)
         strided = to_rate(compile_ruleset(RULES), 4)
-        # Idle runs repeat one key, so even a one-entry cache hits.
+        # Idle runs repeat one key, so even a one-entry table hits.
         data = _random_data(budget, length=120) + b"z" * 40 + b"abc" * 12
         vectors, limit = stream_for(strided, data)
         stalled = False
@@ -298,6 +307,17 @@ class TestKernelMechanics:
         device.run(vectors)
         assert device._kernel is None
         assert device.step_cache_info()["misses"] == 0
+
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_empty_machine_runs_on_no_pus(self, fidelity):
+        device = SunderDevice(_config(1, False), fidelity=fidelity)
+        device.configure(Automaton(bits=4))
+        assert device.clusters == []
+        assert device.run([(1,), (2,)]).cycles == 2
+        assert device.statistics()["cycles"] == 2
+        if fidelity == "packed":
+            recorders = device.run_batch([[(1,)], [(3,), (4,)]])
+            assert [r.total_reports for r in recorders] == [0, 0]
 
     def test_packed_rejects_bad_vectors(self):
         strided = to_rate(compile_ruleset(["abc"]), 4)

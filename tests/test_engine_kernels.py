@@ -264,6 +264,37 @@ class TestStepTableCounters:
         assert info["size"] == expected
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_propagation_once_per_set_and_phase(self, seed):
+        """A set's enabled mask is kept per start phase: however many
+        vectors leave one (active set, phase) pair, its successors are
+        propagated once, in serial runs and in batches alike."""
+        rng = random.Random(seed)
+        automaton = random_automaton(rng, n_states=12, bits=4)
+        automaton.start_period = 3
+        streams = [[(rng.randrange(16),) for _ in range(60)]
+                   for _ in range(3)]
+        pairs = {(active, phase) for active, _, phase
+                 in _distinct_step_triples(automaton, streams)}
+        for batched in (False, True):
+            engine = BitsetEngine(automaton)
+            calls = []
+            propagate = engine._propagate
+
+            def counted(mask, propagate=propagate, calls=calls):
+                calls.append(mask)
+                return propagate(mask)
+
+            engine._propagate = counted
+            if batched:
+                engine.run_batch(streams)
+            else:
+                for stream in streams:
+                    engine.run(stream)
+            assert engine.step_cache_info()["misses"] > len(pairs)
+            assert len(calls) <= len(pairs)
+
+
 class TestHistoryLimit:
     def test_default_is_unbounded_list(self):
         automaton = Automaton(bits=8)

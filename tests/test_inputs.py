@@ -73,3 +73,33 @@ class TestStreamFor:
 
     def test_position_mapping(self):
         assert nibble_position_to_byte(7) == 3
+
+    @pytest.mark.parametrize("rate", [1, 2, 4])
+    @pytest.mark.parametrize("data", [b"", b"ab", b"abc", bytes(range(256)),
+                                      bytes(range(255, -1, -1)) + b"\x00"],
+                             ids=["empty", "even", "odd", "all-bytes",
+                                  "all-bytes-odd"])
+    def test_nibble_vectors_match_vectorize(self, abc_automaton, rate, data):
+        from repro.transform import to_rate
+        strided = to_rate(abc_automaton, rate)
+        expected = vectorize(bytes_to_nibbles(data), rate)
+        assert stream_for(strided, data) == expected
+        assert stream_for(strided, bytearray(data)) == expected
+        assert stream_for(strided, list(data)) == expected
+
+    def test_byte_vectors_are_shared(self, abc_automaton):
+        from repro.transform import to_rate
+        vectors, _ = stream_for(abc_automaton, b"abab")
+        assert vectors == [(97,), (98,), (97,), (98,)]
+        assert vectors[0] is vectors[2]
+        strided, _ = stream_for(to_rate(abc_automaton, 4), b"abcdab")
+        assert strided[0] is strided[2]
+
+    @pytest.mark.parametrize("rate", [None, 1, 2, 4])
+    def test_out_of_range_values_raise(self, abc_automaton, rate):
+        from repro.transform import to_rate
+        machine = (abc_automaton if rate is None
+                   else to_rate(abc_automaton, rate))
+        for values in ([300], [97, -1]):
+            with pytest.raises(SimulationError):
+                stream_for(machine, values)
