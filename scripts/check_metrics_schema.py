@@ -2,18 +2,15 @@
 
 Usage:  python scripts/check_metrics_schema.py [scale]
 
-Runs ``python -m repro profile experiment table4 --workers 2
---metrics-out ... --trace-out ...`` in-process, then validates
+Runs ``python -m repro profile experiment table4 --metrics-out ...
+--trace-out ...`` in-process, then validates
 
 - the metrics JSON against the snapshot schema
   (:func:`repro.obs.validate_snapshot`), including the presence of the
-  documented core metric families — worker-side families (engine,
-  transform) must survive the fleet merge, and the fleet provenance
-  counters themselves must be populated;
+  documented core metric families;
 - the Chrome trace file's structure, including the runtime's
   generate -> simulate -> transform -> report-drain stage spans nested
-  under the experiment span, and the ``parallel.map`` fan-out span the
-  worker spans are stitched under;
+  under the experiment span;
 - a second observed mini-run exercising ``run_batch`` directly,
   pinning the batch metric family (the profiled table4 run simulates
   serially, so these instruments need their own exercise to record
@@ -39,9 +36,7 @@ from repro.regex import compile_ruleset  # noqa: E402
 from repro.runtime import store as runtime_store  # noqa: E402
 from repro.sim import BitsetEngine, stream_for  # noqa: E402
 
-#: Metric families the profiled table4 run must populate.  The engine/
-#: transform families are recorded in pool workers under ``--workers 2``,
-#: so their presence pins the fleet capture-and-merge path.
+#: Metric families the profiled table4 run must populate.
 REQUIRED_METRICS = (
     "repro_engine_runs_total",
     "repro_engine_cycles_total",
@@ -54,11 +49,6 @@ REQUIRED_METRICS = (
     "repro_stage_progress",
     "repro_experiment_runs_total",
     "repro_experiment_seconds",
-    "repro_parallel_jobs_total",
-    "repro_parallel_job_seconds",
-    "repro_fleet_envelopes_total",
-    "repro_fleet_merged_samples_total",
-    "repro_fleet_spans_stitched_total",
 )
 #: Batch instruments pinned by the observed mini-run below.
 BATCH_REQUIRED_METRICS = (
@@ -66,13 +56,9 @@ BATCH_REQUIRED_METRICS = (
     "repro_engine_batch_lane_cache_hits_total",
     "repro_engine_batch_lane_cache_misses_total",
 )
-#: Stage spans that must appear, nested under the experiment span.  The
-#: stage spans themselves ran in worker processes; seeing them in the
-#: parent's trace pins the stitch path.
+#: Stage spans that must appear, nested under the experiment span.
 REQUIRED_SPANS = (
     "experiment.table4",
-    "runtime.wave",
-    "parallel.map",
     "stage.generate",
     "stage.simulate8",
     "stage.to_rate",
@@ -167,7 +153,6 @@ def check(scale="0.002"):
         trace_path = pathlib.Path(tmp) / "trace.json"
         code = repro_main([
             "profile", "experiment", "table4", "--scale", str(scale),
-            "--workers", "2",
             "--metrics-out", str(metrics_path),
             "--trace-out", str(trace_path),
         ])
@@ -199,10 +184,6 @@ def check(scale="0.002"):
         missing_spans = [n for n in REQUIRED_SPANS if n not in by_name]
         if missing_spans:
             return fail("trace lacks stage spans: %s" % missing_spans)
-        tracks = {event["tid"] for event in events}
-        if len(tracks) < 2:
-            return fail("stitched trace renders a single track; expected "
-                        "per-worker tracks under parallel.map")
         experiment_depth = by_name["experiment.table4"]["args"]["depth"]
         for stage in ("stage.generate", "stage.simulate8",
                       "stage.to_rate", "stage.report_drain"):

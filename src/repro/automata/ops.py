@@ -231,24 +231,6 @@ def _prefix_protected(automaton):
     )
 
 
-#: In-process memo of fingerprints whose machines are known minimal
-#: (bounded FIFO); probed before any minimization work is done.
-_MINIMAL_FINGERPRINTS = {}
-_MINIMAL_LIMIT = 4096
-
-
-def _is_known_minimal(fingerprint):
-    """Whether ``fingerprint`` was recorded as a minimal machine."""
-    return fingerprint in _MINIMAL_FINGERPRINTS
-
-
-def _record_minimal(fingerprint):
-    """Record ``fingerprint`` as a minimal machine in this process."""
-    if len(_MINIMAL_FINGERPRINTS) >= _MINIMAL_LIMIT:
-        _MINIMAL_FINGERPRINTS.pop(next(iter(_MINIMAL_FINGERPRINTS)))
-    _MINIMAL_FINGERPRINTS[fingerprint] = True
-
-
 @gc_paused
 def minimize(automaton):
     """Partition-refinement minimization; returns states removed.
@@ -263,24 +245,15 @@ def minimize(automaton):
     writes the surviving graph back in place.  Output is bit-exact
     against the oracle (``tests/test_indexed.py``).
 
-    Machines whose fingerprint this process already recorded as minimal
-    (a previous ``minimize`` left them unchanged or produced them, or
-    ``square`` built them) are skipped outright: the fingerprint probe
-    costs one canonical hash instead of a full screening pass.  A
-    frozen machine returns 0 when it is already minimal and raises
-    :class:`~repro.errors.AutomatonError` only if minimization would
-    merge states.
+    An already-minimal machine costs one screening pass and is left
+    untouched, so a frozen machine returns 0 when it is already minimal
+    and raises :class:`~repro.errors.AutomatonError` only if
+    minimization would merge states.
     """
-    fingerprint = automaton.fingerprint()
-    if _is_known_minimal(fingerprint):
-        return 0
     indexed = IndexedAutomaton.from_automaton(automaton)
     total = indexed.minimize()
     if total:
         indexed.write_back(automaton)
-        _record_minimal(automaton.fingerprint())
-    else:
-        _record_minimal(fingerprint)
     if OBS.active:
         OBS.instruments.transform_states.labels(op="minimize").set(
             len(automaton))

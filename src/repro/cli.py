@@ -15,16 +15,17 @@ Commands
 
 ``match``, ``experiment``, and ``workload`` additionally accept
 ``--metrics-out metrics.json`` / ``--trace-out trace.json`` to export the
-telemetry gathered during the run (see docs/observability.md).  The
-workload-driven experiments accept ``--workers N`` to fan benchmark
-evaluations across processes (see docs/performance.md).
+telemetry gathered during the run (see docs/observability.md).
 
 The global ``--artifact-dir DIR`` flag (or the ``REPRO_ARTIFACT_DIR``
 environment variable) adds an on-disk tier to the artifact store:
 compiled nibble/strided automata, generated workloads, simulation report
-streams, and result rows persist across runs and are shared between
-``--workers`` processes, so a warm directory re-renders every table
-without re-executing the expensive stages.
+streams, and result rows persist across runs, so a warm directory
+re-renders every table without re-executing the expensive stages.
+
+``match`` and ``compare`` read ``--file`` before any other work; a file
+that cannot be read prints ``error: cannot read <path>: <reason>`` and
+exits 2, as a library error does.
 
 The global ``--plan {auto,<json>}`` flag applies to ``match`` only: an
 inline :class:`~repro.exec.ExecutionPlan` JSON document names the
@@ -56,6 +57,19 @@ def _build_ruleset(patterns):
     return compile_ruleset([(pattern, pattern) for pattern in patterns])
 
 
+def _read_input(args):
+    """The bytes of ``--text`` or ``--file``; an unreadable file is a
+    :class:`ReproError`, so it exits 2 before any pattern compiles."""
+    if args.text is not None:
+        return args.text.encode()
+    try:
+        with open(args.file, "rb") as handle:
+            return handle.read()
+    except OSError as error:
+        raise ReproError("cannot read %s: %s"
+                         % (args.file, error.strerror or error))
+
+
 def cmd_compile(args):
     machine = _build_ruleset(args.patterns)
     if args.format == "summary":
@@ -70,6 +84,7 @@ def cmd_compile(args):
 
 
 def cmd_match(args):
+    data = _read_input(args)
     try:
         plan = resolve_plan(args.plan) or ExecutionPlan(target="device")
     except ValueError as error:
@@ -82,11 +97,6 @@ def cmd_match(args):
                                        report_bits=args.report_bits),
                           fidelity=plan.fidelity)
     device.configure(machine)
-    if args.text is not None:
-        data = args.text.encode()
-    else:
-        with open(args.file, "rb") as handle:
-            data = handle.read()
     # Report positions are in the machine's sub-symbol units (nibbles for
     # the 4-bit machines every rate produces); derive the per-byte
     # divisor from the configured geometry instead of hardcoding it.
@@ -118,9 +128,6 @@ def cmd_transform(args):
 
 #: Experiments whose entry points take workload scale/seed parameters.
 _SCALED_EXPERIMENTS = ("table1", "table3", "table4", "figure8", "scorecard")
-#: Experiments whose entry points fan out through ParallelRunner.
-_PARALLEL_EXPERIMENTS = ("table1", "table3", "table4",
-                         "figure8", "figure9", "figure10", "scorecard")
 
 
 def cmd_experiment(args):
@@ -131,8 +138,6 @@ def cmd_experiment(args):
     if args.name in _SCALED_EXPERIMENTS:
         kwargs["scale"] = args.scale
         kwargs["seed"] = args.seed
-    if args.name in _PARALLEL_EXPERIMENTS:
-        kwargs["workers"] = args.workers
     module.main(**kwargs)
     return 0
 
@@ -188,13 +193,8 @@ def cmd_compare(args):
     from .core import ReportingPerfModel, place, pu_fill_cycles_from_events
     from .sim import BitsetEngine, ReportRecorder
 
+    data = _read_input(args)
     machine = _build_ruleset(args.patterns)
-    if args.text is not None:
-        data = args.text.encode()
-    else:
-        with open(args.file, "rb") as handle:
-            data = handle.read()
-
     recorder = ReportRecorder()
     BitsetEngine(machine).run(list(data), recorder)
     report_ids = [s.id for s in machine.report_states()]
@@ -378,10 +378,6 @@ def build_parser():
         "name", choices=sorted(experiments.ALL_EXPERIMENTS))
     experiment_parser.add_argument("--scale", type=float, default=0.01)
     experiment_parser.add_argument("--seed", type=int, default=0)
-    experiment_parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="fan benchmark evaluations across N processes "
-             "(0 = all cores; default: serial)")
     _add_observability_flags(experiment_parser)
     experiment_parser.set_defaults(func=cmd_experiment)
 

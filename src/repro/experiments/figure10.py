@@ -8,8 +8,7 @@ The paper's anchors: negligible below 5% reporting, 7x worst case
 without summarization, 1.4x with 16-row-batch summarization.
 
 Each sweep point is one ``figure10_point`` stage in the runtime graph
-(closed-form, so uncached); the scheduler fans points across ``workers``
-with rows in sweep order at any count.
+(closed-form, so uncached).
 """
 
 from ..core.config import SunderConfig
@@ -33,16 +32,12 @@ def define(graph, sweep, config):
             for pct in sweep]
 
 
-def run(sweep=SWEEP_PCTS, config=None, workers=1, runtime=None):
-    """Evaluate the sweep; returns result rows.
-
-    ``workers`` fans the sweep points out across a process pool
-    (0 = all cores); rows stay in sweep order at any worker count.
-    """
+def run(sweep=SWEEP_PCTS, config=None, runtime=None):
+    """Evaluate the sweep; returns result rows in sweep order."""
     if config is None:
         config = SunderConfig(report_bits=12)
     if runtime is None:
-        runtime = Runtime(workers=workers)
+        runtime = Runtime()
     graph = StageGraph()
     tasks = define(graph, sweep, config)
     results = runtime.execute(graph, targets=tasks)
@@ -59,8 +54,8 @@ def render(rows):
 
 
 @instrumented_experiment("figure10")
-def main(workers=1):
+def main():
     """Run and print."""
-    rows = run(workers=workers)
+    rows = run()
     print(render(rows))
     return rows

@@ -33,8 +33,7 @@ PAPER_SPEEDUPS = {
 }
 
 
-def run(scale=0.01, seed=0, names=None, table4_rows=None, workers=1,
-        runtime=None):
+def run(scale=0.01, seed=0, names=None, table4_rows=None, runtime=None):
     """Compute Figure 8's bars (running Table 4 first if not supplied).
 
     When Table 4 runs here, its stage graph goes through ``runtime`` (or
@@ -42,7 +41,7 @@ def run(scale=0.01, seed=0, names=None, table4_rows=None, workers=1,
     """
     if table4_rows is None:
         table4_rows, _ = table4.run(scale=scale, seed=seed, names=names,
-                                    workers=workers, runtime=runtime)
+                                    runtime=runtime)
     count = len(table4_rows)
     sunder = sum(r["sunder_fifo_overhead"] for r in table4_rows) / count
     ap = sum(r["ap_overhead"] for r in table4_rows) / count
@@ -65,8 +64,8 @@ def render(rows):
 
 
 @instrumented_experiment("figure8")
-def main(scale=0.01, seed=0, workers=1):
+def main(scale=0.01, seed=0):
     """Run and print."""
-    rows = run(scale=scale, seed=seed, workers=workers)
+    rows = run(scale=scale, seed=seed)
     print(render(rows))
     return rows

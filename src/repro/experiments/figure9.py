@@ -4,8 +4,7 @@ Also derives the conclusion's throughput-density headline ("three orders
 of magnitude higher throughput per unit area than the AP").
 
 Each architecture's component-area evaluation is one ``figure9_arch``
-stage in the runtime graph (closed-form, so uncached); the scheduler
-fans them across ``workers`` with identical rows at any count.
+stage in the runtime graph (closed-form, so uncached).
 """
 
 from ..hwmodel.area import _AREA_MODELS, breakdown_table, throughput_per_area
@@ -33,14 +32,10 @@ def define(graph, num_states):
             for name in _AREA_MODELS}
 
 
-def run(num_states=32768, workers=1, runtime=None):
-    """Compute the per-architecture area breakdown.
-
-    ``workers`` fans the architectures out across a process pool
-    (0 = all cores); output is identical at any worker count.
-    """
+def run(num_states=32768, runtime=None):
+    """Compute the per-architecture area breakdown."""
     if runtime is None:
-        runtime = Runtime(workers=workers)
+        runtime = Runtime()
     graph = StageGraph()
     tasks = define(graph, num_states)
     results = runtime.execute(graph, targets=list(tasks.values()))
@@ -76,8 +71,8 @@ def render(rows):
 
 
 @instrumented_experiment("figure9")
-def main(num_states=32768, workers=1):
+def main(num_states=32768):
     """Run and print."""
-    rows = run(num_states, workers=workers)
+    rows = run(num_states)
     print(render(rows))
     return rows

@@ -9,8 +9,7 @@ The experiment is declared as a stage graph (``generate -> simulate8 ->
 table1_row`` per benchmark) executed by the runtime scheduler: the
 expensive stages are content-addressed in the shared artifact store, so
 they are shared with Table 4 (same generate/simulate8 artifacts) and
-skipped entirely on warm runs, and the scheduler fans stage executions
-across ``workers`` processes with byte-identical output.
+skipped entirely on warm runs.
 """
 
 from ..runtime import Runtime, StageGraph
@@ -56,16 +55,15 @@ def define(graph, scale, seed, names):
     return rows
 
 
-def run(scale=0.02, seed=0, names=None, workers=1, runtime=None):
-    """Simulate the suite; returns the list of result rows.
+def run(scale=0.02, seed=0, names=None, runtime=None):
+    """Simulate the suite; returns the list of result rows in suite order.
 
-    ``workers`` fans the stage executions out across a process pool
-    (0 = all cores); rows come back in suite order regardless.  Pass a
-    shared ``runtime`` to deduplicate stages with other experiments.
+    Pass a shared ``runtime`` to deduplicate stages with other
+    experiments.
     """
     chosen = select_names(names, "table1.run")
     if runtime is None:
-        runtime = Runtime(workers=workers)
+        runtime = Runtime()
     graph = StageGraph()
     tasks = define(graph, scale, seed, chosen)
     results = runtime.execute(graph, targets=tasks)
@@ -78,8 +76,8 @@ def render(rows):
 
 
 @instrumented_experiment("table1")
-def main(scale=0.02, seed=0, workers=1):
+def main(scale=0.02, seed=0):
     """Run and print (entry point used by the benchmark harness)."""
-    rows = run(scale=scale, seed=seed, workers=workers)
+    rows = run(scale=scale, seed=seed)
     print(render(rows))
     return rows

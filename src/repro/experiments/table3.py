@@ -42,18 +42,16 @@ def define(graph, scale, seed, names, rates):
     return rows
 
 
-def run(scale=0.01, seed=0, names=None, rates=(1, 2, 4), workers=1,
-        runtime=None):
+def run(scale=0.01, seed=0, names=None, rates=(1, 2, 4), runtime=None):
     """Measure transformation overheads; returns (rows, averages).
 
-    ``workers`` fans the stage executions out across a process pool
-    (0 = all cores); row order is the suite order regardless.  Pass a
-    shared ``runtime`` to deduplicate stages with other experiments.
+    Rows are in suite order.  Pass a shared ``runtime`` to deduplicate
+    stages with other experiments.
     """
     chosen = select_names(names, "table3.run")
     rates = tuple(rates)
     if runtime is None:
-        runtime = Runtime(workers=workers)
+        runtime = Runtime()
     graph = StageGraph()
     tasks = define(graph, scale, seed, chosen, rates)
     results = runtime.execute(graph, targets=tasks)
@@ -73,8 +71,8 @@ def render(rows, averages):
 
 
 @instrumented_experiment("table3")
-def main(scale=0.01, seed=0, names=None, workers=1):
+def main(scale=0.01, seed=0, names=None):
     """Run and print."""
-    rows, averages = run(scale=scale, seed=seed, names=names, workers=workers)
+    rows, averages = run(scale=scale, seed=seed, names=names)
     print(render(rows, averages))
     return rows, averages

@@ -121,16 +121,15 @@ def define(graph, scale, seed, names, rate):
     return rows
 
 
-def run(scale=0.01, seed=0, names=None, rate=4, workers=1, runtime=None):
+def run(scale=0.01, seed=0, names=None, rate=4, runtime=None):
     """Evaluate the suite; returns (rows, averages).
 
-    ``workers`` fans the stage executions out across a process pool
-    (0 = all cores); row order is the suite order regardless.  Pass a
-    shared ``runtime`` to deduplicate stages with other experiments.
+    Rows are in suite order.  Pass a shared ``runtime`` to deduplicate
+    stages with other experiments.
     """
     chosen = select_names(names, "table4.run")
     if runtime is None:
-        runtime = Runtime(workers=workers)
+        runtime = Runtime()
     graph = StageGraph()
     tasks = define(graph, scale, seed, chosen, rate)
     results = runtime.execute(graph, targets=tasks)
@@ -151,8 +150,8 @@ def render(rows, averages):
 
 
 @instrumented_experiment("table4")
-def main(scale=0.01, seed=0, names=None, workers=1):
+def main(scale=0.01, seed=0, names=None):
     """Run and print."""
-    rows, averages = run(scale=scale, seed=seed, names=names, workers=workers)
+    rows, averages = run(scale=scale, seed=seed, names=names)
     print(render(rows, averages))
     return rows, averages

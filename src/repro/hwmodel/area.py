@@ -152,12 +152,6 @@ _AREA_MODELS = {
 }
 
 
-def _breakdown_job(job):
-    """One architecture's component areas from a picklable (name, states)."""
-    name, num_states = job
-    return name, _AREA_MODELS[name](num_states)
-
-
 def breakdown_table(parts_by_name):
     """Figure 9 rows (mm2 + ratios) from per-architecture component areas.
 
@@ -181,15 +175,7 @@ def breakdown_table(parts_by_name):
     return table
 
 
-def figure9_breakdown(num_states=32768, workers=1):
-    """Area breakdown for every architecture, plus ratios to Sunder.
-
-    ``workers`` fans the per-architecture evaluations out through
-    :class:`repro.sim.parallel.ParallelRunner` (0 = all cores); row
-    order and values are identical at any worker count.
-    """
-    from ..sim.parallel import ParallelRunner
-
-    jobs = [(name, num_states) for name in _AREA_MODELS]
-    rows = dict(ParallelRunner(workers).map(_breakdown_job, jobs))
-    return breakdown_table(rows)
+def figure9_breakdown(num_states=32768):
+    """Area breakdown for every architecture, plus ratios to Sunder."""
+    return breakdown_table({name: model(num_states)
+                            for name, model in _AREA_MODELS.items()})

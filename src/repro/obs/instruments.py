@@ -15,7 +15,7 @@ SECONDS_BUCKETS = (0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
                    10.0, 30.0, 60.0)
 #: Buckets for transform blow-up ratios (output/input states).
 RATIO_BUCKETS = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0)
-#: Buckets for run_batch lane counts (powers of two up to a large fleet).
+#: Buckets for run_batch lane counts (powers of two up to 256 lanes).
 BATCH_LANE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
@@ -64,31 +64,6 @@ class Instruments:
             "Step-cache misses inside batched lanes (summed per-lane "
             "counts of every run_batch).", ("engine",))
         self._engine_handles = {}
-
-        # --- parallel experiment runner (repro.sim.parallel) -----------
-        self.parallel_jobs = counter(
-            "repro_parallel_jobs_total",
-            "Jobs executed by ParallelRunner.map.", ("mode",))
-        self.parallel_workers = gauge(
-            "repro_parallel_workers",
-            "Worker-process count used by the last ParallelRunner.map.")
-        self.parallel_job_seconds = histogram(
-            "repro_parallel_job_seconds",
-            "Wall time of one ParallelRunner job (measured where it ran, "
-            "so pool imbalance is visible, not just job counts).",
-            ("mode",), buckets=SECONDS_BUCKETS)
-
-        # --- fleet telemetry merge (repro.obs.fleet) ------------------
-        self.fleet_envelopes = counter(
-            "repro_fleet_envelopes_total",
-            "Worker telemetry envelopes merged into the parent registry.",
-            ("worker",))
-        self.fleet_merged_samples = counter(
-            "repro_fleet_merged_samples_total",
-            "Metric samples folded in from worker envelopes.")
-        self.fleet_spans_stitched = counter(
-            "repro_fleet_spans_stitched_total",
-            "Worker spans grafted into the parent trace.")
 
         # --- Sunder device (repro.core.device) ------------------------
         self.device_reconfigurations = counter(

@@ -127,10 +127,6 @@ class Counter(Metric):
     def _sample_body(self):
         return {"value": self._value}
 
-    def merge_sample(self, body):
-        """Fold one snapshot sample body into this counter (sums)."""
-        self.inc(body["value"])
-
 
 class Gauge(Metric):
     """Instantaneous value that can go up and down."""
@@ -159,10 +155,6 @@ class Gauge(Metric):
 
     def _sample_body(self):
         return {"value": self._value}
-
-    def merge_sample(self, body):
-        """Fold one snapshot sample body into this gauge (last writer)."""
-        self.set(body["value"])
 
 
 class Histogram(Metric):
@@ -229,26 +221,6 @@ class Histogram(Metric):
         buckets.append({"le": "+Inf", "count": cumulative[-1]})
         return {"count": self._count, "sum": self._sum, "buckets": buckets}
 
-    def merge_sample(self, body):
-        """Fold one snapshot sample body into this histogram bucket-wise.
-
-        The incoming buckets must use this histogram's bounds; merging a
-        sample with different bucket geometry would silently misfile
-        observations, so it raises instead.
-        """
-        buckets = body["buckets"]
-        bounds = tuple(bucket["le"] for bucket in buckets[:-1])
-        if bounds != self.buckets:
-            raise ObservabilityError(
-                "histogram %r bucket bounds %r do not match merged sample "
-                "bounds %r" % (self.name, self.buckets, bounds))
-        previous = 0
-        for index, bucket in enumerate(buckets):
-            self._counts[index] += bucket["count"] - previous
-            previous = bucket["count"]
-        self._sum += body["sum"]
-        self._count += body["count"]
-
 
 class MetricsRegistry:
     """A uniquely-named collection of metrics.
@@ -300,61 +272,6 @@ class MetricsRegistry:
 
     def __len__(self):
         return len(self._metrics)
-
-    # ------------------------------------------------------------------
-    # Cross-registry merge
-    # ------------------------------------------------------------------
-    def merge_snapshot(self, snapshot):
-        """Fold a :meth:`snapshot` dict from another registry into this one.
-
-        This is the deterministic cross-process aggregation primitive the
-        fleet layer (:mod:`repro.obs.fleet`) builds on: counters **sum**,
-        histograms merge **bucket-wise** (bounds must match), and gauges
-        take the **last writer** — callers control determinism by merging
-        snapshots in a fixed order (job order, for pool workers).  Metrics
-        absent from this registry are created on first merge, inheriting
-        the snapshot's name/help/labels (and bucket bounds); metrics whose
-        kind or label set conflicts raise :class:`ObservabilityError`.
-
-        Returns the number of samples merged.
-        """
-        merged = 0
-        for entry in snapshot.get("metrics", ()):
-            samples = entry.get("samples", ())
-            if not samples:
-                continue
-            metric = self._metrics.get(entry["name"])
-            if metric is None:
-                metric = self._create_from_entry(entry)
-            elif metric.kind != entry["type"]:
-                raise ObservabilityError(
-                    "cannot merge %s sample into %s metric %r"
-                    % (entry["type"], metric.kind, entry["name"]))
-            for sample in samples:
-                labels = sample.get("labels") or {}
-                leaf = metric.labels(**labels) if labels else metric
-                leaf.merge_sample(sample)
-                merged += 1
-        return merged
-
-    def _create_from_entry(self, entry):
-        """Register a metric matching one snapshot entry's shape."""
-        labelnames = tuple((entry["samples"][0].get("labels") or {}).keys())
-        kind = entry["type"]
-        if kind == "counter":
-            return self.counter(entry["name"], entry.get("help", ""),
-                                labelnames)
-        if kind == "gauge":
-            return self.gauge(entry["name"], entry.get("help", ""),
-                              labelnames)
-        if kind == "histogram":
-            bounds = tuple(
-                bucket["le"] for bucket in entry["samples"][0]["buckets"][:-1])
-            return self.histogram(entry["name"], entry.get("help", ""),
-                                  labelnames, buckets=bounds)
-        raise ObservabilityError(
-            "cannot merge metric %r of unknown kind %r"
-            % (entry["name"], kind))
 
     # ------------------------------------------------------------------
     # Exposition

@@ -8,7 +8,7 @@ gives those kernels a single cheap hook:
 - the ``repro_stage_progress`` gauge (labelled by stage) tracks the
   completion fraction ``0..1`` of the most recent execution of each
   long-running stage, so an attached metrics collector (``repro profile
-  ...``, the fleet merge) can watch a run mid-stage;
+  ...``) can watch a run mid-stage;
 - when the ``REPRO_PROGRESS`` environment variable is set (any
   non-empty value), periodic one-line updates go to stderr, rate
   limited to one line per :data:`LOG_INTERVAL` seconds per reporter.

@@ -84,16 +84,6 @@ class _ActiveSpan:
         """Wall-time seconds of the span (None while still open)."""
         return self._span.duration
 
-    @property
-    def context(self):
-        """Picklable parent-span context for cross-process propagation.
-
-        Ship this dict to a worker process; spans recorded there can be
-        re-attached under this span with :meth:`TraceCollector.graft`.
-        """
-        span = self._span
-        return {"span": span.index, "name": span.name, "depth": span.depth}
-
 
 class _NullSpan:
     """No-op stand-in returned when no trace collector is attached."""
@@ -110,7 +100,6 @@ class _NullSpan:
         return self
 
     duration = None
-    context = None
 
 
 NULL_SPAN = _NullSpan()
@@ -159,59 +148,6 @@ class TraceCollector:
                 stack.pop()
 
     # ------------------------------------------------------------------
-    def current_context(self):
-        """Context dict of this thread's innermost open span, or None.
-
-        The same shape as :attr:`_ActiveSpan.context` — pass it across a
-        process boundary and :meth:`graft` the remote spans back under it.
-        """
-        stack = self._stack()
-        if not stack:
-            return None
-        span = stack[-1]
-        return {"span": span.index, "name": span.name, "depth": span.depth}
-
-    def graft(self, records, context=None, thread_id=None):
-        """Stitch finished span records from another collector in here.
-
-        ``records`` are :meth:`Span.as_dict` dicts (a worker process's
-        exported spans).  Their root spans are re-parented under
-        ``context`` (a :meth:`current_context` /
-        :attr:`_ActiveSpan.context` dict, or None for top level), depths
-        are rebased accordingly, and indices are remapped so parent links
-        stay consistent inside this collector.  ``thread_id`` overrides
-        the recorded thread id — pass a per-worker value so each worker
-        renders as its own track in the Chrome-trace export.  Start/end
-        timestamps are kept as recorded (``perf_counter`` is a shared
-        monotonic clock across processes on the platforms we target).
-
-        Returns the number of spans grafted; unfinished records are
-        skipped.
-        """
-        base_index = context["span"] if context else None
-        base_depth = context["depth"] + 1 if context else 0
-        grafted = 0
-        with self._lock:
-            index_map = {}
-            for record in records:
-                if record.get("duration") is None:
-                    continue
-                index = len(self.spans)
-                index_map[record["index"]] = index
-                parent = record.get("parent")
-                parent = (index_map.get(parent, base_index)
-                          if parent is not None else base_index)
-                span = Span(
-                    record["name"], dict(record["attrs"]), record["start"],
-                    record["depth"] + base_depth,
-                    thread_id if thread_id is not None else record["thread"],
-                    parent, index,
-                )
-                span.end = record["start"] + record["duration"]
-                self.spans.append(span)
-                grafted += 1
-        return grafted
-
     def finished(self):
         """Spans that have been closed, in open order."""
         return [span for span in self.spans if span.end is not None]

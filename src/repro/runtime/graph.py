@@ -2,20 +2,19 @@
 
 Experiments declare their work as a DAG of :class:`Task` nodes — one per
 (stage, params, dependencies) triple — and a :class:`Runtime` executes
-the graph:
+the graph in this process:
 
 1. **demand pruning** (reverse topological pass): starting from the
    requested targets, each demanded cacheable task is probed in the
    artifact store; a hit satisfies the task *and removes the demand on
    its dependencies*, so a warm store skips the expensive generate /
    simulate / transform stages entirely;
-2. **wave execution** (forward pass): remaining tasks run in dependency
-   waves, each wave fanned through
-   :class:`~repro.sim.parallel.ParallelRunner` in task order — results
-   are byte-identical at any worker count because every stage is pure
-   and wave order is deterministic;
-3. **artifact write-back**: cacheable results are stored under their
-   content-addressed keys for the next experiment (or process) to hit.
+2. **execution** (forward pass): the remaining tasks run one at a time
+   in graph order, which is topological by construction, so results
+   are deterministic because every stage is pure;
+3. **artifact write-back**: each cacheable value is stored under its
+   content-addressed key as soon as its stage returns, for later tasks,
+   experiments and (through the disk tier) processes to hit.
 
 Task deduplication happens at construction: adding the same (stage,
 params, deps) twice returns the same node, so one scorecard graph runs
@@ -23,8 +22,7 @@ each shared stage once even when several experiments declare it.
 """
 
 from ..errors import StageGraphError
-from ..obs import OBS, trace_span
-from ..sim.parallel import ParallelRunner
+from ..obs import OBS
 from .stages import _execute_stage_job, canonical, get_stage
 from .store import artifact_key, get_store
 
@@ -32,7 +30,7 @@ from .store import artifact_key, get_store
 class Task:
     """One node of a stage graph (identity = stage + params + deps)."""
 
-    __slots__ = ("stage", "params", "deps", "signature", "key", "depth")
+    __slots__ = ("stage", "params", "deps", "signature", "key")
 
     def __init__(self, stage, params, deps, signature, key):
         self.stage = stage
@@ -40,7 +38,6 @@ class Task:
         self.deps = deps
         self.signature = signature
         self.key = key
-        self.depth = 1 + max((dep.depth for dep in deps), default=0)
 
     def __repr__(self):
         return "Task(%s, %s%s)" % (
@@ -108,11 +105,10 @@ class StageGraph:
 
 
 class Runtime:
-    """Executes stage graphs against an artifact store and a worker pool."""
+    """Executes stage graphs in-process against an artifact store."""
 
-    def __init__(self, store=None, workers=1):
+    def __init__(self, store=None):
         self.store = store if store is not None else get_store()
-        self.workers = workers
 
     def execute(self, graph, targets=None):
         """Evaluate ``targets`` (default: every task); returns {task: value}.
@@ -143,30 +139,17 @@ class Runtime:
                     self._record_hit(task)
                     continue
             demanded.update(task.deps)
-        # Forward pass: execute what remains, one dependency wave at a
-        # time, fanning each wave through the parallel runner.
-        pending = [task for task in graph.order
-                   if task in demanded and task not in results]
-        runner = ParallelRunner(self.workers)
-        while pending:
-            depth = min(task.depth for task in pending)
-            wave = [task for task in pending if task.depth == depth]
-            pending = [task for task in pending if task.depth != depth]
-            jobs = [(task.stage.name, task.params,
-                     [results[dep] for dep in task.deps]) for task in wave]
-            # One span per dependency wave: under --workers the per-stage
-            # spans live in worker processes and are stitched back beneath
-            # this wave's parallel.map span, so stage-level time
-            # attribution in the merged timeline stays correct.
-            stages = ",".join(sorted({task.stage.name for task in wave}))
-            with trace_span("runtime.wave", depth=depth, tasks=len(wave),
-                            stages=stages):
-                outcomes = runner.map(_execute_stage_job, jobs)
-            for task, (value, seconds) in zip(wave, outcomes):
-                if task.key is not None:
-                    self.store.put(task.key, value, task.stage.codec)
-                results[task] = value
-                self._record_miss(task, seconds)
+        # Forward pass: run what remains in graph order, storing each
+        # value as soon as its stage returns.
+        for task in graph.order:
+            if task not in demanded or task in results:
+                continue
+            value, seconds = _execute_stage_job(
+                task.stage, task.params, [results[dep] for dep in task.deps])
+            if task.key is not None:
+                self.store.put(task.key, value, task.stage.codec)
+            results[task] = value
+            self._record_miss(task, seconds)
         return results
 
     @staticmethod

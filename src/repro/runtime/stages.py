@@ -3,7 +3,7 @@
 A *stage* is one step of an experiment pipeline — generate a workload,
 simulate it, transform it to a processing rate, replay its report stream
 through a buffer model, derive a result row.  Every stage function is
-pure: its output is fully determined by its picklable ``params`` dict
+pure: its output is fully determined by its ``params`` dict
 plus the values of its dependency stages, which is what lets the
 scheduler (:mod:`repro.runtime.graph`)
 
@@ -13,8 +13,7 @@ scheduler (:mod:`repro.runtime.graph`)
 - **deduplicate** identical stages across experiments (Table 1 and
   Table 4 share ``generate``/``simulate8``; Table 3 and Table 4 share
   ``to_rate``), and
-- **fan stages out** through :class:`~repro.sim.parallel.ParallelRunner`
-  with byte-identical results at any worker count.
+- **run them in any topological order** with byte-identical results.
 
 Cacheable stages name a codec.  Every result row is cacheable, so a
 warm store serves a row without demanding anything below it.  Stages
@@ -109,16 +108,13 @@ def canonical(value):
     return repr(value)
 
 
-def _execute_stage_job(job):
-    """Run one stage from a picklable ``(name, params, dep_values)`` spec.
+def _execute_stage_job(entry, params, dep_values):
+    """Run the stage ``entry`` on ``params`` and its dependency values.
 
-    Module-level so :class:`~repro.sim.parallel.ParallelRunner` can ship
-    it to worker processes.  Returns ``(result, seconds)`` — timing is
-    measured here so the parent can observe ``repro_runtime_stage_seconds``
-    even for pool-executed stages (whose own collectors are detached).
+    Returns ``(result, seconds)``; the scheduler observes the seconds in
+    ``repro_runtime_stage_seconds``.
     """
-    name, params, dep_values = job
-    entry = get_stage(name)
+    name = entry.name
     # "name" would collide with trace_span's positional argument; the
     # params slot it fills is always the benchmark name.
     attrs = {("benchmark" if key == "name" else key): value

@@ -344,9 +344,8 @@ def get_store():
 def configure(directory=None):
     """Replace the process-wide store; returns the new one.
 
-    The CLI's ``--artifact-dir`` flag and ``ParallelRunner`` worker
-    initializers call this so every process shares one artifact
-    directory.
+    The CLI's ``--artifact-dir`` flag calls this so the whole run reads
+    and writes one artifact directory.
     """
     global _ACTIVE
     with _ACTIVE_LOCK:

@@ -14,7 +14,6 @@ from .engine import (
     NaiveEngine,
     TransitionTable,
 )
-from .parallel import ParallelRunner, default_workers
 from .inputs import (
     PAD_NIBBLE,
     bytes_to_nibbles,
@@ -32,10 +31,8 @@ __all__ = [
     "CycleTrace",
     "DEFAULT_STEP_CACHE",
     "NaiveEngine",
-    "ParallelRunner",
     "Tracer",
     "TransitionTable",
-    "default_workers",
     "ReportEvent",
     "ReportRecorder",
     "PAD_NIBBLE",

@@ -5,8 +5,7 @@ its output is fully determined by the source automaton's structure and
 the transform parameters.  Like Impala's offline 4-bit transformation,
 it is a one-time compilation cost — so results are stored under a
 content-addressed key and reused across experiments (Table 3 and Table 4
-share the intermediate nibble machine), across repeated CLI runs, and
-across ``ParallelRunner`` worker processes.
+share the intermediate nibble machine) and across repeated CLI runs.
 
 They live in the one process-wide
 :class:`~repro.runtime.store.ArtifactStore`

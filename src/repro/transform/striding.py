@@ -59,18 +59,8 @@ def square(automaton, minimized=True, name=None):
             "cannot square an automaton with odd start period %d"
             % automaton.start_period
         )
-    def build():
-        result = _square(automaton, minimized, name).validate()
-        if minimized:
-            # Cache-layer bookkeeping, deliberately outside the kernel:
-            # mark the fresh build minimal so later minimize() calls on
-            # the same machine (same fingerprint) short-circuit.
-            from ..automata.ops import _record_minimal
-
-            _record_minimal(result.fingerprint())
-        return result
-
-    return memoize("square", automaton, build,
+    return memoize("square", automaton,
+                   lambda: _square(automaton, minimized, name).validate(),
                    minimized=minimized, name=name)
 
 

@@ -89,6 +89,14 @@ class TestMatch:
             main(["--plan", '{"target": "engine"}', "match", "needle",
                   "--text", "xx needle"])
 
+    def test_unreadable_file_exits_2_before_compiling(self, tmp_path,
+                                                      capsys):
+        missing = tmp_path / "missing.bin"
+        # The pattern is invalid too: the input is read first.
+        assert main(["match", "a(", "--file", str(missing)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot read %s: No such file or directory\n" % missing)
+
 
 @pytest.mark.parametrize("argv", [
     ["--device-fidelity", "literal", "match", "ab", "--text", "xab"],
@@ -96,11 +104,12 @@ class TestMatch:
     ["--hotcold-coverage", "0.9", "match", "ab", "--text", "xab"],
     ["experiment", "table1", "--batch", "4"],
     ["experiment", "table1", "--shards", "auto"],
+    ["experiment", "figure10", "--workers", "2"],
     ["plan", "explain", "a.c", "--stream-bytes", "65536"],
     ["cache", "info"],
     ["--transform-cache", "store", "runtime", "info"],
 ], ids=["device-fidelity", "prefilter", "hotcold-coverage", "batch",
-        "shards", "stream-bytes", "cache", "transform-cache"])
+        "shards", "workers", "stream-bytes", "cache", "transform-cache"])
 def test_removed_strategy_flags_are_usage_errors(argv, capsys):
     """``--plan`` is the only strategy flag and ``--artifact-dir`` the only
     store flag; the old ones no longer parse."""
@@ -156,6 +165,14 @@ class TestPlanAndCompare:
         path.write_bytes(b"needle " * 30)
         assert main(["compare", "needle", "--file", str(path)]) == 0
         assert "reporting overhead" in capsys.readouterr().out
+
+    def test_compare_unreadable_file_exits_2(self, tmp_path, capsys):
+        # A directory opens but cannot be read as a file.
+        assert main(["compare", "needle", "--file", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot read %s: Is a directory\n" % tmp_path)
 
 
 class TestProfile:

@@ -5,9 +5,8 @@ figures, and scorecard produced *before* the experiments were rewritten
 onto the stage-graph runtime (scale 0.002, seed 0).  These tests pin
 
 - byte-identity of every rendered experiment against those goldens,
-- byte-identity of the scorecard across worker counts, and of its
-  rendered table and full-precision ``to_json`` payload across a
-  cold-vs-warm artifact store,
+- byte-identity of the scorecard's rendered table and full-precision
+  ``to_json`` payload across a cold-vs-warm artifact store,
 - that a warm ``--artifact-dir`` scorecard executes no cacheable stage
   and is served by its result rows alone: ``table1_row``, ``table3_row``
   and ``report_drain`` hit, and nothing below a row is read,
@@ -74,15 +73,6 @@ class TestGoldenOutputs:
         # scorecard would re-run a stage or a transform: the default
         # memory tier must hold all of it.
         assert runtime_store.get_store().stats["evictions"] == 0
-
-
-class TestWorkerInvariance:
-    def test_scorecard_identical_at_two_workers(self):
-        serial = scorecard.render(scorecard.build_scorecard(scale=SCALE))
-        runtime_store.configure()
-        parallel = scorecard.render(
-            scorecard.build_scorecard(scale=SCALE, workers=2))
-        assert serial == parallel
 
 
 class TestArtifactStoreInvariance:

@@ -19,7 +19,6 @@ import random
 import pytest
 
 from repro.automata import Automaton, StartKind, SymbolSet
-from repro.automata import ops
 from repro.automata.indexed import IndexedAutomaton
 from repro.automata.ops import minimize, minimize_unindexed
 from repro.regex import compile_pattern
@@ -179,31 +178,23 @@ def test_warm_store_stays_warm(tmp_path):
 
 
 def test_minimize_skip_markers():
-    """A machine once minimized is recognized and skipped thereafter."""
+    """Minimizing a machine a second time removes nothing."""
     machine = square_unindexed(
         to_nibbles(compile_pattern("ab+c", report_code="k")),
         minimized=False)
-    try:
-        removed = minimize(machine)
-        fingerprint = machine.fingerprint()
-        assert ops._is_known_minimal(fingerprint)
-        # A structurally identical copy (fresh object, same fingerprint)
-        # short-circuits without another refinement pass.
-        again = machine.copy()
-        assert minimize(again) == 0
-        assert again.dumps() == machine.dumps()
-        assert removed >= 0
-    finally:
-        ops._MINIMAL_FINGERPRINTS.clear()
+    removed = minimize(machine)
+    # A structurally identical copy is already minimal.
+    again = machine.copy()
+    assert minimize(again) == 0
+    assert again.dumps() == machine.dumps()
+    assert removed >= 0
 
 
 def test_square_records_result_as_minimal():
     machine = to_nibbles(compile_pattern("xy+z", report_code="k"))
     runtime_store.configure()  # fresh store: the build must run
-    ops._MINIMAL_FINGERPRINTS.clear()
     try:
         squared = square(machine, minimized=True)
-        assert ops._is_known_minimal(squared.fingerprint())
         assert minimize(squared.copy()) == 0
     finally:
         runtime_store.configure()

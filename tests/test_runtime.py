@@ -22,7 +22,7 @@ from repro.runtime import store as runtime_store
 from repro.runtime.artifacts import (AUTOMATON_CODEC, INSTANCE_CODEC,
                                      JSON_CODEC, SIMRUN_CODEC, SimRun)
 from repro.runtime.graph import Runtime, StageGraph
-from repro.runtime.stages import REGISTRY, canonical, get_stage
+from repro.runtime.stages import REGISTRY, Stage, canonical, get_stage
 from repro.runtime.store import ArtifactStore, JsonCodec, artifact_key
 from repro.core.config import SunderConfig
 from repro.sim import BitsetEngine
@@ -396,6 +396,11 @@ class TestStageGraph:
         assert "place" not in REGISTRY
 
 
+def _register_json_stage(monkeypatch, name, func):
+    """Register a throwaway cacheable stage for one test."""
+    monkeypatch.setitem(REGISTRY, name, Stage(name, func, codec=JSON_CODEC))
+
+
 def _table1_graph(graph, name="Bro217", scale=0.002, seed=0):
     gen = graph.task("generate", {"name": name, "scale": scale,
                                   "seed": seed})
@@ -451,6 +456,47 @@ class TestRuntimeExecute:
         results = Runtime(store=store).execute(graph, targets=[gen])
         assert set(results) == {gen}
         assert store.stats["stores"] == 1  # simulate8 never ran
+
+    def test_failing_stage_propagates_after_one_call(self, monkeypatch):
+        calls = []
+
+        def fail(params):
+            calls.append("fail")
+            raise ZeroDivisionError("stage failed")
+
+        def dependent(params, value):
+            calls.append("dependent")
+            return value
+
+        _register_json_stage(monkeypatch, "test_fail", fail)
+        _register_json_stage(monkeypatch, "test_dependent", dependent)
+        store = ArtifactStore()
+        graph = StageGraph()
+        failing = graph.task("test_fail")
+        graph.task("test_dependent", deps=[failing])
+        with pytest.raises(ZeroDivisionError):
+            Runtime(store=store).execute(graph)
+        assert calls == ["fail"]
+        assert store.stats["stores"] == 0
+        assert store.get(failing.key, JSON_CODEC) is None
+
+    def test_each_value_stored_before_the_next_task_runs(self, monkeypatch):
+        store = ArtifactStore()
+        graph = StageGraph()
+        seen = []
+
+        def record(params, *deps):
+            earlier = graph.order[:params["index"]]
+            seen.append([store.get(task.key, JSON_CODEC) for task in earlier])
+            return params["index"]
+
+        _register_json_stage(monkeypatch, "test_record", record)
+        # Two independent tasks, then one that depends on both.
+        first = graph.task("test_record", {"index": 0})
+        second = graph.task("test_record", {"index": 1})
+        graph.task("test_record", {"index": 2}, deps=[first, second])
+        Runtime(store=store).execute(graph)
+        assert seen == [[], [0], [0, 1]]
 
     def test_foreign_target_rejected(self):
         graph = StageGraph()
