@@ -10,7 +10,7 @@ application size and requested throughput").
 
 from ..errors import CapacityError
 from ..hwmodel.pipeline import SUNDER_PIPELINE
-from ..transform.pipeline import SUPPORTED_RATES, to_rate
+from ..transform.pipeline import SUPPORTED_RATES, rate_ladder
 from .config import PUS_PER_CLUSTER, SunderConfig
 from .mapping import place
 from .reconfigure import partition_rounds
@@ -58,14 +58,14 @@ def plan_rates(automaton, device_clusters, config_kwargs=None,
     """Evaluate every processing rate for an 8-bit automaton.
 
     Returns ``{rate: RatePlan}``.  Rates whose transformed automaton has
-    a component too large even for a dedicated cluster are omitted.
+    a component too large even for a dedicated cluster are omitted.  The
+    rate ladder is built once for all ``rates``.
     """
     plans = {}
-    for rate in rates:
+    for rate, machine in rate_ladder(automaton, rates).items():
         kwargs = dict(config_kwargs or {})
         kwargs["rate_nibbles"] = rate
         config = SunderConfig(**kwargs)
-        machine = to_rate(automaton, rate)
         try:
             placement = place(machine, config)
         except CapacityError:

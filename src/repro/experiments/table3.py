@@ -4,15 +4,16 @@ For each benchmark, transform the 8-bit automaton to 1-, 2-, and 4-nibble
 processing and report the state and transition counts normalized to the
 original — the cost side of the throughput/density trade-off.
 
-Declared as a stage graph: one ``generate`` task per benchmark fans into
-one ``to_rate`` task per rate, and a ``table3_row`` stage derives the
-ratios.  The ``to_rate`` artifacts are the same content-addressed
-machines Table 4 and the scorecard need, so a shared artifact store
-makes later runs — and sibling experiments in the same scorecard — hit
-instead of re-transforming.
+Declared as a stage graph: each benchmark's ``generate`` task feeds its
+rate ladder (:func:`~repro.runtime.stages.declare_ladder`), a chain of
+``to_rate`` tasks in which rate 1 is the nibble machine and rate 2r one
+squaring of rate r, and a ``table3_row`` stage derives the ratios.  The
+rungs are the same content-addressed machines Table 4 climbs to, so a
+shared artifact store makes later runs — and sibling experiments in the
+same scorecard — hit instead of re-transforming.
 """
 
-from ..runtime import Runtime, StageGraph
+from ..runtime import Runtime, StageGraph, declare_ladder
 from ..obs import instrumented_experiment
 from .formatting import average_row, format_table
 from .table1 import select_names
@@ -34,11 +35,10 @@ def define(graph, scale, seed, names, rates):
     for name in names:
         gen = graph.task("generate",
                          {"name": name, "scale": scale, "seed": seed})
-        machines = [graph.task("to_rate", {"name": name, "rate": rate},
-                               deps=[gen]) for rate in rates]
+        ladder = declare_ladder(graph, gen, name, rates)
         rows.append(graph.task("table3_row",
                                {"name": name, "rates": list(rates)},
-                               deps=[gen] + machines))
+                               deps=[gen] + [ladder[rate] for rate in rates]))
     return rows
 
 

@@ -17,14 +17,16 @@ EXPERIMENTS.md for the comparison discussion).
 Declared as a stage graph per benchmark::
 
     generate -> simulate8 ----------------------------\\
-            \\-> to_rate -> simulate_strided -----------+-> report_drain
-                       \\--------------------------------/
+            \\-> to_rate x3 -> simulate_strided --------+-> report_drain
+                          \\-----------------------------/
 
-``report_drain`` places the strided machine onto Sunder PUs and then
-replays both report streams; its row is cached like every other stage
-here.  ``generate``/``simulate8`` are shared with Table 1 and
-``to_rate`` with Table 3 through the content-addressed artifact store,
-so a scorecard run executes each only once, and a warm
+``to_rate x3`` is the benchmark's rate ladder up to 4 nibbles
+(:func:`~repro.runtime.stages.declare_ladder`): rates 1, 2 and 4, each
+built from the rung below.  ``report_drain`` places the strided machine
+onto Sunder PUs and then replays both report streams; its row is cached
+like every other stage here.  ``generate``/``simulate8`` are shared
+with Table 1 and the ladder with Table 3 through the content-addressed
+artifact store, so a scorecard run executes each only once, and a warm
 ``--artifact-dir`` serves the rows without demanding anything below
 them.  No device runs here, because the overheads come from the
 reporting models.
@@ -32,7 +34,7 @@ reporting models.
 
 from ..core.config import SunderConfig
 from ..core.mapping import place
-from ..runtime import Runtime, StageGraph
+from ..runtime import Runtime, StageGraph, declare_ladder
 from ..runtime.stages import drain_row
 from ..runtime.artifacts import SimRun
 from ..sim.engine import BitsetEngine
@@ -109,8 +111,7 @@ def define(graph, scale, seed, names, rate):
         gen = graph.task("generate",
                          {"name": name, "scale": scale, "seed": seed})
         sim8 = graph.task("simulate8", {"name": name}, deps=[gen])
-        strided = graph.task("to_rate", {"name": name, "rate": rate},
-                             deps=[gen])
+        strided = declare_ladder(graph, gen, name, (rate,))[rate]
         sim_strided = graph.task("simulate_strided",
                                  {"name": name, "rate": rate},
                                  deps=[gen, strided])

@@ -114,10 +114,6 @@ class Instruments:
             "repro_transform_state_ratio",
             "Output/input state ratio per transformation stage.", ("stage",),
             buckets=RATIO_BUCKETS)
-        self.transform_transition_ratio = histogram(
-            "repro_transform_transition_ratio",
-            "Output/input transition ratio per transformation stage.",
-            ("stage",), buckets=RATIO_BUCKETS)
         self.transform_states = gauge(
             "repro_transform_states",
             "Resulting state count of the last compile-side graph op "

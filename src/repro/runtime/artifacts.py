@@ -13,8 +13,7 @@ store serves that one read-only master on every hit:
   the full :class:`~repro.sim.reports.ReportRecorder` rows plus the
   cycle count and active-state statistics the Table 1 columns need;
 - **automata** (:class:`AutomatonCodec`) — the ``to_rate`` stage's
-  output and every memoized transform result
-  (:mod:`repro.transform.cache`);
+  output: one rung of a benchmark's rate ladder;
 - **plain JSON values** — result rows and summaries, served as copies.
 """
 

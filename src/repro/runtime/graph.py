@@ -65,21 +65,23 @@ class StageGraph:
                 raise StageGraphError(
                     "dependency %r does not belong to this graph" % (dep,))
         params = dict(params or {})
+        text = canonical(params)
         signature = "%s(%s)<-[%s]" % (
-            stage_name, canonical(params),
-            ",".join(dep.signature for dep in deps))
+            stage_name, text, ",".join(dep.signature for dep in deps))
         found = self._by_signature.get(signature)
         if found is not None:
             return found
-        key = self._key(entry, params, deps)
+        key = self._key(entry, params, text, deps)
         task = Task(entry, params, deps, signature, key)
         self._by_signature[signature] = task
         self.order.append(task)
         return task
 
     @staticmethod
-    def _key(entry, params, deps):
+    def _key(entry, params, text, deps):
         """Content-addressed artifact key (None for uncacheable stages).
+
+        ``text`` is ``canonical(params)``, computed once per task.
 
         The key chains through dependencies by *their* keys, so changing
         any upstream artifact (or salt) re-addresses everything below
@@ -95,7 +97,7 @@ class StageGraph:
                     "cacheable stage %r cannot depend on uncached stage %r"
                     % (entry.name, dep.stage.name))
             chained.append(dep.key)
-        parts = [entry.name, canonical(params)]
+        parts = [entry.name, text]
         if entry.salt is not None:
             parts.append(entry.salt(params))
         return artifact_key(entry.codec.kind, *(parts + chained))

@@ -36,7 +36,7 @@ from ..sim.engine import BitsetEngine
 from ..sim.inputs import stream_for
 from ..sim.reports import ReportRecorder
 from ..sim.stats import static_statistics
-from ..transform.pipeline import to_rate
+from ..transform.pipeline import check_rates, climb, to_rate
 from ..workloads import registry as workloads
 from .artifacts import (AUTOMATON_CODEC, INSTANCE_CODEC, JSON_CODEC,
                         SIMRUN_CODEC, SimRun)
@@ -159,9 +159,35 @@ def _simulate8(params, instance):
 
 
 @stage("to_rate", codec=AUTOMATON_CODEC)
-def _to_rate(params, instance):
-    """Section 4 pipeline: 8-bit machine -> ``rate`` nibbles per cycle."""
-    return to_rate(instance.automaton, params["rate"])
+def _to_rate(params, below):
+    """One rung of the Section 4 rate ladder (see :func:`declare_ladder`).
+
+    Rate 1 is the nibble machine of the ``generate`` instance ``below``;
+    a higher rate is one minimized squaring of the rung ``below`` it.
+    """
+    if params["rate"] == 1:
+        return to_rate(below.automaton, 1)
+    return climb(below, params["rate"])
+
+
+def declare_ladder(graph, gen, name, rates):
+    """Declare benchmark ``name``'s ladder: ``{rate: to_rate task}``.
+
+    Every rung from rate 1 up to ``max(rates)`` is declared once: rate 1
+    depends on the ``generate`` task ``gen`` and each higher rate on the
+    rate below it, so every graph that climbs one benchmark's ladder
+    addresses each rung by the same chained key, and a stored rung
+    removes the demand on every rung under it.
+    """
+    check_rates(rates)
+    tasks = {}
+    below = gen
+    rate = 1
+    while rate <= max(rates, default=0):
+        below = tasks[rate] = graph.task(
+            "to_rate", {"name": name, "rate": rate}, deps=[below])
+        rate *= 2
+    return {rate: tasks[rate] for rate in rates}
 
 
 @stage("simulate_strided", codec=SIMRUN_CODEC)

@@ -1,13 +1,13 @@
 """The one content-addressed artifact store.
 
 :class:`ArtifactStore` holds every artifact this reproduction caches:
-compiled automata (the Section 4 transform results and the ``to_rate``
-stage), workload instances, simulation report streams and plain JSON
-rows.  It has two tiers: an in-process LRU of decoded master objects
-plus an optional on-disk artifact directory of versioned JSON payloads,
-addressed by ``CODE_VERSION``-salted SHA-256 keys.  Every ``get``/``put`` names a
-:class:`Codec` that owns the (de)serialization and the freezing of one
-artifact kind.
+compiled automata (the rungs of the Section 4 rate ladder, one per
+``to_rate`` stage), workload instances, simulation report streams and
+plain JSON rows.  It has two tiers: an in-process LRU of decoded
+master objects plus an optional on-disk artifact directory of
+versioned JSON payloads, addressed by ``CODE_VERSION``-salted SHA-256
+keys.  Every ``get``/``put`` names a :class:`Codec` that owns the
+(de)serialization and the freezing of one artifact kind.
 
 Guarantees:
 
@@ -43,10 +43,10 @@ from ..obs import OBS
 #: Code-version salt mixed into every artifact key — the one salt of
 #: the one store.  Bump it whenever the semantics of anything stored
 #: change (generation, simulation, serialization formats, the
-#: ``to_nibbles``/``square``/``stride``/``minimize`` transforms, or the
-#: cached Table 4 rows: ``drain_row``, ``place``, ``ReportingPerfModel``,
-#: ``ApReportingModel`` and the ``SunderConfig`` defaults) so stale
-#: artifacts can never be served.
+#: ``to_nibbles``/``square``/``minimize`` transforms that build the
+#: ``to_rate`` rungs, or the cached Table 4 rows: ``drain_row``,
+#: ``place``, ``ReportingPerfModel``, ``ApReportingModel`` and the
+#: ``SunderConfig`` defaults) so stale artifacts can never be served.
 CODE_VERSION = "2026.10-runtime-3"
 
 #: Environment variable naming the on-disk artifact directory for the
@@ -54,11 +54,12 @@ CODE_VERSION = "2026.10-runtime-3"
 ENV_VAR = "REPRO_ARTIFACT_DIR"
 
 #: Capacity (entries) of the in-process LRU tier, read when a store is
-#: built.  One scorecard holds exactly 269 artifacts at every scale from
-#: 0.002 to 0.01 (155 stage artifacts plus 114 transform results), so
-#: 272 entries evict nothing.  A warm scorecard reads only its cached
-#: rows, so the capacity bounds what a cold run keeps alive.
-DEFAULT_MEMORY_ENTRIES = 272
+#: built.  One scorecard stores exactly 155 artifacts at scales 0.002
+#: and 0.005 and generator seeds 0 and 1 (57 automata, 41 rows, 38 runs
+#: and 19 instances), so 158 entries evict nothing.  A warm scorecard
+#: reads only its cached rows, so the capacity bounds what a cold run
+#: keeps alive.
+DEFAULT_MEMORY_ENTRIES = 158
 
 _STAT_KEYS = ("memory_hits", "disk_hits", "misses", "stores",
               "evictions", "corrupt")

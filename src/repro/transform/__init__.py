@@ -1,6 +1,5 @@
 """Hardware-aware automata transformations (paper Section 4)."""
 
-from .cache import last_call_was_hit, memoize
 from .equivalence import byte_reports, check_equivalent
 from .nibble import (
     nibble_report_position_to_byte,
@@ -15,8 +14,6 @@ __all__ = [
     "SUPPORTED_RATES",
     "byte_reports",
     "check_equivalent",
-    "last_call_was_hit",
-    "memoize",
     "nibble_report_position_to_byte",
     "square",
     "stride",

@@ -20,7 +20,6 @@ from ..automata.automaton import Automaton
 from ..automata.ops import minimize
 from ..automata.symbolset import SymbolSet
 from ..errors import TransformError
-from .cache import memoize
 
 
 def _decompose_wide(symbol_set, nibbles):
@@ -71,25 +70,19 @@ def to_nibbles(automaton, minimized=True, name=None):
     name:
         Name of the produced automaton (default: ``<src>.nibble``).
 
-    Results are memoized in the process-wide artifact store (see
-    :mod:`repro.transform.cache`): the result is frozen, and repeated
-    calls with a structurally identical source return the first build
-    itself.  Call ``copy()`` on it before mutating.
+    The result is frozen: call ``copy()`` on it before mutating.
     """
     if automaton.bits == 16 and automaton.arity == 1:
-        build = lambda: _to_nibbles_wide(
-            automaton, minimized=minimized, name=name)
+        build = _to_nibbles_wide
     elif automaton.bits == 8 and automaton.arity == 1:
-        build = lambda: _to_nibbles_bytes(
-            automaton, minimized=minimized, name=name)
+        build = _to_nibbles_bytes
     else:
         raise TransformError(
             "nibble transformation expects an 8- or 16-bit arity-1 "
             "automaton, got %d-bit arity-%d"
             % (automaton.bits, automaton.arity)
         )
-    return memoize("nibble", automaton, build,
-                   minimized=minimized, name=name)
+    return build(automaton, minimized=minimized, name=name).freeze()
 
 
 def _to_nibbles_bytes(automaton, minimized=True, name=None):

@@ -1,17 +1,20 @@
 """End-to-end transformation pipeline: byte automaton -> Sunder rate.
 
 Sunder configures a *processing rate* of 1, 2, or 4 nibbles per cycle
-(4/8/16 bits).  :func:`to_rate` runs the whole Section 4 pipeline —
-nibble decomposition, then temporal striding to the requested rate — and
-:func:`transform_overhead` measures the state/transition blowup that the
-paper reports in Table 3.
+(4/8/16 bits).  Every rate is built on one ladder (paper Section 4,
+temporal striding after Impala): rate 1 is the nibble machine, and rate
+``2r`` is one minimized squaring of rate ``r``.  :func:`rate_ladder`
+climbs it once per call, :func:`to_rate` returns one of its rungs, and
+:func:`transform_overhead` measures the state/transition blowup that
+the paper reports in Table 3.  The stage graph declares each rung as
+its own ``to_rate`` task, which :func:`climb` builds from the rung
+below.
 """
 
 from time import perf_counter
 
 from ..errors import TransformError
 from ..obs import OBS, trace_span
-from .cache import last_call_was_hit
 from .nibble import to_nibbles
 from .striding import stride
 
@@ -24,65 +27,81 @@ def _run_stage(stage, func, source):
 
     Timing comes from the trace span itself when one is open (a
     metrics-only session falls back to one ``perf_counter`` pair).
-    Cache hits are tagged ``cached=true`` on the span and excluded from
-    the stage-seconds histogram, so ``repro_transform_stage_seconds``
-    keeps measuring what it always did: the cost of actually running the
-    transform.
     """
     if not OBS.active:  # single attribute check when no collector attached
         return func()
     states_in = max(1, len(source))
-    transitions_in = max(1, source.num_transitions())
     traced = OBS.trace is not None
     start = None if traced else perf_counter()
     with trace_span("transform." + stage, automaton=source.name,
                     states_in=len(source)) as span:
         result = func()
-        cached = last_call_was_hit()
-        span.set_attr(states_out=len(result), cached=cached)
+        span.set_attr(states_out=len(result))
     elapsed = span.duration if traced else perf_counter() - start
     instruments = OBS.instruments
     instruments.transform_runs.labels(stage=stage).inc()
-    if not cached:
-        instruments.transform_stage_seconds.labels(stage=stage).observe(
-            elapsed)
+    instruments.transform_stage_seconds.labels(stage=stage).observe(elapsed)
     instruments.transform_state_ratio.labels(stage=stage).observe(
         len(result) / states_in)
-    instruments.transform_transition_ratio.labels(stage=stage).observe(
-        result.num_transitions() / transitions_in)
     return result
 
 
-def to_rate(automaton, nibbles_per_cycle, minimized=True):
+def check_rates(rates):
+    """Raise :class:`TransformError` unless every rate is supported."""
+    for rate in rates:
+        if rate not in SUPPORTED_RATES:
+            raise TransformError(
+                "unsupported rate %r (Sunder supports %s nibbles/cycle)"
+                % (rate, list(SUPPORTED_RATES)))
+
+
+def climb(machine, nibbles_per_cycle):
+    """Stride a rung of the ladder up to ``nibbles_per_cycle``.
+
+    ``machine`` is a rung :func:`rate_ladder` built (its arity is its
+    rate, its name ``<name>.<rate>nibble``); the result is the frozen
+    rung ``<name>.<nibbles_per_cycle>nibble``.
+    """
+    strided = _run_stage(
+        "stride", lambda: stride(machine, nibbles_per_cycle // machine.arity),
+        machine)
+    return strided.shallow_clone(name="%s.%dnibble" % (
+        machine.name.rsplit(".", 1)[0], nibbles_per_cycle))
+
+
+def rate_ladder(automaton, rates=SUPPORTED_RATES):
+    """``{rate: machine}``: an 8-bit automaton at each of ``rates``.
+
+    The ladder is climbed once: rate 1 is the minimized nibble machine,
+    and each requested rate strides the highest rung built so far, so
+    rate 4 after rate 2 is one squaring of rate 2.  Every machine is a
+    frozen 4-bit automaton named ``<name>.<rate>nibble`` whose arity is
+    its rate.  Report positions are preserved in nibble units: a
+    byte-automaton report at byte ``t`` appears at nibble position
+    ``2t + 1`` at any rate.
+    """
+    check_rates(rates)
+    machine = _run_stage(
+        "nibble",
+        lambda: to_nibbles(automaton, name="%s.1nibble" % automaton.name),
+        automaton)
+    ladder = {1: machine}
+    for rate in sorted(set(rates)):
+        if rate > machine.arity:
+            machine = ladder[rate] = climb(machine, rate)
+    return {rate: ladder[rate] for rate in rates}
+
+
+def to_rate(automaton, nibbles_per_cycle):
     """Transform an 8-bit automaton to process ``nibbles_per_cycle`` nibbles.
 
-    Returns a frozen 4-bit automaton of arity ``nibbles_per_cycle``.  Report
-    positions are preserved in nibble units: a byte-automaton report at
-    byte ``t`` appears at nibble position ``2t + 1`` at any rate.
+    Returns the frozen rung of :func:`rate_ladder`: a 4-bit automaton of
+    arity ``nibbles_per_cycle`` named ``<name>.<rate>nibble``.
     """
-    if nibbles_per_cycle not in SUPPORTED_RATES:
-        raise TransformError(
-            "unsupported rate %r (Sunder supports %s nibbles/cycle)"
-            % (nibbles_per_cycle, list(SUPPORTED_RATES))
-        )
-    nibble_automaton = _run_stage(
-        "nibble", lambda: to_nibbles(automaton, minimized=minimized),
-        automaton)
-    if nibbles_per_cycle == 1:
-        # Same naming scheme at every rate.  Transform results are
-        # frozen cache masters, so the rename is an O(1) frozen clone.
-        return nibble_automaton.shallow_clone(
-            name="%s.1nibble" % automaton.name)
-    strided = _run_stage(
-        "stride",
-        lambda: stride(nibble_automaton, nibbles_per_cycle,
-                       minimized=minimized),
-        nibble_automaton)
-    return strided.shallow_clone(
-        name="%s.%dnibble" % (automaton.name, nibbles_per_cycle))
+    return rate_ladder(automaton, (nibbles_per_cycle,))[nibbles_per_cycle]
 
 
-def transform_overhead(automaton, rates=SUPPORTED_RATES, minimized=True):
+def transform_overhead(automaton, rates=SUPPORTED_RATES):
     """State/transition overhead of each rate, normalized to the 8-bit source.
 
     Returns a dict ``rate -> {"states": ..., "transitions": ...,
@@ -96,18 +115,7 @@ def transform_overhead(automaton, rates=SUPPORTED_RATES, minimized=True):
     result = {
         "base": {"states": base_states, "transitions": base_transitions},
     }
-    nibble_automaton = _run_stage(
-        "nibble", lambda: to_nibbles(automaton, minimized=minimized),
-        automaton)
-    for rate in rates:
-        if rate == 1:
-            machine = nibble_automaton
-        else:
-            machine = _run_stage(
-                "stride",
-                lambda rate=rate: stride(nibble_automaton, rate,
-                                         minimized=minimized),
-                nibble_automaton)
+    for rate, machine in rate_ladder(automaton, rates).items():
         result[rate] = {
             "states": len(machine),
             "transitions": machine.num_transitions(),

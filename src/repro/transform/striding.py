@@ -39,7 +39,6 @@ from ..automata.ste import StartKind, ste_from_canonical
 from ..automata.symbolset import SymbolSet
 from ..errors import TransformError
 from ..obs import OBS, ProgressReporter
-from .cache import memoize
 
 #: Sentinel ids for wildcard halves in generated state names.
 _END = "$end"
@@ -53,15 +52,15 @@ def square(automaton, minimized=True, name=None):
     every ``P``-th source cycle, which is offset 0 of every ``P/2``-th
     strided cycle — no phase states needed.  Period 1 allows mid-vector
     starts, handled by wildcard-prefixed phase states.
+
+    The result is frozen: call ``copy()`` on it before mutating.
     """
     if automaton.start_period != 1 and automaton.start_period % 2 != 0:
         raise TransformError(
             "cannot square an automaton with odd start period %d"
             % automaton.start_period
         )
-    return memoize("square", automaton,
-                   lambda: _square(automaton, minimized, name).validate(),
-                   minimized=minimized, name=name)
+    return _square(automaton, minimized, name).validate().freeze()
 
 
 @gc_paused
@@ -362,8 +361,7 @@ def square_unindexed(automaton, minimized=True, name=None):
     Builds pair/remnant/phase states straight onto an
     :class:`Automaton` exactly as the pre-indexed implementation did;
     :func:`square` routes through the indexed kernel and
-    ``tests/test_indexed.py`` pins the two bit-identical.  Unmemoized —
-    callers wanting the cache go through :func:`square`.
+    ``tests/test_indexed.py`` pins the two bit-identical.
     """
     from ..automata.ops import minimize_unindexed
 
@@ -464,31 +462,28 @@ def square_unindexed(automaton, minimized=True, name=None):
     return result
 
 
-def stride(automaton, factor, minimized=True):
+def stride(automaton, factor):
     """Stride by ``factor`` (a power of two) via repeated squaring.
 
-    Only the *final* machine is minimized: intermediate squarings are
-    pruned of unreachable states but skip minimization, since the final
-    partition refinement subsumes any merging an intermediate pass would
-    have done and the per-squaring passes dominated striding cost.
+    Every squaring is minimized, so ``stride(x, 4)`` builds the same
+    machine as ``stride(stride(x, 2), 2)``: each doubling of the rate
+    ladder (:func:`~repro.transform.pipeline.rate_ladder`) is one
+    minimized squaring.  Squaring a minimized machine saves more than
+    the extra minimization pass costs (measured in docs/performance.md,
+    "Partition-refinement minimizer").  The result is frozen.
     """
     if factor < 1 or factor & (factor - 1):
         raise TransformError("stride factor must be a power of two, got %r" % factor)
-
-    def build():
-        current = automaton
-        applied = 1
-        while applied < factor:
-            applied *= 2
-            current = square(
-                current, minimized=minimized and applied >= factor)
-        # Rename a clone: ``current`` is the source (factor 1) or a
-        # frozen ``square`` cache master, neither of which may change.
-        return current.shallow_clone(
-            name=automaton.name + (".x%d" % factor if factor > 1 else ""))
-
-    return memoize("stride", automaton, build,
-                   factor=factor, minimized=minimized)
+    current = automaton
+    applied = 1
+    while applied < factor:
+        applied *= 2
+        current = square(current)
+    # Rename a clone: ``current`` is the source (factor 1) or a frozen
+    # ``square`` result, neither of which may change.
+    return current.shallow_clone(
+        name=automaton.name + (".x%d" % factor if factor > 1 else "")
+    ).freeze()
 
 
 def verify_offset_invariant(automaton):

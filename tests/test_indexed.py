@@ -7,11 +7,10 @@ same insertion order, same survivor choices, same ``dumps()`` text.  The
 legacy bodies survive as unmemoized oracles (``square_unindexed``,
 ``minimize_unindexed``) purely so this suite can keep pinning them.
 
-Bit-exactness is what keeps warm artifact stores warm: keys are
-``CODE_VERSION`` + structural fingerprints, and neither changed in the
-indexed rewrite, so artifacts written by the legacy kernels must still
-be served to the indexed ones (pinned below with literal fingerprints
-and a store round-trip).
+Bit-exactness is what keeps stored ``to_rate`` rungs valid: their keys
+are ``CODE_VERSION``-salted stage keys that never see the kernel, so a
+kernel that built a different machine would be served rungs the old
+one wrote (pinned below with a literal fingerprint).
 """
 
 import random
@@ -22,18 +21,15 @@ from repro.automata import Automaton, StartKind, SymbolSet
 from repro.automata.indexed import IndexedAutomaton
 from repro.automata.ops import minimize, minimize_unindexed
 from repro.regex import compile_pattern
-from repro.runtime import store as runtime_store
-from repro.runtime.artifacts import AUTOMATON_CODEC
-from repro.transform import cache as transform_cache
 from repro.transform import to_nibbles
 from repro.transform.striding import _square, square, square_unindexed, stride
 from repro.workloads.registry import generate
 
 #: Structural fingerprint of ``square(to_nibbles(he(llo)+))`` as produced
-#: by the pre-indexed pipeline.  If this changes, every artifact store in
-#: the field goes cold — bump ``runtime.store.CODE_VERSION`` (the one salt
-#: of the one store) instead of updating the constant unless the change
-#: is deliberate.
+#: by the pre-indexed pipeline.  If this changes, every stored ``to_rate``
+#: rung is stale — bump ``runtime.store.CODE_VERSION`` (the one salt of
+#: the one store) along with the constant, and only if the change is
+#: deliberate.
 PINNED_SQUARE_FP = (
     "dbfa11cddba6a2cd3f8d02227158330e75839929bdd62b3f2d952b61d3dbc063")
 
@@ -161,22 +157,6 @@ def test_pinned_fingerprint_stability():
     assert squared.fingerprint() == PINNED_SQUARE_FP
 
 
-def test_warm_store_stays_warm(tmp_path):
-    """Artifacts written by the legacy kernel serve the indexed kernel."""
-    store = runtime_store.configure(directory=str(tmp_path))
-    machine = to_nibbles(compile_pattern("abc[0-9]x?", report_code="k"))
-    legacy = square_unindexed(machine, minimized=True)
-    key = transform_cache.key("square", machine, minimized=True, name=None)
-    store.put(key, legacy, AUTOMATON_CODEC)
-    store.stats["memory_hits"] = 0
-    try:
-        served = square(machine, minimized=True)
-        assert store.stats["memory_hits"] + store.stats["disk_hits"] >= 1
-        assert served.dumps() == legacy.dumps()
-    finally:
-        runtime_store.configure()
-
-
 def test_minimize_skip_markers():
     """Minimizing a machine a second time removes nothing."""
     machine = square_unindexed(
@@ -192,12 +172,8 @@ def test_minimize_skip_markers():
 
 def test_square_records_result_as_minimal():
     machine = to_nibbles(compile_pattern("xy+z", report_code="k"))
-    runtime_store.configure()  # fresh store: the build must run
-    try:
-        squared = square(machine, minimized=True)
-        assert minimize(squared.copy()) == 0
-    finally:
-        runtime_store.configure()
+    squared = square(machine, minimized=True)
+    assert minimize(squared.copy()) == 0
 
 
 def test_shallow_clone_shares_states_not_edges():
@@ -215,15 +191,11 @@ def test_shallow_clone_shares_states_not_edges():
 
 
 def test_stride_factor_one_is_shallow():
-    runtime_store.configure()  # fresh, memory-only
-    try:
-        machine = rich_random_automaton(5)
-        relabeled = stride(machine, 1)
-        assert relabeled is not machine
-        assert relabeled.name == machine.name
-        assert relabeled.dumps() == machine.dumps()
-    finally:
-        runtime_store.configure()
+    machine = rich_random_automaton(5)
+    relabeled = stride(machine, 1)
+    assert relabeled is not machine
+    assert relabeled.name == machine.name
+    assert relabeled.dumps() == machine.dumps()
 
 
 def test_merge_in_matches_manual_union():

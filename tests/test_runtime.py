@@ -25,9 +25,9 @@ from repro.runtime.graph import Runtime, StageGraph
 from repro.runtime.stages import REGISTRY, Stage, canonical, get_stage
 from repro.runtime.store import ArtifactStore, JsonCodec, artifact_key
 from repro.core.config import SunderConfig
+from repro.experiments import table3
 from repro.sim import BitsetEngine
 from repro.sim.reports import ReportRecorder
-from repro.transform import to_rate
 from repro.workloads import generate
 
 
@@ -205,17 +205,25 @@ class TestArtifactStore:
         assert runtime_store.get_store().directory == str(tmp_path)
 
     def test_env_var_alone_persists_transforms(self, tmp_path, monkeypatch):
-        machine = single_pattern("p", b"persist me")
         monkeypatch.setenv(runtime_store.ENV_VAR, str(tmp_path))
         monkeypatch.setattr(runtime_store, "_ACTIVE", None)
-        first = to_rate(machine, 4)
-        assert [name for name in os.listdir(str(tmp_path))
-                if name.startswith("automaton-") and name.endswith(".json")]
-        # A fresh store on the same directory models a new process.
+        first, _ = table3.run(scale=0.002, names=["Bro217"])
+        rungs = [name for name in os.listdir(str(tmp_path))
+                 if name.startswith("automaton-") and name.endswith(".json")]
+        assert len(rungs) == 3  # the ladder's rates 1, 2 and 4
+        # A fresh store on the same directory models a new process; a
+        # new row on the same ladder is served its rate-4 rung from disk.
         runtime_store.configure(directory=str(tmp_path))
-        second = to_rate(machine, 4)
+        registry = obs.MetricsRegistry()
+        with obs.collecting(registry=registry):
+            second, _ = table3.run(scale=0.002, names=["Bro217"], rates=(4,))
+        hits = registry.get("repro_runtime_stage_hits_total")
+        misses = registry.get("repro_runtime_stage_misses_total")
+        assert hits.labels(stage="to_rate").value == 1
+        assert misses.labels(stage="to_rate").value == 0
         assert runtime_store.get_store().stats["disk_hits"] > 0
-        assert second.dumps() == first.dumps()
+        assert second[0]["states_4"] == first[0]["states_4"]
+        assert second[0]["transitions_4"] == first[0]["transitions_4"]
 
     def test_corrupt_counter_counts_every_kind(self, tmp_path):
         instance = _instance()
@@ -243,7 +251,7 @@ class TestArtifactStore:
         monkeypatch.setenv(runtime_store.ENV_VAR, str(path))
         monkeypatch.setattr(runtime_store, "_ACTIVE", None)
         with pytest.raises(ArtifactError, match=str(path)):
-            to_rate(single_pattern("p", b"abc"), 4)
+            table3.run(scale=0.002, names=["Bro217"])
 
 
 def _served_machine():
