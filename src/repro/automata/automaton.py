@@ -10,11 +10,21 @@ A compiled machine is configured once and afterwards only read, so an
 automaton can be :meth:`~Automaton.freeze`-d: transform results and
 everything the artifact stores hold are frozen, shared read-only
 masters.  Call :meth:`~Automaton.copy` for a mutable machine.
+
+A mutable machine keeps its edges as two maps of id sets (successors
+and predecessors), which builders grow and prune edge by edge.  Freezing
+turns them into integer columns (:meth:`~Automaton.successor_columns`):
+the state ids in insertion order and every state's successor row as
+dense state indices, in one flat ``targets`` array cut by ``offsets``.
+A frozen machine stores no predecessors; readers that need them derive
+them from the rows.
 """
 
 import hashlib
 import json
-from itertools import chain
+from array import array
+from bisect import bisect_right
+from itertools import chain, compress, count
 
 from ..errors import AutomatonError, SymbolError
 from ..obs import OBS
@@ -56,11 +66,12 @@ class Automaton:
     """
 
     #: Instance defaults until :meth:`freeze`, a cached
-    #: :meth:`fingerprint` or a passed :meth:`validate` set the object's
-    #: own.
+    #: :meth:`fingerprint`, a passed :meth:`validate` or the first id
+    #: lookup on a frozen machine set the object's own.
     _frozen = False
     _fingerprint = None
     _validated = False
+    _index = None
 
     def __init__(self, name="automaton", bits=8, arity=1, start_period=1):
         if bits < 1:
@@ -93,11 +104,21 @@ class Automaton:
         attribute rebinding (``name`` included) and
         :meth:`IndexedAutomaton.write_back
         <repro.automata.indexed.IndexedAutomaton.write_back>` into it raise
-        :class:`AutomatonError`, and :meth:`fingerprint` hashes once.  The
-        flag travels through pickling.  :meth:`copy` returns a mutable
-        machine.
+        :class:`AutomatonError`, and :meth:`fingerprint` hashes once.
+
+        Freezing converts the edge sets into the integer columns of
+        :meth:`successor_columns`, each row in the order its set
+        iterated, and drops both id-set maps: a frozen machine holds
+        one small int per edge instead of two set entries.  The columns
+        and the flag travel through pickling.  :meth:`copy` returns a
+        mutable machine with its edge sets rebuilt.
         """
-        object.__setattr__(self, "_frozen", True)
+        if not self._frozen:
+            ids, targets, offsets = self.successor_columns()
+            attrs = vars(self)
+            del attrs["_succ"], attrs["_pred"]
+            attrs.update(_ids=ids, _targets=targets, _offsets=offsets,
+                         _frozen=True)
         return self
 
     @property
@@ -198,28 +219,85 @@ class Automaton:
         return list(self._states.values())
 
     def successors(self, state_id):
-        """Successor ids of a state (a set; do not mutate).
+        """Successor ids of a state.
 
-        The set is the machine's own row, not a copy: every
-        :meth:`shallow_clone` of a frozen machine shares it.
+        On a mutable machine this is the machine's own id set (do not
+        mutate it).  On a frozen one it is a new tuple of the state's
+        row, in the order its set iterated before :meth:`freeze`.
         """
-        return self._succ[state_id]
+        if not self._frozen:
+            return self._succ[state_id]
+        i = self._index_of(state_id)
+        return tuple(map(self._ids.__getitem__,
+                         self._targets[self._offsets[i]:
+                                       self._offsets[i + 1]]))
 
     def predecessors(self, state_id):
-        """Predecessor ids of a state (a set; do not mutate).
+        """Predecessor ids of a state.
 
-        Shared like :meth:`successors`' rows.
+        On a mutable machine this is the machine's own id set (do not
+        mutate it).  A frozen machine stores no predecessors: it returns
+        a new tuple, in state order, found by one scan of its
+        ``targets`` column per call.
         """
-        return self._pred[state_id]
+        if not self._frozen:
+            return self._pred[state_id]
+        i = self._index_of(state_id)
+        offsets = self._offsets
+        return tuple(self._ids[bisect_right(offsets, position) - 1]
+                     for position in compress(count(),
+                                              map(i.__eq__, self._targets)))
+
+    def _index_of(self, state_id):
+        """Index of ``state_id`` in a frozen machine's columns.
+
+        The id-to-index map is built on the first lookup and kept.
+        """
+        index = self._index
+        if index is None:
+            index = {state_id: i for i, state_id in enumerate(self._ids)}
+            object.__setattr__(self, "_index", index)
+        return index[state_id]
+
+    def successor_columns(self):
+        """The successor rows as integer columns: ``(ids, targets, offsets)``.
+
+        ``ids`` lists the state ids in insertion order, and state
+        ``i``'s successors are ``ids[j]`` for every ``j`` in
+        ``targets[offsets[i]:offsets[i + 1]]`` (``array("i")`` columns,
+        ``len(offsets) == len(ids) + 1``), each row in its set's
+        iteration order.  A frozen machine returns its own columns,
+        shared with its :meth:`shallow_clone`-s; do not mutate them.  A
+        mutable one builds new columns from its edge sets on each call.
+        """
+        if self._frozen:
+            return self._ids, self._targets, self._offsets
+        ids = list(self._states)
+        index_of = {state_id: i for i, state_id in enumerate(ids)}.__getitem__
+        succ = self._succ
+        targets = []
+        offsets = [0]
+        for state_id in ids:
+            targets.extend(map(index_of, succ[state_id]))
+            offsets.append(len(targets))
+        return ids, array("i", targets), array("i", offsets)
 
     def transitions(self):
-        """Yield every ``(src, dst)`` edge."""
-        for src, dsts in self._succ.items():
-            for dst in dsts:
-                yield (src, dst)
+        """Yield every ``(src, dst)`` edge, row by row in state order."""
+        if not self._frozen:
+            for src, dsts in self._succ.items():
+                for dst in dsts:
+                    yield (src, dst)
+            return
+        ids, targets, offsets = self._ids, self._targets, self._offsets
+        for i, src in enumerate(ids):
+            for dst in targets[offsets[i]:offsets[i + 1]]:
+                yield (src, ids[dst])
 
     def num_transitions(self):
         """Total edge count."""
+        if self._frozen:
+            return len(self._targets)
         return sum(len(dsts) for dsts in self._succ.values())
 
     def start_states(self):
@@ -236,8 +314,9 @@ class Automaton:
     def validate(self):
         """Check structural invariants; raises :class:`AutomatonError`.
 
-        Invariants: symbol widths and arities are uniform; the successor and
-        predecessor maps mirror each other; every non-start state is
+        Invariants: symbol widths and arities are uniform; a mutable
+        machine's successor and predecessor maps mirror each other (a
+        frozen one has only its rows); every non-start state is
         reachable from some start state; no state has an empty symbol set at
         any position (such a state could never activate).
 
@@ -255,18 +334,19 @@ class Automaton:
                         "state %r has an empty symbol set at position %d"
                         % (state.id, position)
                     )
-        for src, dsts in self._succ.items():
-            for dst in dsts:
-                if src not in self._pred[dst]:
-                    raise AutomatonError(
-                        "edge %r->%r missing from predecessor map" % (src, dst)
-                    )
-        for dst, srcs in self._pred.items():
-            for src in srcs:
-                if dst not in self._succ[src]:
-                    raise AutomatonError(
-                        "edge %r->%r missing from successor map" % (src, dst)
-                    )
+        if not self._frozen:
+            for src, dsts in self._succ.items():
+                for dst in dsts:
+                    if src not in self._pred[dst]:
+                        raise AutomatonError(
+                            "edge %r->%r missing from predecessor map"
+                            % (src, dst))
+            for dst, srcs in self._pred.items():
+                for src in srcs:
+                    if dst not in self._succ[src]:
+                        raise AutomatonError(
+                            "edge %r->%r missing from successor map"
+                            % (src, dst))
         unreachable = self.unreachable_states()
         if unreachable:
             raise AutomatonError(
@@ -278,15 +358,20 @@ class Automaton:
 
     def unreachable_states(self):
         """Ids of states not reachable from any start state."""
-        frontier = [s.id for s in self.start_states()]
-        seen = set(frontier)
+        ids, targets, offsets = self.successor_columns()
+        seen = bytearray(len(ids))
+        frontier = [i for i, state in enumerate(self._states.values())
+                    if state.is_start]
+        for i in frontier:
+            seen[i] = 1
         while frontier:
             current = frontier.pop()
-            for succ in self._succ[current]:
-                if succ not in seen:
-                    seen.add(succ)
+            for succ in targets[offsets[current]:offsets[current + 1]]:
+                if not seen[succ]:
+                    seen[succ] = 1
                     frontier.append(succ)
-        return set(self._states) - seen
+        return {state_id for state_id, reached in zip(ids, seen)
+                if not reached}
 
     def prune_unreachable(self):
         """Drop unreachable states in place; returns the number removed.
@@ -321,7 +406,11 @@ class Automaton:
         return len(dead)
 
     def copy(self, name=None):
-        """Mutable deep-enough copy (STEs are cloned, edges rebuilt)."""
+        """Mutable deep-enough copy: STEs cloned, edges rebuilt as id sets.
+
+        The copy of a frozen machine thaws its rows back into the two
+        id-set maps a builder grows.
+        """
         duplicate = Automaton(
             name=name if name is not None else self.name,
             bits=self.bits,
@@ -338,11 +427,12 @@ class Automaton:
         """Copy sharing the (immutable-once-compiled) STE objects.
 
         This is how a frozen machine is renamed.  The clone of a frozen
-        machine is frozen and shares its state dict and edge maps too:
-        O(1), no per-state work.  An unfrozen source gets a fresh state
-        dict and fresh edge sets, so graph mutations on the clone never
-        touch the source.  Either way the STEs are shared; use
-        :meth:`copy` when the caller may mutate STE fields in place.
+        machine is frozen, shares its state dict and columns and keeps
+        a passed :meth:`validate`: O(1), no per-state work.  An unfrozen
+        source gets a fresh state dict and fresh edge sets, so graph
+        mutations on the clone never touch the source.  Either way the
+        STEs are shared; use :meth:`copy` when the caller may mutate STE
+        fields in place.
         """
         duplicate = Automaton(
             name=name if name is not None else self.name,
@@ -351,10 +441,12 @@ class Automaton:
             start_period=self.start_period,
         )
         if self._frozen:
-            duplicate._states = self._states
-            duplicate._succ = self._succ
-            duplicate._pred = self._pred
-            return duplicate.freeze()
+            attrs = vars(duplicate)
+            del attrs["_succ"], attrs["_pred"]
+            attrs.update(_states=self._states, _ids=self._ids,
+                         _targets=self._targets, _offsets=self._offsets,
+                         _validated=self._validated, _frozen=True)
+            return duplicate
         duplicate._states = dict(self._states)
         duplicate._succ = {src: set(dsts) for src, dsts in self._succ.items()}
         duplicate._pred = {dst: set(srcs) for dst, srcs in self._pred.items()}
@@ -413,16 +505,20 @@ class Automaton:
                 self.name, self.bits, self.arity, self.start_period,
             )).encode("utf-8", "surrogatepass")
         )
-        for state_id in sorted(self._states):
-            state = self._states[state_id]
+        ids, targets, offsets = self.successor_columns()
+        id_of = ids.__getitem__
+        states = list(self._states.values())
+        for i in sorted(range(len(ids)), key=id_of):
+            state = states[i]
             record = (
-                state_id,
+                ids[i],
                 "|".join("%x" % sset.mask for sset in state.symbols),
                 state.start.value,
                 "%d" % state.report,
                 "" if state.report_code is None else str(state.report_code),
                 ",".join("%d" % o for o in state.report_offsets),
-                ";".join(sorted(self._succ[state_id])),
+                ";".join(sorted(map(id_of,
+                                    targets[offsets[i]:offsets[i + 1]]))),
             )
             digest.update(("\x1e".join(record) + "\x1d").encode(
                 "utf-8", "surrogatepass"))
@@ -446,7 +542,8 @@ class Automaton:
           distinct symbol-set tuple is written once as hex masks (they
           can exceed 64 bits for wide alphabets);
         - ``start`` — an index into :data:`START_KINDS`;
-        - ``successors`` — ascending state indices.
+        - ``successors`` — ascending state indices (each row of
+          :meth:`successor_columns`, sorted).
 
         The reporting states are ``report`` (ascending state indices)
         with their ``report_code`` and ``report_offsets`` columns.  A
@@ -454,7 +551,7 @@ class Automaton:
         exactly, state order included.
         """
         states = self._states
-        index = {state_id: i for i, state_id in enumerate(states)}
+        ids, targets, bounds = self.successor_columns()
         symbol_sets = {}
         symbols = []
         starts = []
@@ -469,7 +566,6 @@ class Automaton:
                 reports.append(i)
                 codes.append(state.report_code)
                 offsets.append(list(state.report_offsets))
-        index_of = index.__getitem__
         return {
             "format": PAYLOAD_FORMAT,
             "version": PAYLOAD_VERSION,
@@ -477,7 +573,7 @@ class Automaton:
             "bits": self.bits,
             "arity": self.arity,
             "start_period": self.start_period,
-            "ids": list(states),
+            "ids": list(ids),
             "symbol_sets": [["%x" % sset.mask for sset in key]
                             for key in symbol_sets],
             "symbols": symbols,
@@ -485,8 +581,8 @@ class Automaton:
             "report": reports,
             "report_code": codes,
             "report_offsets": offsets,
-            "successors": [sorted(map(index_of, self._succ[state_id]))
-                           for state_id in states],
+            "successors": [sorted(targets[start:end]) for start, end
+                           in zip(bounds, bounds[1:])],
         }
 
     @classmethod
@@ -634,6 +730,8 @@ class Automaton:
             raise AutomatonError("cannot merge automata of different shapes")
         if other.start_period != self.start_period:
             raise AutomatonError("cannot merge automata with different start periods")
+        if other.frozen:
+            other = other.copy()  # the loops below read id sets
         # Intern every prefixed id once up front; the edge loops below
         # then move whole rows through the mapping instead of going
         # through per-edge add_transition bookkeeping.

@@ -15,10 +15,11 @@ once and re-expresses the machine as flat arrays:
 - ``succ``/``pred`` — per-state successor/predecessor rows of dense
   ints, captured in the *raw set-iteration order* of the source maps so
   indexed ``square`` replays the legacy pair-state creation order
-  bit-exactly.  Rows may be shared between states (``square`` hands the
-  same fan-out list to every pair state ending in the same source
-  state); kernels therefore never mutate a row in place without
-  :meth:`make_mutable` first;
+  bit-exactly.  A frozen source's successor columns already hold that
+  order, and its predecessor rows are derived from them.  Rows may be
+  shared between states (``square`` hands the same fan-out list to
+  every pair state ending in the same source state); kernels therefore
+  never mutate a row in place without :meth:`make_mutable` first;
 - ``behavior`` — :meth:`Ste.behavior_key` interned to small ints, so
   the minimizer's signature hashing compares ints instead of re-hashing
   symbol-set tuples per pass;
@@ -101,20 +102,27 @@ class IndexedAutomaton:
 
         states = automaton._states
         ids = list(states)
-        index = {state_id: i for i, state_id in enumerate(ids)}
         n = len(ids)
         self.n = n
         self.ids = ids
         self.stes = list(states.values())
 
-        succ_map = automaton._succ
         # Raw set-iteration order is captured on purpose: legacy square
         # walks successors() unsorted, and replaying that order is what
         # keeps the indexed kernel's output byte-identical in-process.
-        # ``map`` keeps the inner conversion in C: id strings are long
-        # (squared ids nest), so per-item bytecode dominates otherwise.
-        index_get = index.__getitem__
-        self.succ = [list(map(index_get, succ_map[s])) for s in ids]
+        # A frozen machine's rows already hold that order as indices; a
+        # mutable one's sets are interned here, with ``map`` keeping the
+        # inner conversion in C (squared ids nest, so they are long).
+        if automaton.frozen:
+            _, targets, offsets = automaton.successor_columns()
+            flat = targets.tolist()
+            self.succ = [flat[start:end] for start, end
+                         in zip(offsets, offsets[1:])]
+        else:
+            index_get = {state_id: i for i, state_id
+                         in enumerate(ids)}.__getitem__
+            succ_map = automaton._succ
+            self.succ = [list(map(index_get, succ_map[s])) for s in ids]
         self.start_kind = [ste.start for ste in self.stes]
         self.is_start = [kind is not StartKind.NONE
                          for kind in self.start_kind]
@@ -125,8 +133,15 @@ class IndexedAutomaton:
             self.behavior = None
             return self
 
-        pred_map = automaton._pred
-        self.pred = [list(map(index_get, pred_map[s])) for s in ids]
+        if automaton.frozen:
+            # A frozen machine stores no predecessors: derive the rows.
+            pred = self.pred = [[] for _ in range(n)]
+            for i, row in enumerate(self.succ):
+                for j in row:
+                    pred[j].append(i)
+        else:
+            pred_map = automaton._pred
+            self.pred = [list(map(index_get, pred_map[s])) for s in ids]
         interned = {}
         behavior = []
         for ste in self.stes:

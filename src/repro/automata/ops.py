@@ -7,6 +7,7 @@ nibble transformation's state overhead near the paper's Table 3 numbers.
 """
 
 from collections import deque
+from itertools import chain
 
 from ..obs import OBS
 from .automaton import Automaton
@@ -20,21 +21,32 @@ def connected_components(automaton):
     Placement treats one component as an indivisible automaton: all states
     of a component must land in processing units that can exchange
     activation signals (Section 5.2's local/global interconnect).
+
+    Each component is sorted by id, and the list runs largest first,
+    ties by smallest id.  The walk runs on the integer successor rows
+    (:meth:`~repro.automata.automaton.Automaton.successor_columns`) and
+    their reverse, built here.
     """
-    remaining = set(automaton.state_ids())
+    ids, targets, offsets = automaton.successor_columns()
+    reverse = [[] for _ in ids]
+    for src, (start, end) in enumerate(zip(offsets, offsets[1:])):
+        for dst in targets[start:end]:
+            reverse[dst].append(src)
+    seen = bytearray(len(ids))
     components = []
-    while remaining:
-        seed = next(iter(remaining))
-        queue = deque([seed])
-        component = {seed}
-        while queue:
-            current = queue.popleft()
-            for neighbor in automaton.successors(current) | automaton.predecessors(current):
-                if neighbor not in component:
-                    component.add(neighbor)
-                    queue.append(neighbor)
-        remaining -= component
-        components.append(sorted(component))
+    for seed in range(len(ids)):
+        if seen[seed]:
+            continue
+        seen[seed] = 1
+        members = [seed]
+        for current in members:  # grows while it is walked
+            for neighbor in chain(targets[offsets[current]:
+                                          offsets[current + 1]],
+                                  reverse[current]):
+                if not seen[neighbor]:
+                    seen[neighbor] = 1
+                    members.append(neighbor)
+        components.append(sorted(map(ids.__getitem__, members)))
     components.sort(key=lambda c: (-len(c), c[0]))
     return components
 
@@ -44,8 +56,11 @@ def degree_statistics(automaton):
     if len(automaton) == 0:
         return {"max_fan_in": 0, "max_fan_out": 0,
                 "avg_fan_in": 0.0, "avg_fan_out": 0.0}
-    fan_in = [len(automaton.predecessors(s)) for s in automaton.state_ids()]
-    fan_out = [len(automaton.successors(s)) for s in automaton.state_ids()]
+    ids, targets, offsets = automaton.successor_columns()
+    fan_in = [0] * len(ids)
+    for dst in targets:
+        fan_in[dst] += 1
+    fan_out = [end - start for start, end in zip(offsets, offsets[1:])]
     return {
         "max_fan_in": max(fan_in),
         "max_fan_out": max(fan_out),

@@ -153,9 +153,9 @@ def _simulate8(params, instance):
     """
     engine = BitsetEngine(instance.automaton)
     recorder = ReportRecorder()
-    stream = list(instance.input_bytes)
-    engine.run(stream, recorder)
-    return SimRun.from_engine(engine, recorder, len(stream))
+    vectors = stream_for(instance.automaton, instance.input_bytes)[0]
+    engine.run(vectors, recorder)
+    return SimRun.from_engine(engine, recorder, len(vectors))
 
 
 @stage("to_rate", codec=AUTOMATON_CODEC)

@@ -155,7 +155,6 @@ class ArtifactStore:
         self.memory_entries = DEFAULT_MEMORY_ENTRIES
         self._memory = OrderedDict()
         self._lock = threading.Lock()
-        self._tls = threading.local()
         self.stats = dict.fromkeys(_STAT_KEYS, 0)
 
     # -- lookup / store ------------------------------------------------
@@ -175,13 +174,13 @@ class ArtifactStore:
                 self._memory.move_to_end(key)
         if entry is not None:
             master_codec, master = entry
-            self._record("memory_hits", tier="memory")
+            self._record("memory_hits")
             return master_codec.freeze(master)
         master = self._disk_get(key, codec)
         if master is not None:
             served = codec.freeze(master)
             self._remember(key, codec, master)
-            self._record("disk_hits", tier="disk")
+            self._record("disk_hits")
             return served
         self._record("misses")
         return None
@@ -212,19 +211,6 @@ class ArtifactStore:
                 os.unlink(tmp)
             except OSError:
                 pass
-
-    def fetch(self, key, codec, build):
-        """Memoize ``build()``: return ``(artifact, hit)``.
-
-        ``hit`` is the serving tier (``"memory"``/``"disk"``) or ``None``
-        when ``build`` actually ran.
-        """
-        found = self.get(key, codec)
-        if found is not None:
-            return found, self._last_tier
-        result = build()
-        self.put(key, result, codec)
-        return result, None
 
     # -- maintenance ---------------------------------------------------
     def info(self):
@@ -272,11 +258,6 @@ class ArtifactStore:
         return removed
 
     # -- internals -----------------------------------------------------
-    @property
-    def _last_tier(self):
-        """Serving tier of this thread's last lookup (None on miss)."""
-        return getattr(self._tls, "tier", None)
-
     def _path(self, key):
         return os.path.join(self.directory, key + ".json")
 
@@ -317,13 +298,9 @@ class ArtifactStore:
         for _ in range(evicted):
             self._record("evictions")
 
-    def _record(self, stat, tier=None):
+    def _record(self, stat):
         self.stats[stat] += 1
-        if stat.endswith("_hits"):
-            self._tls.tier = tier
-        elif stat == "misses":
-            self._tls.tier = None
-        elif stat == "corrupt" and OBS.active:
+        if stat == "corrupt" and OBS.active:
             OBS.instruments.runtime_artifact_corrupt.inc()
 
 

@@ -9,8 +9,8 @@ Two engines with identical semantics:
   pair the OR of that block's successor masks is table-driven, so one
   lookup covers up to eight active states at once (the CAMA-style
   compaction argument: iterate table entries, not states).  Successors
-  are stored as compressed rows sized by edges, and large machines OR
-  a block entry from its rows the first time the entry is needed.
+  are the machine's own compressed integer rows, sized by edges, and a
+  block entry is ORed from them the first time the stream needs it.
 
   On top of the kernel sits a lazily built *transition table* over
   interned active sets: each distinct active mask gets a dense id the
@@ -60,14 +60,8 @@ _PROGRESS_CHUNK = 65536
 #: Transition budget of the step table.
 DEFAULT_STEP_CACHE = 1 << 16
 
-#: Automata at or below this many states get their (block, byte) tables
-#: filled eagerly at construction; larger ones fill entries on first use
-#: so construction cost and memory stay proportional to what the stream
-#: actually exercises.
-EAGER_SLICE_STATES = 512
-
-#: The block list every lazily filled block starts on; a block gets its
-#: own list when its first entry is filled, so this one stays all None.
+#: The block list every block starts on; a block gets its own list when
+#: its first entry is filled, so this one stays all None.
 _UNFILLED_BLOCK = [None] * 256
 
 
@@ -98,8 +92,16 @@ class TransitionTable:
         ``set_facts`` holds one list per fact :meth:`_describe` returns;
         ``_set_plans``, the report rows of each set, must be among them.
         The budget is :data:`DEFAULT_STEP_CACHE`, read here.
+
+        The state space is sliced into 8-bit blocks:
+        ``_block_tables[b][v]`` is the OR of the successor masks of the
+        states in block ``b`` whose bit is set in byte-value ``v``.
+        Every block starts on one shared all-``None`` list and gets its
+        own list when its first entry is filled, so their memory is the
+        rows, one list per block the stream touches and the entries it
+        needs.
         """
-        self._build_block_tables()
+        self._block_tables = [_UNFILLED_BLOCK] * ((self._size + 7) >> 3)
         self._step_cache_limit = DEFAULT_STEP_CACHE
         self._cache_hits = 0
         self._cache_misses = 0
@@ -119,39 +121,6 @@ class TransitionTable:
     def _describe(self, mask):
         """Per-set facts of a newly interned ``mask``, one per list."""
         raise NotImplementedError
-
-    def _build_block_tables(self):
-        """Slice the state space into 8-bit blocks of successor ORs.
-
-        ``_block_tables[b][v]`` is the OR of the successor masks of the
-        states in block ``b`` whose bit is set in byte-value ``v``.
-        Small automata are filled eagerly: each of a block's states gets
-        its successor mask from its row, and the subset-doubling
-        recurrence ``table[v] = table[v without lowest bit] | succ``
-        combines them.  Large ones start every block on one shared
-        all-``None`` list; a block gets its own list when its first
-        entry is filled, so their memory is the rows, one list per
-        block the stream touches and the entries it needs.
-        """
-        n_blocks = (self._size + 7) >> 3
-        tables = []
-        if self._size <= EAGER_SLICE_STATES:
-            for block in range(n_blocks):
-                base = block << 3
-                width = min(8, self._size - base)
-                succ = [self._successor_mask(base + j) for j in range(width)]
-                table = [0] * 256
-                for value in range(1, 1 << width):
-                    low = value & -value
-                    table[value] = (table[value ^ low]
-                                    | succ[low.bit_length() - 1])
-                if width < 8:  # bits beyond the state space never occur
-                    for value in range(1 << width, 256):
-                        table[value] = table[value & ((1 << width) - 1)]
-                tables.append(table)
-        else:
-            tables = [_UNFILLED_BLOCK] * n_blocks
-        self._block_tables = tables
 
     def _successor_mask(self, state):
         """OR of ``1 << j`` over state index ``state``'s successor row."""
@@ -366,25 +335,15 @@ class BitsetEngine(TransitionTable):
     def __init__(self, automaton):
         automaton.validate()
         self.automaton = automaton
-        self._ids = automaton.state_ids()
-        index = {state_id: i for i, state_id in enumerate(self._ids)}
+        # Successor rows, compressed: state i's successors are
+        # _targets[_offsets[i]:_offsets[i + 1]].  A frozen machine's own
+        # columns are adopted as they are; a mutable one builds them.
+        self._ids, self._targets, self._offsets = \
+            automaton.successor_columns()
         size = len(self._ids)
         self._size = size
         self._arity = automaton.arity
         self._start_period = automaton.start_period
-
-        # Successor rows, compressed: state i's successors are
-        # _targets[_offsets[i]:_offsets[i + 1]].  One slot per edge in
-        # two flat lists, so the collector tracks two objects, not one
-        # per state.
-        targets = []
-        offsets = [0]
-        successors = automaton.successors
-        for state_id in self._ids:
-            targets.extend(map(index.__getitem__, successors(state_id)))
-            offsets.append(len(targets))
-        self._targets = targets
-        self._offsets = offsets
 
         all_input = []
         start_of_data = []
@@ -668,7 +627,7 @@ class NaiveEngine:
         automaton = self.automaton
         enabled = set()
         for state_id in self._active:
-            enabled |= automaton.successors(state_id)
+            enabled.update(automaton.successors(state_id))
         for state in automaton:
             if state.start is StartKind.ALL_INPUT:
                 if self._cycle % automaton.start_period == 0:

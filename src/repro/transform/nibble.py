@@ -82,7 +82,10 @@ def to_nibbles(automaton, minimized=True, name=None):
             "automaton, got %d-bit arity-%d"
             % (automaton.bits, automaton.arity)
         )
-    return build(automaton, minimized=minimized, name=name).freeze()
+    # Validated once frozen, on the integer rows; the passed check is
+    # kept, so an engine built on the result does not repeat it.
+    result = build(automaton, minimized=minimized, name=name)
+    return result.freeze().validate()
 
 
 def _to_nibbles_bytes(automaton, minimized=True, name=None):
@@ -125,7 +128,7 @@ def _to_nibbles_bytes(automaton, minimized=True, name=None):
 
     if minimized:
         minimize(result)
-    return result.validate()
+    return result
 
 
 def _to_nibbles_wide(automaton, minimized=True, name=None):
@@ -170,7 +173,7 @@ def _to_nibbles_wide(automaton, minimized=True, name=None):
                 result.add_transition(exit_id, entry_id)
     if minimized:
         minimize(result)
-    return result.validate()
+    return result
 
 
 def wide_symbols_to_nibbles(symbols, bits=16):

@@ -60,7 +60,7 @@ def square(automaton, minimized=True, name=None):
             "cannot square an automaton with odd start period %d"
             % automaton.start_period
         )
-    return _square(automaton, minimized, name).validate().freeze()
+    return _square(automaton, minimized, name).freeze().validate()
 
 
 @gc_paused

@@ -3,10 +3,10 @@
 ``repro-automaton`` (:meth:`Automaton.to_payload`) and
 ``repro-report-stream`` (:meth:`ReportRecorder.to_payload`) write each
 state id once and refer to it by index.  A decoded machine must equal its
-source in ``dumps()``, ``fingerprint()``, state order and both edge maps.
-A damaged payload must raise :class:`AutomatonError` or
-:class:`ArtifactError` — never decode with an index Python silently
-wrapped — and reach the store as a miss counted in
+source in ``dumps()``, ``fingerprint()``, state order and its edges, read
+forward and backward.  A damaged payload must raise
+:class:`AutomatonError` or :class:`ArtifactError` — never decode with an
+index Python silently wrapped — and reach the store as a miss counted in
 ``repro_runtime_artifact_corrupt_total``.
 """
 
@@ -42,8 +42,10 @@ def _assert_round_trip(machine):
     assert decoded.dumps() == text
     assert decoded.fingerprint() == machine.fingerprint()
     assert decoded.state_ids() == machine.state_ids()
-    assert decoded._succ == machine._succ
-    assert decoded._pred == machine._pred
+    edges = sorted(machine.transitions())
+    assert sorted(decoded.transitions()) == edges
+    assert sorted((src, dst) for dst in decoded.state_ids()
+                  for src in decoded.predecessors(dst)) == edges
     return decoded
 
 

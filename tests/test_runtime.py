@@ -155,19 +155,6 @@ class TestArtifactStore:
         assert store.stats["misses"] == 1
         assert path.exists()  # left in place for post-mortem
 
-    def test_fetch_memoizes(self):
-        store = ArtifactStore()
-        calls = []
-
-        def build():
-            calls.append(1)
-            return {"v": 1}
-
-        value, hit = store.fetch("json-k", JSON_CODEC, build)
-        assert (value, hit, len(calls)) == ({"v": 1}, None, 1)
-        value, hit = store.fetch("json-k", JSON_CODEC, build)
-        assert (value, hit, len(calls)) == ({"v": 1}, "memory", 1)
-
     def test_lru_eviction(self, monkeypatch):
         monkeypatch.setattr(runtime_store, "DEFAULT_MEMORY_ENTRIES", 2)
         store = ArtifactStore()
