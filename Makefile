@@ -9,7 +9,7 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 bench:
 	REPRO_BENCH_SCALE=$(SCALE) $(PYTHON) -m pytest benchmarks/ --benchmark-only
@@ -20,15 +20,16 @@ bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest bench -q
 
 repro:
-	$(PYTHON) examples/reproduce_paper.py $(SCALE)
+	PYTHONPATH=src $(PYTHON) examples/reproduce_paper.py $(SCALE)
 
 scorecard:
-	$(PYTHON) -m repro experiment scorecard --scale 0.01
+	PYTHONPATH=src $(PYTHON) -m repro experiment scorecard --scale 0.01
 
 # Full paper-scale scorecard (the EXPERIMENTS.md wall-clock budget run);
-# opt-in because it takes tens of minutes on one core.
+# opt-in: its last record had Table 4 done at 196 s with a 2.86 GiB peak
+# on one core (EXPERIMENTS.md, "Memory at paper scale").
 scorecard-paper:
-	$(PYTHON) -m repro experiment scorecard --scale 1.0
+	PYTHONPATH=src $(PYTHON) -m repro experiment scorecard --scale 1.0
 
 profile-smoke:
 	$(PYTHON) scripts/check_metrics_schema.py

@@ -12,19 +12,23 @@ everything the artifact stores hold are frozen, shared read-only
 masters.  Call :meth:`~Automaton.copy` for a mutable machine.
 
 A mutable machine keeps its edges as two maps of id sets (successors
-and predecessors), which builders grow and prune edge by edge.  Freezing
-turns them into integer columns (:meth:`~Automaton.successor_columns`):
+and predecessors), which builders grow and prune edge by edge.  A frozen
+machine holds integer columns instead (:meth:`~Automaton.successor_columns`):
 the state ids in insertion order and every state's successor row as
-dense state indices, in one flat ``targets`` array cut by ``offsets``.
-A frozen machine stores no predecessors; readers that need them derive
-them from the rows.
+ascending state indices, in one flat ``targets`` array cut by
+``offsets``.  Every frozen machine has that one row order, however it
+was built: :meth:`~Automaton.freeze` sorts the rows of a mutable one,
+and the squaring kernel and payload decoding write ascending rows
+straight into a new frozen machine.  A frozen machine stores no
+predecessors; readers that need them derive them from the rows.
 """
 
 import hashlib
 import json
 from array import array
 from bisect import bisect_right
-from itertools import chain, compress, count
+from itertools import accumulate, chain, compress, count, islice
+from operator import ge
 
 from ..errors import AutomatonError, SymbolError
 from ..obs import OBS
@@ -107,19 +111,44 @@ class Automaton:
         :class:`AutomatonError`, and :meth:`fingerprint` hashes once.
 
         Freezing converts the edge sets into the integer columns of
-        :meth:`successor_columns`, each row in the order its set
-        iterated, and drops both id-set maps: a frozen machine holds
-        one small int per edge instead of two set entries.  The columns
-        and the flag travel through pickling.  :meth:`copy` returns a
-        mutable machine with its edge sets rebuilt.
+        :meth:`successor_columns`, each row ascending, and drops both
+        id-set maps: a frozen machine holds one small int per edge
+        instead of two set entries.  The columns and the flag travel
+        through pickling.  :meth:`copy` returns a mutable machine with
+        its edge sets rebuilt, and freezing that copy gives the same
+        columns again.
         """
         if not self._frozen:
-            ids, targets, offsets = self.successor_columns()
-            attrs = vars(self)
-            del attrs["_succ"], attrs["_pred"]
-            attrs.update(_ids=ids, _targets=targets, _offsets=offsets,
-                         _frozen=True)
+            self._install_columns(self._states, *self.successor_columns())
         return self
+
+    def _install_columns(self, states, ids, targets, offsets,
+                         validated=False):
+        """Make this machine frozen on the given states and columns.
+
+        The one installer behind :meth:`freeze`, :meth:`shallow_clone`
+        and :meth:`_from_columns`.  ``ids`` must list ``states``' keys
+        in order and every row must ascend; nothing is checked here.
+        """
+        attrs = vars(self)
+        del attrs["_succ"], attrs["_pred"]
+        attrs.update(_states=states, _ids=ids, _targets=targets,
+                     _offsets=offsets, _validated=validated, _frozen=True)
+        return self
+
+    @classmethod
+    def _from_columns(cls, name, bits, arity, start_period, states,
+                      targets, offsets):
+        """Trusted constructor of a frozen machine from its columns.
+
+        ``states`` maps ids to STEs in state order and ``targets`` cut
+        by ``offsets`` holds each state's ascending successor row (see
+        :meth:`successor_columns`).  Nothing is checked: the caller
+        validates the result.
+        """
+        return cls(name=name, bits=bits, arity=arity,
+                   start_period=start_period)._install_columns(
+            states, list(states), targets, offsets)
 
     @property
     def frozen(self):
@@ -223,7 +252,7 @@ class Automaton:
 
         On a mutable machine this is the machine's own id set (do not
         mutate it).  On a frozen one it is a new tuple of the state's
-        row, in the order its set iterated before :meth:`freeze`.
+        row, in state order.
         """
         if not self._frozen:
             return self._succ[state_id]
@@ -265,10 +294,10 @@ class Automaton:
         ``ids`` lists the state ids in insertion order, and state
         ``i``'s successors are ``ids[j]`` for every ``j`` in
         ``targets[offsets[i]:offsets[i + 1]]`` (``array("i")`` columns,
-        ``len(offsets) == len(ids) + 1``), each row in its set's
-        iteration order.  A frozen machine returns its own columns,
-        shared with its :meth:`shallow_clone`-s; do not mutate them.  A
-        mutable one builds new columns from its edge sets on each call.
+        ``len(offsets) == len(ids) + 1``), each row ascending.  A frozen
+        machine returns its own columns, shared with its
+        :meth:`shallow_clone`-s; do not mutate them.  A mutable one
+        builds new columns from its edge sets on each call.
         """
         if self._frozen:
             return self._ids, self._targets, self._offsets
@@ -278,7 +307,7 @@ class Automaton:
         targets = []
         offsets = [0]
         for state_id in ids:
-            targets.extend(map(index_of, succ[state_id]))
+            targets += sorted(map(index_of, succ[state_id]))
             offsets.append(len(targets))
         return ids, array("i", targets), array("i", offsets)
 
@@ -441,31 +470,13 @@ class Automaton:
             start_period=self.start_period,
         )
         if self._frozen:
-            attrs = vars(duplicate)
-            del attrs["_succ"], attrs["_pred"]
-            attrs.update(_states=self._states, _ids=self._ids,
-                         _targets=self._targets, _offsets=self._offsets,
-                         _validated=self._validated, _frozen=True)
-            return duplicate
+            return duplicate._install_columns(
+                self._states, self._ids, self._targets, self._offsets,
+                self._validated)
         duplicate._states = dict(self._states)
         duplicate._succ = {src: set(dsts) for src, dsts in self._succ.items()}
         duplicate._pred = {dst: set(srcs) for dst, srcs in self._pred.items()}
         return duplicate
-
-    @classmethod
-    def _from_graph(cls, name, bits, arity, start_period, states, succ, pred):
-        """Trusted constructor: install pre-built graph dicts directly.
-
-        The indexed transform kernels materialize their results through
-        this hook — the dicts must already satisfy :meth:`validate`'s
-        invariants (callers run ``validate()`` on the result).
-        """
-        automaton = cls(name=name, bits=bits, arity=arity,
-                        start_period=start_period)
-        automaton._states = states
-        automaton._succ = succ
-        automaton._pred = pred
-        return automaton
 
     def relabeled(self, prefix="q"):
         """Copy with dense integer ids ``<prefix><n>``; returns the copy."""
@@ -494,8 +505,9 @@ class Automaton:
         so machines that differ only in name do not collide — transform
         results derive their names from their source's.
 
-        A frozen machine hashes once and keeps the digest; an unfrozen
-        one hashes on every call.
+        Ids enter the hash as ``str(id)``, so a machine with integer
+        ids hashes too.  A frozen machine hashes once and keeps the
+        digest; an unfrozen one hashes on every call.
         """
         if self._fingerprint is not None:
             return self._fingerprint
@@ -506,18 +518,19 @@ class Automaton:
             )).encode("utf-8", "surrogatepass")
         )
         ids, targets, offsets = self.successor_columns()
-        id_of = ids.__getitem__
+        names = list(map(str, ids))
+        name_of = names.__getitem__
         states = list(self._states.values())
-        for i in sorted(range(len(ids)), key=id_of):
+        for i in sorted(range(len(ids)), key=name_of):
             state = states[i]
             record = (
-                ids[i],
+                names[i],
                 "|".join("%x" % sset.mask for sset in state.symbols),
                 state.start.value,
                 "%d" % state.report,
                 "" if state.report_code is None else str(state.report_code),
                 ",".join("%d" % o for o in state.report_offsets),
-                ";".join(sorted(map(id_of,
+                ";".join(sorted(map(name_of,
                                     targets[offsets[i]:offsets[i + 1]]))),
             )
             digest.update(("\x1e".join(record) + "\x1d").encode(
@@ -543,7 +556,7 @@ class Automaton:
           can exceed 64 bits for wide alphabets);
         - ``start`` — an index into :data:`START_KINDS`;
         - ``successors`` — ascending state indices (each row of
-          :meth:`successor_columns`, sorted).
+          :meth:`successor_columns`, as held).
 
         The reporting states are ``report`` (ascending state indices)
         with their ``report_code`` and ``report_offsets`` columns.  A
@@ -581,23 +594,25 @@ class Automaton:
             "report": reports,
             "report_code": codes,
             "report_offsets": offsets,
-            "successors": [sorted(targets[start:end]) for start, end
+            "successors": [targets[start:end].tolist() for start, end
                            in zip(bounds, bounds[1:])],
         }
 
     @classmethod
     def from_payload(cls, payload):
-        """Rebuild an automaton from a :meth:`to_payload` dict.
+        """Rebuild a frozen automaton from a :meth:`to_payload` dict.
 
-        The graph is installed in bulk, after the checks that
-        :class:`~repro.automata.ste.Ste`, :meth:`add_state` and
-        :meth:`add_transition` would make: columns as long as ``ids``,
-        every index in range (a negative one too, which Python would
-        otherwise wrap), unique ids, masks inside the alphabet, one
-        symbol set per stride position, and non-empty ascending report
-        offsets below the arity.  Raises :class:`AutomatonError` on any
-        malformed or version-mismatched payload, so the artifact store
-        can treat corruption as a recoverable miss.
+        The successor rows become the machine's columns directly, after
+        the checks that :class:`~repro.automata.ste.Ste`,
+        :meth:`add_state` and :meth:`add_transition` would make: columns
+        as long as ``ids``, every index in range (a negative one too,
+        which Python would otherwise wrap), unique ids, masks inside the
+        alphabet, one symbol set per stride position, non-empty
+        ascending report offsets below the arity, and successor rows
+        that strictly ascend (a repeated index is an error, not a
+        merged edge).  Raises :class:`AutomatonError` on any malformed
+        or version-mismatched payload, so the artifact store can treat
+        corruption as a recoverable miss.
         """
         try:
             if payload.get("format") != PAYLOAD_FORMAT:
@@ -615,7 +630,7 @@ class Automaton:
             bits = automaton.bits
             arity = automaton.arity
             ids = payload["ids"]
-            count = len(ids)
+            n = len(ids)
             # One SymbolSet per distinct mask, shared by every tuple.
             sets = {mask: SymbolSet(bits, int(mask, 16)) for mask
                     in set(chain.from_iterable(payload["symbol_sets"]))}
@@ -632,16 +647,17 @@ class Automaton:
             reports = payload["report"]
             for column, values in (("symbols", symbols), ("start", starts),
                                    ("successors", rows)):
-                if len(values) != count:
+                if len(values) != n:
                     raise AutomatonError(
                         "column %r has %d entries for %d states"
-                        % (column, len(values), count))
+                        % (column, len(values), n))
+            flat = list(chain.from_iterable(rows))
             # A negative index must fail too: Python reads it from the end.
             for column, indices, bound in (
                     ("symbols", symbols, len(table)),
                     ("start", starts, len(START_KINDS)),
-                    ("successors", list(chain.from_iterable(rows)), count),
-                    ("report", reports, count)):
+                    ("successors", flat, n),
+                    ("report", reports, n)):
                 if indices and (min(indices) < 0 or max(indices) >= bound):
                     raise AutomatonError(
                         "column %r has an index outside [0, %d)"
@@ -652,9 +668,9 @@ class Automaton:
                 raise AutomatonError(
                     "report columns have %d, %d and %d entries"
                     % (len(reports), len(codes), len(offsets)))
-            is_report = [False] * count
-            report_code = [None] * count
-            report_offsets = [()] * count
+            is_report = [False] * n
+            report_code = [None] * n
+            report_offsets = [()] * n
             previous = -1
             for index, code, offset_list in zip(reports, codes, offsets):
                 if index <= previous:
@@ -677,23 +693,27 @@ class Automaton:
                 ste_from_canonical, ids, map(table.__getitem__, symbols),
                 map(START_KINDS.__getitem__, starts), is_report,
                 report_code, report_offsets)))
-            if len(states) != count:
+            if len(states) != n:
                 seen = set()
                 for state_id in ids:
                     if state_id in seen:
                         raise AutomatonError(
                             "duplicate state id %r" % (state_id,))
                     seen.add(state_id)
-            id_of = ids.__getitem__
-            succ = {}
-            pred_rows = [[] for _ in range(count)]
-            for state_id, row in zip(ids, rows):
-                succ[state_id] = set(map(id_of, row))
-                for index in row:
-                    pred_rows[index].append(state_id)
-            automaton._states = states
-            automaton._succ = succ
-            automaton._pred = dict(zip(ids, map(set, pred_rows)))
+            targets = array("i", flat)
+            bounds = array("i", [0])
+            bounds.extend(accumulate(map(len, rows)))
+            # Only neighbours that straddle two rows may fail to ascend:
+            # the scan runs in C and yields the position of each failure.
+            for position in compress(count(1),
+                                     map(ge, flat, islice(flat, 1, None))):
+                row = bisect_right(bounds, position) - 1
+                if bounds[row] != position:
+                    raise AutomatonError(
+                        "successor row of state %r does not strictly "
+                        "ascend" % (ids[row],))
+            automaton._install_columns(states, list(states), targets,
+                                       bounds)
         except AutomatonError:
             raise
         except (KeyError, TypeError, ValueError, AttributeError,

@@ -13,13 +13,13 @@ fast.
 once and re-expresses the machine as flat arrays:
 
 - ``succ``/``pred`` — per-state successor/predecessor rows of dense
-  ints, captured in the *raw set-iteration order* of the source maps so
-  indexed ``square`` replays the legacy pair-state creation order
-  bit-exactly.  A frozen source's successor columns already hold that
-  order, and its predecessor rows are derived from them.  Rows may be
-  shared between states (``square`` hands the same fan-out list to
-  every pair state ending in the same source state); kernels therefore
-  never mutate a row in place without :meth:`make_mutable` first;
+  ints.  The successor rows are the source's
+  :meth:`~repro.automata.automaton.Automaton.successor_columns`, so
+  they ascend, and the predecessor rows are derived from them (they
+  ascend too).  Rows may be shared between states (``square`` hands the
+  same fan-out list to every pair state ending in the same source
+  state); kernels therefore never mutate a row in place without
+  :meth:`make_mutable` first;
 - ``behavior`` — :meth:`Ste.behavior_key` interned to small ints, so
   the minimizer's signature hashing compares ints instead of re-hashing
   symbol-set tuples per pass;
@@ -27,11 +27,6 @@ once and re-expresses the machine as flat arrays:
   unlinking dict entries, and liveness scans are flat ``bytearray``
   reads rather than big-int bit walks (which go quadratic past ~10^5
   states).
-
-``from_automaton(..., light=True)`` skips the parts a forward-only
-consumer never reads (predecessor rows, behaviour interning) — the
-``square`` kernel only needs ids, STEs, start kinds and successor rows
-of its *source*.
 
 Kernels mutate the indexed view and materialize an ``Automaton`` only
 at the boundary (:meth:`write_back` for in-place passes).  Every kernel
@@ -56,10 +51,10 @@ MINIMIZE_ROUNDS = 32
 class IndexedAutomaton:
     """Dense-integer view of one :class:`Automaton` (see module docs).
 
-    The view is a *snapshot*: it captures the source's states, edges and
-    iteration orders at construction time.  In-place kernels mutate the
-    view and then :meth:`write_back` the survivors; the source automaton
-    must not be mutated independently while a view of it is live.
+    The view is a *snapshot*: it captures the source's states and edges
+    at construction time.  In-place kernels mutate the view and then
+    :meth:`write_back` the survivors; the source automaton must not be
+    mutated independently while a view of it is live.
     """
 
     __slots__ = (
@@ -77,22 +72,20 @@ class IndexedAutomaton:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_automaton(cls, automaton, light=False):
+    def from_automaton(cls, automaton):
         """Index ``automaton``: intern ids, behaviors, and adjacency.
 
-        ``light`` skips predecessor rows and behaviour interning — the
-        forward-only fields are all ``square`` reads from its source.
         Emits a ``transform.indexed`` span when a collector is attached,
         so profiles show where compile passes pay the indexing cost.
         """
         if OBS.active:
             with trace_span("transform.indexed", automaton=automaton.name,
                             states=len(automaton)):
-                return cls._build(automaton, light)
-        return cls._build(automaton, light)
+                return cls._build(automaton)
+        return cls._build(automaton)
 
     @classmethod
-    def _build(cls, automaton, light):
+    def _build(cls, automaton):
         self = cls()
         self.name = automaton.name
         self.bits = automaton.bits
@@ -100,48 +93,22 @@ class IndexedAutomaton:
         self.start_period = automaton.start_period
         self._mutable = False
 
-        states = automaton._states
-        ids = list(states)
+        ids, targets, offsets = automaton.successor_columns()
         n = len(ids)
         self.n = n
         self.ids = ids
-        self.stes = list(states.values())
-
-        # Raw set-iteration order is captured on purpose: legacy square
-        # walks successors() unsorted, and replaying that order is what
-        # keeps the indexed kernel's output byte-identical in-process.
-        # A frozen machine's rows already hold that order as indices; a
-        # mutable one's sets are interned here, with ``map`` keeping the
-        # inner conversion in C (squared ids nest, so they are long).
-        if automaton.frozen:
-            _, targets, offsets = automaton.successor_columns()
-            flat = targets.tolist()
-            self.succ = [flat[start:end] for start, end
-                         in zip(offsets, offsets[1:])]
-        else:
-            index_get = {state_id: i for i, state_id
-                         in enumerate(ids)}.__getitem__
-            succ_map = automaton._succ
-            self.succ = [list(map(index_get, succ_map[s])) for s in ids]
+        self.stes = automaton.states()
+        flat = targets.tolist()
+        succ = self.succ = [flat[start:end] for start, end
+                            in zip(offsets, offsets[1:])]
+        pred = self.pred = [[] for _ in range(n)]
+        for i, row in enumerate(succ):
+            for j in row:
+                pred[j].append(i)
         self.start_kind = [ste.start for ste in self.stes]
         self.is_start = [kind is not StartKind.NONE
                          for kind in self.start_kind]
         self.alive = bytearray(b"\x01") * n if n else bytearray()
-
-        if light:
-            self.pred = None
-            self.behavior = None
-            return self
-
-        if automaton.frozen:
-            # A frozen machine stores no predecessors: derive the rows.
-            pred = self.pred = [[] for _ in range(n)]
-            for i, row in enumerate(self.succ):
-                for j in row:
-                    pred[j].append(i)
-        else:
-            pred_map = automaton._pred
-            self.pred = [list(map(index_get, pred_map[s])) for s in ids]
         interned = {}
         behavior = []
         for ste in self.stes:
@@ -201,8 +168,7 @@ class IndexedAutomaton:
         if self._mutable:
             return
         self.succ = [set(row) for row in self.succ]
-        if self.pred is not None:
-            self.pred = [set(row) for row in self.pred]
+        self.pred = [set(row) for row in self.pred]
         self._mutable = True
 
     # ------------------------------------------------------------------
@@ -244,17 +210,15 @@ class IndexedAutomaton:
         pred = self.pred
         for i in dead:
             succ[i] = type(succ[i])()
-            if pred is not None:
-                pred[i] = type(pred[i])()
+            pred[i] = type(pred[i])()
             alive[i] = 0
-        if pred is not None:
-            for i in range(self.n):
-                if alive[i]:
-                    row = pred[i]
-                    if row:
-                        survivors = [p for p in row if seen[p]]
-                        if len(survivors) != len(row):
-                            pred[i] = type(row)(survivors)
+        for i in range(self.n):
+            if alive[i]:
+                row = pred[i]
+                if row:
+                    survivors = [p for p in row if seen[p]]
+                    if len(survivors) != len(row):
+                        pred[i] = type(row)(survivors)
         return len(dead)
 
     # ------------------------------------------------------------------

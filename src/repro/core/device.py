@@ -363,7 +363,6 @@ class SunderDevice:
         """`run` with the telemetry hooks live (collector attached)."""
         instruments = OBS.instruments
         flushes_before = sum(pu.reporting.flushes for _, _, pu in self.iter_pus())
-        kernel_before = self._kernel_counters()
         with trace_span("device.run", cycles=len(vectors)) as span:
             start = perf_counter()
             total_stall = self._execute(vectors)
@@ -375,7 +374,6 @@ class SunderDevice:
             sum(pu.reporting.flushes for _, _, pu in self.iter_pus())
             - flushes_before)
         instruments.device_run_seconds.observe(elapsed)
-        self._record_kernel_metrics(instruments, kernel_before)
         return RunResult(self, len(vectors), total_stall, position_limit)
 
     # ------------------------------------------------------------------
@@ -424,7 +422,6 @@ class SunderDevice:
     def _run_batch_observed(self, kernel, lane_vectors, recorders):
         """`run_batch` with the telemetry hooks live."""
         instruments = OBS.instruments
-        before = self._kernel_counters()
         total_cycles = sum(len(vectors) for vectors in lane_vectors)
         with trace_span("device.run_batch", lanes=len(lane_vectors),
                         cycles=total_cycles):
@@ -434,20 +431,10 @@ class SunderDevice:
             elapsed = perf_counter() - start
         instruments.device_cycles.inc(total_cycles)
         instruments.device_run_seconds.observe(elapsed)
-        self._record_kernel_metrics(instruments, before)
         handles = instruments.engine_handles("device")
         handles.batch_lanes.observe(len(lane_vectors))
         handles.batch_lane_cache_hits.inc(sum(lane_hits))
         handles.batch_lane_cache_misses.inc(sum(lane_misses))
-
-    def _kernel_counters(self):
-        info = self.step_cache_info()
-        return (info["hits"], info["misses"])
-
-    def _record_kernel_metrics(self, instruments, before):
-        hits, misses = self._kernel_counters()
-        instruments.device_kernel_step_cache_hits.inc(hits - before[0])
-        instruments.device_kernel_step_cache_misses.inc(misses - before[1])
 
     # ------------------------------------------------------------------
     # Host interface (Section 5.1.2's access mechanisms)

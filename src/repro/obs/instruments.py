@@ -45,12 +45,6 @@ class Instruments:
             "repro_engine_run_seconds",
             "Wall time of one engine run.", ("engine",),
             buckets=SECONDS_BUCKETS)
-        self.engine_step_cache_hits = counter(
-            "repro_engine_step_cache_hits_total",
-            "Step-memoization cache hits during engine runs.", ("engine",))
-        self.engine_step_cache_misses = counter(
-            "repro_engine_step_cache_misses_total",
-            "Step-memoization cache misses during engine runs.", ("engine",))
         self.engine_batch_lanes = histogram(
             "repro_engine_batch_lanes",
             "Lane count per run_batch invocation.", ("engine",),
@@ -84,12 +78,6 @@ class Instruments:
         self.device_run_seconds = histogram(
             "repro_device_run_seconds",
             "Wall time of one SunderDevice.run.", buckets=SECONDS_BUCKETS)
-        self.device_kernel_step_cache_hits = counter(
-            "repro_device_kernel_step_cache_hits_total",
-            "Packed-kernel step-cache hits during SunderDevice.run.")
-        self.device_kernel_step_cache_misses = counter(
-            "repro_device_kernel_step_cache_misses_total",
-            "Packed-kernel step-cache misses during SunderDevice.run.")
         self.device_kernel_compile_seconds = histogram(
             "repro_device_kernel_compile_seconds",
             "Wall time to compile the packed device kernel.",
@@ -180,8 +168,7 @@ class EngineHandles:
     :meth:`Instruments.engine_handles`)."""
 
     __slots__ = ("runs", "cycles", "reports", "run_seconds",
-                 "active_states", "cache_hits", "cache_misses",
-                 "batch_lanes", "batch_lane_cache_hits",
+                 "active_states", "batch_lanes", "batch_lane_cache_hits",
                  "batch_lane_cache_misses")
 
     def __init__(self, instruments, engine):
@@ -191,10 +178,6 @@ class EngineHandles:
         self.run_seconds = instruments.engine_run_seconds.labels(
             engine=engine)
         self.active_states = instruments.engine_active_states.labels(
-            engine=engine)
-        self.cache_hits = instruments.engine_step_cache_hits.labels(
-            engine=engine)
-        self.cache_misses = instruments.engine_step_cache_misses.labels(
             engine=engine)
         self.batch_lanes = instruments.engine_batch_lanes.labels(
             engine=engine)

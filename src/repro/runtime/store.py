@@ -47,7 +47,7 @@ from ..obs import OBS
 #: ``to_rate`` rungs, or the cached Table 4 rows: ``drain_row``,
 #: ``place``, ``ReportingPerfModel``, ``ApReportingModel`` and the
 #: ``SunderConfig`` defaults) so stale artifacts can never be served.
-CODE_VERSION = "2026.10-runtime-3"
+CODE_VERSION = "2026.10-runtime-4"
 
 #: Environment variable naming the on-disk artifact directory for the
 #: process-wide store.  When unset, the store is memory-only.

@@ -519,8 +519,6 @@ class BitsetEngine(TransitionTable):
         """
         handles = OBS.instruments.engine_handles("bitset")
         reports_before = recorder.total_reports
-        hits_before = self._cache_hits
-        misses_before = self._cache_misses
         vectors = _normalize_stream(self.automaton, stream)
         with trace_span("engine.run", engine="bitset",
                         automaton=self.automaton.name,
@@ -533,8 +531,6 @@ class BitsetEngine(TransitionTable):
         handles.cycles.inc(len(vectors))
         handles.reports.inc(recorder.total_reports - reports_before)
         handles.run_seconds.observe(elapsed)
-        handles.cache_hits.inc(self._cache_hits - hits_before)
-        handles.cache_misses.inc(self._cache_misses - misses_before)
         observe_active = handles.active_states.observe
         for count in self.active_count_history:
             observe_active(count)
@@ -594,8 +590,6 @@ class BitsetEngine(TransitionTable):
         handles.reports.inc(
             sum(r.total_reports for r in recorders) - reports_before)
         handles.run_seconds.observe(elapsed)
-        handles.cache_hits.inc(sum(lane_hits))
-        handles.cache_misses.inc(sum(lane_misses))
         handles.batch_lanes.observe(len(lane_vectors))
         handles.batch_lane_cache_hits.inc(sum(lane_hits))
         handles.batch_lane_cache_misses.inc(sum(lane_misses))

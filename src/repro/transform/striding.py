@@ -32,6 +32,8 @@ wildcard — which is what makes interior-offset reports independent of
 future input, preserving the unstrided semantics.
 """
 
+from array import array
+
 from ..automata.automaton import Automaton
 from ..automata.gcutil import gc_paused
 from ..automata.indexed import IndexedAutomaton
@@ -68,27 +70,32 @@ def _square(automaton, minimized, name):
     """Indexed squaring kernel (see :func:`square_unindexed` for the
     construction walkthrough; this builds the same machine).
 
-    The whole construction runs on dense integers.  Pair/remnant/phase
-    states are rows in flat parallel arrays — ``(first, second)`` source
-    index pairs, nothing else: no id strings, no dict keys, no
-    :class:`Ste` objects.  Creation never needs a dedup map because each
-    row key occurs exactly once (pairs come off unique edges, remnants
-    and phase states once per source state), and a source state's rows
-    are consecutive, so its legacy ``entry_points`` list is just a
-    ``range``.  The transition fan-out list of each second half is
-    *shared* (one list object per source state) rather than copied into
-    per-row sets, pruning is a flat-flag BFS over those rows, and only
-    the surviving states ever get an id string or an STE.  Behaviour
-    signatures — needed only by minimization — are interned for
-    survivors from the source halves' interned symbol tuples (equality
-    of the ``(first-half, second-half)`` id pairs is exactly equality of
-    the materialized ``Ste.behavior_key()``s, since the concatenation
-    split point is fixed at ``arity``).
+    The whole construction runs on dense integers, straight off the
+    source's ascending successor rows
+    (:meth:`~repro.automata.automaton.Automaton.successor_columns`).
+    Pair/remnant/phase states are rows in flat parallel arrays —
+    ``(first, second)`` source index pairs, nothing else: no id strings,
+    no dict keys, no :class:`Ste` objects.  Creation never needs a dedup
+    map because each row key occurs exactly once (pairs come off unique
+    edges, remnants and phase states once per source state), and a
+    source state's rows are consecutive, so its ``entry_points`` list is
+    just a ``range``.  The transition fan-out list of each second half
+    is *shared* (one list object per source state) rather than copied
+    into per-row sets, pruning is a flat-flag BFS over those rows, and
+    only the surviving states ever get an id string or an STE.
+    Predecessor rows and behaviour signatures — needed only by
+    minimization — are built only when it runs; the signatures are
+    interned for survivors from the source halves' interned symbol
+    tuples (equality of the ``(first-half, second-half)`` id pairs is
+    exactly equality of the materialized ``Ste.behavior_key()``s, since
+    the concatenation split point is fixed at ``arity``).
 
-    Creation order, the ``succ_entries`` fan-out order, the reachability
-    semantics, and the minimization algorithm all replay the legacy
-    kernel exactly, so the output is bit-identical —
-    ``tests/test_indexed.py`` pins ``dumps()`` equality.
+    States are created in source state order, each source state's pairs
+    in ascending successor order, so the result's state order, like its
+    ascending rows, depends on nothing but the source machine.  The
+    survivors go out as the columns of a new frozen machine
+    (:meth:`~repro.automata.automaton.Automaton._from_columns`), and
+    ``tests/test_indexed.py`` pins ``dumps()`` equality with the oracle.
     """
     period = automaton.start_period
     arity = automaton.arity
@@ -97,18 +104,19 @@ def _square(automaton, minimized, name):
     result_name = name if name is not None else automaton.name + ".x2"
     result_period = max(1, period // 2)
 
-    src = IndexedAutomaton.from_automaton(automaton, light=True)
-    src_ids = src.ids
-    src_stes = src.stes
-    src_start_kind = src.start_kind
-    src_is_start = src.is_start
-    src_succ = src.succ
-    n = src.n
+    src_ids, src_targets, src_offsets = automaton.successor_columns()
+    src_stes = automaton.states()
+    src_start_kind = [ste.start for ste in src_stes]
+    src_is_start = [kind is not StartKind.NONE for kind in src_start_kind]
+    n = len(src_ids)
+    flat = src_targets.tolist()
+    src_succ = [flat[start:end] for start, end
+                in zip(src_offsets, src_offsets[1:])]
 
     # ------------------------------------------------------------------
-    # Creation: parallel (first, second) arrays, in legacy order —
-    # pairs off each source state's raw successor order, then its
-    # remnant, then (period 1 only) one phase state per ALL_INPUT start.
+    # Creation: parallel (first, second) arrays — pairs off each source
+    # state's ascending successor row, then its remnant, then (period 1
+    # only) one phase state per ALL_INPUT start.
     # ------------------------------------------------------------------
     r_first = []   # source index of the first half, -1 for $any
     r_second = []  # source index of the second half, -1 for $end
@@ -117,7 +125,7 @@ def _square(automaton, minimized, name):
     row = 0
     for i in range(n):
         base = row
-        edges = src_succ[i]  # raw order, as captured by the index
+        edges = src_succ[i]
         if edges:
             row += len(edges)
             r_second += edges
@@ -145,31 +153,20 @@ def _square(automaton, minimized, name):
     # ------------------------------------------------------------------
     # Transitions: (x, s) -> every state whose first half is in succ(s).
     # The flattened entry-point list of each second half is built once
-    # and the *same list object* is every such row's successor row
-    # (fan-out order: successors sorted by their string ids, matching
-    # the legacy kernel; row contents are duplicate-free by
-    # construction, so set semantics are unaffected).  One dict maps
-    # every distinct second half to its list, so assigning all m rows is
-    # a single C-level ``map``.
+    # and the *same list object* is every such row's successor row.
+    # Followers ascend and each one's rows are a range of rows created
+    # in source order, so every such list ascends.  One dict maps every
+    # distinct second half to its list, so assigning all m rows is a
+    # single C-level ``map``.
     # ------------------------------------------------------------------
     EMPTY = ()
     succ_entries = {-1: EMPTY}
     get_entries = entry_points.get
     for second in set(r_second):
         if second >= 0:
-            followers = src_succ[second]
-            if len(followers) == 1:
-                # Dominant case (pattern chains): one follower needs no
-                # sort, and its range flattens in C.
-                succ_entries[second] = list(
-                    get_entries(followers[0], EMPTY))
-            else:
-                succ_entries[second] = [
-                    t
-                    for follower in sorted(followers,
-                                           key=src_ids.__getitem__)
-                    for t in get_entries(follower, EMPTY)
-                ]
+            succ_entries[second] = [
+                t for follower in src_succ[second]
+                for t in get_entries(follower, EMPTY)]
     succ_rows = list(map(succ_entries.__getitem__, r_second))
     progress.update(m // 2)
 
@@ -193,26 +190,25 @@ def _square(automaton, minimized, name):
     alive_rows = [r for r in range(m) if seen[r]]
     progress.update(m)
 
-    # Predecessor rows, survivors only (a survivor's successors are all
-    # survivors, so dead rows never need unlinking).
-    pred_rows = [EMPTY] * m
-    for r in alive_rows:
-        for t in succ_rows[r]:
-            p = pred_rows[t]
-            if p:
-                p.append(r)
-            else:
-                pred_rows[t] = [r]
-
     # Second-half payload — (arity-shifted report offsets, code-if-report,
     # report flag) — computed once per distinct source state on demand and
     # shared between behaviour interning and boundary materialization.
     sec_info = [None] * n
     ALL_INPUT_KIND = StartKind.ALL_INPUT
 
-    behavior = None
-    is_start_rows = None
+    alive_final = alive_rows
     if minimized:
+        # Predecessor rows, survivors only (a survivor's successors are
+        # all survivors, so dead rows never need unlinking).
+        pred_rows = [EMPTY] * m
+        for r in alive_rows:
+            for t in succ_rows[r]:
+                p = pred_rows[t]
+                if p:
+                    p.append(r)
+                else:
+                    pred_rows[t] = [r]
+
         # Behaviour ids for survivors (minimization's screen signature).
         # Two pair states have equal materialized behavior_key()s exactly
         # when their first halves agree on (symbols, start) and their
@@ -286,33 +282,28 @@ def _square(automaton, minimized, name):
             if started:
                 is_start_rows[r] = 1
 
-    res = IndexedAutomaton.from_parts(
-        result_name, automaton.bits, 2 * arity, result_period,
-        succ_rows, pred_rows, seen,
-        behavior=behavior, is_start=is_start_rows)
-    removed = res.minimize() if minimized else 0
-    alive_final = alive_rows if not removed else res.alive_indices()
+        res = IndexedAutomaton.from_parts(
+            result_name, automaton.bits, 2 * arity, result_period,
+            succ_rows, pred_rows, seen,
+            behavior=behavior, is_start=is_start_rows)
+        if res.minimize():
+            alive_final = res.alive_indices()
+            succ_rows = res.succ  # sets, once merging has run
     progress.update(2 * m)
 
     # ------------------------------------------------------------------
     # Boundary materialization: id strings and STEs exist only for
-    # surviving states.
+    # surviving states, and each survivor's row is renumbered to the
+    # survivors' dense indices and sorted.
     # ------------------------------------------------------------------
-    rid = [None] * m
-    for r in alive_final:
-        f = r_first[r]
-        s = r_second[r]
-        rid[r] = "(%s|%s)" % (src_ids[f] if f >= 0 else _ANY,
-                              src_ids[s] if s >= 0 else _END)
-    rid_get = rid.__getitem__
-    res_succ = res.succ
-    res_pred = res.pred
+    new_index = [0] * m
     states = {}
-    succ_d = {}
-    pred_d = {}
-    for r in alive_final:
+    for k, r in enumerate(alive_final):
+        new_index[r] = k
         f = r_first[r]
         s = r_second[r]
+        state_id = "(%s|%s)" % (src_ids[f] if f >= 0 else _ANY,
+                                src_ids[s] if s >= 0 else _END)
         if s >= 0:
             info = sec_info[s]
             if info is None:
@@ -335,22 +326,25 @@ def _square(automaton, minimized, name):
             code = ste.report_code
             start = ste.start
             report = True
-        state_id = rid[r]
         states[state_id] = ste_from_canonical(
             state_id, label, start, report, code, offsets)
-        succ_d[state_id] = set(map(rid_get, res_succ[r]))
-        pred_d[state_id] = set(map(rid_get, res_pred[r]))
-    result = Automaton._from_graph(
+    index_of = new_index.__getitem__
+    targets = array("i")
+    bounds = array("i", [0])
+    for r in alive_final:
+        targets.extend(sorted(map(index_of, succ_rows[r])))
+        bounds.append(len(targets))
+    result = Automaton._from_columns(
         result_name, automaton.bits, 2 * arity, result_period,
-        states, succ_d, pred_d)
+        states, targets, bounds)
     progress.finish()
     if OBS.active:
         OBS.instruments.transform_states.labels(op="square").set(len(result))
     # No validate() here: every invariant it checks holds by construction
-    # (canonical STEs from validated sources, mirrored succ/pred rows,
-    # freshly pruned reachability), and the production entry (``square``)
-    # still validates each fresh build.  The differential suite pins the
-    # kernel's output byte-identical to the oracle's.
+    # (canonical STEs from validated sources, freshly pruned
+    # reachability), and the production entry (``square``) validates
+    # each fresh build.  The differential suite pins the kernel's output
+    # byte-identical to the oracle's.
     return result
 
 
@@ -359,9 +353,10 @@ def square_unindexed(automaton, minimized=True, name=None):
     """The direct string-graph squaring kernel (differential oracle).
 
     Builds pair/remnant/phase states straight onto an
-    :class:`Automaton` exactly as the pre-indexed implementation did;
-    :func:`square` routes through the indexed kernel and
-    ``tests/test_indexed.py`` pins the two bit-identical.
+    :class:`Automaton` as the pre-indexed implementation did, walking
+    each state's successors in ascending state order (a frozen
+    machine's row order); :func:`square` routes through the indexed
+    kernel and ``tests/test_indexed.py`` pins the two bit-identical.
     """
     from ..automata.ops import minimize_unindexed
 
@@ -422,8 +417,10 @@ def square_unindexed(automaton, minimized=True, name=None):
             entry_points.setdefault(first_state.id, []).append(new_id)
         return new_id
 
+    order = {state_id: i for i, state_id in enumerate(automaton.state_ids())}
     for state in automaton:
-        for successor_id in automaton.successors(state.id):
+        for successor_id in sorted(automaton.successors(state.id),
+                                   key=order.__getitem__):
             add(state, automaton.state(successor_id))
         if state.report:
             add(state, None)

@@ -147,6 +147,22 @@ class TestAutomaton:
         with pytest.raises(AutomatonError):
             a.merge_in(b, "x_")
 
+    def test_fingerprint_hashes_integer_ids_as_strings(self):
+        def chain(ids):
+            machine = Automaton(name="chain", bits=8)
+            for index, state_id in enumerate(ids):
+                machine.new_state(state_id, SymbolSet.single(8, index),
+                                  start="all-input" if index == 0 else "none",
+                                  report=index == len(ids) - 1)
+            for src, dst in zip(ids, ids[1:]):
+                machine.add_transition(src, dst)
+            return machine.validate()
+
+        numbered = chain([0, 1, 2])
+        fingerprint = numbered.fingerprint()
+        assert fingerprint == chain(["0", "1", "2"]).fingerprint()
+        assert numbered.freeze().fingerprint() == fingerprint
+
     def test_summary(self):
         automaton = single_pattern("p", b"abcd")
         summary = automaton.summary()

@@ -115,7 +115,7 @@ class TestArtifactStoreInvariance:
 
 #: ``(CODE_VERSION, sha256 of the FAST_NAMES Table 4 rows at SCALE)``.
 TABLE4_ROWS_PIN = (
-    "2026.10-runtime-3",
+    "2026.10-runtime-4",
     "a01b9c939951480990e836b07f1671cebb5cb0bdd842d6f5ab66d1f0fe18a85e",
 )
 

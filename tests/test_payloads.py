@@ -117,6 +117,8 @@ def _automaton_v1(payload):
 AUTOMATON_CASES = [
     ("successor past the end", _set("successors", 0, [2])),
     ("negative successor", _set("successors", 0, [-1])),
+    ("successor row out of order", _set("successors", 1, [1, 0])),
+    ("repeated successor in a row", _set("successors", 0, [1, 1])),
     ("symbol index past the end", _set("symbols", 1, 2)),
     ("negative symbol index", _set("symbols", 1, -1)),
     ("duplicate state id", _set("ids", 1, "a")),
