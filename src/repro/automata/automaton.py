@@ -364,18 +364,7 @@ class Automaton:
                         % (state.id, position)
                     )
         if not self._frozen:
-            for src, dsts in self._succ.items():
-                for dst in dsts:
-                    if src not in self._pred[dst]:
-                        raise AutomatonError(
-                            "edge %r->%r missing from predecessor map"
-                            % (src, dst))
-            for dst, srcs in self._pred.items():
-                for src in srcs:
-                    if dst not in self._succ[src]:
-                        raise AutomatonError(
-                            "edge %r->%r missing from successor map"
-                            % (src, dst))
+            self._check_edge_maps()
         unreachable = self.unreachable_states()
         if unreachable:
             raise AutomatonError(
@@ -384,6 +373,41 @@ class Automaton:
         if self._frozen:
             object.__setattr__(self, "_validated", True)
         return self
+
+    def _check_edge_maps(self):
+        """A mutable machine's successor and predecessor maps must
+        mirror each other; raises :class:`AutomatonError`."""
+        for src, dsts in self._succ.items():
+            for dst in dsts:
+                if src not in self._pred[dst]:
+                    raise AutomatonError(
+                        "edge %r->%r missing from predecessor map"
+                        % (src, dst))
+        for dst, srcs in self._pred.items():
+            for src in srcs:
+                if dst not in self._succ[src]:
+                    raise AutomatonError(
+                        "edge %r->%r missing from successor map"
+                        % (src, dst))
+
+    def frozen_snapshot(self):
+        """This machine as it is now, frozen and validated.
+
+        A frozen machine validates (once) and returns itself.  A mutable
+        one checks its edge maps, builds its successor columns once and
+        returns a new frozen machine on them that shares its STEs; the
+        snapshot's :meth:`validate` checks the rest on those columns and
+        keeps the pass.  So a mutable machine gets one full check and
+        one column build, and later changes to it do not reach the
+        snapshot (in-place changes to its STEs do).
+        """
+        if self._frozen:
+            return self.validate()
+        self._check_edge_maps()
+        _, targets, offsets = self.successor_columns()
+        return Automaton._from_columns(
+            self.name, self.bits, self.arity, self.start_period,
+            dict(self._states), targets, offsets).validate()
 
     def unreachable_states(self):
         """Ids of states not reachable from any start state."""

@@ -29,6 +29,7 @@ import numpy as np
 from ..errors import ArchitectureError, SimulationError
 from ..obs import OBS, trace_span
 from ..sim.engine import DEFAULT_STEP_CACHE, _normalize_stream
+from ..sim.inputs import code_vectors
 from ..sim.reports import ReportRecorder
 from .config import PUS_PER_CLUSTER, SunderConfig
 from .interconnect import GlobalSwitch
@@ -201,18 +202,15 @@ class SunderDevice:
     def step(self, vector):
         """Execute one vector cycle; returns stall cycles charged."""
         self._check_runnable()
-        if isinstance(vector, int):
-            vector = (vector,)
-        else:
-            vector = tuple(vector)
+        codes = self._normalize((vector,))
         if self.fidelity == "packed":
-            stall = self._packed_run((vector,))
+            stall = self._packed_run(codes)
             # Single-step callers may read pu.enable/pu.active between
             # cycles, so packed state is materialized eagerly here; the
             # bulk run() path syncs once at the end instead.
             self._sync_kernel()
         else:
-            stall = self._literal_step(vector)
+            stall = self._literal_step(self._vectors(codes)[0])
         self._flush_fifo_drained()
         return stall
 
@@ -242,14 +240,14 @@ class SunderDevice:
         self.global_cycle += 1
         return stall
 
-    def _packed_run(self, vectors):
-        """Step normalized ``vectors`` on the packed kernel."""
+    def _packed_run(self, codes):
+        """Step normalized ``codes`` on the packed kernel."""
         kernel = self._kernel
         if kernel is None:
             kernel = self._compile_kernel()
-        stall = kernel.run(vectors, self.global_cycle,
+        stall = kernel.run(codes, self.global_cycle,
                            partial(self._fifo_drain, self._regions))
-        self.global_cycle += len(vectors)
+        self.global_cycle += len(codes)
         return stall
 
     def _compile_kernel(self):
@@ -331,50 +329,60 @@ class SunderDevice:
             self._fifo_drained_reported = self._fifo_drained_total
 
     def run(self, vectors, position_limit=None):
-        """Stream a whole input; returns a :class:`RunResult`."""
+        """Stream a whole input; returns a :class:`RunResult`.
+
+        ``vectors`` may be codes (what :func:`~repro.sim.inputs.
+        stream_for` returns; at rate 1 these are the flat nibbles) or
+        vectors.
+        """
         self._check_runnable()
-        vectors = self._normalize(vectors)
+        codes = self._normalize(vectors)
         if OBS.active:  # single attribute check when no collector attached
-            return self._run_observed(vectors, position_limit)
-        total_stall = self._execute(vectors)
-        return RunResult(self, len(vectors), total_stall, position_limit)
+            return self._run_observed(codes, position_limit)
+        total_stall = self._execute(codes)
+        return RunResult(self, len(codes), total_stall, position_limit)
 
     def _normalize(self, stream):
-        """The engine's stream normalization, raising ArchitectureError."""
+        """The engine's stream normalization into codes, raising
+        ArchitectureError."""
         try:
             return _normalize_stream(self.automaton, stream)
         except SimulationError as error:
             raise ArchitectureError(str(error)) from None
 
-    def _execute(self, vectors):
-        """The fidelity-dispatched cycle loop over a normalized stream."""
+    def _vectors(self, codes):
+        """Normalized codes decoded back into the literal loop's vectors."""
+        return code_vectors(codes, self.automaton.bits, self.automaton.arity)
+
+    def _execute(self, codes):
+        """The fidelity-dispatched cycle loop over normalized codes."""
         if self.fidelity == "packed":
-            total_stall = self._packed_run(vectors)
+            total_stall = self._packed_run(codes)
             self._sync_kernel()
         else:
             total_stall = 0
             step = self._literal_step
-            for vector in vectors:
+            for vector in self._vectors(codes):
                 total_stall += step(vector)
         self._flush_fifo_drained()
         return total_stall
 
-    def _run_observed(self, vectors, position_limit):
+    def _run_observed(self, codes, position_limit):
         """`run` with the telemetry hooks live (collector attached)."""
         instruments = OBS.instruments
         flushes_before = sum(pu.reporting.flushes for _, _, pu in self.iter_pus())
-        with trace_span("device.run", cycles=len(vectors)) as span:
+        with trace_span("device.run", cycles=len(codes)) as span:
             start = perf_counter()
-            total_stall = self._execute(vectors)
+            total_stall = self._execute(codes)
             elapsed = perf_counter() - start
             span.set_attr(stall_cycles=total_stall)
-        instruments.device_cycles.inc(len(vectors))
+        instruments.device_cycles.inc(len(codes))
         instruments.device_stall_cycles.inc(total_stall)
         instruments.device_flushes.inc(
             sum(pu.reporting.flushes for _, _, pu in self.iter_pus())
             - flushes_before)
         instruments.device_run_seconds.observe(elapsed)
-        return RunResult(self, len(vectors), total_stall, position_limit)
+        return RunResult(self, len(codes), total_stall, position_limit)
 
     # ------------------------------------------------------------------
     # Batched multi-stream execution
@@ -402,37 +410,37 @@ class SunderDevice:
             raise ArchitectureError(
                 "run_batch requires the packed fidelity (the literal "
                 "oracle executes one stream at a time)")
-        lane_vectors = [self._normalize(stream) for stream in streams]
+        lane_codes = [self._normalize(stream) for stream in streams]
         if recorders is None:
             recorders = [ReportRecorder(position_limit=position_limit)
-                         for _ in lane_vectors]
-        elif len(recorders) != len(lane_vectors):
+                         for _ in lane_codes]
+        elif len(recorders) != len(lane_codes):
             raise ArchitectureError(
                 "run_batch got %d recorders for %d streams"
-                % (len(recorders), len(lane_vectors)))
+                % (len(recorders), len(lane_codes)))
         kernel = self._kernel
         if kernel is None:
             kernel = self._compile_kernel()
         if OBS.active:
-            self._run_batch_observed(kernel, lane_vectors, recorders)
+            self._run_batch_observed(kernel, lane_codes, recorders)
         else:
-            kernel.run_lanes(lane_vectors, recorders)
+            kernel.run_lanes(lane_codes, recorders)
         return recorders
 
-    def _run_batch_observed(self, kernel, lane_vectors, recorders):
+    def _run_batch_observed(self, kernel, lane_codes, recorders):
         """`run_batch` with the telemetry hooks live."""
         instruments = OBS.instruments
-        total_cycles = sum(len(vectors) for vectors in lane_vectors)
-        with trace_span("device.run_batch", lanes=len(lane_vectors),
+        total_cycles = sum(len(codes) for codes in lane_codes)
+        with trace_span("device.run_batch", lanes=len(lane_codes),
                         cycles=total_cycles):
             start = perf_counter()
             lane_hits, lane_misses = kernel.run_lanes(
-                lane_vectors, recorders)
+                lane_codes, recorders)
             elapsed = perf_counter() - start
         instruments.device_cycles.inc(total_cycles)
         instruments.device_run_seconds.observe(elapsed)
         handles = instruments.engine_handles("device")
-        handles.batch_lanes.observe(len(lane_vectors))
+        handles.batch_lanes.observe(len(lane_codes))
         handles.batch_lane_cache_hits.inc(sum(lane_hits))
         handles.batch_lane_cache_misses.inc(sum(lane_misses))
 

@@ -13,10 +13,13 @@ steps, over device slots ``(cluster * 4 + pu) * cols + column``:
 - **report info** from each PU's ``state_of_column``.
 
 It then steps on the engine's own table
-(:class:`~repro.sim.engine.TransitionTable`): interned active sets,
-block-sliced propagation, one budget (``DEFAULT_STEP_CACHE``) and one
-lanes loop.  Because the compile reads the subarrays, not the
-automaton, the packed path is also a check of the layout.
+(:class:`~repro.sim.engine.TransitionTable`): symbol classes, interned
+active sets, block-sliced propagation, one budget
+(``DEFAULT_STEP_CACHE``) and one lanes loop.  Its input is the
+normalized code stream (:mod:`repro.sim.inputs`), translated to class
+ids once per run, so a nibble code reads its match mask only the first
+time the kernel sees it.  Because the compile reads the subarrays, not
+the automaton, the packed path is also a check of the layout.
 
 The reporting region stays fully literal — report writes, drains,
 flushes, and stalls are the paper's contribution and keep their
@@ -75,6 +78,7 @@ class PackedKernel(TransitionTable):
 
         started = perf_counter()
         self._size = len(self.pus) * cols
+        self._bits = 4
         self._arity = config.rate_nibbles
         self._start_period = device.automaton.start_period
         rows = config.matching_rows
@@ -143,14 +147,6 @@ class PackedKernel(TransitionTable):
         self._targets = np.concatenate(targets)[order].tolist()
         self._offsets = [0] + np.cumsum(
             np.bincount(sources, minlength=self._size)).tolist()
-
-    def _vector_error(self, vector):
-        if len(vector) != self._arity:
-            return ArchitectureError(
-                "input vector arity %d does not match rate %d"
-                % (len(vector), self._arity))
-        return ArchitectureError("nibble value out of range in %r"
-                                 % (vector,))
 
     # ------------------------------------------------------------------
     # Per-set facts
@@ -236,13 +232,15 @@ class PackedKernel(TransitionTable):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, vectors, cycle, drain):
-        """Step ``vectors`` from ``cycle`` on the device's active set.
+    def run(self, codes, cycle, drain):
+        """Step normalized ``codes`` from ``cycle`` on the device's
+        active set.
 
         Each cycle appends its report bits to the literal reporting
         regions, then calls ``drain()`` (the device's FIFO drain).
         Returns the stall cycles charged.
         """
+        [classes] = self._class_streams([codes])
         period = self._start_period
         rows = self._rows
         steps = self._set_steps
@@ -250,15 +248,16 @@ class PackedKernel(TransitionTable):
         pending_crossbar = self._pending_crossbar
         pending_gs = self._pending_gs
         set_id = self._intern(self._active)
-        hits = misses = stall = 0
-        for vector in vectors:
+        misses = stall = 0
+        for class_id in classes:
             phase = 2 if cycle == 0 else (1 if cycle % period == 0 else 0)
-            nxt = rows[set_id][phase].get(vector)
+            try:
+                nxt = rows[phase][set_id][class_id]
+            except IndexError:
+                nxt = None
             if nxt is None:
                 misses += 1
-                nxt = self._miss([set_id], 0, vector, phase)
-            else:
-                hits += 1
+                nxt = self._miss([set_id], 0, class_id, phase)
             set_id = nxt
             facts = steps[set_id]
             if facts is None:
@@ -274,18 +273,18 @@ class PackedKernel(TransitionTable):
             drain()
             cycle += 1
         self._active = self._set_masks[set_id]
-        self._pending_cycles += len(vectors)
-        self._cache_hits += hits
+        self._pending_cycles += len(classes)
+        self._cache_hits += len(classes) - misses
         self._cache_misses += misses
         self.dirty = True
         return stall
 
-    def run_lanes(self, lane_vectors, recorders):
+    def run_lanes(self, lane_codes, recorders):
         """The device's lane executor: the engine's lanes loop.
 
-        Each lane is an independent normalized stream starting from the
-        reset dynamic state at cycle 0; lanes share the table, so
-        identical ``(active, vector, phase)`` transitions are computed
+        Each lane is an independent normalized code stream starting
+        from the reset dynamic state at cycle 0; lanes share the table,
+        so identical ``(active, class, phase)`` transitions are computed
         once per call.  Reports decode straight into the per-lane
         recorders, one row per reporting PU holding
         :meth:`_batch_report_plan`'s shared tuple — the reporting-region
@@ -294,7 +293,8 @@ class PackedKernel(TransitionTable):
         counters, and regions are untouched.  Returns per-lane
         ``(hits, misses)`` lists.
         """
-        return self._execute_lanes(lane_vectors, recorders)
+        return self._execute_lanes(self._class_streams(lane_codes),
+                                   recorders)
 
     # ------------------------------------------------------------------
     # Synchronization with the literal model

@@ -10,9 +10,9 @@ run loop: serial ``run`` for one stream on the engine, ``run_batch``
 lanes from cycle 0 for several (and for every packed device run), one
 fresh literal device per stream at the literal fidelity.
 
-Apart from validating its machine, a session computes nothing before
-the first ``execute`` call, which builds the engine or configures the
-device.
+Apart from validating its machine and freezing a snapshot of it, a
+session computes nothing before the first ``execute`` call, which
+builds the engine or configures the device.
 """
 
 from ..core.config import SunderConfig
@@ -26,6 +26,12 @@ from .planner import Planner
 
 class Session:
     """One automaton + one plan, executable over many streams.
+
+    A session runs its machine as it was when the session was built:
+    it binds :meth:`~repro.automata.automaton.Automaton.frozen_snapshot`
+    (the machine itself when it is frozen), validated once, and the
+    engine or device adopts the snapshot's columns without validating
+    it again.
 
     Parameters
     ----------
@@ -52,7 +58,7 @@ class Session:
 
     def __init__(self, automaton, plan=None, *, source=None, config=None,
                  planner=None):
-        automaton.validate()
+        automaton = automaton.frozen_snapshot()
         if plan is not None and not isinstance(plan, ExecutionPlan):
             raise ValueError(
                 "Session plan must be an ExecutionPlan or None, got %r"
@@ -95,7 +101,7 @@ class Session:
         recorders = [ReportRecorder(position_limit=limit)
                      for _, limit in lanes]
         if len(lanes) > 1:
-            engine.run_batch([vectors for vectors, _ in lanes], recorders)
+            engine.run_batch([codes for codes, _ in lanes], recorders)
         elif lanes:
             engine.run(lanes[0][0], recorders[0])
         return recorders
@@ -120,7 +126,7 @@ class Session:
             recorders = [ReportRecorder(position_limit=limit)
                          for _, limit in lanes]
             if lanes:
-                device.run_batch([vectors for vectors, _ in lanes],
+                device.run_batch([codes for codes, _ in lanes],
                                  recorders=recorders)
             return recorders
         # The literal oracle has no lane-sharable compiled form and its
@@ -130,7 +136,7 @@ class Session:
         for index, data in enumerate(datas):
             if index or device.global_cycle:
                 device = self._fresh_device(plan)
-            vectors, limit = stream_for(self.automaton, data)
-            result = device.run(vectors, position_limit=limit)
+            codes, limit = stream_for(self.automaton, data)
+            result = device.run(codes, position_limit=limit)
             recorders.append(result.reports())
         return recorders

@@ -91,7 +91,7 @@ def evaluate_benchmark(instance, rate=4, config=None, scale=1.0):
     with trace_span("table4.run", benchmark=instance.name):
         engine = BitsetEngine(automaton)
         recorder = ReportRecorder()
-        engine.run(list(data), recorder)
+        engine.run(data, recorder)
         run8 = SimRun(recorder, len(data))
         vectors, limit = stream_for(strided, data)
         strided_recorder = ReportRecorder(position_limit=limit)

@@ -184,16 +184,16 @@ class Histogram(Metric):
     def _new_child(self):
         return type(self)(self.name, self.help, buckets=self.buckets)
 
-    def observe(self, value):
-        """Record one observation."""
+    def observe(self, value, count=1):
+        """Record ``count`` observations of ``value`` (default one)."""
         for index, bound in enumerate(self.buckets):
             if value <= bound:
-                self._counts[index] += 1
+                self._counts[index] += count
                 break
         else:
-            self._counts[-1] += 1
-        self._sum += value
-        self._count += 1
+            self._counts[-1] += count
+        self._sum += value * count
+        self._count += count
 
     @property
     def count(self):

@@ -53,17 +53,20 @@ class SimRun:
 
     @classmethod
     def from_engine(cls, engine, recorder, cycles):
-        """Build a run from a just-executed engine's active-count history.
+        """Build a run from a just-executed engine's active-state counts.
 
         ``engine`` must have just executed the whole stream with
         :meth:`~repro.sim.engine.BitsetEngine.run`, which leaves
-        ``active_count_history`` holding one count per cycle.
+        :meth:`~repro.sim.engine.BitsetEngine.active_count_tally`
+        counting every cycle.
         """
-        history = engine.active_count_history
+        tally = engine.active_count_tally()
         return cls(
             recorder, cycles,
-            max_active_states=max(history) if history else 0,
-            avg_active_states=sum(history) / cycles if cycles else 0.0,
+            max_active_states=max(tally, default=0),
+            avg_active_states=(sum(count * visits
+                                   for count, visits in tally.items())
+                               / cycles if cycles else 0.0),
         )
 
     def summary(self):

@@ -17,6 +17,7 @@ from .engine import (
 from .inputs import (
     PAD_NIBBLE,
     bytes_to_nibbles,
+    code_vectors,
     nibble_position_to_byte,
     nibbles_to_bytes,
     stream_for,
@@ -39,6 +40,7 @@ __all__ = [
     "buffer_pressure",
     "burst_widths",
     "bytes_to_nibbles",
+    "code_vectors",
     "density_timeline",
     "inter_report_gaps",
     "per_code_counts",

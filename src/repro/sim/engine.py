@@ -13,20 +13,28 @@ Two engines with identical semantics:
   block entry is ORed from them the first time the stream needs it.
 
   On top of the kernel sits a lazily built *transition table* over
-  interned active sets: each distinct active mask gets a dense id the
-  first time it appears, with its popcount and report plan computed
-  once, and ``rows[id][start-phase]`` maps an input vector to the next
-  id (DFA-style subset caching, stepped by table entries as in CAMA).
-  The calibrated benchmark streams revisit the same subset-construction
-  states constantly, so most cycles collapse into one dictionary hit,
-  and each reporting cycle is recorded as one row.
+  interned active sets and *symbol classes*.  A machine sees an input
+  only through its match mask, so every input code (see
+  :mod:`repro.sim.inputs`) is interned, the first time a stream holds
+  it, into the class of codes with the same match mask, a small dense
+  id (RE2's byte classes, for an NFA's subset states).  Each distinct
+  active mask likewise gets a dense id the first time it appears, with
+  its report plan computed once, and ``_rows[phase][set][class]`` holds
+  the next set id (DFA-style subset caching, stepped by table entries
+  as in CAMA).  A run translates its code stream to class ids in one
+  C-level pass; the calibrated benchmark streams revisit the same
+  subset-construction states constantly, so most cycles collapse into
+  two list subscripts, and each reporting cycle is recorded as one row.
+  The engine counts the cycles spent in each interned set, which is
+  all its active-state statistics (:meth:`BitsetEngine.active_count_tally`)
+  need.
 - :class:`NaiveEngine` — direct set-of-states implementation kept as a
-  differential-testing oracle.
+  differential-testing oracle; it decodes codes back into vectors.
 
 Beside the single-stream path, :meth:`BitsetEngine.run_batch` drives N
 independent streams through the compiled automaton in one pass
 (per-lane active sets, per-lane recorders, one shared transition table
-— identical ``(active, vector, phase)`` work is paid once per batch
+— identical ``(active, class, phase)`` work is paid once per batch
 instead of once per stream).
 
 The table, its kernel and its lanes loop live in :class:`TransitionTable`,
@@ -42,6 +50,9 @@ Cycle semantics (matching VASim and the paper's Figure 1):
 3. every active reporting state emits one report per report offset.
 """
 
+from array import array
+from itertools import repeat
+from operator import lshift, or_
 from time import perf_counter
 
 from ..errors import SimulationError
@@ -49,6 +60,7 @@ from ..automata.gcutil import gc_paused
 from ..automata.ste import StartKind
 from ..obs import OBS, ProgressReporter, trace_span
 from ..obs.progress import enabled as progress_enabled
+from .inputs import code_array, code_vectors
 from .reports import ReportRecorder, open_rows
 
 #: Vectors per hot-loop slice between progress updates (observed runs,
@@ -76,14 +88,17 @@ class TransitionTable:
     - ``_match_masks[position][value]``: the slots accepting ``value``
       at ``position``;
     - ``_all_input_mask``, ``_start_of_data_mask`` and ``_report_mask``;
-    - ``_arity`` and ``_start_period``;
+    - ``_bits`` (the width of one value), ``_arity`` and
+      ``_start_period``;
 
     then calls :meth:`_init_table`.  It also supplies :meth:`_describe`,
-    the facts a newly interned active set carries, and
-    :meth:`_vector_error`.  The base class owns everything from there:
-    block-sliced propagation, interning, the budgeted table and its
-    lanes loop, so :class:`BitsetEngine` and the packed device kernel
-    step through one implementation.
+    the facts a newly interned active set carries.  The base class owns
+    everything from there: symbol classes, block-sliced propagation,
+    interning, the budgeted table and its lanes loop, so
+    :class:`BitsetEngine` and the packed device kernel step through one
+    implementation.  Its run loops take class-id streams from
+    :meth:`_class_streams`, which takes normalized code streams
+    (:func:`_normalize_stream`).
     """
 
     def _init_table(self, set_facts):
@@ -105,17 +120,30 @@ class TransitionTable:
         self._step_cache_limit = DEFAULT_STEP_CACHE
         self._cache_hits = 0
         self._cache_misses = 0
+        # Symbol classes: each code seen maps to a dense class id, one
+        # per distinct match mask.  Classes depend only on the machine,
+        # so they survive the budget reset; there are at most as many
+        # as the distinct codes the streams held.  With at most 256
+        # codes, _class_bytes is the same map as a translate table.
+        self._class_of = {}
+        self._class_ids = {}
+        self._class_masks = []
+        width = self._bits * self._arity
+        self._class_bytes = bytearray(256) if width <= 8 else None
         # The transition table: interned active sets (mask <-> dense
-        # id, with each set's enabled mask per start phase once needed
-        # and the subclass's facts) and, per id, one {vector: next id}
-        # row per start phase.
+        # id, with each set's enabled mask per start phase once needed,
+        # the cycles spent in it and the subclass's facts) and, per
+        # start phase and id, a list of next ids indexed by class id
+        # (None: not computed yet), grown when a miss needs it.
         self._set_index = {}
         self._set_masks = []
         self._set_enabled = []
-        self._rows = []
+        self._set_visits = []
+        self._rows = ([], [], [])
+        self._active_tally = {}
         self._set_facts = set_facts
         self._set_lists = (self._set_masks, self._set_enabled,
-                           self._rows) + tuple(set_facts)
+                           self._set_visits) + self._rows + tuple(set_facts)
         self._transitions = 0
 
     def _describe(self, mask):
@@ -192,28 +220,59 @@ class TransitionTable:
                 enabled |= self._start_of_data_mask
         return enabled
 
-    def match_mask(self, vector):
-        """Bitmask of states whose symbols match ``vector``.
+    # ------------------------------------------------------------------
+    # Symbol classes
+    # ------------------------------------------------------------------
+    def _class_code(self, code):
+        """Intern ``code`` into the class of its match mask."""
+        bits = self._bits
+        value_mask = (1 << bits) - 1
+        shift = bits * self._arity
+        mask = -1
+        for column in self._match_masks:
+            shift -= bits
+            mask &= column[(code >> shift) & value_mask]
+        class_id = self._class_ids.get(mask)
+        if class_id is None:
+            class_id = self._class_ids[mask] = len(self._class_masks)
+            self._class_masks.append(mask)
+        self._class_of[code] = class_id
+        if self._class_bytes is not None:
+            self._class_bytes[code] = class_id
 
-        Raises :meth:`_vector_error`'s error for a value outside the
-        alphabet or a vector whose length is not the arity.
+    def _class_streams(self, code_streams):
+        """Translate normalized code streams into class-id streams.
+
+        Each stream is translated in one C-level pass:
+        ``bytes.translate`` when the alphabet has at most 256 codes, a
+        ``map`` over the code-to-class dict otherwise, into ``bytes``
+        while there are at most 256 classes.  The codes no earlier
+        stream held are classed first, in ascending order (a ``map``
+        meets the first of them as a ``KeyError``).
         """
-        masks = self._match_masks
-        try:
-            # A negative index would wrap silently, a short vector would
-            # leave positions unchecked.
-            if min(vector) < 0 or len(vector) != len(masks):
-                raise IndexError
-            result = masks[0][vector[0]]
-            for position in range(1, len(vector)):
-                result &= masks[position][vector[position]]
-        except (IndexError, ValueError):
-            raise self._vector_error(vector) from None
-        return result
-
-    def _vector_error(self, vector):
-        """The error :meth:`match_mask` raises for a bad ``vector``."""
-        raise NotImplementedError
+        class_of = self._class_of
+        if self._class_bytes is not None:
+            classed = bytes(class_of)
+            new = set()
+            for codes in code_streams:
+                new.update(codes.translate(None, classed))
+            for code in sorted(new):
+                self._class_code(code)
+            table = bytes(self._class_bytes)
+            return [codes.translate(table) for codes in code_streams]
+        lookup = class_of.__getitem__
+        streams = []
+        for codes in code_streams:
+            while True:
+                try:
+                    streams.append(bytes(map(lookup, codes))
+                                   if len(self._class_masks) <= 256
+                                   else list(map(lookup, codes)))
+                    break
+                except KeyError:  # the stream holds codes not seen yet
+                    for code in sorted(set(codes).difference(class_of)):
+                        self._class_code(code)
+        return streams
 
     # ------------------------------------------------------------------
     # Transition table over interned active sets
@@ -230,78 +289,99 @@ class TransitionTable:
             self._set_index[mask] = set_id
             self._set_masks.append(mask)
             self._set_enabled.append([None, None, None])
-            self._rows.append(({}, {}, {}))
+            self._set_visits.append(0)
+            for rows in self._rows:
+                rows.append([])
             for facts, fact in zip(self._set_facts, self._describe(mask)):
                 facts.append(fact)
         return set_id
 
-    def _miss(self, lanes, lane, vector, phase):
-        """Compute and store the transition of ``lanes[lane]`` on ``vector``.
+    def _fold_visits(self):
+        """Add the per-set visit counts into ``_active_tally`` and zero
+        them, so the counts outlive the sets' ids."""
+        tally = self._active_tally
+        masks = self._set_masks
+        visits = self._set_visits
+        for set_id, cycles in enumerate(visits):
+            if cycles:
+                count = _popcount(masks[set_id])
+                tally[count] = tally.get(count, 0) + cycles
+        visits[:] = repeat(0, len(visits))
+
+    def _miss(self, lanes, lane, class_id, phase):
+        """Compute and store the transition of ``lanes[lane]`` on a class.
 
         ``lanes`` holds the set id of every lane the caller still
         steps.  The set's enabled mask for ``phase`` is computed on its
-        first miss in that phase and kept with its other facts.  When
-        the table already holds its budget of transitions, it is
-        cleared and each lane's active set is re-interned in place (the
-        RE2-style cache reset), so the caller's ids stay valid.  The
-        table's lists are cleared in place too, so loops holding them
-        keep working.  Returns the next set id.
+        first miss in that phase and kept with its other facts; the
+        next set is that mask ANDed with the class's match mask.  When
+        the table already holds its budget of transitions, the visit
+        counts are folded out, the table is cleared and each lane's
+        active set is re-interned in place (the RE2-style cache reset),
+        so the caller's ids stay valid.  The table's lists are cleared
+        in place too, so loops holding them keep working.  Returns the
+        next set id.
         """
         set_id = lanes[lane]
         enabled = self._set_enabled[set_id]
         if enabled[phase] is None:
             enabled[phase] = self._enabled_from(self._set_masks[set_id],
                                                 phase)
-        nxt = enabled[phase] & self.match_mask(vector)
+        nxt = enabled[phase] & self._class_masks[class_id]
         if self._transitions >= self._step_cache_limit:
             held = [self._set_masks[held_id] for held_id in lanes]
+            self._fold_visits()
             self._set_index.clear()
             for facts in self._set_lists:
                 facts.clear()
             self._transitions = 0
             lanes[:] = [self._intern(mask) for mask in held]
         target = self._intern(nxt)
-        self._rows[lanes[lane]][phase][vector] = target
+        row = self._rows[phase][lanes[lane]]
+        if len(row) <= class_id:
+            row.extend(repeat(None, len(self._class_masks) - len(row)))
+        row[class_id] = target
         self._transitions += 1
         return target
 
     @gc_paused
-    def _execute_lanes(self, lane_vectors, recorders, histories=None):
+    def _execute_lanes(self, lane_classes, recorders, count_visits=False):
         """The batched hot loop: N lanes, one shared transition table.
 
         Every lane starts from the empty active set at cycle 0, so all
         lanes share one cycle index and one start phase per step.  Each
         lane keeps its own active set as an interned id; lanes share the
-        table but no other work (each consumes its own input vector).
+        table but no other work (each consumes its own class stream).
         A reporting set writes its report rows (``_set_plans``) into
-        the lane's recorder, each row this cycle's.  ``histories``,
-        when given, receives each lane's per-cycle active-state counts
-        (``_set_counts``).  Returns per-lane ``(hits, misses)`` lists.
+        the lane's recorder, each row this cycle's.  With
+        ``count_visits`` every lane's cycles are added to the sets'
+        visit counts.  Returns per-lane ``(hits, misses)`` lists.
         """
-        count = len(lane_vectors)
+        count = len(lane_classes)
         period = self._start_period
         rows = self._rows
         plans = self._set_plans
-        counts = self._set_counts if histories is not None else None
+        visits = self._set_visits
         miss = self._miss
         actives = [self._intern(0)] * count
-        lane_hits = [0] * count
         lane_misses = [0] * count
-        lane_lengths = [len(vectors) for vectors in lane_vectors]
+        lane_lengths = [len(classes) for classes in lane_classes]
         with open_rows(recorders, self._arity) as sinks:
             for cycle in range(max(lane_lengths, default=0)):
                 phase = (2 if cycle == 0 else
                          1 if cycle % period == 0 else 0)
+                table = rows[phase]
                 for lane in range(count):
                     if cycle >= lane_lengths[lane]:
                         continue
-                    vector = lane_vectors[lane][cycle]
-                    nxt = rows[actives[lane]][phase].get(vector)
+                    class_id = lane_classes[lane][cycle]
+                    try:
+                        nxt = table[actives[lane]][class_id]
+                    except IndexError:
+                        nxt = None
                     if nxt is None:
                         lane_misses[lane] += 1
-                        nxt = miss(actives, lane, vector, phase)
-                    else:
-                        lane_hits[lane] += 1
+                        nxt = miss(actives, lane, class_id, phase)
                     actives[lane] = nxt
                     report_rows = plans[nxt]
                     if report_rows:
@@ -311,8 +391,10 @@ class TransitionTable:
                             for plan in report_rows:
                                 add_cycle(cycle)
                                 add_plan(plan)
-                    if histories is not None:
-                        histories[lane].append(counts[nxt])
+                    if count_visits:
+                        visits[nxt] += 1
+        lane_hits = [length - misses
+                     for length, misses in zip(lane_lengths, lane_misses)]
         self._cache_hits += sum(lane_hits)
         self._cache_misses += sum(lane_misses)
         return lane_hits, lane_misses
@@ -342,6 +424,7 @@ class BitsetEngine(TransitionTable):
             automaton.successor_columns()
         size = len(self._ids)
         self._size = size
+        self._bits = automaton.bits
         self._arity = automaton.arity
         self._start_period = automaton.start_period
 
@@ -378,21 +461,15 @@ class BitsetEngine(TransitionTable):
                 column[low.bit_length() - 1] |= wide
                 values ^= low
 
-        # Per interned set: its popcount and its report rows — one row,
-        # the set's decoded plan, when it reports.
-        self._set_counts = []
+        # Per interned set: its report rows — one row, the set's
+        # decoded plan, when it reports.
         self._set_plans = []
-        self._init_table((self._set_counts, self._set_plans))
+        self._init_table((self._set_plans,))
         self.reset()
 
     def _describe(self, mask):
         plan = self._report_plan(mask & self._report_mask)
-        return _popcount(mask), (plan,) if plan else ()
-
-    def _vector_error(self, vector):
-        return SimulationError(
-            "input vector %r out of range for %d-bit arity-%d automaton"
-            % (vector, self.automaton.bits, self.automaton.arity))
+        return ((plan,) if plan else (),)
 
     # ------------------------------------------------------------------
     def reset(self):
@@ -400,11 +477,13 @@ class BitsetEngine(TransitionTable):
 
         The transition table is deliberately *not* cleared: its
         entries depend only on the automaton, never on stream position.
+        The active-state statistics restart.
         """
         self._active = 0
         self._cycle = 0
-        #: Active-state count of every cycle since the last reset.
-        self.active_count_history = []
+        self._active_tally.clear()
+        visits = self._set_visits
+        visits[:] = repeat(0, len(visits))
 
     @property
     def cycle(self):
@@ -414,6 +493,17 @@ class BitsetEngine(TransitionTable):
     def active_ids(self):
         """Ids of currently active states (after the last step)."""
         return [self._ids[i] for i in _iter_bits(self._active)]
+
+    def active_count_tally(self):
+        """``{active-state count: cycles}`` since the last :meth:`reset`.
+
+        Every cycle stepped since then (a whole :meth:`run`, or the
+        :meth:`step` calls) counts once, under the popcount of the
+        active set it ended in.  The maximum and the mean of the
+        per-cycle counts, and their distribution, follow from it.
+        """
+        self._fold_visits()
+        return dict(self._active_tally)
 
     def _report_plan(self, reporting):
         """Decode a reporting mask into ((offset, state_id, code), ...)."""
@@ -425,72 +515,95 @@ class BitsetEngine(TransitionTable):
         return tuple(plan)
 
     def step(self, vector, recorder=None):
-        """Advance one cycle on ``vector``; returns the active bitmask."""
-        self._execute(
-            (vector if type(vector) is tuple else tuple(vector),), recorder)
+        """Advance one cycle on ``vector``; returns the active bitmask.
+
+        ``vector`` is a tuple of the automaton's arity, or its code.
+        """
+        codes = _normalize_stream(self.automaton, (vector,))
+        self._execute(self._class_streams([codes])[0], recorder)
         return self._active
 
     @gc_paused
-    def _execute(self, vectors, recorder):
+    def _execute(self, classes, recorder):
         """The serial run loop behind :meth:`run` and :meth:`step`.
 
         Continues from ``self._active`` at ``self._cycle``, so slicing
-        a stream across calls is bit-exact with one call.  The loop
-        holds the active set as an interned id: a hit is one row
-        lookup, and only a miss touches masks.  A reporting cycle
-        appends the set's one report row — its cycle and the set's
-        interned plan — onto the recorder's columns.  The collector is
-        paused — the loop allocates no reference cycles.
+        a class stream across calls is bit-exact with one call.  Cycle 0
+        (the start-of-data phase) is stepped on its own, so that under
+        start period 1 every later cycle shares one phase and the loop
+        never computes it.  The collector is paused — the loop
+        allocates no reference cycles.
+        """
+        with open_rows((recorder,), self._arity) as (sink,):
+            if self._cycle == 0 and classes:
+                self._step_classes(classes[:1], 2, sink)
+                classes = classes[1:]
+            self._step_classes(
+                classes, 1 if self._start_period == 1 else None, sink)
+
+    def _step_classes(self, classes, phase, sink):
+        """Step ``classes`` from ``self._active`` at ``self._cycle``.
+
+        ``phase`` is every cycle's start phase, or None to compute it
+        per cycle (from the start period).  The loop holds the active
+        set as an interned id: a hit is two list subscripts, and only a
+        miss touches masks.  Each cycle counts a visit to the set it
+        ends in; a reporting cycle appends the set's one report row —
+        its cycle and the set's interned plan — onto the recorder's
+        columns.
         """
         period = self._start_period
-        add_count = self.active_count_history.append
-        cycle = self._cycle
         rows = self._rows
+        fixed = phase is not None
+        table = rows[phase] if fixed else None
         plans = self._set_plans
-        counts = self._set_counts
-        single_period = period == 1
+        visits = self._set_visits
+        miss = self._miss
+        # Without a recorder the rows go to throwaway lists.
+        add_cycle, add_plan = sink or ([].append, [].append)
         set_id = self._intern(self._active)
-        hits = misses = 0
-        with open_rows((recorder,), self._arity) as (sink,):
-            add_cycle, add_plan = sink if sink is not None else (None, None)
-            for vector in vectors:
-                phase = (2 if cycle == 0 else
-                         1 if single_period or cycle % period == 0 else 0)
-                nxt = rows[set_id][phase].get(vector)
-                if nxt is None:
-                    misses += 1
-                    nxt = self._miss([set_id], 0, vector, phase)
-                else:
-                    hits += 1
-                set_id = nxt
-                report_rows = plans[set_id]
-                if report_rows and add_plan is not None:
-                    for plan in report_rows:
-                        add_cycle(cycle)
-                        add_plan(plan)
-                add_count(counts[set_id])
-                cycle += 1
+        misses = 0
+        cycle = self._cycle - 1
+        for cycle, class_id in enumerate(classes, self._cycle):
+            if not fixed:
+                phase = 0 if cycle % period else 1
+                table = rows[phase]
+            try:
+                nxt = table[set_id][class_id]
+            except IndexError:
+                nxt = None
+            if nxt is None:
+                misses += 1
+                nxt = miss([set_id], 0, class_id, phase)
+            set_id = nxt
+            report_rows = plans[set_id]
+            if report_rows:  # a set has one report row (_describe)
+                add_cycle(cycle)
+                add_plan(report_rows[0])
+            visits[set_id] += 1
         self._active = self._set_masks[set_id]
-        self._cycle = cycle
-        self._cache_hits += hits
+        self._cycle = cycle + 1
+        self._cache_hits += len(classes) - misses
         self._cache_misses += misses
 
     def run(self, stream, recorder=None, position_limit=None):
         """Execute a whole stream; returns the :class:`ReportRecorder` used.
 
-        ``stream`` may be flat ints (arity 1) or vectors.  When ``recorder``
-        is None a fresh one (with ``position_limit``) is created.
+        ``stream`` may be codes (what :func:`~repro.sim.inputs.stream_for`
+        returns; at arity 1 these are the flat values) or vectors.  When
+        ``recorder`` is None a fresh one (with ``position_limit``) is
+        created.
         """
         if recorder is None:
             recorder = ReportRecorder(position_limit=position_limit)
+        codes = _normalize_stream(self.automaton, stream)
         if OBS.active:  # single attribute check when no collector attached
-            return self._run_observed(stream, recorder)
+            return self._run_observed(codes, recorder)
         self.reset()
-        self._execute_stream(_normalize_stream(self.automaton, stream),
-                             recorder)
+        self._execute_stream(self._class_streams([codes])[0], recorder)
         return recorder
 
-    def _execute_stream(self, vectors, recorder):
+    def _execute_stream(self, classes, recorder):
         """:meth:`_execute` over a whole stream, reporting progress.
 
         When a collector is attached or ``REPRO_PROGRESS`` is set, a
@@ -499,18 +612,18 @@ class BitsetEngine(TransitionTable):
         bit-exact with one big call, and the chunk boundary is where
         paper-scale runs report progress.  Otherwise it is one call.
         """
-        total = len(vectors)
+        total = len(classes)
         if total <= _PROGRESS_CHUNK or not (OBS.active or progress_enabled()):
-            self._execute(vectors, recorder)
+            self._execute(classes, recorder)
             return
         progress = ProgressReporter("simulate", total,
                                     detail=self.automaton.name)
         for begin in range(0, total, _PROGRESS_CHUNK):
-            self._execute(vectors[begin:begin + _PROGRESS_CHUNK], recorder)
+            self._execute(classes[begin:begin + _PROGRESS_CHUNK], recorder)
             progress.update(begin + _PROGRESS_CHUNK)
         progress.finish()
 
-    def _run_observed(self, stream, recorder):
+    def _run_observed(self, codes, recorder):
         """`run` with the telemetry hooks live (collector attached).
 
         Label children are pre-resolved once per process via
@@ -519,22 +632,26 @@ class BitsetEngine(TransitionTable):
         """
         handles = OBS.instruments.engine_handles("bitset")
         reports_before = recorder.total_reports
-        vectors = _normalize_stream(self.automaton, stream)
         with trace_span("engine.run", engine="bitset",
                         automaton=self.automaton.name,
-                        cycles=len(vectors)):
+                        cycles=len(codes)):
             start = perf_counter()
             self.reset()
-            self._execute_stream(vectors, recorder)
+            self._execute_stream(self._class_streams([codes])[0], recorder)
             elapsed = perf_counter() - start
         handles.runs.inc()
-        handles.cycles.inc(len(vectors))
+        handles.cycles.inc(len(codes))
         handles.reports.inc(recorder.total_reports - reports_before)
         handles.run_seconds.observe(elapsed)
-        observe_active = handles.active_states.observe
-        for count in self.active_count_history:
-            observe_active(count)
+        self._observe_active_counts(handles)
         return recorder
+
+    def _observe_active_counts(self, handles):
+        """Feed :meth:`active_count_tally` to the ``active_states``
+        histogram, one observation per cycle."""
+        observe_active = handles.active_states.observe
+        for count, cycles in sorted(self.active_count_tally().items()):
+            observe_active(count, cycles)
 
     # ------------------------------------------------------------------
     # Batched multi-stream execution
@@ -546,57 +663,55 @@ class BitsetEngine(TransitionTable):
         (the differential suite pins bit-exactness); lanes may have
         different lengths — exhausted lanes freeze while the rest
         continue.  The transition table is shared across lanes, so
-        identical ``(active, vector, phase)`` work is paid once per
+        identical ``(active, class, phase)`` work is paid once per
         batch instead of once per stream.  Returns the list of per-lane
         recorders; the engine's own streaming state is reset afterwards.
         """
-        lane_vectors = [_normalize_stream(self.automaton, stream)
-                        for stream in streams]
+        lane_codes = [_normalize_stream(self.automaton, stream)
+                      for stream in streams]
         if recorders is None:
             recorders = [ReportRecorder(position_limit=position_limit)
-                         for _ in lane_vectors]
-        elif len(recorders) != len(lane_vectors):
+                         for _ in lane_codes]
+        elif len(recorders) != len(lane_codes):
             raise SimulationError(
                 "run_batch got %d recorders for %d streams"
-                % (len(recorders), len(lane_vectors)))
+                % (len(recorders), len(lane_codes)))
+        lane_classes = self._class_streams(lane_codes)
         if OBS.active:
-            self._run_batch_observed(lane_vectors, recorders)
+            self._run_batch_observed(lane_classes, recorders)
         else:
-            self._execute_lanes(lane_vectors, recorders)
+            self._execute_lanes(lane_classes, recorders)
         self.reset()
         return recorders
 
-    def _run_batch_observed(self, lane_vectors, recorders):
+    def _run_batch_observed(self, lane_classes, recorders):
         """`run_batch` with the telemetry hooks live.
 
-        Only here does each lane keep its active-count history: the
-        ``active_states`` histogram is its one reader.
+        Only here do the lanes count their visits: the
+        ``active_states`` histogram is their one reader.
         """
         handles = OBS.instruments.engine_handles("bitset")
         reports_before = sum(r.total_reports for r in recorders)
-        total_cycles = sum(len(vectors) for vectors in lane_vectors)
-        histories = [[] for _ in lane_vectors]
+        total_cycles = sum(len(classes) for classes in lane_classes)
+        self.reset()
         with trace_span("engine.run_batch", engine="bitset",
                         automaton=self.automaton.name,
-                        lanes=len(lane_vectors), cycles=total_cycles):
+                        lanes=len(lane_classes), cycles=total_cycles):
             start = perf_counter()
             lane_hits, lane_misses = self._execute_lanes(
-                lane_vectors, recorders, histories)
+                lane_classes, recorders, count_visits=True)
             elapsed = perf_counter() - start
         # Lane-for-lane parity with N serial runs: counters move by the
         # same amounts a loop of run() calls would move them.
-        handles.runs.inc(len(lane_vectors))
+        handles.runs.inc(len(lane_classes))
         handles.cycles.inc(total_cycles)
         handles.reports.inc(
             sum(r.total_reports for r in recorders) - reports_before)
         handles.run_seconds.observe(elapsed)
-        handles.batch_lanes.observe(len(lane_vectors))
+        handles.batch_lanes.observe(len(lane_classes))
         handles.batch_lane_cache_hits.inc(sum(lane_hits))
         handles.batch_lane_cache_misses.inc(sum(lane_misses))
-        observe_active = handles.active_states.observe
-        for history in histories:
-            for count in history:
-                observe_active(count)
+        self._observe_active_counts(handles)
 
 
 class NaiveEngine:
@@ -645,38 +760,98 @@ class NaiveEngine:
         return active
 
     def run(self, stream, recorder=None, position_limit=None):
-        """Execute a whole stream; mirrors :meth:`BitsetEngine.run`."""
+        """Execute a whole stream; mirrors :meth:`BitsetEngine.run`.
+
+        The stream is normalized into codes as the engine's is, then
+        decoded back into one vector per cycle.
+        """
         if recorder is None:
             recorder = ReportRecorder(position_limit=position_limit)
         self.reset()
-        for vector in _normalize_stream(self.automaton, stream):
+        automaton = self.automaton
+        codes = _normalize_stream(automaton, stream)
+        for vector in code_vectors(codes, automaton.bits, automaton.arity):
             self.step(vector, recorder)
         return recorder
 
 
-def _normalize_stream(automaton, stream):
-    """Turn a flat or vector stream into tuples of the automaton's arity.
+#: Streams taken as codes already (see :mod:`repro.sim.inputs`).
+_CODE_STREAMS = (bytes, bytearray, array)
 
-    A list that already holds only tuples of the right arity (what
-    :func:`~repro.sim.inputs.stream_for` builds) is returned as it is;
-    both checks run in C.
+
+def _normalize_stream(automaton, stream):
+    """The input codes of ``stream`` for ``automaton``, range-checked.
+
+    A ``bytes``, ``bytearray`` or ``array`` stream holds codes (what
+    :func:`~repro.sim.inputs.stream_for` builds), and so does any other
+    iterable of ints: at arity 1 a value is its own code, so these are
+    the flat streams.  Any other iterable holds vectors of the
+    automaton's arity, which are packed here: the vectors are
+    transposed into per-position columns, each column is
+    range-checked, and the columns are shifted together, all in C-level
+    passes.  A vector of another arity or a value outside the alphabet
+    raises :class:`SimulationError`.  Returns the codes in the compact
+    container for their width (:func:`~repro.sim.inputs.code_array`).
     """
-    if (type(stream) is list and set(map(type, stream)) <= {tuple}
-            and set(map(len, stream)) <= {automaton.arity}):
-        return stream
-    vectors = []
-    for item in stream:
-        if isinstance(item, int):
-            item = (item,)
+    bits, arity = automaton.bits, automaton.arity
+    width = bits * arity
+    if isinstance(stream, _CODE_STREAMS):
+        codes = stream
+    else:
+        items = stream if type(stream) is list else list(stream)
+        if set(map(type, items)) <= {int}:
+            codes = items
         else:
-            item = tuple(item)
-        if len(item) != automaton.arity:
+            codes = _pack_vectors(items, bits, arity)
+    if not _codes_in_range(codes, width):
+        code = next(code for code in codes if code < 0 or code >> width)
+        raise SimulationError(
+            "input code %r out of range for %d-bit arity-%d automaton"
+            % (code, bits, arity))
+    if isinstance(codes, (bytes, bytearray)) or (
+            type(codes) is array and width > 8):
+        return codes
+    return code_array(codes.tolist() if type(codes) is array else codes,
+                      width)
+
+
+def _codes_in_range(codes, width):
+    """Whether every code lies in ``[0, 2 ** width)``, in C-level passes."""
+    if isinstance(codes, (bytes, bytearray)):
+        return width >= 8 or not codes.translate(None, bytes(range(1 << width)))
+    if (type(codes) is array and codes.typecode in "BHILQ"
+            and codes.itemsize * 8 <= width):
+        return True  # an unsigned array no wider than a code
+    return not codes or (min(codes) >= 0 and not max(codes) >> width)
+
+
+def _pack_vectors(items, bits, arity):
+    """Big-endian codes of ``items``' vectors (see :func:`_normalize_stream`)."""
+    if set(map(type, items)) <= {tuple}:
+        vectors = items
+    else:
+        vectors = [(item,) if isinstance(item, int) else tuple(item)
+                   for item in items]
+    if set(map(len, vectors)) - {arity}:
+        vector = next(vector for vector in vectors if len(vector) != arity)
+        raise SimulationError(
+            "input vector %r does not match automaton arity %d"
+            % (vector, arity))
+    columns = list(zip(*vectors))
+    limit = 1 << bits
+    for column in columns:
+        if min(column) < 0 or max(column) >= limit:
+            vector = next(vector for vector in vectors
+                          if not all(0 <= value < limit for value in vector))
             raise SimulationError(
-                "input vector %r does not match automaton arity %d"
-                % (item, automaton.arity)
-            )
-        vectors.append(item)
-    return vectors
+                "input vector %r out of range for %d-bit arity-%d automaton"
+                % (vector, bits, arity))
+    if not columns:
+        return []
+    codes = columns[0]
+    for column in columns[1:]:
+        codes = map(or_, map(lshift, codes, repeat(bits)), column)
+    return list(codes)
 
 
 def _mask_of(indices, size):

@@ -1,13 +1,20 @@
-"""Input stream conversion between byte, nibble, and strided-vector domains.
+"""Input stream conversion between byte, nibble, strided-vector and code domains.
 
 The nibble transformation (paper Section 4) changes the *input* alphabet as
 well as the automaton: a byte stream becomes a nibble stream (high nibble
 first, matching FlexAmata's big-endian bit ordering), and temporal striding
 groups consecutive nibbles into fixed-arity vectors, padding the tail.
+
+The engines consume *codes*, not vectors: a vector's values packed
+big-endian into one int, ``code = v[0] << bits * (arity - 1) | ... |
+v[-1]``.  For an 8-bit machine and at rate 2 a code is the input byte, at
+rate 1 a nibble and at rate 4 the big-endian byte pair, so
+:func:`stream_for` builds every stream in a few C-level passes and a
+stream costs one or two bytes per cycle.
 """
 
 import sys
-from itertools import chain
+from array import array
 
 from ..errors import SimulationError
 
@@ -16,36 +23,9 @@ from ..errors import SimulationError
 #: position; zero matches the paper's "concatenated with all zeros".
 PAD_NIBBLE = 0
 
-# Shared vector tuples, so a stream holds references, not one new tuple
-# per vector: per byte for 8-bit machines (``(b,)``), for rate 1 (its
-# two one-nibble vectors) and for rate 2 (``(high, low)``).
-_BYTE_VECTORS = tuple((value,) for value in range(256))
-_NIBBLE_VECTORS = tuple((value,) for value in range(16))
-_BYTE_NIBBLE_VECTORS = tuple(
-    (_NIBBLE_VECTORS[value >> 4], _NIBBLE_VECTORS[value & 0xF])
-    for value in range(256))
-_BYTE_PAIR_VECTORS = tuple((value >> 4, value & 0xF) for value in range(256))
-
-
-class _PairVectors(dict):
-    """Rate-4 vectors keyed by two bytes read as one native uint16.
-
-    An interning table: each entry is fixed by its key, so sharing one
-    table across streams changes no result, only which equal tuple a
-    stream holds.  Entries are made as pairs first appear, so it holds
-    only pairs seen, at most 65,536.  One table per stream instead
-    made converting the sessions benchmark's packets about 2x slower,
-    since a 1500-byte packet repeats few of its pairs.
-    """
-
-    def __missing__(self, key):
-        first, second = key.to_bytes(2, sys.byteorder)
-        vector = self[key] = (first >> 4, first & 0xF,
-                              second >> 4, second & 0xF)
-        return vector
-
-
-_PAIR_VECTORS = _PairVectors()
+# ``bytes.translate`` tables: each byte's high and low nibble.
+_HIGH_NIBBLES = bytes(value >> 4 for value in range(256))
+_LOW_NIBBLES = bytes(value & 0xF for value in range(256))
 
 
 def bytes_to_nibbles(data):
@@ -90,19 +70,47 @@ def vectorize(symbols, arity, pad=PAD_NIBBLE):
     return vectors, original_length
 
 
+def code_array(codes, width):
+    """An iterable of ints below ``2 ** width`` in the compact container
+    for ``width``-bit codes: ``bytes`` up to 8 bits, ``array('H')`` up to
+    16, ``array('Q')`` up to 64, else a list.  (An ``array`` built from
+    a bytes-like object would read its buffer, so pass ints.)"""
+    if width <= 8:
+        return bytes(codes)
+    if width <= 16:
+        return array("H", codes)
+    if width <= 64:
+        return array("Q", codes)
+    return list(codes)
+
+
+def code_vectors(codes, bits, arity):
+    """Unpack each code into its ``arity``-tuple of ``bits``-bit values."""
+    if arity == 1:
+        return [(code,) for code in codes]
+    value_mask = (1 << bits) - 1
+    shifts = range(bits * (arity - 1), -1, -bits)
+    return [tuple((code >> shift) & value_mask for shift in shifts)
+            for code in codes]
+
+
 def stream_for(automaton, data):
-    """Convert a byte string into the stream shape ``automaton`` consumes.
+    """Convert a byte string into the code stream ``automaton`` consumes.
 
-    Returns ``(vectors, position_limit)``:
+    Returns ``(codes, position_limit)``:
 
-    - 8-bit arity-1 automata consume the bytes directly;
-    - 4-bit automata consume nibbles, grouped into arity-sized vectors.
+    - an 8-bit arity-1 automaton, or a rate-2 one, consumes the bytes
+      themselves (``data``, as ``bytes``);
+    - a rate-1 automaton consumes nibbles, as ``bytes``;
+    - a rate-4 automaton consumes big-endian byte pairs, as an
+      ``array('H')``; an odd tail byte is padded with
+      :data:`PAD_NIBBLE`-s.
 
-    ``position_limit`` is in the automaton's sub-symbol units and already
-    accounts for padding.  The vectors are shared tuples (per byte, or
-    per byte pair at rate 4), equal to what :func:`vectorize` builds
-    from :func:`bytes_to_nibbles`.  A non-``bytes`` ``data`` must hold
-    byte values; any other value raises :class:`SimulationError`.
+    Decoded (:func:`code_vectors`), the codes are what :func:`vectorize`
+    builds from :func:`bytes_to_nibbles`.  ``position_limit`` is in the
+    automaton's sub-symbol units and already accounts for padding.  A
+    non-``bytes`` ``data`` must hold byte values; any other value raises
+    :class:`SimulationError`.
     """
     if automaton.bits not in (4, 8):
         raise SimulationError(
@@ -110,26 +118,36 @@ def stream_for(automaton, data):
         )
     if automaton.bits == 8 and automaton.arity != 1:
         raise SimulationError("strided 8-bit automata are not modelled")
-    if not isinstance(data, (bytes, bytearray)):
-        data = bytes(_checked_bytes(data))
+    if type(data) is not bytes:
+        data = bytes(data if isinstance(data, bytearray)
+                     else _checked_bytes(data))
     if automaton.bits == 8:
-        return list(map(_BYTE_VECTORS.__getitem__, data)), len(data)
+        return data, len(data)
     arity = automaton.arity
+    if arity == 2:
+        return data, 2 * len(data)
     if arity == 1:
-        vectors = list(chain.from_iterable(
-            map(_BYTE_NIBBLE_VECTORS.__getitem__, data)))
-    elif arity == 2:
-        vectors = list(map(_BYTE_PAIR_VECTORS.__getitem__, data))
-    elif arity == 4:
-        even = len(data) & ~1
-        vectors = list(map(_PAIR_VECTORS.__getitem__,
-                           memoryview(data)[:even].cast("H")))
-        if even < len(data):  # one byte left: pad its vector
-            last = data[-1]
-            vectors.append((last >> 4, last & 0xF, PAD_NIBBLE, PAD_NIBBLE))
-    else:
-        return vectorize(bytes_to_nibbles(data), arity)
-    return vectors, 2 * len(data)
+        nibbles = bytearray(2 * len(data))
+        nibbles[0::2] = data.translate(_HIGH_NIBBLES)
+        nibbles[1::2] = data.translate(_LOW_NIBBLES)
+        return bytes(nibbles), 2 * len(data)
+    if arity == 4:
+        codes = array("H", data[:len(data) & ~1])
+        if sys.byteorder == "little":
+            codes.byteswap()
+        if len(data) & 1:  # one byte left: pad its vector
+            codes.append(data[-1] << 8 | PAD_NIBBLE << 4 | PAD_NIBBLE)
+        return codes, 2 * len(data)
+    vectors, limit = vectorize(bytes_to_nibbles(data), arity)
+    return code_array(map(_nibble_code, vectors), 4 * arity), limit
+
+
+def _nibble_code(vector):
+    """Big-endian code of one nibble vector."""
+    code = 0
+    for value in vector:
+        code = code << 4 | value
+    return code
 
 
 def _checked_bytes(values):

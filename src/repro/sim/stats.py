@@ -6,7 +6,7 @@ columns (#states, #report states, report-state %) and dynamic columns
 report-cycle %) exactly as the paper defines them.
 """
 
-from .engine import BitsetEngine
+from .engine import BitsetEngine, _normalize_stream
 from .reports import ReportRecorder
 
 
@@ -29,17 +29,17 @@ def dynamic_statistics(automaton, stream, position_limit=None):
     """
     engine = BitsetEngine(automaton)
     recorder = ReportRecorder(position_limit=position_limit)
-    stream = list(stream)
-    engine.run(stream, recorder)
-    cycles = len(stream)
+    codes = _normalize_stream(automaton, stream)
+    engine.run(codes, recorder)
+    cycles = len(codes)
     result = recorder.summary(cycles)
     result["cycles"] = cycles
     result["recorder"] = recorder
-    result["max_active_states"] = (
-        max(engine.active_count_history) if engine.active_count_history else 0
-    )
+    tally = engine.active_count_tally()
+    result["max_active_states"] = max(tally, default=0)
     result["avg_active_states"] = (
-        sum(engine.active_count_history) / cycles if cycles else 0.0
+        sum(count * visits for count, visits in tally.items()) / cycles
+        if cycles else 0.0
     )
     return result
 

@@ -6,7 +6,8 @@ VASim provides with its ``--debug`` flag.  Traces render as aligned text
 or export as structured dicts for programmatic analysis.
 """
 
-from .engine import BitsetEngine
+from .engine import BitsetEngine, _normalize_stream
+from .inputs import code_vectors
 from .reports import ReportRecorder
 
 
@@ -47,12 +48,14 @@ class Tracer:
         self.cycles = []
 
     def run(self, stream, position_limit=None):
-        """Execute ``stream``; returns the report recorder."""
+        """Execute ``stream`` (codes or vectors, as for
+        :meth:`BitsetEngine.run`); returns the report recorder."""
         recorder = ReportRecorder(position_limit=position_limit)
         self.engine.reset()
         self.cycles = []
-        for raw in stream:
-            vector = (raw,) if isinstance(raw, int) else tuple(raw)
+        automaton = self.automaton
+        codes = _normalize_stream(automaton, stream)
+        for vector in code_vectors(codes, automaton.bits, automaton.arity):
             rows_before = len(recorder.plans)
             self.engine.step(vector, recorder)
             self.cycles.append(CycleTrace(

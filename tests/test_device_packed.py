@@ -233,15 +233,20 @@ class TestKernelMechanics:
         assert info["hits"] > info["misses"]  # periodic stream re-keys fast
         assert 0.0 < info["hit_rate"] <= 1.0
         assert info["size"] <= info["limit"]
-        # The kernel steps on the engine's table, keyed on active sets:
-        # the PUs a one-cluster machine leaves empty add no keys, so the
-        # device misses exactly where the engine does, and under the
-        # budget each miss stores one transition.
+        # The kernel steps on the engine's table, keyed on active sets
+        # and symbol classes: the PUs a one-cluster machine leaves empty
+        # add no keys and split no class, so the device classes codes
+        # and misses exactly where the engine does, and under the budget
+        # each miss stores one transition.
         engine = BitsetEngine(strided)
         engine.run(vectors)
         assert info["misses"] == engine.step_cache_info()["misses"]
         assert info["hits"] == engine.step_cache_info()["hits"]
         assert info["size"] == info["misses"]
+        kernel = device._kernel
+        assert len(kernel._class_masks) == len(engine._class_masks)
+        assert ({code: kernel._class_of[code] for code in vectors}
+                == {code: engine._class_of[code] for code in vectors})
 
     def test_cache_disabled_still_exact(self, monkeypatch):
         # A zero budget clears the table on every miss.
@@ -290,6 +295,8 @@ class TestKernelMechanics:
             assert info["limit"] == budget
             assert info["size"] <= budget
             assert info["hits"] > 0 and info["misses"] > budget
+            # Classes depend only on the machine: the resets keep them.
+            assert set(device._kernel._class_of) == set(vectors)
 
             batch_device = SunderDevice(config)
             batch_device.configure(strided)

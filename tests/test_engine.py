@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,7 +87,8 @@ class TestSemantics:
         automaton.new_state("s", SymbolSet.of(8, [1]), start="all-input")
         engine = BitsetEngine(automaton)
         engine.run([1, 2, 1])
-        assert engine.active_count_history == [1, 0, 1]
+        assert engine.active_ids() == ["s"]
+        assert engine.active_count_tally() == {1: 2, 0: 1}
 
 
 class TestDifferential:
@@ -150,19 +152,34 @@ class TestBinding:
         assert engine.run(bytes(range(256)) * 2).total_reports == 0
 
     def test_shaped_stream_is_used_as_is(self):
+        """A code stream is used as it is; vectors and int lists become
+        codes in the compact container for the alphabet."""
         automaton = Automaton(bits=4, arity=2)
         automaton.new_state("s", (SymbolSet.of(4, [1]), SymbolSet.full(4)),
                             start="all-input", report=True, report_code="s",
                             report_offsets=(0,))
-        shaped = [(1, 5), (2, 5), (1, 0)]
-        assert _normalize_stream(automaton, shaped) is shaped
-        assert _normalize_stream(automaton, [[1, 5], (2, 5)]) == [
-            (1, 5), (2, 5)]
+        codes = b"\x15\x25\x10"
+        assert _normalize_stream(automaton, codes) is codes
+        assert _normalize_stream(automaton, [(1, 5), (2, 5), (1, 0)]) == codes
+        assert _normalize_stream(automaton, [[1, 5], (2, 5)]) == codes[:2]
+        assert _normalize_stream(automaton, [0x15, 0x25]) == codes[:2]
         with pytest.raises(SimulationError, match="arity"):
             _normalize_stream(automaton, [(1, 5), (2,)])
+        with pytest.raises(SimulationError, match="out of range"):
+            _normalize_stream(automaton, [(1, 5), (1, 16)])
+        with pytest.raises(SimulationError, match="out of range"):
+            _normalize_stream(automaton, [0x15, 0x100])
         flat = Automaton(bits=8)
         flat.new_state("s", SymbolSet.of(8, [1]), start="all-input")
-        assert _normalize_stream(flat, [1, (2,)]) == [(1,), (2,)]
+        assert _normalize_stream(flat, [1, (2,)]) == b"\x01\x02"
+        assert _normalize_stream(flat, array("H", [1, 2])) == b"\x01\x02"
+        with pytest.raises(SimulationError, match="out of range"):
+            _normalize_stream(flat, array("H", [1, 256]))
+        pairs = array("H", [0x1234])
+        wide = Automaton(bits=4, arity=4)
+        wide.new_state("s", (SymbolSet.full(4),) * 4, start="all-input")
+        assert _normalize_stream(wide, pairs) is pairs
+        assert _normalize_stream(wide, [(1, 2, 3, 4)]) == pairs
 
 
 class TestProgress:

@@ -1,7 +1,7 @@
 """Kernel/table differential suite: the block-sliced BitsetEngine at
 every step-table budget must be bit-exact with NaiveEngine, including
-start-period and report-offset edge cases, plus the step-table and
-history-limit behaviours themselves."""
+start-period and report-offset edge cases, plus the step-table, symbol
+class and active-count behaviours themselves."""
 
 import random
 
@@ -186,16 +186,17 @@ class TestStepCache:
 
     @pytest.mark.parametrize("step_cache", [DEFAULT_STEP_CACHE, 0])
     def test_out_of_range_values_raise(self, step_cache):
-        """A value outside [0, 2**bits) fails at the boundary: a negative
-        one must not wrap around to the top of the alphabet."""
+        """A value outside [0, 2**bits) fails at the boundary both
+        engines share: a negative one must not wrap around to the top
+        of the alphabet."""
         automaton = Automaton(bits=8)
         automaton.new_state("s", SymbolSet.of(8, [255]), start="all-input",
                             report=True, report_code="s")
-        assert NaiveEngine(automaton).run([-1, 255, -256]).positions() == [1]
         engine = budget_engine(automaton, step_cache)
-        for stream in ([-1, 255, -256], [255, -256], [256]):
-            with pytest.raises(SimulationError):
-                engine.run(stream)
+        for stream in ([-1, 255, -256], [255, -256], [256], [(255,), (-1,)]):
+            for runner in (engine, NaiveEngine(automaton)):
+                with pytest.raises(SimulationError, match="out of range"):
+                    runner.run(stream)
         with pytest.raises(SimulationError):
             engine.run_batch([[255], [-1]])
         engine.reset()
@@ -205,9 +206,10 @@ class TestStepCache:
 
 
 def _distinct_step_triples(automaton, streams):
-    """Distinct (active set before the cycle, vector, phase) triples.
+    """Distinct (active set before the cycle, symbol class, phase) triples.
 
-    Computed from :meth:`NaiveEngine.step` return values: the phase is
+    Computed from :meth:`NaiveEngine.step` return values: a vector's
+    class is the set of states whose symbols match it, and the phase is
     2 on cycle 0, 1 on a start-period boundary and 0 otherwise.
     """
     period = automaton.start_period
@@ -217,13 +219,17 @@ def _distinct_step_triples(automaton, streams):
         active = frozenset()
         for cycle, vector in enumerate(stream):
             phase = 2 if cycle == 0 else 1 if cycle % period == 0 else 0
-            triples.add((active, vector, phase))
+            matching = frozenset(state.id for state in automaton
+                                 if state.matches(vector))
+            triples.add((active, matching, phase))
             active = frozenset(naive.step(vector))
     return triples
 
 
 class TestStepTableCounters:
-    """Under the budget a miss is exactly a first-seen step triple.
+    """Under the budget a miss is exactly a first-seen step triple: an
+    active set, a symbol class (the states an input matches) and a
+    start phase.
 
     ``sim.step_cache_hit_ratio`` in the benchmark is read from these
     counters, so they must not depend on how the table is stored.
@@ -295,14 +301,59 @@ class TestStepTableCounters:
             assert len(calls) <= len(pairs)
 
 
-class TestHistoryLimit:
-    def test_default_is_unbounded_list(self):
+class TestActiveCountTally:
+    def test_tally_is_bounded_by_distinct_counts(self):
+        """The active-state statistics keep one entry per distinct
+        count, not one per cycle, and count every cycle of a run across
+        budget resets."""
         automaton = Automaton(bits=8)
         automaton.new_state("s", SymbolSet.of(8, [1]), start="all-input")
-        engine = BitsetEngine(automaton)
-        engine.run([1, 2, 1])
-        assert engine.active_count_history == [1, 0, 1]
-        assert isinstance(engine.active_count_history, list)
+        automaton.new_state("t", SymbolSet.of(8, [1, 2]), start="all-input")
+        for step_cache in (DEFAULT_STEP_CACHE, 0, 1):
+            engine = budget_engine(automaton, step_cache)
+            engine.run([1, 2, 1, 3])
+            assert engine.active_count_tally() == {2: 2, 1: 1, 0: 1}
+            engine.run([1, 2, 3] * 5000)
+            assert engine.active_count_tally() == {2: 5000, 1: 5000,
+                                                   0: 5000}
+            engine.reset()
+            assert engine.active_count_tally() == {}
+            for value in (2, 2, 3):
+                engine.step(value)
+            assert engine.active_count_tally() == {1: 2, 0: 1}
+
+
+class TestSymbolClasses:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([1, 2, 3]),
+           st.lists(st.lists(st.integers(0, 15), max_size=30),
+                    min_size=1, max_size=3))
+    def test_one_class_per_distinct_match_mask(self, seed, arity, streams):
+        """A table holds one class per distinct match mask among the
+        codes its streams held, and every code seen maps to its mask's
+        class, across runs, batches and budget resets."""
+        rng = random.Random(seed)
+        automaton = _edge_case_automaton(rng, arity=arity)
+        if len(automaton) == 0:
+            return
+        engine = budget_engine(automaton, rng.choice([0, 2, 1024]))
+        code_streams = [[value * 4099 % (16 ** arity) for value in stream]
+                        for stream in streams]
+        engine.run_batch(code_streams[1:])
+        engine.run(code_streams[0])
+        seen = {code for codes in code_streams for code in codes}
+        masks = {engine._class_masks[engine._class_of[code]]
+                 for code in seen}
+        assert set(engine._class_of) == seen
+        assert len(engine._class_masks) == len(masks)
+        for code in seen:
+            vector = tuple((code >> 4 * shift) & 0xF
+                           for shift in range(arity - 1, -1, -1))
+            expected = 0
+            for index, state in enumerate(automaton):
+                if state.matches(vector):
+                    expected |= 1 << index
+            assert engine._class_masks[engine._class_of[code]] == expected
 
 
 def test_popcount_matches_reference():

@@ -3,7 +3,9 @@
 The plan space is target x fidelity, small enough to enumerate: one
 property test runs every plan through ``Session.execute`` on random
 machines and streams and checks each stream's reports against the
-:class:`~repro.sim.engine.NaiveEngine` oracle.  Around it sit the
+:class:`~repro.sim.engine.NaiveEngine` oracle, and another feeds the
+engine's and the packed device's entry points every stream form (codes,
+vectors, int lists) at every input width.  Around it sit the
 session's mechanisms (engine reuse, literal-device isolation, nothing
 computed before the first run), the plan's value checks and canonical
 serialization, and the planner's reasons.
@@ -15,19 +17,25 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_automaton
+from conftest import budget_engine, random_automaton
 from repro import cli
-from repro.automata import Automaton
+from repro.automata import Automaton, SymbolSet
+from repro.core.config import SunderConfig
+from repro.core.device import SunderDevice
 from repro.automata.indexed import IndexedAutomaton
 from repro.core.packed import FIDELITIES
 from repro.exec import (DEFAULT_PLAN, PLAN_FORMAT, PLAN_VERSION, TARGETS,
                         ExecutionPlan, Planner, Session, resolve_plan)
 from repro.regex import compile_pattern, compile_ruleset
-from repro.sim import BitsetEngine, NaiveEngine, stream_for
+from repro.sim import (DEFAULT_STEP_CACHE, BitsetEngine, NaiveEngine,
+                       code_vectors, stream_for)
+from repro.sim.inputs import code_array
 from repro.sim.reports import ReportRecorder
 from repro.transform import to_rate
 
 RATES = (1, 2, 4)
+#: (bits, arity) of the machines the code-stream property covers.
+CODE_SHAPES = [(8, 1), (4, 1), (4, 2), (4, 3), (4, 4)]
 #: The whole plan space.
 PLANS = [ExecutionPlan(target=target, fidelity=fidelity)
          for target in TARGETS for fidelity in FIDELITIES]
@@ -45,6 +53,32 @@ def _sorted_events(recorder):
 def _recorder_for(machine, data):
     _, limit = stream_for(machine, data)
     return ReportRecorder(position_limit=limit)
+
+
+def _random_vector_machine(rng, bits, arity):
+    """A random ``bits``-bit machine of ``arity``-value vectors, with
+    start periods and multi-offset reports, reachable from its starts."""
+    machine = Automaton(name="codes", bits=bits, arity=arity,
+                        start_period=rng.choice([1, 2]))
+    values = rng.sample(range(1 << bits), min(6, 1 << bits))
+    ids = ["s%d" % index for index in range(rng.randint(2, 7))]
+    for index, state_id in enumerate(ids):
+        report = rng.random() < 0.4
+        machine.new_state(
+            state_id,
+            tuple(SymbolSet.of(bits, rng.sample(values, rng.randint(1, 4)))
+                  for _ in range(arity)),
+            start=(rng.choice(["all-input", "start-of-data"])
+                   if index == 0 or rng.random() < 0.2 else "none"),
+            report=report, report_code="c%d" % index if report else None,
+            report_offsets=tuple(sorted(rng.sample(
+                range(arity), rng.randint(1, arity)))) if report else None)
+    for src in ids:
+        for dst in ids:
+            if rng.random() < 0.35:
+                machine.add_transition(src, dst)
+    machine.prune_unreachable()
+    return machine, values
 
 
 def _symbol_stream(rng, machine, length):
@@ -110,6 +144,66 @@ class TestPlanSpace:
                         assert Counter(_events(recorder)) == events, where
         assert reported  # the property must actually compare reports
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("bits,arity", CODE_SHAPES)
+    def test_code_streams_match_the_oracle(self, bits, arity, seed):
+        """Symbol classes and codes are invisible: over random machines
+        at each (bits, arity), a stream given as codes, as vectors and
+        as a list of ints (the flat values at arity 1) gives the engine's
+        ``run``, ``step()`` and ``run_batch`` and the packed device (at
+        the device's rates) NaiveEngine's reports and active set."""
+        rng = random.Random(seed * 31 + bits * arity)
+        width = bits * arity
+        streams = None
+        while streams is None or not sum(
+                NaiveEngine(machine).run(codes).total_reports
+                for codes in streams):
+            machine, values = _random_vector_machine(rng, bits, arity)
+            # A dozen codes over the machine's values and two noise
+            # codes, each repeated, so classes and table entries are
+            # reused within and across streams.
+            alphabet = [rng.randrange(1 << width) for _ in range(2)]
+            for _ in range(12):
+                code = 0
+                for _ in range(arity):
+                    code = code << bits | rng.choice(values)
+                alphabet.append(code)
+            streams = [code_array([rng.choice(alphabet)
+                                   for _ in range(rng.randint(0, 40))],
+                                  width)
+                       for _ in range(3)]
+        engine = budget_engine(machine, rng.choice([2, DEFAULT_STEP_CACHE]))
+        for codes in streams:
+            vectors = code_vectors(codes, bits, arity)
+            naive = NaiveEngine(machine)
+            expected = Counter(_events(naive.run(vectors)))
+            for form in (codes, vectors, list(codes)):
+                assert Counter(_events(engine.run(form))) == expected
+                assert engine.active_ids() == naive.active_ids()
+            stepped = ReportRecorder()
+            engine.reset()
+            for vector in vectors:
+                engine.step(vector, stepped)
+            assert Counter(_events(stepped)) == expected
+            assert engine.active_ids() == naive.active_ids()
+        batches = [engine.run_batch(streams),
+                   engine.run_batch([code_vectors(codes, bits, arity)
+                                     for codes in streams])]
+        if bits == 4 and arity in RATES:
+            device = SunderDevice(SunderConfig(rate_nibbles=arity))
+            device.configure(machine)
+            batches.append(device.run_batch(streams))
+            for codes in streams:
+                fresh = SunderDevice(SunderConfig(rate_nibbles=arity))
+                fresh.configure(machine)
+                want = Counter(_events(NaiveEngine(machine).run(codes)))
+                got = fresh.run(codes).reports()
+                assert Counter(_events(got)) == want
+        for recorders in batches:
+            assert [Counter(_events(r)) for r in recorders] == [
+                Counter(_events(NaiveEngine(machine).run(codes)))
+                for codes in streams]
+
 
 # ---------------------------------------------------------------------------
 # Session mechanisms
@@ -145,6 +239,47 @@ class TestSessionMechanisms:
         assert session.plan.reasons[0] == {
             "choice": "strategy", "value": "serial",
             "reason": "single-stream"}
+
+    @pytest.mark.parametrize(
+        "plan", PLANS, ids=lambda plan: plan.target + "-" + plan.fidelity)
+    def test_a_mutable_machine_is_checked_once(self, plan, monkeypatch):
+        """A session checks a mutable machine in full once (edge maps,
+        shapes, reachability) and builds its columns once, however many
+        runs follow, and runs the machine as it was when bound."""
+        source = compile_ruleset(["abc", "needle"])
+        machine = source if plan.target == "engine" else to_rate(
+            source, 2).copy()
+        data = b"xxabcxxneedlexxabc"
+        codes, limit = stream_for(machine, data)
+        expected = _events(BitsetEngine(machine.copy()).run(
+            codes, position_limit=limit))
+        calls = Counter()
+
+        def counted(name, method, mutable_only=False):
+            def call(self, *args):
+                if not (mutable_only and self.frozen):
+                    calls[name] += 1
+                return method(self, *args)
+            return call
+
+        monkeypatch.setattr(Automaton, "_check_edge_maps", counted(
+            "edge maps", Automaton._check_edge_maps))
+        monkeypatch.setattr(Automaton, "unreachable_states", counted(
+            "reachability", Automaton.unreachable_states))
+        monkeypatch.setattr(Automaton, "successor_columns", counted(
+            "column builds", Automaton.successor_columns, True))
+        session = Session(machine, plan)
+        for _ in range(2):
+            assert sorted(_events(session.execute([data])[0])) == sorted(
+                expected)
+        machine.new_state("late", SymbolSet.of(machine.bits, [1]) if
+                          machine.arity == 1 else
+                          (SymbolSet.of(4, [1]),) * machine.arity,
+                          start="all-input", report=True, report_code="x")
+        assert sorted(_events(session.execute([data])[0])) == sorted(expected)
+        assert calls == {"edge maps": 1, "reachability": 1,
+                         "column builds": 1}
+        assert session.automaton.frozen and not machine.frozen
 
     def test_sessions_never_fingerprint_or_index(self, monkeypatch):
         """A session computes nothing about its machine beyond the run:

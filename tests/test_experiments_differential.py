@@ -10,8 +10,9 @@ onto the stage-graph runtime (scale 0.002, seed 0).  These tests pin
 - that a warm ``--artifact-dir`` scorecard executes no cacheable stage
   and is served by its result rows alone: ``table1_row``, ``table3_row``
   and ``report_drain`` hit, and nothing below a row is read,
-- the cached Table 4 rows against a pinned digest, so a change to the
-  reporting models cannot leave warm stores serving stale rows, and
+- the cached Table 4 rows and the rate-ladder rungs' bytes against
+  pinned digests, so a change to the reporting models or the transforms
+  cannot leave warm stores serving stale rows or rungs, and
 - the ``scorecard.to_json`` payload schema.
 """
 
@@ -28,6 +29,7 @@ from repro.experiments import (figure8, figure10, scorecard, table1, table3,
                                table4)
 from repro.runtime import store as runtime_store
 from repro.runtime.stages import REGISTRY, _with_fifo
+from repro.transform.pipeline import rate_ladder
 from repro.workloads import generate
 
 SCALE = 0.002
@@ -119,6 +121,14 @@ TABLE4_ROWS_PIN = (
     "a01b9c939951480990e836b07f1671cebb5cb0bdd842d6f5ab66d1f0fe18a85e",
 )
 
+#: ``(CODE_VERSION, sha256 over the dumps() of every rung rate_ladder
+#: builds for FAST_NAMES at SCALE, seed 0)``.  Unlike a fingerprint, the
+#: bytes change when a transform only reorders states.
+RUNG_BYTES_PIN = (
+    "2026.10-runtime-4",
+    "d1a3ccfed0ca852fce95affd7aa4704fb1c59877b4149394d6c92deaad82fc74",
+)
+
 
 class TestCachedRowsStaleness:
     def test_table4_rows_match_the_code_version(self):
@@ -129,6 +139,18 @@ class TestCachedRowsStaleness:
             "the Table 4 rows changed, so warm stores would serve stale "
             "ones: bump runtime.store.CODE_VERSION and re-pin "
             "TABLE4_ROWS_PIN")
+
+    def test_rung_bytes_match_the_code_version(self):
+        digest = hashlib.sha256()
+        for name in FAST_NAMES:
+            ladder = rate_ladder(generate(name, scale=SCALE, seed=0).automaton)
+            for rate in sorted(ladder):
+                digest.update(ladder[rate].dumps().encode("utf-8"))
+        assert (runtime_store.CODE_VERSION,
+                digest.hexdigest()) == RUNG_BYTES_PIN, (
+            "the rate-ladder rungs changed their bytes, so warm stores "
+            "would serve stale ones: bump runtime.store.CODE_VERSION and "
+            "re-pin RUNG_BYTES_PIN")
 
 
 class TestToJsonSchema:

@@ -1,11 +1,14 @@
 """Input-stream conversion tests."""
 
+from array import array
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import (
     bytes_to_nibbles,
+    code_vectors,
     nibble_position_to_byte,
     nibbles_to_bytes,
     stream_for,
@@ -59,41 +62,53 @@ class TestVectorize:
 
 class TestStreamFor:
     def test_byte_automaton(self, abc_automaton):
-        vectors, limit = stream_for(abc_automaton, b"ab")
-        assert vectors == [(ord("a"),), (ord("b"),)]
+        codes, limit = stream_for(abc_automaton, b"ab")
+        assert codes == b"ab"
         assert limit == 2
 
     def test_nibble_automaton(self, abc_automaton):
         from repro.transform import to_rate
         strided = to_rate(abc_automaton, 4)
-        vectors, limit = stream_for(strided, b"abc")
+        codes, limit = stream_for(strided, b"abc")
         assert limit == 6  # nibbles
-        assert len(vectors) == 2  # ceil(6/4)
-        assert all(len(v) == 4 for v in vectors)
+        # ceil(6/4) big-endian byte pairs, the odd byte padded with zeros
+        assert codes == array("H", [0x6162, 0x6300])
 
     def test_position_mapping(self):
         assert nibble_position_to_byte(7) == 3
 
-    @pytest.mark.parametrize("rate", [1, 2, 4])
+    @pytest.mark.parametrize("rate", [None, 1, 2, 4])
     @pytest.mark.parametrize("data", [b"", b"ab", b"abc", bytes(range(256)),
                                       bytes(range(255, -1, -1)) + b"\x00"],
                              ids=["empty", "even", "odd", "all-bytes",
                                   "all-bytes-odd"])
     def test_nibble_vectors_match_vectorize(self, abc_automaton, rate, data):
+        """Decoded, the codes are the vectors vectorize builds from the
+        nibbles (the bytes themselves at 8 bits), whatever holds the
+        bytes."""
         from repro.transform import to_rate
-        strided = to_rate(abc_automaton, rate)
-        expected = vectorize(bytes_to_nibbles(data), rate)
-        assert stream_for(strided, data) == expected
-        assert stream_for(strided, bytearray(data)) == expected
-        assert stream_for(strided, list(data)) == expected
+        machine = (abc_automaton if rate is None
+                   else to_rate(abc_automaton, rate))
+        if rate is None:
+            expected = [(value,) for value in data], len(data)
+        else:
+            expected = vectorize(bytes_to_nibbles(data), rate)
+        for given in (data, bytearray(data), list(data)):
+            codes, limit = stream_for(machine, given)
+            assert (code_vectors(codes, machine.bits, machine.arity),
+                    limit) == expected
 
     def test_byte_vectors_are_shared(self, abc_automaton):
+        """An 8-bit or rate-2 machine's stream is the data itself; rate
+        1 is one nibble per byte and rate 4 one uint16 per byte pair."""
         from repro.transform import to_rate
-        vectors, _ = stream_for(abc_automaton, b"abab")
-        assert vectors == [(97,), (98,), (97,), (98,)]
-        assert vectors[0] is vectors[2]
-        strided, _ = stream_for(to_rate(abc_automaton, 4), b"abcdab")
-        assert strided[0] is strided[2]
+        data = b"abab"
+        assert stream_for(abc_automaton, data)[0] is data
+        assert stream_for(to_rate(abc_automaton, 2), data)[0] is data
+        nibbles, _ = stream_for(to_rate(abc_automaton, 1), data)
+        assert nibbles == bytes([6, 1, 6, 2, 6, 1, 6, 2])
+        pairs, _ = stream_for(to_rate(abc_automaton, 4), data)
+        assert pairs.typecode == "H" and pairs.itemsize == 2
 
     @pytest.mark.parametrize("rate", [None, 1, 2, 4])
     def test_out_of_range_values_raise(self, abc_automaton, rate):

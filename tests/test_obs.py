@@ -314,6 +314,43 @@ class TestEngineHooks:
         seconds = registry.get("repro_engine_run_seconds").labels(**labels)
         assert seconds.count == 1
 
+    @pytest.mark.parametrize("step_cache", [0, 3, 1 << 16])
+    def test_active_states_histogram_counts_every_cycle(self, step_cache):
+        """The histogram fed from the visit tally has the buckets, sum
+        and count of one observation per cycle, across budget resets,
+        for serial runs and for every lane of a batch."""
+        import random
+
+        from conftest import budget_engine, random_automaton
+        from repro.obs.instruments import ACTIVE_STATE_BUCKETS
+        from repro.sim import NaiveEngine
+
+        rng = random.Random(step_cache)
+        machine = random_automaton(rng, n_states=12, bits=4,
+                                   edge_density=0.3)
+        streams = [[rng.randrange(16) for _ in range(rng.randint(20, 60))]
+                   for _ in range(3)]
+        reference = fresh().histogram("reference",
+                                      buckets=ACTIVE_STATE_BUCKETS)
+        for stream in streams:
+            naive = NaiveEngine(machine)
+            for value in stream:
+                reference.observe(len(naive.step((value,))))
+        for batched in (False, True):
+            engine = budget_engine(machine, step_cache)
+            registry = fresh()
+            with obs.collecting(registry=registry):
+                if batched:
+                    engine.run_batch(streams)
+                else:
+                    for stream in streams:
+                        engine.run(stream)
+            histogram = registry.get("repro_engine_active_states").labels(
+                engine="bitset")
+            assert histogram.bucket_counts() == reference.bucket_counts()
+            assert (histogram.count, histogram.sum) == (reference.count,
+                                                        reference.sum)
+
     def test_unattached_run_records_nothing(self):
         from repro.regex import compile_ruleset
         from repro.sim import BitsetEngine

@@ -6,7 +6,7 @@ from repro.core import SunderConfig, SunderDevice
 from repro.core.snapshot import load_device, save_device
 from repro.errors import ArchitectureError
 from repro.regex import compile_ruleset
-from repro.sim import BitsetEngine, stream_for
+from repro.sim import BitsetEngine, code_vectors, stream_for
 from repro.transform import to_rate
 
 
@@ -43,10 +43,9 @@ class TestRoundTrip:
             device.step(vector)
 
         clone = load_device(save_device(device))
-        for vector in vectors[split:]:
-            device.step(vector)
-            clone.step(tuple(vector) if not isinstance(vector, tuple)
-                       else vector)
+        for code in vectors[split:]:
+            device.step(code)
+            clone.step(code_vectors([code], machine.bits, machine.arity)[0])
         assert (clone.report_events(position_limit=limit).event_keys()
                 == device.report_events(position_limit=limit).event_keys())
 
