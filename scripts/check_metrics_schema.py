@@ -43,7 +43,6 @@ REQUIRED_METRICS = (
     "repro_engine_active_states",
     "repro_transform_runs_total",
     "repro_transform_stage_seconds",
-    "repro_transform_states",
     "repro_runtime_stage_misses_total",
     "repro_runtime_stage_seconds",
     "repro_stage_progress",

@@ -7,20 +7,24 @@ rewrite them, the simulator executes them, and the architecture model maps
 them onto subarrays.
 
 A compiled machine is configured once and afterwards only read, so an
-automaton can be :meth:`~Automaton.freeze`-d: transform results and
-everything the artifact stores hold are frozen, shared read-only
-masters.  Call :meth:`~Automaton.copy` for a mutable machine.
+automaton can be :meth:`~Automaton.freeze`-d: generated benchmark
+machines, transform results and everything the artifact stores hold
+are frozen, shared read-only masters.  Call :meth:`~Automaton.copy` for
+a mutable machine.
 
 A mutable machine keeps its edges as two maps of id sets (successors
-and predecessors), which builders grow and prune edge by edge.  A frozen
-machine holds integer columns instead (:meth:`~Automaton.successor_columns`):
-the state ids in insertion order and every state's successor row as
-ascending state indices, in one flat ``targets`` array cut by
-``offsets``.  Every frozen machine has that one row order, however it
-was built: :meth:`~Automaton.freeze` sorts the rows of a mutable one,
-and the squaring kernel and payload decoding write ascending rows
-straight into a new frozen machine.  A frozen machine stores no
-predecessors; readers that need them derive them from the rows.
+and predecessors), which builders (the regex compiler, ``union``) grow
+and prune edge by edge.  A frozen machine holds integer columns instead
+(:meth:`~Automaton.successor_columns`): the state ids in insertion
+order and every state's successor row as ascending state indices, in
+one flat ``targets`` array cut by ``offsets``.  Every frozen machine
+has that one row order, however it was built: :meth:`~Automaton.freeze`
+sorts the rows of a mutable one (a generated machine is frozen where
+``workloads.base.assemble`` unions its rules), and the nibble
+decomposition and squaring kernels and payload decoding write
+ascending rows straight into a new frozen machine.  A frozen machine
+stores no predecessors; readers that need them derive them from the
+rows.
 """
 
 import hashlib
@@ -31,7 +35,6 @@ from itertools import accumulate, chain, compress, count, islice
 from operator import ge
 
 from ..errors import AutomatonError, SymbolError
-from ..obs import OBS
 from .ste import StartKind, Ste, ste_from_canonical
 from .symbolset import SymbolSet
 
@@ -793,9 +796,6 @@ class Automaton:
             states[new_id] = state.clone(new_id)
             succ[new_id] = {mapping[dst] for dst in other._succ[state.id]}
             pred[new_id] = {mapping[src] for src in other._pred[state.id]}
-        if OBS.active:
-            OBS.instruments.transform_states.labels(op="merge_in").set(
-                len(states))
         return mapping
 
     # ------------------------------------------------------------------

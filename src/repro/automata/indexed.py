@@ -18,7 +18,8 @@ once and re-expresses the machine as flat arrays:
   they ascend, and the predecessor rows are derived from them (they
   ascend too).  Rows may be shared between states (``square`` hands the
   same fan-out list to every pair state ending in the same source
-  state); kernels therefore never mutate a row in place without
+  state, ``to_nibbles`` one exit row to every chain of a source state);
+  kernels therefore never mutate a row in place without
   :meth:`make_mutable` first;
 - ``behavior`` — :meth:`Ste.behavior_key` interned to small ints, so
   the minimizer's signature hashing compares ints instead of re-hashing
@@ -29,7 +30,9 @@ once and re-expresses the machine as flat arrays:
   states).
 
 Kernels mutate the indexed view and materialize an ``Automaton`` only
-at the boundary (:meth:`write_back` for in-place passes).  Every kernel
+at the boundary (:meth:`write_back` for in-place passes; the nibble
+decomposition and squaring kernels build their views with
+:meth:`IndexedAutomaton.from_parts` and write frozen columns).  Every kernel
 is bit-exact against the legacy implementation it replaces — the legacy
 code paths survive as differential oracles
 (:func:`repro.automata.ops.minimize_unindexed`,
@@ -125,11 +128,14 @@ class IndexedAutomaton:
                    behavior=None, is_start=None, stes=None, ids=None):
         """Assemble a view directly from pre-built arrays.
 
-        The indexed ``square`` kernel builds its result in array form and
-        never materializes intermediate ``Ste`` objects; it hands the
-        arrays here so minimization runs before any per-state object
-        exists.  ``succ`` rows may be shared list objects; ``alive`` is
-        adopted (not copied).
+        The two transform kernels, nibble decomposition
+        (:func:`~repro.transform.nibble.to_nibbles`) and squaring
+        (:func:`~repro.transform.striding.square`), build their results
+        in array form and never materialize intermediate ``Ste``
+        objects; they hand the arrays here so minimization runs before
+        any per-state object exists, and only survivors get one.
+        ``succ`` rows may be shared list objects; ``alive`` is adopted
+        (not copied).
         """
         self = cls()
         self.name = name

@@ -9,7 +9,6 @@ nibble transformation's state overhead near the paper's Table 3 numbers.
 from collections import deque
 from itertools import chain
 
-from ..obs import OBS
 from .automaton import Automaton
 from .gcutil import gc_paused
 from .indexed import MINIMIZE_ROUNDS, IndexedAutomaton
@@ -269,9 +268,6 @@ def minimize(automaton):
     total = indexed.minimize()
     if total:
         indexed.write_back(automaton)
-    if OBS.active:
-        OBS.instruments.transform_states.labels(op="minimize").set(
-            len(automaton))
     return total
 
 
@@ -360,8 +356,6 @@ def union(automata, name="union", bits=None, arity=None):
     )
     for index, machine in enumerate(automata):
         result.merge_in(machine, "u%d_" % index)
-    if OBS.active:
-        OBS.instruments.transform_states.labels(op="union").set(len(result))
     return result
 
 

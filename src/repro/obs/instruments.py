@@ -102,11 +102,6 @@ class Instruments:
             "repro_transform_state_ratio",
             "Output/input state ratio per transformation stage.", ("stage",),
             buckets=RATIO_BUCKETS)
-        self.transform_states = gauge(
-            "repro_transform_states",
-            "Resulting state count of the last compile-side graph op "
-            "(square/minimize/merge_in/union), by op — compile-side "
-            "state growth made visible in profiles.", ("op",))
 
         # --- stage-graph runtime (repro.runtime) ----------------------
         self.runtime_stage_hits = counter(

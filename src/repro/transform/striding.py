@@ -40,7 +40,7 @@ from ..automata.indexed import IndexedAutomaton
 from ..automata.ste import StartKind, ste_from_canonical
 from ..automata.symbolset import SymbolSet
 from ..errors import TransformError
-from ..obs import OBS, ProgressReporter
+from ..obs import ProgressReporter
 
 #: Sentinel ids for wildcard halves in generated state names.
 _END = "$end"
@@ -338,8 +338,6 @@ def _square(automaton, minimized, name):
         result_name, automaton.bits, 2 * arity, result_period,
         states, targets, bounds)
     progress.finish()
-    if OBS.active:
-        OBS.instruments.transform_states.labels(op="square").set(len(result))
     # No validate() here: every invariant it checks holds by construction
     # (canonical STEs from validated sources, freshly pruned
     # reachability), and the production entry (``square``) validates

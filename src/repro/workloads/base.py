@@ -50,8 +50,10 @@ class WorkloadInstance:
     def freeze(self):
         """Freeze the instance's automaton for good; returns ``self``.
 
-        The artifact store freezes every instance it holds and serves
-        that one object to every reader (see
+        Generated instances are born frozen (:func:`assemble`), so this
+        is a no-op for them; it freezes a hand-built instance's machine.
+        The artifact store calls it on every instance it holds and
+        serves that one object to every reader (see
         :meth:`~repro.automata.automaton.Automaton.freeze`).
         """
         self.automaton.freeze()
@@ -107,6 +109,37 @@ def poisson_positions(rng, input_length, count, witness_length):
     return sorted(index * slot for index in chosen)
 
 
+def uniform_noise(rng, length, alphabet):
+    """``length`` symbols of ``alphabet``, as ``rng.choice`` draws them.
+
+    ``choice`` takes ``getrandbits(k)`` with ``k = len(alphabet)
+    .bit_length()``, the top ``k`` bits of one 32-bit word, and draws
+    again while that is out of range.  ``getrandbits(32 * need)`` returns
+    ``need`` such words, the first one least significant, so the top
+    byte of each word goes through one ``bytes.translate`` that maps an
+    in-range draw to its symbol and deletes a rejected one.  Each block
+    asks for as many words as symbols are still missing, so no word past
+    the last accepted draw is consumed: the bytes and the generator's
+    state are exactly those of ``length`` ``choice`` calls.  Returns a
+    ``bytearray``.
+    """
+    size = len(alphabet)
+    if not 0 < size < 256:
+        raise WorkloadError(
+            "a noise alphabet needs 1 to 255 symbols, got %d" % size)
+    shift = 8 - size.bit_length()
+    table = bytes(alphabet[top >> shift] if top >> shift < size else 0
+                  for top in range(256))
+    rejected = bytes(top for top in range(256) if top >> shift >= size)
+    buffer = bytearray()
+    need = length
+    while need:
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        buffer += words[3::4].translate(table, rejected)
+        need = length - len(buffer)
+    return buffer
+
+
 def build_input(rng, input_length, plants, noise_alphabet=NOISE_ALPHABET,
                 noise_weights=None):
     """Noise stream with witnesses planted at the given positions.
@@ -116,9 +149,7 @@ def build_input(rng, input_length, plants, noise_alphabet=NOISE_ALPHABET,
     collisions).
     """
     if noise_weights is None:
-        buffer = bytearray(
-            rng.choice(noise_alphabet) for _ in range(input_length)
-        )
+        buffer = uniform_noise(rng, input_length, noise_alphabet)
     else:
         buffer = bytearray(
             rng.choices(noise_alphabet, weights=noise_weights,
@@ -188,12 +219,17 @@ def grow_cold_rules(rng, pattern_factory, state_budget, name):
 
 
 def assemble(name, rules, bits=8):
-    """Union rule automata into the final benchmark machine."""
+    """Union rule automata into the final benchmark machine.
+
+    The machine is frozen and validated here, where it enters the
+    pipeline: it arrives as integer columns with the pass remembered,
+    so a :class:`~repro.exec.session.Session`, the engine and
+    :func:`~repro.transform.nibble.to_nibbles` read it without a second
+    column build or check.  Call ``copy()`` on it before mutating.
+    """
     if not rules:
         raise WorkloadError("benchmark %s has no rules" % name)
-    machine = union(rules, name=name, bits=bits)
-    machine.validate()
-    return machine
+    return union(rules, name=name, bits=bits).freeze().validate()
 
 
 def scaled(value, scale, minimum=1):

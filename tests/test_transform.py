@@ -5,6 +5,7 @@ byte input, the set of (byte position, report code) pairs is identical
 between the original 8-bit machine and its 1/2/4-nibble transforms.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from repro.transform import (
     transform_overhead,
     verify_offset_invariant,
 )
+from repro.workloads import BENCHMARK_NAMES, generate
 
 PATTERNS = [
     "abc", "a(b|c)d", "ab*c", "a.c", "[a-c]{2,4}x", "foo|bar+",
@@ -31,6 +33,16 @@ PATTERNS = [
     "a(b|cd)*e",
 ]
 ALPHABET = b"abcdefxyz 0123hello world start"
+
+#: sha256 over ``to_nibbles(instance.automaton, minimized=...).dumps()``
+#: of every registry benchmark at scale 0.002, generator seeds 0 and 1.
+#: The bytes pin the decomposition's ids, state order and rows, which
+#: fingerprints and report hits do not; the minimized machine is the
+#: rate-1 rung artifact stores hold.
+NIBBLE_BYTES_PIN = {
+    True: "cb1bf03417a3ff548750b7f0768bf818a88a3bcac1628e46e79997885d689063",
+    False: "17040c61d58ad5a35af05c6823a513162598a471aed17e9ea9422620d862cc0f",
+}
 
 
 class TestNibbleTransform:
@@ -76,6 +88,26 @@ class TestNibbleTransform:
     def test_position_mapping_rejects_even(self):
         with pytest.raises(TransformError):
             nibble_report_position_to_byte(4)
+
+    @pytest.mark.parametrize("minimized", [True, False])
+    def test_registry_bytes_are_pinned(self, minimized):
+        digest = hashlib.sha256()
+        for name in BENCHMARK_NAMES:
+            for seed in (0, 1):
+                machine = generate(name, scale=0.002, seed=seed).automaton
+                digest.update(to_nibbles(machine, minimized=minimized)
+                              .dumps().encode("utf-8"))
+        assert digest.hexdigest() == NIBBLE_BYTES_PIN[minimized], (
+            "the nibble decomposition changed its bytes: warm stores "
+            "would serve stale rate-1 rungs unless runtime.store"
+            ".CODE_VERSION is bumped")
+
+    def test_states_share_one_symbol_set_per_mask(self):
+        machine = to_nibbles(generate("Snort", scale=0.002).automaton)
+        masks = {ste.symbols[0].mask for ste in machine}
+        assert len(machine) > 2 * len(masks)
+        assert len({id(ste.symbols[0]) for ste in machine}) == len(masks)
+        assert len({id(ste.symbols) for ste in machine}) == len(masks)
 
     def test_reports_on_low_nibble(self, abc_automaton):
         from repro.sim import BitsetEngine, stream_for

@@ -1,10 +1,11 @@
 """16-bit (wide-alphabet) transformation tests — the SPM-style case."""
 
+import hashlib
 import random
 
 import pytest
 
-from repro.automata import Automaton, StartKind, SymbolSet
+from repro.automata import Automaton, StartKind, SymbolSet, union
 from repro.errors import TransformError
 from repro.sim import BitsetEngine, vectorize
 from repro.transform import (
@@ -34,6 +35,40 @@ def _wide_chain(symbol_sets, name="wide"):
             automaton.add_transition(previous, state_id)
         previous = state_id
     return automaton
+
+
+def _wide_fixtures():
+    """16-bit machines for the bytes pin: random chains, one with a
+    self-loop and a skip edge, and a union of twin chains that
+    minimization merges."""
+    machines = []
+    for seed in range(8):
+        rng = random.Random(seed)
+        values = [rng.randrange(1 << 16) for _ in range(40)]
+        sets = [SymbolSet.of(16, rng.sample(values, rng.randint(1, 24)))
+                for _ in range(rng.randint(2, 5))]
+        machines.append(_wide_chain(sets, "w%d" % seed))
+    looped = _wide_chain([
+        SymbolSet.from_ranges(16, [(0x1200, 0x12FF), (0xAB00, 0xAB0F)]),
+        SymbolSet.full(16),
+        SymbolSet.of(16, [0x1234, 0xABCD, 7]),
+    ], "loop")
+    looped.add_transition("loop1", "loop1")
+    looped.add_transition("loop0", "loop2")
+    machines.append(looped)
+    twin = [SymbolSet.of(16, [0x1234, 0xABCD]), SymbolSet.single(16, 7)]
+    machines.append(union([_wide_chain(twin, "a"), _wide_chain(twin, "b")],
+                          name="twins"))
+    return machines
+
+
+#: sha256 over ``to_nibbles(machine, minimized=...).dumps()`` of every
+#: :func:`_wide_fixtures` machine: the 16-bit path's ids, state order
+#: and rows.
+WIDE_BYTES_PIN = {
+    True: "02191cb95f4d4eba3e2cf6ab35ff503082f94d347a49b26a8d7249fd2f02a870",
+    False: "0c29482c1b06fadfa0f127d160f402f7351d865cb94a41e4f3b528c5fb4142a1",
+}
 
 
 def _wide_hits(automaton, symbols):
@@ -118,6 +153,14 @@ class TestWideTransform:
             assert _nibble_hits(strided, symbols, arity=4) == _wide_hits(
                 automaton, symbols
             ), symbols
+
+    @pytest.mark.parametrize("minimized", [True, False])
+    def test_bytes_are_pinned(self, minimized):
+        digest = hashlib.sha256()
+        for machine in _wide_fixtures():
+            digest.update(to_nibbles(machine, minimized=minimized)
+                          .dumps().encode("utf-8"))
+        assert digest.hexdigest() == WIDE_BYTES_PIN[minimized]
 
     def test_intermediate_period_two(self):
         sets = [SymbolSet.single(16, 0x00FF)]

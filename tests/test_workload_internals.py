@@ -1,5 +1,7 @@
 """Tests for workload-generation internals (base.py machinery)."""
 
+import random
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -13,6 +15,7 @@ from repro.workloads.base import (
     infer_noise_budget,
     plant_schedule,
     scaled,
+    uniform_noise,
 )
 
 
@@ -83,3 +86,27 @@ class TestPlanning:
         assert len(literal) == 12 and set(literal) <= {ord("a"), ord("b")}
         cold = rng.cold_literal(6)
         assert all(byte in COLD_ALPHABET for byte in cold)
+
+
+class TestUniformNoise:
+    """The block draw reproduces one ``choice`` call per symbol."""
+
+    @staticmethod
+    def per_symbol(rng, length, alphabet):
+        """The reference: the per-symbol loop the block draw replaces."""
+        return bytearray(rng.choice(alphabet) for _ in range(length))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 20, 37, 64, 128, 129, 255])
+    def test_bytes_and_state_match_the_per_symbol_loop(self, size):
+        alphabet = bytes(random.Random(size).sample(range(256), size))
+        for length in (0, 1, 7, 3000):
+            reference = random.Random(size * 1000 + length)
+            block = random.Random(size * 1000 + length)
+            assert uniform_noise(block, length, alphabet) == self.per_symbol(
+                reference, length, alphabet), (size, length)
+            assert block.getstate() == reference.getstate()
+
+    def test_alphabet_sizes_outside_one_to_255_are_rejected(self):
+        for alphabet in (b"", bytes(range(256))):
+            with pytest.raises(WorkloadError):
+                uniform_noise(random.Random(0), 10, alphabet)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.automata import Automaton, SymbolSet, single_pattern
+from repro.errors import AutomatonError, WorkloadError
+from repro.exec import Session
 from repro.workloads import (
     BENCHMARK_NAMES,
     PAPER_TABLE1,
@@ -70,6 +72,52 @@ class TestGeneration:
     def test_input_length_scales(self, instances):
         for instance in instances.values():
             assert len(instance.input_bytes) == int(1_000_000 * SCALE)
+
+
+class TestBornFrozen:
+    """Generated machines enter the pipeline frozen and validated."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self):
+        return {name: generate(name, scale=0.002, seed=0)
+                for name in BENCHMARK_NAMES}
+
+    def test_every_instance_is_frozen_and_validated(self, tiny,
+                                                    monkeypatch):
+        def refuse(self):
+            raise AssertionError("%s validated again" % self.name)
+
+        monkeypatch.setattr(Automaton, "unreachable_states", refuse)
+        for name, instance in tiny.items():
+            assert instance.automaton.frozen, name
+            assert instance.automaton.validate() is instance.automaton
+
+    def test_a_session_binds_the_instance_itself(self, tiny):
+        for instance in tiny.values():
+            machine = instance.automaton
+            assert Session(machine).automaton is machine
+
+    def test_mutators_raise_and_copy_thaws(self, tiny):
+        machine = tiny["TCP"].automaton
+        first = machine.state_ids()[0]
+        mutators = [
+            lambda m: m.new_state("late", SymbolSet.full(8)),
+            lambda m: m.add_transition(first, first),
+            lambda m: m.remove_transition(first, first),
+            lambda m: m.remove_state(first),
+            lambda m: m.prune_unreachable(),
+            lambda m: m.merge_in(single_pattern("x", b"x"), "x_"),
+            lambda m: setattr(m, "name", "renamed"),
+        ]
+        for mutate in mutators:
+            with pytest.raises(AutomatonError):
+                mutate(machine)
+        thawed = machine.copy()
+        assert not thawed.frozen
+        assert thawed.dumps() == machine.dumps()
+        for mutate in mutators:
+            mutate(thawed)
+        assert machine.name == "TCP" and first in machine
 
 
 class TestCalibration:
