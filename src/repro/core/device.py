@@ -34,7 +34,7 @@ from ..sim.reports import ReportRecorder
 from .config import PUS_PER_CLUSTER, SunderConfig
 from .interconnect import GlobalSwitch
 from .mapping import place
-from .packed import FIDELITIES, PackedKernel
+from .packed import FIDELITIES, PackedKernel, pack_bits
 from .pu import ProcessingUnit
 
 
@@ -127,47 +127,65 @@ class SunderDevice:
         """Program ``automaton`` into fresh clusters at ``placement``.
 
         The one programming path: :meth:`configure` places and calls it,
-        and a snapshot restore calls it with the saved placement.  Each
-        state is one column write, each edge one crossbar cell.  A slot
-        off the device (cluster, PU or column out of range), two states
-        on one slot, or an edge whose ends sit in different clusters
-        raises :class:`ArchitectureError`.  Returns the placement.
+        and a snapshot restore calls it with the saved placement.  The
+        states are grouped by PU, and each PU takes its columns, start
+        vectors and report mask in one write; each crossbar row is one
+        packed int, written once.  A slot off the device (cluster, PU or
+        column out of range), two states on one slot, a state on the
+        wrong kind of column (:meth:`ProcessingUnit.configure`) or an
+        edge whose ends sit in different clusters raises
+        :class:`ArchitectureError`.  Returns the placement.
         """
         clusters = [_Cluster(self.config) for _ in range(placement.clusters_used)]
         self.clusters = clusters
         cols = self.config.subarray_cols
-        for state in automaton:
-            slot = placement.slot_of(state.id)
+        ids, targets, offsets = automaton.successor_columns()
+        slots = []
+        placed = {}  # (cluster, pu) -> {column: state}
+        for state_id in ids:
+            slot = placement.slot_of(state_id)
             if not (0 <= slot.cluster < len(clusters)
                     and 0 <= slot.pu < PUS_PER_CLUSTER
                     and 0 <= slot.column < cols):
                 raise ArchitectureError(
                     "state %r placed at %r, off a %d-cluster device"
-                    % (state.id, slot, len(clusters))
+                    % (state_id, slot, len(clusters))
                 )
-            pu = clusters[slot.cluster].pus[slot.pu]
-            if pu.state_of_column[slot.column] is not None:
+            columns = placed.setdefault((slot.cluster, slot.pu), {})
+            other = columns.get(slot.column)
+            if other is not None:
                 raise ArchitectureError(
                     "states %r and %r placed on one slot %r"
-                    % (pu.state_of_column[slot.column].id, state.id, slot)
+                    % (other.id, state_id, slot)
                 )
-            pu.configure_state(slot.column, state)
-        for src, dst in automaton.transitions():
-            src_slot = placement.slot_of(src)
-            dst_slot = placement.slot_of(dst)
-            if src_slot.cluster != dst_slot.cluster:
-                raise ArchitectureError(
-                    "placement split a component across clusters"
-                )
-            cluster = self.clusters[src_slot.cluster]
-            if src_slot.pu == dst_slot.pu:
-                cluster.pus[src_slot.pu].program_edge(
-                    src_slot.column, dst_slot.column
-                )
-            else:
-                cluster.global_switch.program_edge(
-                    src_slot.pu, src_slot.column, dst_slot.pu, dst_slot.column
-                )
+            columns[slot.column] = automaton.state(state_id)
+            slots.append(slot)
+        for (cluster, pu), columns in placed.items():
+            clusters[cluster].pus[pu].configure(list(columns.items()))
+        local_rows = {}   # (cluster, pu) -> {column: packed row}
+        global_rows = {}  # cluster -> {global slot: packed row}
+        for src, slot in enumerate(slots):
+            local = remote = 0
+            for dst in targets[offsets[src]:offsets[src + 1]]:
+                dst_slot = slots[dst]
+                if dst_slot.cluster != slot.cluster:
+                    raise ArchitectureError(
+                        "placement split a component across clusters"
+                    )
+                if dst_slot.pu == slot.pu:
+                    local |= 1 << dst_slot.column
+                else:
+                    remote |= 1 << (dst_slot.pu * cols + dst_slot.column)
+            if local:
+                local_rows.setdefault((slot.cluster, slot.pu), {})[
+                    slot.column] = local
+            if remote:
+                global_rows.setdefault(slot.cluster, {})[
+                    slot.pu * cols + slot.column] = remote
+        for (cluster, pu), rows in local_rows.items():
+            clusters[cluster].pus[pu].crossbar.program_rows(rows)
+        for cluster, rows in global_rows.items():
+            clusters[cluster].global_switch.crossbar.program_rows(rows)
         self.placement = placement
         self.automaton = automaton
         self.global_cycle = 0
@@ -532,16 +550,19 @@ class SunderDevice:
                 raise ArchitectureError(
                     "context vectors must have %d bits" % cols)
             restored[cluster_index, pu_index] = (enable, active)
+        unit_mask = (1 << cols) - 1
         for cluster_index, cluster in enumerate(self.clusters):
             states = [restored.get((cluster_index, index), (pu.enable, pu.active))
                       for index, pu in enumerate(cluster.pus)]
-            remote = _reached(cluster.global_switch.crossbar,
-                              np.concatenate([active for _, active in states]))
-            for index, (pu, (enable, active)) in enumerate(
+            actives = [pack_bits(active) for _, active in states]
+            remote = cluster.global_switch.crossbar.reach(sum(
+                active << (index * cols)
+                for index, active in enumerate(actives)))
+            for index, (pu, (enable, _)) in enumerate(
                     zip(cluster.pus, states)):
-                reached = (_reached(pu.crossbar, active)
-                           | remote[index * cols:(index + 1) * cols])
-                if not np.array_equal(enable, reached):
+                reached = (pu.crossbar.reach(actives[index])
+                           | (remote >> (index * cols)) & unit_mask)
+                if pack_bits(enable) != reached:
                     raise ArchitectureError(
                         "context enable of cluster %d PU %d is not the "
                         "propagation of its active set"
@@ -683,9 +704,3 @@ def _unwrap(value, last, modulus):
     candidates = [base - modulus + value, base + value, base + modulus + value]
     feasible = [c for c in candidates if c >= 0]
     return min(feasible, key=lambda c: abs(c - last))
-
-
-def _reached(crossbar, active):
-    """Columns ``active`` drives through ``crossbar``, as ``propagate``
-    computes them but without counting a Port-2 read."""
-    return crossbar.subarray.cells[np.flatnonzero(active)].any(axis=0)

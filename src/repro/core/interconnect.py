@@ -8,6 +8,11 @@ point at me" — the OR-functionality the paper highlights.  Because every
 column intersects every row, any 256-state connectivity pattern routes
 without congestion.
 
+The model keeps each row as one packed int whose bit ``c`` is cell
+``(r, c)``, so a crossbar costs one list slot per row however wide it
+is: a programmed automaton sets a few cells per row, and a cluster's
+global switch has a million cells.
+
 A :class:`GlobalSwitch` is the same structure one level up, connecting
 the processing units of a cluster so automata up to 1024 states span PUs.
 """
@@ -15,15 +20,22 @@ the processing units of a cluster so automata up to 1024 states span PUs.
 import numpy as np
 
 from ..errors import ArchitectureError
-from .subarray import SramSubarray
+from .packed import pack_bits, unpack_bits
 
 
 class CrossbarSwitch:
-    """A ``size x size`` full crossbar over one PU's states."""
+    """A ``size x size`` full crossbar.
+
+    ``rows[r]`` is row ``r`` packed: bit ``c`` is set when state ``r``
+    activates state ``c``.  ``port2_reads`` counts the evaluations that
+    drove at least one row (:meth:`propagate`, or the packed kernel's
+    analytic count).
+    """
 
     def __init__(self, size=256):
         self.size = size
-        self.subarray = SramSubarray(size, size)
+        self.rows = [0] * size
+        self.port2_reads = 0
 
     def program_edge(self, src, dst, connected=True):
         """Write one connectivity bit (configuration time, Port 1)."""
@@ -32,7 +44,21 @@ class CrossbarSwitch:
                 "edge (%d, %d) out of range for a %d-state crossbar"
                 % (src, dst, self.size)
             )
-        self.subarray.cells[src, dst] = connected
+        if connected:
+            self.rows[src] |= 1 << dst
+        else:
+            self.rows[src] &= ~(1 << dst)
+
+    def program_rows(self, rows):
+        """Write whole packed rows, ``{row: bits}``, in one pass."""
+        limit = 1 << self.size
+        for row, bits in rows.items():
+            if not (0 <= row < self.size and 0 <= bits < limit):
+                raise ArchitectureError(
+                    "row %d = %#x out of range for a %d-state crossbar"
+                    % (row, bits, self.size)
+                )
+            self.rows[row] = bits
 
     def program_adjacency(self, adjacency):
         """Program a full boolean adjacency matrix at once."""
@@ -41,7 +67,21 @@ class CrossbarSwitch:
             raise ArchitectureError(
                 "adjacency must be %dx%d" % (self.size, self.size)
             )
-        self.subarray.cells[:, :] = adjacency
+        self.rows = [pack_bits(row) for row in adjacency]
+
+    def reach(self, active):
+        """OR of the rows the packed ``active`` set drives.
+
+        The wired-NOR evaluation itself, without counting a Port-2 read:
+        :meth:`propagate` counts, a restore's consistency check does not.
+        """
+        rows = self.rows
+        reached = 0
+        while active:
+            low = active & -active
+            reached |= rows[low.bit_length() - 1]
+            active ^= low
+        return reached
 
     def propagate(self, active_vector):
         """One state-transition step.
@@ -57,15 +97,15 @@ class CrossbarSwitch:
             raise ArchitectureError(
                 "active vector must have %d bits" % self.size
             )
-        rows = np.flatnonzero(active_vector)
-        if rows.size == 0:
+        active = pack_bits(active_vector)
+        if not active:
             return np.zeros(self.size, dtype=bool)
         # The wired-NOR hardware activates all driven rows simultaneously;
-        # numpy's any() over the selected rows models the same evaluation
+        # the OR over the selected rows models the same evaluation
         # without the 64-row stability cap (activators are driven
         # full-swing here, unlike lowered-voltage multi-row *reads*).
-        self.subarray.port2_reads += 1
-        return np.any(self.subarray.cells[rows, :], axis=0)
+        self.port2_reads += 1
+        return unpack_bits(self.reach(active), self.size)
 
 
 class GlobalSwitch:

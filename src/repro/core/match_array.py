@@ -63,32 +63,50 @@ class MatchArray:
         """Program one state's symbol sets into ``column``.
 
         ``symbols`` is the STE's tuple of 4-bit symbol sets (length ==
-        rate).  Stored complemented, per the module docstring, with one
-        write of the column's matching rows computed from the masks.
+        rate); see :meth:`configure_columns`.
         """
-        if not 0 <= column < self.capacity:
-            raise CapacityError(
-                "column %d out of range (%d columns)" % (column, self.capacity)
-            )
-        if len(symbols) != self.rate_nibbles:
-            raise ArchitectureError(
-                "state arity %d does not match configured rate %d"
-                % (len(symbols), self.rate_nibbles)
-            )
-        # Row p * 16 + v of the column is bit p * 16 + v of the
-        # complemented masks laid end to end: 1 where position p
-        # rejects value v.
-        rejects = 0
-        for symbol_set in reversed(symbols):
-            if symbol_set.bits != 4:
-                raise ArchitectureError("match array stores 4-bit symbols only")
-            rejects = (rejects << ROWS_PER_NIBBLE) | (symbol_set.mask ^ 0xFFFF)
-        raw = np.frombuffer(rejects.to_bytes(2 * len(symbols), "little"),
-                            dtype=np.uint8)
-        self.subarray.cells[: ROWS_PER_NIBBLE * len(symbols), column] = \
-            np.unpackbits(raw, bitorder="little").view(bool)
-        if column >= self._configured:
-            self._configured = column + 1
+        self.configure_columns([column], [symbols])
+
+    def configure_columns(self, columns, symbols):
+        """Program several states' symbol sets in one write.
+
+        ``symbols[i]`` (an STE's tuple of 4-bit symbol sets, length ==
+        rate) goes into ``columns[i]``.  Stored complemented, per the
+        module docstring: the matching rows of every listed column are
+        written at once, computed from the masks.  Every column and
+        symbol tuple is checked before anything is written.
+        """
+        width = ROWS_PER_NIBBLE * self.rate_nibbles
+        raw = bytearray()
+        for column, symbol_sets in zip(columns, symbols):
+            if not 0 <= column < self.capacity:
+                raise CapacityError(
+                    "column %d out of range (%d columns)"
+                    % (column, self.capacity)
+                )
+            if len(symbol_sets) != self.rate_nibbles:
+                raise ArchitectureError(
+                    "state arity %d does not match configured rate %d"
+                    % (len(symbol_sets), self.rate_nibbles)
+                )
+            # Row p * 16 + v of the column is bit p * 16 + v of the
+            # complemented masks laid end to end: 1 where position p
+            # rejects value v.
+            rejects = 0
+            for symbol_set in reversed(symbol_sets):
+                if symbol_set.bits != 4:
+                    raise ArchitectureError(
+                        "match array stores 4-bit symbols only")
+                rejects = (rejects << ROWS_PER_NIBBLE) | (
+                    symbol_set.mask ^ 0xFFFF)
+            raw += rejects.to_bytes(width // 8, "little")
+        if not raw:
+            return
+        bits = np.unpackbits(np.frombuffer(bytes(raw), dtype=np.uint8)
+                             .reshape(len(columns), width // 8),
+                             axis=1, bitorder="little").view(bool)
+        self.subarray.cells[:width, columns] = bits.T
+        self._configured = max(self._configured, max(columns) + 1)
 
     def clear_column(self, column):
         """Erase a state column (mark every value as rejecting)."""

@@ -1,14 +1,16 @@
 """Packed execution kernel: the SunderDevice fast path.
 
 The literal device model pays numpy-array work per PU per cycle (a
-wired-NOR in :class:`~repro.core.match_array.MatchArray`, fancy indexing
-in every crossbar ``propagate``).  This module compiles the *programmed
-subarray contents* into the form :class:`~repro.sim.engine.BitsetEngine`
-steps, over device slots ``(cluster * 4 + pu) * cols + column``:
+wired-NOR in :class:`~repro.core.match_array.MatchArray`, a pack and an
+unpack in every crossbar ``propagate``).  This module compiles the
+*programmed subarray and crossbar contents* into the form
+:class:`~repro.sim.engine.BitsetEngine` steps, over device slots
+``(cluster * 4 + pu) * cols + column``:
 
 - per-(position, nibble-value) **match masks** from the matching rows;
-- **successor rows** (``_targets``/``_offsets``) from every local
-  crossbar and global switch;
+- **successor rows** from the packed rows of every local crossbar and
+  global switch, each shifted to its slot base when a miss first reads
+  it;
 - **start masks** from the PUs' start vectors;
 - **report info** from each PU's ``state_of_column``.
 
@@ -18,16 +20,17 @@ active sets, block-sliced propagation, one budget
 (``DEFAULT_STEP_CACHE``) and one lanes loop.  Its input is the
 normalized code stream (:mod:`repro.sim.inputs`), translated to class
 ids once per run, so a nibble code reads its match mask only the first
-time the kernel sees it.  Because the compile reads the subarrays, not
-the automaton, the packed path is also a check of the layout.
+time the kernel sees it.  Because the compile reads the programmed
+device, not the automaton, the packed path is also a check of the
+layout.
 
 The reporting region stays fully literal — report writes, drains,
 flushes, and stalls are the paper's contribution and keep their
 row-level behaviour.  Matching-side access counters are instead derived
 analytically (they are a pure function of how many cycles ran and which
-PUs were active) and flushed back into the :class:`SramSubarray`
-counters on :meth:`PackedKernel.sync`, so ``statistics()``, energy, and
-stall figures are identical in both fidelities.
+PUs were active) and flushed back into the :class:`SramSubarray` and
+crossbar counters on :meth:`PackedKernel.sync`, so ``statistics()``,
+energy, and stall figures are identical in both fidelities.
 """
 
 from time import perf_counter
@@ -127,26 +130,24 @@ class PackedKernel(TransitionTable):
                               axis=-1)
 
     def _compile_successors(self):
-        """Successor rows from every programmed crossbar cell."""
-        sources = [np.zeros(0, dtype=np.int64)]
-        targets = [np.zeros(0, dtype=np.int64)]
-        switches = [(pu.crossbar, index * self.cols)
-                    for index, pu in enumerate(self.pus)]
-        switches += [(cluster.global_switch.crossbar,
-                      index * PUS_PER_CLUSTER * self.cols)
-                     for index, cluster in enumerate(self.clusters)]
-        for crossbar, base in switches:
-            # One flat scan split by divmod: a 2-D np.nonzero is 7-17x
-            # slower on 256- and 1024-wide crossbars.
-            src, dst = np.divmod(np.flatnonzero(crossbar.subarray.cells),
-                                 crossbar.size)
-            sources.append(src + base)
-            targets.append(dst + base)
-        sources = np.concatenate(sources)
-        order = np.argsort(sources, kind="stable")
-        self._targets = np.concatenate(targets)[order].tolist()
-        self._offsets = [0] + np.cumsum(
-            np.bincount(sources, minlength=self._size)).tolist()
+        """Every crossbar's packed rows, as the kernel compiled them.
+
+        A crossbar row is already a successor row over its own columns;
+        :meth:`_successor_mask` places it at its slot base.
+        """
+        self._local_rows = [tuple(pu.crossbar.rows) for pu in self.pus]
+        self._global_rows = [tuple(cluster.global_switch.crossbar.rows)
+                             for cluster in self.clusters]
+
+    def _successor_mask(self, slot):
+        """Slot ``slot``'s local crossbar row OR its global switch row,
+        over device slots."""
+        cols = self.cols
+        unit, column = divmod(slot, cols)
+        cluster, pu = divmod(unit, PUS_PER_CLUSTER)
+        return ((self._local_rows[unit][column] << (unit * cols))
+                | (self._global_rows[cluster][pu * cols + column]
+                   << (cluster * PUS_PER_CLUSTER * cols)))
 
     # ------------------------------------------------------------------
     # Per-set facts
@@ -328,11 +329,10 @@ class PackedKernel(TransitionTable):
         pending_crossbar = self._pending_crossbar
         for index, count in enumerate(pending_crossbar):
             if count:
-                self.pus[index].crossbar.subarray.port2_reads += count
+                self.pus[index].crossbar.port2_reads += count
                 pending_crossbar[index] = 0
         pending_gs = self._pending_gs
         for index, count in enumerate(pending_gs):
             if count:
-                self.clusters[index].global_switch.crossbar.subarray \
-                    .port2_reads += count
+                self.clusters[index].global_switch.crossbar.port2_reads += count
                 pending_gs[index] = 0

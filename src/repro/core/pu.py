@@ -53,30 +53,42 @@ class ProcessingUnit:
         """First reporting-enabled column (the last m columns report)."""
         return self.config.subarray_cols - self.config.report_bits
 
-    def configure_state(self, column, state):
-        """Program one STE into ``column`` and remember its identity."""
-        if state.report and column < self.report_column_base:
-            raise ArchitectureError(
-                "reporting state %r must occupy a reporting-enabled column "
-                "(>= %d), got %d" % (state.id, self.report_column_base, column)
-            )
-        if not state.report and column >= self.report_column_base:
-            raise ArchitectureError(
-                "non-reporting state %r may not occupy reporting column %d"
-                % (state.id, column)
-            )
-        self.match_array.configure_state(column, state.symbols)
-        self.state_of_column[column] = state
-        if state.start is StartKind.ALL_INPUT:
-            self.all_input_vector[column] = True
-        elif state.start is StartKind.START_OF_DATA:
-            self.start_of_data_vector[column] = True
-        if state.report:
-            self.report_column_mask[column] = True
+    def configure(self, placed):
+        """Program a list of ``(column, state)`` pairs in one write.
 
-    def program_edge(self, src_column, dst_column):
-        """Program one intra-PU transition."""
-        self.crossbar.program_edge(src_column, dst_column)
+        The matching rows of every listed column, the start vectors and
+        the report mask are each written once, and each column remembers
+        its state's identity.  A reporting state off the
+        reporting-enabled columns, or a non-reporting one on them,
+        raises :class:`ArchitectureError` before anything is written.
+        """
+        base = self.report_column_base
+        for column, state in placed:
+            if state.report and column < base:
+                raise ArchitectureError(
+                    "reporting state %r must occupy a reporting-enabled "
+                    "column (>= %d), got %d" % (state.id, base, column)
+                )
+            if not state.report and column >= base:
+                raise ArchitectureError(
+                    "non-reporting state %r may not occupy reporting "
+                    "column %d" % (state.id, column)
+                )
+        self.match_array.configure_columns(
+            [column for column, _ in placed],
+            [state.symbols for _, state in placed])
+        all_input = []
+        start_of_data = []
+        for column, state in placed:
+            self.state_of_column[column] = state
+            if state.start is StartKind.ALL_INPUT:
+                all_input.append(column)
+            elif state.start is StartKind.START_OF_DATA:
+                start_of_data.append(column)
+        self.all_input_vector[all_input] = True
+        self.start_of_data_vector[start_of_data] = True
+        self.report_column_mask[[column for column, state in placed
+                                 if state.report]] = True
 
     # ------------------------------------------------------------------
     # Runtime
@@ -94,7 +106,7 @@ class ProcessingUnit:
         stall = 0
         # The reporting columns are the last m; unconfigured columns can
         # never match and non-reporting states cannot occupy them
-        # (configure_state enforces both), so the slice alone decides
+        # (configure enforces both), so the slice alone decides
         # whether anything reported — no full-width mask AND needed.
         report_bits = active[self.report_column_base:]
         if report_bits.any():

@@ -51,9 +51,9 @@ class EnergyReport:
 def device_energy(device):
     """Energy of everything a :class:`SunderDevice` did since configuration.
 
-    Uses the per-port access counters of every subarray: Port-2 reads are
-    matching/crossbar evaluations (8T access each), Port-1 traffic is
-    configuration plus reporting.
+    Uses the per-port access counters of every subarray and crossbar:
+    Port-2 reads are matching/crossbar evaluations (8T access each),
+    Port-1 traffic is configuration plus reporting.
     """
     # Packed runs defer matching-side counter updates; flush them first.
     device.sync_dynamic_state()
@@ -65,11 +65,9 @@ def device_energy(device):
         matching += pu.subarray.port2_reads * per_access
         reporting += (pu.subarray.port1_writes + pu.subarray.port1_reads) \
             * per_access
-        interconnect += pu.crossbar.subarray.port2_reads * per_access
+        interconnect += pu.crossbar.port2_reads * per_access
     for cluster in device.clusters:
-        interconnect += (
-            cluster.global_switch.crossbar.subarray.port2_reads * per_access
-        )
+        interconnect += cluster.global_switch.crossbar.port2_reads * per_access
     return EnergyReport(matching / 1000.0, interconnect / 1000.0,
                         reporting / 1000.0)
 

@@ -84,7 +84,8 @@ class TransitionTable:
     sets the engine form:
 
     - ``_targets``/``_offsets``: slot ``i``'s successors are
-      ``_targets[_offsets[i]:_offsets[i + 1]]``;
+      ``_targets[_offsets[i]:_offsets[i + 1]]`` (or it overrides
+      :meth:`_successor_mask`, as the packed device kernel does);
     - ``_match_masks[position][value]``: the slots accepting ``value``
       at ``position``;
     - ``_all_input_mask``, ``_start_of_data_mask`` and ``_report_mask``;

@@ -6,13 +6,15 @@ stores reports the way Sunder's reporting region does: one *row* per
 reporting cycle, holding the cycle and that cycle's report plan — a shared
 tuple of ``(offset, state_id, report_code)`` triples, each firing at
 position ``cycle * arity + offset``.  A simulator interns one plan per
-active set, so a row costs two list slots however many reports it holds.
+active set, so a row costs one 4-byte cycle and one list slot however
+many reports it holds.
 Everything else — the total, the per-cycle counts that drive the
 reporting-architecture models (Table 1's dynamic columns, the AP buffer
 model, Sunder's in-subarray reporting region) and the individual
 :class:`ReportEvent` objects — is derived from the rows when asked.
 """
 
+from array import array
 from collections import Counter
 from contextlib import contextmanager
 
@@ -70,9 +72,11 @@ class ReportEvent:
 class ReportRecorder:
     """Report rows: a cycle column and a plan column, in write order.
 
-    ``cycles[i]`` is the cycle of row ``i`` and ``plans[i]`` its plan, a
-    non-empty tuple of ``(offset, state_id, report_code)`` triples with
-    ``0 <= offset < arity``.  Rows sharing a plan share the tuple.
+    ``cycles[i]`` is the cycle of row ``i`` (the column is an
+    ``array('I')``, so a cycle is below ``2 ** 32``) and ``plans[i]``
+    its plan, a non-empty tuple of ``(offset, state_id, report_code)``
+    triples with ``0 <= offset < arity``.  Rows sharing a plan share
+    the tuple.
     ``arity`` is set by the first write and fixed after it.
 
     Parameters
@@ -92,7 +96,7 @@ class ReportRecorder:
     def __init__(self, position_limit=None):
         self.position_limit = position_limit
         self.arity = None
-        self.cycles = []
+        self.cycles = array("I")
         self.plans = []
         self.total_reports = 0
 
@@ -101,7 +105,7 @@ class ReportRecorder:
 
         :meth:`record_cycle`, :meth:`absorb` and :func:`open_rows` raise
         :class:`~repro.errors.SimulationError` afterwards.  The row
-        columns stay plain lists that readers must not mutate.
+        columns stay mutable containers that readers must not mutate.
         """
         self._frozen = True
         return self
@@ -300,8 +304,9 @@ class ReportRecorder:
         version-mismatched payload — row or plan columns of unequal
         length, a plan, state or code index outside its table (a
         negative one too, which Python would otherwise wrap), an empty
-        plan, an offset outside ``[0, arity)`` — so the artifact store
-        can treat corruption as a recoverable miss.
+        plan, an offset outside ``[0, arity)``, a cycle of ``2 ** 32`` or
+        more — so the artifact store can treat corruption as a
+        recoverable miss.
         """
         try:
             if payload.get("format") != PAYLOAD_FORMAT:
@@ -356,12 +361,13 @@ class ReportRecorder:
                 table.append(tuple(entries[start:start + size]))
                 start += size
             recorder.arity = arity
-            recorder.cycles = list(cycles)
+            recorder.cycles = array("I", cycles)
             recorder.plans = list(map(table.__getitem__, column))
             recorder.total_reports = sum(map(len, recorder.plans))
         except ArtifactError:
             raise
-        except (KeyError, TypeError, ValueError, AttributeError) as error:
+        except (KeyError, TypeError, ValueError, AttributeError,
+                OverflowError) as error:
             raise ArtifactError("malformed report-stream payload: %s" % error)
         return recorder
 

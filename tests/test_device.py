@@ -2,10 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.automata import Automaton, SymbolSet
-from repro.core import SunderConfig, SunderDevice
+from repro.automata import Automaton, StartKind, Ste, SymbolSet
+from repro.core import ProcessingUnit, SunderConfig, SunderDevice
 from repro.errors import ArchitectureError
 from repro.regex import compile_ruleset
 from repro.sim import BitsetEngine, stream_for
@@ -140,3 +142,85 @@ class TestConfigurationErrors:
         result = device.run(stream, position_limit=length)
         keys = result.reports().event_keys()
         assert keys == {(length - 1, "end")}
+
+
+@st.composite
+def _placed_states(draw):
+    """A rate, then random STEs on distinct columns of one PU: both start
+    kinds and none, reporting states on the reporting columns only."""
+    config = SunderConfig(rate_nibbles=draw(st.sampled_from([1, 2, 4])))
+    base = config.subarray_cols - config.report_bits
+    columns = draw(st.lists(st.integers(0, base - 1), unique=True,
+                            max_size=20))
+    columns += draw(st.lists(st.integers(base, config.subarray_cols - 1),
+                             unique=True, max_size=config.report_bits))
+    placed = []
+    for index, column in enumerate(draw(st.permutations(columns))):
+        report = column >= base
+        placed.append((column, Ste(
+            "s%d" % index,
+            [SymbolSet(4, draw(st.integers(0, 0xFFFF)))
+             for _ in range(config.rate_nibbles)],
+            start=draw(st.sampled_from(list(StartKind))), report=report,
+            report_code="r%d" % index if report else None)))
+    return config, placed
+
+
+def _written_cell_by_cell(config, placed):
+    """What writing ``placed`` one state at a time, one cell at a time,
+    leaves: matching rows (complemented), start vectors, report mask."""
+    cols = config.subarray_cols
+    cells = np.ones((config.matching_rows, cols), dtype=bool)
+    vectors = {kind: np.zeros(cols, dtype=bool)
+               for kind in (StartKind.ALL_INPUT, StartKind.START_OF_DATA,
+                            "report")}
+    for column, state in placed:
+        for position, symbol_set in enumerate(state.symbols):
+            for value in range(16):
+                cells[position * 16 + value, column] = value not in symbol_set
+        if state.start in vectors:
+            vectors[state.start][column] = True
+        if state.report:
+            vectors["report"][column] = True
+    return cells, vectors
+
+
+class TestOneWriteConfigure:
+    @settings(max_examples=40, deadline=None)
+    @given(_placed_states())
+    def test_one_write_equals_per_state_writes(self, case):
+        config, placed = case
+        at_once = ProcessingUnit(config)
+        at_once.configure(placed)
+        per_state = ProcessingUnit(config)
+        for column, state in placed:
+            per_state.configure([(column, state)])
+        cells, vectors = _written_cell_by_cell(config, placed)
+        identities = [None] * config.subarray_cols
+        for column, state in placed:
+            identities[column] = state
+        rows = config.matching_rows
+        for pu in (at_once, per_state):
+            assert (pu.subarray.cells[:rows] == cells).all()
+            assert not pu.subarray.cells[rows:].any()
+            assert (pu.all_input_vector
+                    == vectors[StartKind.ALL_INPUT]).all()
+            assert (pu.start_of_data_vector
+                    == vectors[StartKind.START_OF_DATA]).all()
+            assert (pu.report_column_mask == vectors["report"]).all()
+            assert pu.state_of_column == identities
+
+    def test_wrong_kind_of_column_rejected_before_any_write(self):
+        pu = ProcessingUnit(SunderConfig(rate_nibbles=1))
+        base = pu.report_column_base
+        start = Ste("a", SymbolSet.of(4, [1]), start="all-input")
+        reporting = Ste("b", SymbolSet.of(4, [2]), report=True,
+                        report_code="b")
+        for placed in ([(0, start), (1, reporting)],
+                       [(base, reporting), (base + 1, start)]):
+            with pytest.raises(ArchitectureError, match="column"):
+                pu.configure(placed)
+            assert pu.state_of_column == [None] * len(pu.state_of_column)
+            assert pu.subarray.cells[:16].all()
+            assert not (pu.all_input_vector.any()
+                        or pu.report_column_mask.any())

@@ -54,15 +54,24 @@ def _run(automaton, data, config, fidelity):
 
 
 def _access_counters(device):
-    """Every matching-side subarray counter, in deterministic order."""
+    """Every subarray and crossbar counter, in deterministic order."""
     counters = []
     for _, _, pu in device.iter_pus():
         counters.append((pu.subarray.port1_reads, pu.subarray.port1_writes,
-                         pu.subarray.port2_reads,
-                         pu.crossbar.subarray.port2_reads))
+                         pu.subarray.port2_reads, pu.crossbar.port2_reads))
     for cluster in device.clusters:
-        counters.append(cluster.global_switch.crossbar.subarray.port2_reads)
+        counters.append(cluster.global_switch.crossbar.port2_reads)
     return counters
+
+
+#: Snort's rate-4 machine at scale 0.002, seed 0, over its whole input
+#: (1000 cycles): ``_access_counters`` and ``device_energy``'s (matching,
+#: interconnect, reporting) nJ, pinned from the model whose crossbars
+#: were dense cell matrices.  One cluster, and only PU 3's states ever
+#: activate on this input.
+SNORT_COUNTERS_PIN = [(0, 0, 1000, 0), (0, 0, 1000, 0), (0, 0, 1000, 0),
+                      (994, 994, 1000, 994), 994]
+SNORT_ENERGY_PIN = (3.642, 1.8100739999999997, 1.8100739999999997)
 
 
 def _assert_fidelities_agree(strided, data, config, engines):
@@ -128,6 +137,21 @@ class TestPackedVsLiteral:
                 literal_result.device.iter_pus(), packed_device.iter_pus()):
             assert (literal_pu.enable == packed_pu.enable).all()
             assert (literal_pu.active == packed_pu.active).all()
+
+
+class TestCounterPins:
+    @pytest.mark.parametrize("fidelity", FIDELITIES)
+    def test_snort_counters_and_energy_pinned(self, fidelity):
+        instance = generate("Snort", scale=0.002, seed=0)
+        strided = to_rate(instance.automaton, 4)
+        device, result, _, _ = _run(strided, instance.input_bytes,
+                                    SunderConfig(rate_nibbles=4), fidelity)
+        assert (result.cycles, result.stall_cycles) == (1000, 0)
+        assert result.reports().total_reports == 3251
+        assert _access_counters(device) == SNORT_COUNTERS_PIN
+        energy = device_energy(device)
+        assert (energy.matching_nj, energy.interconnect_nj,
+                energy.reporting_nj) == SNORT_ENERGY_PIN
 
 
 class TestPackedStepAndContext:

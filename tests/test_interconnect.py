@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import CrossbarSwitch, GlobalSwitch
+from repro.core import CrossbarSwitch, GlobalSwitch, SunderConfig, SunderDevice
 from repro.errors import ArchitectureError
+from repro.transform import to_rate
+from repro.workloads.registry import generate
 
 
 class TestCrossbar:
@@ -53,6 +55,25 @@ class TestCrossbar:
         with pytest.raises(ArchitectureError):
             switch.propagate(np.zeros(5, dtype=bool))
 
+    def test_program_rows_checked(self):
+        switch = CrossbarSwitch(4)
+        switch.program_rows({0: 0b0110, 3: 0b1000})
+        assert switch.rows == [0b0110, 0, 0, 0b1000]
+        for rows in ({4: 1}, {-1: 1}, {0: 1 << 4}, {0: -1}):
+            with pytest.raises(ArchitectureError):
+                switch.program_rows(rows)
+
+    def test_port2_counts_only_driven_evaluations(self):
+        switch = CrossbarSwitch(4)
+        switch.program_edge(0, 2)
+        switch.program_edge(1, 3)
+        switch.propagate(np.zeros(4, dtype=bool))
+        assert switch.port2_reads == 0
+        assert switch.reach(0b11) == 0b1100
+        assert switch.port2_reads == 0
+        switch.propagate(np.array([True, True, False, False]))
+        assert switch.port2_reads == 1
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_propagation_equals_boolean_matmul(self, seed):
@@ -93,3 +114,40 @@ class TestGlobalSwitch:
         switch = GlobalSwitch(num_pus=2, pu_size=4)
         with pytest.raises(ArchitectureError):
             switch.propagate([np.zeros(4, dtype=bool)])
+
+
+class TestDeviceCrossbars:
+    def test_snort_rows_hold_every_edge_once(self):
+        """A configured device's crossbars are packed rows whose set bits
+        are exactly the machine's edges; Snort at 0.01 spans three
+        clusters, so the global switches hold some of them."""
+        strided = to_rate(generate("Snort", scale=0.01, seed=0).automaton, 4)
+        device = SunderDevice(SunderConfig(rate_nibbles=4))
+        placement = device.configure(strided)
+        cols = device.config.subarray_cols
+        local = [pu.crossbar for _, _, pu in device.iter_pus()]
+        remote = [cluster.global_switch.crossbar
+                  for cluster in device.clusters]
+        for crossbar in local + remote:
+            assert len(crossbar.rows) == crossbar.size
+            assert all(isinstance(row, int) and 0 <= row < 1 << crossbar.size
+                       for row in crossbar.rows)
+            assert not any(isinstance(value, np.ndarray)
+                           for value in vars(crossbar).values())
+        remote_bits = sum(bin(row).count("1")
+                          for crossbar in remote for row in crossbar.rows)
+        assert remote_bits > 0
+        assert (sum(bin(row).count("1")
+                    for crossbar in local for row in crossbar.rows)
+                + remote_bits) == strided.num_transitions()
+        for src, dst in strided.transitions():
+            src_slot = placement.slot_of(src)
+            dst_slot = placement.slot_of(dst)
+            cluster = device.clusters[src_slot.cluster]
+            if src_slot.pu == dst_slot.pu:
+                row = cluster.pus[src_slot.pu].crossbar.rows[src_slot.column]
+                assert row >> dst_slot.column & 1
+            else:
+                row = cluster.global_switch.crossbar.rows[
+                    src_slot.pu * cols + src_slot.column]
+                assert row >> (dst_slot.pu * cols + dst_slot.column) & 1

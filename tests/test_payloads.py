@@ -189,6 +189,7 @@ REPORT_STREAM_CASES = [
     ("offset past the arity", _set_in("plans", "offset", 0, 2)),
     ("negative offset", _set_in("plans", "offset", 2, -1)),
     ("short cycle column", _drop("rows", "cycle")),
+    ("cycle past the column's range", _set_in("rows", "cycle", 0, 2 ** 32)),
     ("short plan column", _drop("rows", "plan")),
     ("short state column", _drop("plans", "state")),
     ("plan sizes short of the entries", _set_in("plans", "size", 0, 1)),
