@@ -26,7 +26,7 @@ scorecard:
 	PYTHONPATH=src $(PYTHON) -m repro experiment scorecard --scale 0.01
 
 # Full paper-scale scorecard (the EXPERIMENTS.md wall-clock budget run);
-# opt-in: its last record had Table 4 done at 196 s with a 2.86 GiB peak
+# opt-in: its last record had Table 4 done at 97 s with a 1.41 GiB peak
 # on one core (EXPERIMENTS.md, "Memory at paper scale").
 scorecard-paper:
 	PYTHONPATH=src $(PYTHON) -m repro experiment scorecard --scale 1.0

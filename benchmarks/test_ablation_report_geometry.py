@@ -5,7 +5,7 @@ both and shows the capacity/flush consequences on the SPM stress case —
 the design-space evidence behind the parameter selection.
 """
 
-from repro.core import ReportingPerfModel, SunderConfig, pu_fill_cycles_from_events
+from repro.core import ReportingPerfModel, SunderConfig
 from repro.core.mapping import place
 from repro.experiments.formatting import format_table
 from repro.sim.engine import BitsetEngine
@@ -37,9 +37,8 @@ def _sweep(scale):
         config = SunderConfig(rate_nibbles=4, report_bits=m, metadata_bits=n,
                               fifo=False)
         placement = place(strided, config)
-        fills = pu_fill_cycles_from_events(recorder, placement)
         result = ReportingPerfModel(config).evaluate(
-            fills, len(vectors), capacity_scale=scale
+            recorder, placement, len(vectors), capacity_scale=scale
         )
         rows.append({
             "report_bits": m,

@@ -8,12 +8,7 @@ This bench quantifies both halves of the claim on a deep ruleset.
 """
 
 from repro.baselines import ApReportingModel
-from repro.core import (
-    ReportingPerfModel,
-    SunderConfig,
-    place,
-    pu_fill_cycles_from_events,
-)
+from repro.core import ReportingPerfModel, SunderConfig, place
 from repro.experiments.formatting import format_table
 from repro.extensions import split_hot_cold
 from repro.regex import compile_ruleset
@@ -66,9 +61,8 @@ def _experiment():
         BitsetEngine(strided).run(vectors, strided_recorder)
         config = SunderConfig(rate_nibbles=4, report_bits=24)
         placement = place(strided, config)
-        fills = pu_fill_cycles_from_events(strided_recorder, placement)
         sunder = ReportingPerfModel(config).evaluate(
-            fills, len(vectors), capacity_scale=0.01)
+            strided_recorder, placement, len(vectors), capacity_scale=0.01)
 
         intermediate = sum(
             1 for event in recorder.events

@@ -10,12 +10,7 @@ track the closed-form curve's shape (monotone, negligible at low rates).
 import random
 
 from repro.automata import Automaton, StartKind, SymbolSet
-from repro.core import (
-    ReportingPerfModel,
-    SunderConfig,
-    place,
-    pu_fill_cycles_from_events,
-)
+from repro.core import ReportingPerfModel, SunderConfig, place
 from repro.core.perfmodel import HOST_BITS_PER_CYCLE, sensitivity_slowdown
 from repro.experiments.formatting import format_table
 
@@ -67,8 +62,8 @@ def _experiment(cycles=30_000, seed=5):
             stream.append((0, 0, 0, last))
         recorder = ReportRecorder()
         engine.run(stream, recorder)
-        fills = pu_fill_cycles_from_events(recorder, placement)
-        result = ReportingPerfModel(config).evaluate(fills, cycles)
+        result = ReportingPerfModel(config).evaluate(recorder, placement,
+                                                     cycles)
         rows.append({
             "target_pct": target_pct,
             "measured_pct": 100.0 * recorder.report_cycles / cycles,

@@ -12,11 +12,7 @@ Run:  python examples/network_intrusion.py
 import random
 
 from repro.baselines import ApReportingModel
-from repro.core import (
-    ReportingPerfModel,
-    SunderConfig,
-    pu_fill_cycles_from_events,
-)
+from repro.core import ReportingPerfModel, SunderConfig
 from repro.core.mapping import place
 from repro.regex import compile_ruleset
 from repro.sim import BitsetEngine, ReportRecorder, stream_for
@@ -65,9 +61,8 @@ def main():
     BitsetEngine(machine).run(vectors, strided_recorder)
     config = SunderConfig(rate_nibbles=4, report_bits=16)
     placement = place(machine, config)
-    fills = pu_fill_cycles_from_events(strided_recorder, placement)
     sunder = ReportingPerfModel(config).evaluate(
-        fills, len(vectors), capacity_scale=0.02)
+        strided_recorder, placement, len(vectors), capacity_scale=0.02)
 
     print("\nReporting overhead on this trace:")
     print("  AP (8-bit)      %6.2fx" % ap.slowdown)

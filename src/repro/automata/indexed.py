@@ -162,9 +162,6 @@ class IndexedAutomaton:
         alive = self.alive
         return [i for i in range(self.n) if alive[i]]
 
-    def alive_count(self):
-        return sum(self.alive)
-
     def make_mutable(self):
         """Convert adjacency rows to private sets (kernels mutate them).
 

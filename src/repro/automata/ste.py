@@ -148,6 +148,14 @@ class Ste:
             self.report_code, self.report_offsets,
         )
 
+    def __reduce__(self):
+        # Pickle through the canonical constructor: the default slots
+        # protocol keeps one state dict per STE in the unpickler's memo
+        # until the load ends.
+        return (ste_from_canonical, (self.id, self.symbols, self.start,
+                                     self.report, self.report_code,
+                                     self.report_offsets))
+
     def __repr__(self):
         flags = []
         if self.start is not StartKind.NONE:

@@ -119,10 +119,11 @@ class ApReportingModel:
         }
 
     def offload_bits_per_cycle_map(self, recorder, report_state_ids):
-        """Bits offloaded at each report cycle, from a recorder's rows.
+        """Bits offloaded at each report cycle, in ascending cycle order.
 
-        Each distinct plan's set of triggered regions (or RAD chunks) is
-        computed once; a cycle's offload covers the union over its rows.
+        A cycle offloads each region (or RAD chunk) that its rows
+        trigger, once however many rows trigger it
+        (:meth:`~repro.sim.reports.ReportRecorder.units_by_cycle`).
         """
         if not report_state_ids:
             raise ArchitectureError("no reporting states")
@@ -134,17 +135,10 @@ class ApReportingModel:
             RAD_CHUNK_BITS + RAD_CHUNK_METADATA_BITS if self.rad
             else REGION_VECTOR_BITS + REGION_METADATA_BITS
         )
-        table, column = recorder.plan_table()
-        plan_groups = [frozenset(groups[state_id] for _, state_id, _ in plan)
-                       for plan in table]
-        hits = {}
-        for cycle, index in zip(recorder.cycles, column):
-            hit = hits.get(cycle)
-            hits[cycle] = (plan_groups[index] if hit is None
-                           else hit | plan_groups[index])
         n_regions = max(groups.values()) + 1
         return (
-            {cycle: len(groups_hit) * payload for cycle, groups_hit in hits.items()},
+            {cycle: len(groups_hit) * payload for cycle, groups_hit
+             in recorder.units_by_cycle(groups.__getitem__).items()},
             n_regions,
         )
 
@@ -166,12 +160,12 @@ class ApReportingModel:
         stall_cycles = 0.0
         previous = 0
         total_offloaded = 0
-        for cycle in sorted(offloads):
+        for cycle, bits in offloads.items():
             gap = cycle - previous
             previous = cycle
             queue_bits = max(0.0, queue_bits - bandwidth * gap)
-            queue_bits += offloads[cycle]
-            total_offloaded += offloads[cycle]
+            queue_bits += bits
+            total_offloaded += bits
             if queue_bits > queue_capacity:
                 overflow = queue_bits - queue_capacity
                 stall_cycles += overflow / bandwidth

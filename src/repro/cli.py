@@ -190,7 +190,7 @@ def _plan_explain(args):
 def cmd_compare(args):
     """Sunder vs AP vs AP+RAD reporting overhead on user patterns+input."""
     from .baselines import ApReportingModel
-    from .core import ReportingPerfModel, place, pu_fill_cycles_from_events
+    from .core import ReportingPerfModel, place
     from .sim import BitsetEngine, ReportRecorder
 
     data = _read_input(args)
@@ -210,9 +210,8 @@ def cmd_compare(args):
     BitsetEngine(strided).run(vectors, strided_recorder)
     config = SunderConfig(rate_nibbles=4, report_bits=args.report_bits)
     placement = place(strided, config)
-    fills = pu_fill_cycles_from_events(strided_recorder, placement)
     sunder = ReportingPerfModel(config).evaluate(
-        fills, len(vectors), capacity_scale=scale)
+        strided_recorder, placement, len(vectors), capacity_scale=scale)
 
     print("input: %d bytes, %d reports (%.2f%% of cycles)" % (
         len(data), recorder.total_reports,

@@ -23,7 +23,6 @@ from .perfmodel import (
     HOST_BITS_PER_CYCLE,
     PerfResult,
     ReportingPerfModel,
-    pu_fill_cycles_from_events,
     sensitivity_slowdown,
 )
 from .pu import ProcessingUnit
@@ -74,7 +73,6 @@ __all__ = [
     "StateSlot",
     "SunderConfig",
     "SunderDevice",
-    "pu_fill_cycles_from_events",
     "place",
     "load_device",
     "save_device",

@@ -18,7 +18,7 @@ Two execution fidelities share this interface (the ``fidelity`` knob):
   statistics, and energy are bit-identical across fidelities.
 
 For large parameter sweeps use :mod:`repro.core.perfmodel`, which
-reproduces only the timing behaviour from a report profile.
+reproduces only the timing behaviour from a run's report rows.
 """
 
 from functools import partial

@@ -60,13 +60,6 @@ class Placement:
         """Distinct (cluster, pu) pairs that hold at least one state."""
         return sorted({(slot.cluster, slot.pu) for slot in self.slots.values()})
 
-    def states_in_pu(self, cluster, pu):
-        """State ids mapped to one PU."""
-        return [
-            state_id for state_id, slot in self.slots.items()
-            if slot.cluster == cluster and slot.pu == pu
-        ]
-
     def report_pu_of(self, state_id):
         """(cluster, pu) of a reporting state — used by the perf model."""
         slot = self.slot_of(state_id)

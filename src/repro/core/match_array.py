@@ -35,7 +35,6 @@ class MatchArray:
         self.subarray = subarray
         self.rate_nibbles = rate_nibbles
         self.capacity = subarray.cols
-        self._configured = 0
         # Complemented storage: an unprogrammed column must reject every
         # nibble value, i.e. hold all-ones in the matching rows.
         subarray.cells[: self.matching_rows, :] = True
@@ -106,7 +105,6 @@ class MatchArray:
                              .reshape(len(columns), width // 8),
                              axis=1, bitorder="little").view(bool)
         self.subarray.cells[:width, columns] = bits.T
-        self._configured = max(self._configured, max(columns) + 1)
 
     def clear_column(self, column):
         """Erase a state column (mark every value as rejecting)."""
@@ -128,10 +126,6 @@ class MatchArray:
             )
         rows = [self.row_of(position, value) for position, value in enumerate(vector)]
         return self.subarray.wired_nor(rows)
-
-    def match_columns(self, vector):
-        """Match restricted to configured columns (ignores unused ones)."""
-        return self.match(vector)[: self._configured]
 
 
 def match_vector_reference(states, vector):

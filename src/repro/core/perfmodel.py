@@ -3,11 +3,11 @@
 The bit-faithful :class:`~repro.core.device.SunderDevice` is too slow for
 million-cycle parameter sweeps, so the timing behaviour is factored out:
 
-- :class:`ReportingPerfModel` replays a *report profile* — for each PU,
-  the cycles in which it generated at least one report — against the
-  reporting-region counters only (capacity, FIFO drain, flush stalls).
-  The profile comes from the functional simulator plus a placement, so
-  the inputs are exact; only the buffer timing is abstracted.
+- :class:`ReportingPerfModel` replays the functional simulator's report
+  rows, cycle by cycle, against the reporting-region counters only
+  (capacity, FIFO drain, flush stalls): a placement maps each reporting
+  state to its PU, and every PU a cycle's rows hit writes one region
+  entry.  The inputs are exact; only the buffer timing is abstracted.
 - :func:`sensitivity_slowdown` is the closed-form worst-case model behind
   Figure 10: a single subarray with ``m`` reporting states whose report
   probability per cycle is swept from 0 to 1, drained by a host reading
@@ -64,16 +64,19 @@ class ReportingPerfModel:
     def __init__(self, config):
         self.config = config
 
-    def evaluate(self, pu_fill_cycles, total_cycles, capacity_scale=1.0):
-        """Replay per-PU fill events.
+    def evaluate(self, recorder, placement, total_cycles, capacity_scale=1.0):
+        """Replay a strided run's report rows; returns a :class:`PerfResult`.
 
-        ``pu_fill_cycles`` maps a PU key to the (sorted or unsorted)
-        iterable of cycles in which that PU wrote a report entry.  Returns
-        a :class:`PerfResult`.
+        ``recorder`` is the run's
+        :class:`~repro.sim.reports.ReportRecorder` and ``placement`` maps
+        each reporting state to its PU (``report_pu_of``).  In every
+        report cycle each PU the cycle's rows hit writes one region
+        entry, which is the hardware's behaviour: one entry captures all
+        of a PU's report bits for that cycle.
 
         FIFO draining is modelled as a fluid: the host's global drain
         bandwidth (``fifo_drain_rows_per_cycle`` rows/cycle) is shared
-        proportionally among non-empty regions between fill events.
+        proportionally among non-empty regions between report cycles.
 
         ``capacity_scale`` shrinks the fixed region geometry (capacity,
         per-flush cost, drain bandwidth) to match workloads generated at
@@ -81,28 +84,29 @@ class ReportingPerfModel:
         full-size 1MB run.
         """
         with trace_span("reporting.drain_model", fifo=self.config.fifo,
-                        pus=len(pu_fill_cycles), cycles=total_cycles):
-            return self._evaluate(pu_fill_cycles, total_cycles, capacity_scale)
+                        cycles=total_cycles) as span:
+            return self._evaluate(recorder, placement, total_cycles,
+                                  capacity_scale, span)
 
-    def _evaluate(self, pu_fill_cycles, total_cycles, capacity_scale):
+    def _evaluate(self, recorder, placement, total_cycles, capacity_scale,
+                  span):
         config = self.config
         if capacity_scale <= 0:
             raise ArchitectureError("capacity_scale must be positive")
-        keys = sorted(pu_fill_cycles)
+        rows = recorder.units_by_cycle(placement.report_pu_of)
+        distinct = set(rows.values())
+        keys = sorted(set().union(*distinct))
+        span.set_attr(pus=len(keys))
         if not keys:
             return PerfResult(total_cycles, 0, 0, 0)
+        last = next(reversed(rows))
+        if last >= total_cycles:
+            raise ArchitectureError(
+                "fill at cycle %d beyond stream of %d cycles"
+                % (last, total_cycles))
         index_of = {key: i for i, key in enumerate(keys)}
-        events = {}
-        fills = 0
-        for key, cycles in pu_fill_cycles.items():
-            for cycle in cycles:
-                if cycle >= total_cycles:
-                    raise ArchitectureError(
-                        "fill at cycle %d beyond stream of %d cycles"
-                        % (cycle, total_cycles)
-                    )
-                events.setdefault(cycle, []).append(index_of[key])
-                fills += 1
+        indices = {units: np.array([index_of[key] for key in units])
+                   for units in distinct}
 
         # Capacity is storage: it shrinks with the workload scale so the
         # fill/flush dynamics of a full-size run are preserved.  The
@@ -123,8 +127,9 @@ class ReportingPerfModel:
         counts = np.zeros(len(keys))
         stall_cycles = 0.0
         flushes = 0
+        fills = 0
         previous_cycle = 0
-        for cycle in sorted(events):
+        for cycle, units in rows.items():
             gap = cycle - previous_cycle
             previous_cycle = cycle
             if drain_rate > 0.0 and gap > 0:
@@ -133,8 +138,8 @@ class ReportingPerfModel:
                     drained = min(total, drain_rate * gap)
                     counts -= drained * counts / total
                     np.clip(counts, 0.0, None, out=counts)
-            for pu_index in events[cycle]:
-                counts[pu_index] += 1.0
+            counts[indices[units]] += 1.0
+            fills += len(units)
             over = counts > capacity
             if over.any():
                 n_over = int(over.sum())
@@ -142,26 +147,6 @@ class ReportingPerfModel:
                 stall_cycles += n_over * flush_stall
                 counts[over] = 1.0
         return PerfResult(total_cycles, stall_cycles, flushes, fills)
-
-
-def pu_fill_cycles_from_events(recorder, placement):
-    """Group a recorder's reports by the PU their state is placed in.
-
-    ``recorder`` is a :class:`~repro.sim.reports.ReportRecorder`; returns
-    ``{(cluster, pu): sorted cycles}`` — one region write per PU per
-    report cycle, which is exactly the hardware's behaviour (one entry
-    captures all of a PU's report bits for that cycle).  Each distinct
-    plan's PUs are looked up once, then the rows are walked.
-    """
-    table, column = recorder.plan_table()
-    plan_pus = [tuple(dict.fromkeys(placement.report_pu_of(state_id)
-                                    for _, state_id, _ in plan))
-                for plan in table]
-    fills = {}
-    for cycle, index in zip(recorder.cycles, column):
-        for key in plan_pus[index]:
-            fills.setdefault(key, set()).add(cycle)
-    return {key: sorted(cycles) for key, cycles in fills.items()}
 
 
 def sensitivity_slowdown(

@@ -6,8 +6,8 @@ For every benchmark:
    exact per-cycle report stream; the AP and AP+RAD queue models replay
    it (the AP is an 8-bit architecture, so its cycle base is bytes).
 2. The automaton is transformed to 4-nibble (16-bit) processing, run
-   again, placed onto Sunder PUs, and the per-PU report profile drives
-   the Sunder reporting-region model twice — stop-and-flush and FIFO —
+   again and placed onto Sunder PUs; the Sunder reporting-region model
+   replays that run's report rows twice — stop-and-flush and FIFO —
    giving #flushes and the reporting overhead on Sunder's cycle base.
 
 Flush-count convention: we count flush *events summed over subarrays*

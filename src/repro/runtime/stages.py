@@ -27,8 +27,7 @@ from time import perf_counter
 from ..baselines.ap import ApReportingModel
 from ..core.config import SunderConfig
 from ..core.mapping import place
-from ..core.perfmodel import (ReportingPerfModel, pu_fill_cycles_from_events,
-                              sensitivity_slowdown)
+from ..core.perfmodel import ReportingPerfModel, sensitivity_slowdown
 from ..errors import StageGraphError
 from ..hwmodel import area
 from ..obs import stage_progress, trace_span
@@ -245,11 +244,12 @@ def drain_row(instance, run8, strided_run, placement, rate, scale,
         run8.recorder, report_ids, byte_cycles)
     rad = ApReportingModel(rad=True, scale=scale).evaluate(
         run8.recorder, report_ids, byte_cycles)
-    fills = pu_fill_cycles_from_events(strided_run.recorder, placement)
     no_fifo = ReportingPerfModel(_with_fifo(config, False)).evaluate(
-        fills, strided_run.cycles, capacity_scale=scale)
+        strided_run.recorder, placement, strided_run.cycles,
+        capacity_scale=scale)
     fifo = ReportingPerfModel(_with_fifo(config, True)).evaluate(
-        fills, strided_run.cycles, capacity_scale=scale)
+        strided_run.recorder, placement, strided_run.cycles,
+        capacity_scale=scale)
     paper = (workloads.PAPER_TABLE4.get(instance.name, {})
              if instance.paper_row else {})
     return {

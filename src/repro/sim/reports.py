@@ -230,6 +230,25 @@ class ReportRecorder:
             column.append(index)
         return table, column
 
+    def units_by_cycle(self, unit_of):
+        """``{cycle: units}``: the units each report cycle writes.
+
+        ``unit_of`` maps a state id to the unit that stores its reports
+        (a Sunder PU, an AP region or RAD chunk), and ``units`` is the
+        frozenset of units hit by the cycle's rows; cycles ascend.  Each
+        distinct plan's units are resolved once, and rows that share a
+        cycle (a device recorder's one row per PU) pool theirs.
+        """
+        table, column = self.plan_table()
+        plan_units = [frozenset(unit_of(state_id) for _, state_id, _ in plan)
+                      for plan in table]
+        by_cycle = {}
+        for cycle, index in zip(self.cycles, column):
+            units = by_cycle.get(cycle)
+            by_cycle[cycle] = (plan_units[index] if units is None
+                               else units | plan_units[index])
+        return {cycle: by_cycle[cycle] for cycle in sorted(by_cycle)}
+
     def max_reports_in_a_cycle(self):
         """Burstiness: the largest per-cycle report count."""
         return max(self.reports_per_cycle.values(), default=0)

@@ -19,7 +19,6 @@ Key design decisions:
 - Everything is deterministic given ``(scale, seed)``.
 """
 
-import math
 import random
 
 from ..automata.ops import union
@@ -259,8 +258,3 @@ def infer_noise_budget(scale):
     if length < 64:
         raise WorkloadError("scale %r yields a degenerate input" % scale)
     return length
-
-
-def pattern_depth_for(states_target, n_patterns):
-    """Average pattern length needed for a state budget."""
-    return max(2, int(math.ceil(states_target / max(1, n_patterns))))

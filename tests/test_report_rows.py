@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from repro.core import SunderConfig, SunderDevice, pu_fill_cycles_from_events
+from repro.core import ReportingPerfModel, SunderConfig, SunderDevice
 from repro.sim import BitsetEngine, NaiveEngine, stream_for
 from repro.transform import to_rate
 from repro.workloads import generate
@@ -53,9 +53,18 @@ def test_packed_device_writes_one_row_per_reporting_pu(spm):
     for plan in recorder.plans:
         assert len({placement.report_pu_of(state_id)
                     for _, state_id, _ in plan}) == 1
-    # One row per (PU, cycle) fill: exactly the region writes Table 4
-    # replays.
-    fills = pu_fill_cycles_from_events(engine_recorder, placement)
-    assert len(recorder.cycles) == sum(map(len, fills.values()))
     assert len(recorder.cycles) > recorder.report_cycles
     assert len({id(plan) for plan in recorder.plans}) < len(recorder.plans)
+    # One row per (PU, cycle) fill: exactly the region writes Table 4
+    # replays, so the model pools the device's rows that share a cycle
+    # into the engine's one row per cycle.
+    for drain in ({"fifo": False},
+                  {"fifo": True, "fifo_drain_rows_per_cycle": 0.01}):
+        model = ReportingPerfModel(
+            SunderConfig(rate_nibbles=4, report_bits=16, **drain))
+        engine_result, device_result = [
+            model.evaluate(rows, placement, len(vectors), capacity_scale=0.002)
+            for rows in (engine_recorder, recorder)]
+        assert vars(device_result) == vars(engine_result)
+        assert engine_result.fills == len(recorder.cycles)
+        assert engine_result.flushes > 0
